@@ -21,11 +21,10 @@ from .geometry import (
     ArrayLayout,
     Scene,
     ServiceRegion,
-    SingularGeometryError,
     Structure,
     SubarrayGeometry,
     custom_layout,
-    DISTANCE_GUARD,
+    pa_user_distance,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -83,23 +82,12 @@ class PathComponent:
             raise ValueError("path kind must be 'los' or 'nlos'")
 
 
-def _distances(pa_positions: np.ndarray, point: np.ndarray, guard: float) -> np.ndarray:
-    delta = pa_positions - point[None, :]
-    r = np.sqrt(np.sum(delta * delta, axis=1))
-    if np.any(r < guard):
-        raise SingularGeometryError(
-            f"target within {guard:.1e} m of a PA; spherical amplitude diverges"
-        )
-    return r
-
-
 def path_vector(
     pa_positions,
     source,
     radio: RadioConfig,
     kind: str = "los",
     user=None,
-    guard: float = DISTANCE_GUARD,
 ) -> np.ndarray:
     """Per-element response of one path at arbitrary PA coordinates.
 
@@ -112,7 +100,7 @@ def path_vector(
     src = np.asarray(source, dtype=float).reshape(3)
     lam = radio.wavelength
     k = radio.wavenumber
-    r = _distances(pa, src, guard)
+    r = pa_user_distance(pa, src)
     phase = np.exp(-1j * k * r)
     if kind == "los":
         return (lam / (FOUR_PI * r)) * phase
@@ -120,10 +108,7 @@ def path_vector(
         raise ValueError("path kind must be 'los' or 'nlos'")
     if user is None:
         raise ValueError("scattered path needs the user position")
-    u = np.asarray(user, dtype=float).reshape(3)
-    r_su = float(np.linalg.norm(src - u))
-    if r_su < guard:
-        raise SingularGeometryError("scatterer coincides with the user")
+    r_su = pa_user_distance(src, np.asarray(user, dtype=float).reshape(3))
     common = lam * np.exp(-1j * k * r_su) / (FOUR_PI**1.5 * r_su)
     return common * phase / r
 
@@ -142,7 +127,7 @@ def synthesize_paths(
         comps = [PathComponent(scene.user, "los", path_vector(pa, scene.user, radio, "los"))]
         for sc in scene.scatterers:
             vec = path_vector(pa, sc, radio, "nlos", user=scene.user)
-            r_su = float(np.linalg.norm(sc - scene.user))
+            r_su = pa_user_distance(sc, scene.user)
             comps.append(PathComponent(sc, "nlos", vec, scatter_user_distance=r_su))
         out.append(comps)
     return out

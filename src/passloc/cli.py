@@ -7,27 +7,32 @@ missing or invalid config files), 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .channel import make_schedule, measure, save_measurement_set, synthesize_paths, load_measurement_set
+from .channel import load_measurement_set, save_measurement_set
 from .crlb import crlb_heatmap
 from .estimator import EstimatorConfig, run_omp_gcl, run_polar_baseline
-from .geometry import sample_scene
-from .harness import (
-    ExperimentConfig,
-    derive_seed,
-    run_sweep,
-    scenario_layout,
-    _STREAM_NOISE,
-    _STREAM_SCENE,
-    _STREAM_SCHEDULE,
-)
+from .harness import ExperimentConfig, run_sweep, scenario_layout, simulate_trial
 
 CRLB_SCHEMA_VERSION = 1
+
+# (command-line flag, ExperimentConfig field) for the config overrides
+_CONFIG_FLAGS = (("seed", "seed"), ("scenario", "scenarios"), ("snr", "snr_db"),
+                 ("trials", "trials"), ("mode", "mode"), ("m", "m"))
+# (command-line flag, EstimatorConfig field) for `estimate`
+_ESTIMATOR_FLAGS = (("mode", "mode"), ("g_theta", "g_theta"), ("iters", "max_outer_iters"),
+                    ("height", "fixed_height"))
+
+
+def _overrides(args, flags) -> dict:
+    """Config fields for the flags given on the command line."""
+    return {field: getattr(args, flag) for flag, field in flags
+            if getattr(args, flag, None) is not None}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -35,36 +40,15 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(args.config)
     else:
         cfg = ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "scenario", None):
-        cfg.scenarios = (args.scenario,)
-        cfg.__post_init__()
-    if getattr(args, "snr", None) is not None:
-        cfg.snr_db = tuple(args.snr)
-        cfg.__post_init__()
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "mode", None):
-        cfg.mode = args.mode
-        cfg.__post_init__()
-    return cfg
+    return dataclasses.replace(cfg, **_overrides(args, _CONFIG_FLAGS))
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenarios[0]
     snr = cfg.snr_db[0]
-    region, radio = cfg.region, cfg.radio
-    scene = sample_scene(region, cfg.l, derive_seed(cfg.seed, args.trial, _STREAM_SCENE),
-                         mode=cfg.mode, height=cfg.fixed_height)
-    layout, total_slots = scenario_layout(cfg, scenario)
-    schedule = make_schedule(layout, total_slots, cfg.density,
-                             derive_seed(cfg.seed, args.trial, _STREAM_SCHEDULE, scenario, 0))
-    paths = synthesize_paths(layout, scene, radio)
-    ms = measure(layout, schedule, paths, radio, snr,
-                 derive_seed(cfg.seed, args.trial, _STREAM_NOISE, scenario, 0))
-    save_measurement_set(args.out, ms, region, layout, schedule, radio, scene=scene)
+    scene, layout, schedule, _, ms = simulate_trial(cfg, scenario, snr, 0, args.trial)
+    save_measurement_set(args.out, ms, cfg.region, layout, schedule, cfg.radio, scene=scene)
     print(f"wrote {Path(args.out) / 'measurements.csv'} "
           f"({sum(len(y) for y in ms.y)} observations, scenario={scenario}, snr={snr} dB)")
     return 0
@@ -75,11 +59,8 @@ def _cmd_estimate(args) -> int:
     region, layout, radio = data["region"], data["layout"], data["radio"]
     scene = data["scene"]
     num_paths = args.paths if args.paths else (scene.l + 1 if scene is not None else 1)
-    est_cfg = EstimatorConfig(
-        region=region, mode=args.mode, num_paths=num_paths,
-        g_theta=args.g_theta, max_outer_iters=args.iters,
-        fixed_height=args.height, collect_trace=True,
-    )
+    est_cfg = EstimatorConfig(region=region, num_paths=num_paths, collect_trace=True,
+                              **_overrides(args, _ESTIMATOR_FLAGS))
     if layout.m == 1 and args.baseline == "polar":
         result = run_polar_baseline(data["measurements"], layout, radio, est_cfg)
     else:
@@ -105,7 +86,7 @@ def _cmd_estimate(args) -> int:
     }
     if scene is not None:
         err = np.asarray(result.paths[0].position) - scene.user
-        report["user_error_m"] = float(np.linalg.norm(err[:2] if args.mode == "2d" else err))
+        report["user_error_m"] = float(np.linalg.norm(err[:2] if est_cfg.mode == "2d" else err))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "estimate.json").write_text(json.dumps(report, indent=2))
@@ -123,8 +104,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_crlb(args) -> int:
     cfg = _load_config(args)
-    if args.m is not None:
-        cfg.m = args.m
     layout, _ = scenario_layout(cfg, cfg.scenarios[0])
     rows = crlb_heatmap(cfg.region, layout.reference_xy, args.sigma**2,
                         grid_n=args.grid, mode=args.bound)
@@ -174,11 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run localization on stored measurements")
     p.add_argument("--data", required=True, help="directory written by simulate")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["2d", "3d"], default="2d")
+    # unset flags keep the EstimatorConfig defaults
+    p.add_argument("--mode", choices=["2d", "3d"])
     p.add_argument("--paths", type=int, help="number of paths to extract")
-    p.add_argument("--g-theta", type=int, default=1024)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--height", type=float, default=0.0, help="known target height (2d mode)")
+    p.add_argument("--g-theta", type=int)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--height", type=float, help="known target height (2d mode)")
     p.add_argument("--baseline", choices=["auto", "polar"], default="auto",
                    help="force the polar baseline on single-subarray data")
     p.set_defaults(func=_cmd_estimate)

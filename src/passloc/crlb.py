@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import RadioConfig, measure, make_schedule, synthesize_paths
-from .dictionary import AngleGrid, build_dp_dictionary, project_dictionary
-from .estimator import omp_direction
-from .geometry import ArrayLayout, ServiceRegion, SingularGeometryError, sample_scene
+from .dictionary import AngleGrid
+from .estimator import extract_directions
+from .geometry import ArrayLayout, ServiceRegion, SingularGeometryError, pa_user_distance, sample_scene
 
-RANGE_GUARD = 1e-6
 SINGULAR_EIG_TOL = 1e-12
 
 
@@ -58,9 +57,7 @@ def bearing_geometry(target_xy, refs_xy):
     q = np.asarray(target_xy, dtype=float).reshape(2)
     v = np.asarray(refs_xy, dtype=float).reshape(-1, 2)
     delta = q[None, :] - v
-    ranges = np.linalg.norm(delta, axis=1)
-    if np.any(ranges < RANGE_GUARD):
-        raise SingularGeometryError("target coincides with a subarray reference")
+    ranges = pa_user_distance(v, q)
     units = delta / ranges[:, None]
     projectors = np.eye(2)[None, :, :] - units[:, :, None] * units[:, None, :]
     return units, ranges, projectors
@@ -173,14 +170,11 @@ def calibrate_bearing_sigma(
         schedule = make_schedule(layout, total_slots, density, rng.integers(2**63))
         paths = synthesize_paths(layout, scene, radio)
         ms = measure(layout, schedule, paths, radio, snr_db, rng.integers(2**63))
-        for m, sub in enumerate(layout.subarrays):
-            ref = sub.reference_position[:2]
-            delta = scene.user[:2] - ref
-            r_true = float(np.linalg.norm(delta))
+        deltas = scene.user[:2] - layout.reference_xy
+        ranges = [float(np.linalg.norm(delta)) for delta in deltas]
+        ests = extract_directions(layout, radio, grid, ms.w, ms.y, ranges, dh=dh)
+        for delta, r_true, est in zip(deltas, ranges, ests):
             u_true = delta / r_true
-            dic = build_dp_dictionary(sub, r_true, grid, radio, mode="2d", dh=dh, index=m)
-            dic = project_dictionary(dic, ms.w[m])
-            est = omp_direction(ms.y[m], dic)
             lat = np.sqrt(max(0.0, 1.0 - est.varphi**2))
             u_est = np.array([est.varphi, np.sign(u_true[1]) * lat if u_true[1] != 0 else lat])
             sq_sum += float(np.sum((u_est - u_true) ** 2))

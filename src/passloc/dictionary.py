@@ -94,6 +94,20 @@ class DpDictionary:
         return self.cosines.size
 
 
+def _squared_ranges(r, cosang, nd, dh: float, mode: str):
+    """Law of cosines r^2 + (n*d)^2 - 2*(n*d)*r*cos, plus dh^2 in planar mode.
+
+    Non-positive entries mark geometrically impossible (distance, angle)
+    pairs; callers decide whether that raises or drops a column.
+    """
+    radicand = r * r + nd * nd - 2.0 * nd * r * cosang
+    if mode == "2d":
+        radicand = radicand + dh * dh
+    elif mode != "3d":
+        raise ValueError("mode must be '2d' or '3d'")
+    return radicand
+
+
 def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0, mode: str = "2d"):
     """Element range from local polar coordinates via the law of cosines.
 
@@ -109,15 +123,11 @@ def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0, mode: str = 
 
     Broadcasting applies across r, cosang, and n.
     """
-    if mode not in ("2d", "3d"):
-        raise ValueError("mode must be '2d' or '3d'")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("anchor distance must be positive")
     nd = np.asarray(n, dtype=float) * d
-    radicand = r * r + nd * nd - 2.0 * nd * r * np.asarray(cosang, dtype=float)
-    if mode == "2d":
-        radicand = radicand + dh * dh
+    radicand = _squared_ranges(r, np.asarray(cosang, dtype=float), nd, dh, mode)
     if np.any(radicand <= 0.0):
         raise ValueError("non-positive squared range; grid point is geometrically invalid")
     return np.sqrt(radicand)
@@ -140,14 +150,8 @@ def build_dp_dictionary(
     """
     if r_param <= 0.0:
         raise ValueError("anchor distance must be positive")
-    n_idx = np.arange(subarray.n_pas, dtype=float)[:, None]
-    cos_row = grid.values[None, :]
-    nd = n_idx * subarray.spacing
-    radicand = r_param * r_param + nd * nd - 2.0 * nd * r_param * cos_row
-    if mode == "2d":
-        radicand = radicand + dh * dh
-    elif mode != "3d":
-        raise ValueError("mode must be '2d' or '3d'")
+    nd = np.arange(subarray.n_pas, dtype=float)[:, None] * subarray.spacing
+    radicand = _squared_ranges(r_param, grid.values[None, :], nd, dh, mode)
     ok = np.all(radicand > 0.0, axis=0)
     dropped = np.nonzero(~ok)[0]
     if not ok.any():

@@ -284,12 +284,21 @@ def custom_layout(
     return ArrayLayout(Structure(structure), tuple(subs), d, n)
 
 
-def pa_user_distance(pa_position, target_position, guard: float = DISTANCE_GUARD) -> float:
-    """Euclidean distance with a singularity guard on near-coincident points."""
+def pa_user_distance(pa_position, target_position):
+    """Euclidean distance with a singularity guard on near-coincident points.
+
+    The guard of every 1/r amplitude in the package. Rows of a 2-D
+    ``pa_position`` give one distance each; a single point gives a float.
+    """
     delta = np.asarray(pa_position, dtype=float) - np.asarray(target_position, dtype=float)
-    r = float(np.sqrt(np.sum(delta * delta)))
-    if r < guard:
-        raise SingularGeometryError(f"separation {r:.3e} m below guard {guard:.1e} m")
+    if delta.ndim == 1:
+        r = float(np.linalg.norm(delta))
+        singular = r < DISTANCE_GUARD
+    else:  # equal to norm(axis=-1) bit for bit, without its extra conj pass
+        r = np.sqrt(np.sum(delta * delta, axis=-1))
+        singular = np.any(r < DISTANCE_GUARD)
+    if singular:
+        raise SingularGeometryError(f"separation {np.min(r):.3e} m below guard {DISTANCE_GUARD:.1e} m")
     return r
 
 

@@ -23,7 +23,8 @@ from .channel import (
     measure,
     synthesize_paths,
 )
-from .estimator import EstimatorConfig, run_omp_gcl, run_polar_baseline
+from .dictionary import DpDictionary, default_polar_rings
+from .estimator import EstimatorConfig, polar_dictionary, run_omp_gcl, run_polar_baseline
 from .geometry import (
     ArrayLayout,
     ServiceRegion,
@@ -225,9 +226,9 @@ def _position_error(true_point, est_point, mode: str) -> float:
     return float(np.linalg.norm(e - t))
 
 
-def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: int,
-              trial: int, polar_cache: dict | None = None) -> TrialRecord:
-    """One end-to-end trial; estimator failures come back as flagged records."""
+def simulate_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: int,
+                   trial: int) -> tuple:
+    """(scene, layout, schedule, paths, measurements) of one trial."""
     region, radio = cfg.region, cfg.radio
     scene = sample_scene(
         region, cfg.l, derive_seed(cfg.seed, trial, _STREAM_SCENE),
@@ -243,15 +244,35 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
         layout, schedule, paths, radio, snr_db,
         derive_seed(cfg.seed, trial, _STREAM_NOISE, scenario, snr_index),
     )
+    return scene, layout, schedule, paths, ms
+
+
+def nf_dictionary(cfg: ExperimentConfig) -> DpDictionary:
+    """The nf scenario's polar dictionary with cfg.nf_rings rings.
+
+    Its atoms are scene-independent, so a sweep builds it once.
+    """
+    layout, _ = scenario_layout(cfg, "nf")
+    rings = default_polar_rings(cfg.region, cfg.nf_rings)
+    return polar_dictionary(layout, cfg.radio, cfg.estimator_config(), rings)
+
+
+def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: int,
+              trial: int, polar: DpDictionary | None = None) -> TrialRecord:
+    """One end-to-end trial; estimator failures come back as flagged records.
+
+    ``polar`` is the nf scenario's dictionary from nf_dictionary(cfg),
+    built here when not given.
+    """
+    scene, layout, _, paths, ms = simulate_trial(cfg, scenario, snr_db, snr_index, trial)
     est_cfg = cfg.estimator_config()
     t0 = time.perf_counter()
     try:
         if scenario == "nf":
-            cache_key = (scenario, cfg.mode)
-            dic = polar_cache.get(cache_key) if polar_cache is not None else None
-            result = run_polar_baseline(ms, layout, radio, est_cfg, channel_dictionary=dic)
+            dic = polar if polar is not None else nf_dictionary(cfg)
+            result = run_polar_baseline(ms, layout, cfg.radio, est_cfg, channel_dictionary=dic)
         else:
-            result = run_omp_gcl(ms, layout, radio, est_cfg)
+            result = run_omp_gcl(ms, layout, cfg.radio, est_cfg)
     except Exception as exc:  # record, do not abort the sweep
         return TrialRecord(
             scenario=scenario, snr_db=snr_db, trial=trial,
@@ -329,24 +350,13 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
     trials of any cell fail.
     """
     result = SweepResult(config=cfg)
-    polar_cache: dict = {}
-    if "nf" in cfg.scenarios:
-        # channel-domain atoms are scene-independent; build once
-        from .dictionary import AngleGrid, build_polar_dictionary, default_polar_rings
-
-        layout, _ = scenario_layout(cfg, "nf")
-        grid = AngleGrid.uniform_cosine(cfg.g_theta, cfg.grid_clip)
-        rings = default_polar_rings(cfg.region, cfg.nf_rings)
-        polar_cache[("nf", cfg.mode)] = build_polar_dictionary(
-            layout.subarrays[0], cfg.radio, grid, rings, mode="2d",
-            dh=cfg.h_pa - cfg.fixed_height, index=0,
-        )
+    polar = nf_dictionary(cfg) if "nf" in cfg.scenarios else None
     for scenario in cfg.scenarios:
         _, total_slots = scenario_layout(cfg, scenario)
         for snr_index, snr in enumerate(cfg.snr_db):
             records = []
             for trial in range(cfg.trials):
-                rec = run_trial(cfg, scenario, snr, snr_index, trial, polar_cache)
+                rec = run_trial(cfg, scenario, snr, snr_index, trial, polar)
                 records.append(rec)
                 if progress is not None:
                     progress(rec)

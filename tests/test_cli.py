@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from passloc import load_measurement_set
+from passloc import ExperimentConfig, load_measurement_set, run_trial
 from passloc.cli import cli_main
+import passloc.harness as harness_mod
 
 
 def _write_cfg(tmp_path, **overrides):
@@ -45,6 +46,27 @@ def test_simulate_then_estimate(tmp_path, capsys):
     assert 0.0 <= x <= 30.0
     msg = capsys.readouterr().out
     assert "user error" in msg
+
+
+def test_simulate_writes_the_measurements_of_run_trial(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    data = tmp_path / "data"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(data), "--trial", "1"]) == 0
+    written = load_measurement_set(data)["measurements"]
+
+    seen = []
+
+    def capture(ms, *args, **kwargs):
+        seen.append(ms)
+        raise RuntimeError("measurements captured")
+
+    monkeypatch.setattr(harness_mod, "run_omp_gcl", capture)
+    run_trial(ExperimentConfig.from_json(cfg), "mw", 25.0, 0, trial=1)
+    (used,) = seen
+    assert written.noise_variance == used.noise_variance
+    for name in ("y", "w", "slot_ids"):
+        for a, b in zip(getattr(written, name), getattr(used, name), strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_estimate_polar_baseline_on_single_guide(tmp_path):

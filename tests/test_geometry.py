@@ -152,6 +152,15 @@ def test_distance_guards_coincident_points():
         pa_user_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-9])
 
 
+def test_distance_rows_give_one_guarded_distance_each():
+    pas = np.array([[0.0, 0.0, 2.0], [3.0, 4.0, 2.0], [6.0, 8.0, 2.0]])
+    r = pa_user_distance(pas, [3.0, 4.0, 0.0])
+    assert r.shape == (3,)
+    assert r == pytest.approx([np.sqrt(29.0), 2.0, np.sqrt(29.0)], abs=1e-15)
+    with pytest.raises(SingularGeometryError):
+        pa_user_distance(pas, [3.0, 4.0, 2.0])  # one row coincides
+
+
 def test_distance_symmetry_and_triangle_inequality(rng):
     for _ in range(200):
         a, b, c = rng.uniform(-10, 10, size=(3, 3))

@@ -137,6 +137,18 @@ def test_trials_share_scenes_across_scenarios():
     assert c.scene_points != a.scene_points
 
 
+def test_nf_trial_alone_matches_its_sweep_record():
+    # without a prebuilt dictionary run_trial must still honour cfg.nf_rings
+    cfg = ExperimentConfig(scenarios=("nf",), trials=1, snr_db=(25.0,), seed=3, nf_rings=8,
+                           keep_records=True)
+    swept = run_sweep(cfg).records[0]
+    alone = run_trial(cfg, "nf", 25.0, 0, trial=0)
+    assert not alone.failed
+    assert alone.positions == swept.positions
+    assert alone.position_error == swept.position_error
+    assert alone.nmse_linear == swept.nmse_linear
+
+
 def test_trial_failure_is_recorded_not_raised(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic estimator failure")

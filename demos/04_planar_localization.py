@@ -35,8 +35,8 @@ for label, truth, p in zip(labels, truths, result.paths):
     print(f"{label} ({truth[0]:7.3f}, {truth[1]:7.3f})   "
           f"({p.position[0]:7.3f}, {p.position[1]:7.3f})   {err * 100:6.2f} cm")
 
-h_true = np.concatenate([channel_vector(pm) for pm in paths])
-h_est = np.concatenate(result.channels)
+h_true = channel_vector(paths).reshape(-1)
+h_est = result.channels.reshape(-1)
 print(f"\nchannel NMSE = {to_db(nmse(h_true, h_est)):.1f} dB")
 print(f"flags: {result.flags or '(none)'}")
 

@@ -25,7 +25,6 @@ from .geometry import (
 from .channel import (
     ActivationSchedule,
     MeasurementSet,
-    PathComponent,
     RadioConfig,
     channel_vector,
     load_measurement_set,
@@ -79,6 +78,5 @@ from .harness import (
     run_trial,
     to_db,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -62,26 +62,6 @@ class RadioConfig:
         return 2.0 * np.pi / self.wavelength
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    """One propagation path seen by one subarray, materialized per element."""
-
-    source: np.ndarray  # (3,) emission point of the last hop
-    kind: str  # "los" | "nlos"
-    vector: np.ndarray  # (N,) complex per-PA response
-    scatter_user_distance: float | None = None
-
-    def __post_init__(self):
-        src = np.asarray(self.source, dtype=float).reshape(3).copy()
-        src.setflags(write=False)
-        object.__setattr__(self, "source", src)
-        vec = np.asarray(self.vector, dtype=complex).copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-        if self.kind not in ("los", "nlos"):
-            raise ValueError("path kind must be 'los' or 'nlos'")
-
-
 def path_vector(
     pa_positions,
     source,
@@ -113,34 +93,35 @@ def path_vector(
     return common * phase / r
 
 
-def synthesize_paths(
-    layout: ArrayLayout, scene: Scene, radio: RadioConfig
-) -> list[list[PathComponent]]:
-    """Materialize every (subarray, path) response for a scene.
+def point_responses(pa_positions, points, radio: RadioConfig) -> np.ndarray:
+    """(K, P) per-PA responses of the paths through ``points`` at P PA coordinates.
 
-    Returns one list per subarray, direct path first, then one scattered
-    component per scatterer in scene order.
+    ``points[0]`` is the user, reached directly; every later point is a
+    scatterer whose second hop ends at ``points[0]``. One path_vector call
+    per point covers all PAs.
     """
-    out = []
-    for sub in layout.subarrays:
-        pa = sub.pa_positions
-        comps = [PathComponent(scene.user, "los", path_vector(pa, scene.user, radio, "los"))]
-        for sc in scene.scatterers:
-            vec = path_vector(pa, sc, radio, "nlos", user=scene.user)
-            r_su = pa_user_distance(sc, scene.user)
-            comps.append(PathComponent(sc, "nlos", vec, scatter_user_distance=r_su))
-        out.append(comps)
-    return out
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return np.stack([path_vector(pa_positions, pts[0], radio, "los")]
+                    + [path_vector(pa_positions, q, radio, "nlos", user=pts[0]) for q in pts[1:]])
 
 
-def channel_vector(paths: list[PathComponent]) -> np.ndarray:
-    """Superpose one subarray's path components into its channel vector."""
-    if not paths:
-        raise ValueError("need at least one path component")
-    total = np.zeros_like(paths[0].vector)
-    for p in paths:
-        total = total + p.vector
-    return total
+def synthesize_paths(layout: ArrayLayout, scene: Scene, radio: RadioConfig) -> np.ndarray:
+    """(M, L+1, N) response of every (subarray, path) pair for a scene.
+
+    Along axis 1 the direct path comes first, then one scattered path per
+    scatterer in scene order.
+    """
+    m, n = layout.m, layout.pas_per_subarray
+    responses = point_responses(layout.pa_positions, scene.points, radio)
+    return responses.reshape(-1, m, n).transpose(1, 0, 2)
+
+
+def channel_vector(paths) -> np.ndarray:
+    """Superpose path responses along axis -2: (L+1, N) -> (N,), (M, L+1, N) -> (M, N)."""
+    paths = np.asarray(paths)
+    if paths.ndim < 2 or paths.shape[-2] == 0:
+        raise ValueError("need at least one path response")
+    return paths.sum(axis=-2)
 
 
 def waveguide_vector(subarray: SubarrayGeometry, radio: RadioConfig) -> np.ndarray:
@@ -261,7 +242,7 @@ def measurement_matrix(
 def measure(
     layout: ArrayLayout,
     schedule: ActivationSchedule,
-    paths: list[list[PathComponent]],
+    paths: np.ndarray,
     radio: RadioConfig,
     snr_db: float | None,
     rng_seed=0,
@@ -276,9 +257,10 @@ def measure(
     if schedule.m != layout.m or schedule.activation.shape[2] != layout.pas_per_subarray:
         raise ValueError("schedule does not match the layout dimensions")
     if len(paths) != layout.m:
-        raise ValueError("need one path list per subarray")
+        raise ValueError("need the paths of every subarray")
     rng = np.random.default_rng(rng_seed)
     amp = np.sqrt(radio.p0)
+    channels = channel_vector(paths)
 
     clean, ws, slots = [], [], []
     for m, sub in enumerate(layout.subarrays):
@@ -287,8 +269,7 @@ def measure(
         if np.any(rows.sum(axis=1) == 0):
             raise ValueError("schedule contains an all-off observed slot")
         w = measurement_matrix(sub, rows, radio)
-        h = channel_vector(paths[m])
-        clean.append(amp * (w @ h))
+        clean.append(amp * (w @ channels[m]))
         ws.append(w)
         slots.append(sl)
 

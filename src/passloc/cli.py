@@ -12,12 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .channel import load_measurement_set, save_measurement_set
 from .crlb import crlb_heatmap
 from .estimator import EstimatorConfig, run_omp_gcl, run_polar_baseline
-from .harness import ExperimentConfig, run_sweep, scenario_layout, simulate_trial
+from .harness import ExperimentConfig, position_error, run_sweep, scenario_layout, simulate_trial
 
 CRLB_SCHEMA_VERSION = 1
 
@@ -85,8 +83,7 @@ def _cmd_estimate(args) -> int:
         ],
     }
     if scene is not None:
-        err = np.asarray(result.paths[0].position) - scene.user
-        report["user_error_m"] = float(np.linalg.norm(err[:2] if est_cfg.mode == "2d" else err))
+        report["user_error_m"] = position_error(scene.user, result.paths[0].position, est_cfg.mode)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "estimate.json").write_text(json.dumps(report, indent=2))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import RadioConfig, measure, make_schedule, synthesize_paths
 from .dictionary import AngleGrid
-from .estimator import extract_directions
+from .estimator import EstimatorConfig, extract_directions
 from .geometry import ArrayLayout, ServiceRegion, SingularGeometryError, pa_user_distance, sample_scene
 
 SINGULAR_EIG_TOL = 1e-12
@@ -144,8 +144,8 @@ def calibrate_bearing_sigma(
     snr_db: float,
     trials: int = 200,
     rng_seed=0,
-    g_theta: int = 1024,
-    grid_clip: float = 1e-3,
+    g_theta: int = EstimatorConfig.g_theta,
+    grid_clip: float = EstimatorConfig.grid_clip,
     slots_per_subarray: int = 64,
     density: float = 0.5,
     fixed_height: float = 0.0,

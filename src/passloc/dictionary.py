@@ -233,7 +233,11 @@ def build_polar_dictionary(
     )
 
 
-def default_polar_rings(region: ServiceRegion, count: int = 16, r_min: float = 1.0) -> np.ndarray:
+DEFAULT_POLAR_RINGS = 16
+
+
+def default_polar_rings(region: ServiceRegion, count: int = DEFAULT_POLAR_RINGS,
+                        r_min: float = 1.0) -> np.ndarray:
     """Geometric ring ladder from r_min out to the region diagonal."""
     if count < 1:
         raise ValueError("need at least one ring")

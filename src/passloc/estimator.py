@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MeasurementSet, RadioConfig, path_vector
+from .channel import MeasurementSet, RadioConfig, channel_vector, path_vector, point_responses
 from .dictionary import (
     AngleGrid,
     DpDictionary,
@@ -122,7 +122,7 @@ class PathEstimateResult:
     varphis: np.ndarray
     signs: np.ndarray | None
     coefficients: np.ndarray  # per-subarray refit complex gains
-    components: list  # per-subarray channel-domain vectors, gain applied
+    components: np.ndarray  # (M, N) channel-domain vectors, gain applied
     scatter_user_distance: float | None = None
     flags: tuple[str, ...] = ()
     directions: list = field(default_factory=list)
@@ -135,7 +135,7 @@ class EstimationResult:
     """Output of a full multi-path run."""
 
     paths: list
-    channels: list  # per-subarray reconstructed channel vectors
+    channels: np.ndarray  # (M, N) reconstructed channel vectors
     flags: tuple[str, ...] = ()
 
     @property
@@ -475,9 +475,9 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
 
 def _path_templates(position, kind, user, layout, radio, w_list, amp):
     """Per subarray, the path vector b at ``position`` and its measured template amp * W b."""
-    for m, sub in enumerate(layout.subarrays):
-        b = path_vector(sub.pa_positions, position, radio, kind, user=user)
-        yield b, amp * (w_list[m] @ b)
+    b = path_vector(layout.pa_positions, position, radio, kind, user=user)
+    for m, b_m in enumerate(b.reshape(layout.m, layout.pas_per_subarray)):
+        yield b_m, amp * (w_list[m] @ b_m)
 
 
 def _refit_gain(position, kind, user, layout, radio, w_list, residuals, amp) -> float:
@@ -554,17 +554,17 @@ def peel(position, kind, user, layout, radio, w_list, residuals, amp):
     """Stage 5: refit the path's complex gain per subarray and subtract it from ``residuals``.
 
     The gain absorbs the common phase of the anchor-distance error.
-    Returns the per-subarray gains and the channel-domain components
-    with the gain applied; ``residuals`` is updated in place.
+    Returns the per-subarray gains and the (M, N) channel-domain
+    components with the gain applied; ``residuals`` is updated in place.
     """
     coeffs = np.zeros(layout.m, dtype=complex)
-    components = []
+    components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
     for m, (b, t) in enumerate(_path_templates(position, kind, user, layout, radio, w_list, amp)):
         denom = float(np.vdot(t, t).real)
         c = complex(np.vdot(t, residuals[m]) / denom) if denom > 0.0 else 0.0
         residuals[m] = residuals[m] - c * t
         coeffs[m] = c
-        components.append(c * b)
+        components[m] = c * b
     return coeffs, components
 
 
@@ -632,8 +632,7 @@ def run_omp_gcl(
         position = chosen.position
         if absent:
             coeffs = np.zeros(layout.m, dtype=complex)
-            components = [np.zeros(layout.pas_per_subarray, dtype=complex)
-                          for _ in range(layout.m)]
+            components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
         else:
             if config.polish:
                 position = polish(position, kind, user, layout, radio, w, residuals, amp, box)
@@ -659,11 +658,8 @@ def run_omp_gcl(
         if l == 0:
             ref_strength, user = strength, position
 
-    channels = [
-        sum((p.components[m] for p in paths if not p.absent),
-            np.zeros(layout.pas_per_subarray, dtype=complex))
-        for m in range(layout.m)
-    ]
+    channels = sum((p.components for p in paths if not p.absent),
+                   np.zeros((layout.m, layout.pas_per_subarray), dtype=complex))
     return EstimationResult(paths=paths, channels=channels, flags=tuple(sorted(global_flags)))
 
 
@@ -675,11 +671,7 @@ def reconstruct_channel(positions, pa_positions, radio: RadioConfig) -> np.ndarr
     is the hook for evaluating candidate PA placements that never
     transmitted a pilot.
     """
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    h = path_vector(pa_positions, pos[0], radio, "los")
-    for q in pos[1:]:
-        h = h + path_vector(pa_positions, q, radio, "nlos", user=pos[0])
-    return h
+    return channel_vector(point_responses(pa_positions, positions, radio))
 
 
 def polar_dictionary(
@@ -765,10 +757,10 @@ def run_polar_baseline(
         paths.append(PathEstimateResult(
             path=l, position=position, distances=np.array([r]),
             varphis=np.array([cos]), signs=np.array([-1.0]),
-            coefficients=np.array([coeffs[l]]), components=[comp],
+            coefficients=np.array([coeffs[l]]), components=comp[None, :],
             scatter_user_distance=r_su, flags=tuple(sorted(flags)),
             directions=[de],
         ))
     if not paths:
         raise ValueError("baseline extracted no path")
-    return EstimationResult(paths=paths, channels=[channel], flags=tuple(sorted(flags)))
+    return EstimationResult(paths=paths, channels=channel[None, :], flags=tuple(sorted(flags)))

@@ -11,7 +11,7 @@ the region, so subarray axes are never rotated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -112,6 +112,8 @@ class SubarrayGeometry:
     reference_position: np.ndarray  # shape (3,)
     n_pas: int
     spacing: float
+    # (N, 3) read-only PA coordinates: reference + (n*spacing, 0, 0)
+    pa_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ref = _readonly(np.asarray(self.reference_position, dtype=float).reshape(3))
@@ -120,18 +122,14 @@ class SubarrayGeometry:
             raise LayoutError("subarray needs at least one PA")
         if self.spacing <= 0.0:
             raise LayoutError("PA spacing must be positive")
+        pos = np.tile(ref, (self.n_pas, 1))
+        pos[:, 0] += self.offsets
+        object.__setattr__(self, "pa_positions", _readonly(pos))
 
     @property
     def offsets(self) -> np.ndarray:
         """Along-guide offsets n*spacing for n = 0..N-1 (exact data model)."""
         return self.spacing * np.arange(self.n_pas)
-
-    @property
-    def pa_positions(self) -> np.ndarray:
-        """(N, 3) PA coordinates: reference + (n*spacing, 0, 0)."""
-        pos = np.tile(self.reference_position, (self.n_pas, 1))
-        pos[:, 0] += self.offsets
-        return pos
 
     @property
     def aperture(self) -> float:
@@ -146,6 +144,9 @@ class ArrayLayout:
     subarrays: tuple[SubarrayGeometry, ...]
     pa_spacing: float
     pas_per_subarray: int
+    # read-only stacks over subarrays: (M, N, 3) PA coordinates, (M, 3) references
+    pa_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    reference_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subarrays", tuple(self.subarrays))
@@ -154,14 +155,14 @@ class ArrayLayout:
         for sub in self.subarrays:
             if sub.n_pas != self.pas_per_subarray or sub.spacing != self.pa_spacing:
                 raise LayoutError("subarrays must share N and spacing")
+        object.__setattr__(self, "pa_positions",
+                           _readonly(np.stack([s.pa_positions for s in self.subarrays])))
+        object.__setattr__(self, "reference_positions",
+                           _readonly(np.stack([s.reference_position for s in self.subarrays])))
 
     @property
     def m(self) -> int:
         return len(self.subarrays)
-
-    @property
-    def reference_positions(self) -> np.ndarray:
-        return np.stack([s.reference_position for s in self.subarrays])
 
     @property
     def reference_xy(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from .channel import (
     measure,
     synthesize_paths,
 )
-from .dictionary import DpDictionary, default_polar_rings
+from .dictionary import DEFAULT_POLAR_RINGS, DpDictionary, default_polar_rings
 from .estimator import EstimatorConfig, polar_dictionary, run_omp_gcl, run_polar_baseline
 from .geometry import (
     ArrayLayout,
@@ -67,15 +67,15 @@ class ExperimentConfig:
     snr_db: tuple = DEFAULT_SNR_GRID
     trials: int = 500
     seed: int = 0
-    g_theta: int = 1024
-    iters: int = 3
-    epsilon: float = 1e-9
-    lambda_penalty: float = 1.0
-    move_tol: float = 1e-3
-    grid_clip: float = 1e-3
-    coeff_floor: float = 1e-3
+    g_theta: int = EstimatorConfig.g_theta
+    iters: int = EstimatorConfig.max_outer_iters
+    epsilon: float = EstimatorConfig.epsilon
+    lambda_penalty: float = EstimatorConfig.lambda_penalty
+    move_tol: float = EstimatorConfig.move_tol
+    grid_clip: float = EstimatorConfig.grid_clip
+    coeff_floor: float = EstimatorConfig.coeff_floor
     nf_n: int = 96
-    nf_rings: int = 16
+    nf_rings: int = DEFAULT_POLAR_RINGS
     keep_records: bool = False
 
     def __post_init__(self):
@@ -218,7 +218,8 @@ class TrialRecord:
         return asdict(self)
 
 
-def _position_error(true_point, est_point, mode: str) -> float:
+def position_error(true_point, est_point, mode: str) -> float:
+    """Distance between two points: horizontal in "2d" mode, full 3-D otherwise."""
     t = np.asarray(true_point, dtype=float)
     e = np.asarray(est_point, dtype=float)
     if mode == "2d":
@@ -283,20 +284,20 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
         )
     wall = time.perf_counter() - t0
 
-    err_user = _position_error(scene.user, result.paths[0].position, cfg.mode)
+    err_user = position_error(scene.user, result.paths[0].position, cfg.mode)
     path_errors = [err_user]
     live = [p for p in result.paths[1:] if not p.absent]
     remaining = list(range(scene.l))
     for p in live:  # greedy nearest-truth matching for scattered paths
         if not remaining:
             break
-        dists = [_position_error(scene.scatterers[i], p.position, cfg.mode) for i in remaining]
+        dists = [position_error(scene.scatterers[i], p.position, cfg.mode) for i in remaining]
         k = int(np.argmin(dists))
         path_errors.append(float(dists[k]))
         remaining.pop(k)
 
-    h_true = np.concatenate([channel_vector(pm) for pm in paths])
-    h_est = np.concatenate(result.channels)
+    h_true = channel_vector(paths).reshape(-1)
+    h_est = result.channels.reshape(-1)
     return TrialRecord(
         scenario=scenario, snr_db=snr_db, trial=trial,
         scene_points=scene.points.tolist(),

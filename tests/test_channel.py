@@ -123,14 +123,27 @@ def test_synthesize_orders_direct_path_first(region, radio, half_wave):
     lay = build_sw_layout(region, 2, 8, half_wave)
     scene = sample_scene(region, l=2, rng_seed=1)
     paths = synthesize_paths(lay, scene, radio)
-    assert len(paths) == 2
-    for comps in paths:
-        assert [c.kind for c in comps] == ["los", "nlos", "nlos"]
-        assert np.allclose(comps[0].source, scene.user)
-        assert np.allclose(comps[1].source, scene.scatterers[0])
-        assert comps[1].scatter_user_distance == pytest.approx(
-            np.linalg.norm(scene.scatterers[0] - scene.user)
-        )
+    assert paths.shape == (2, 3, 8)
+    for m, sub in enumerate(lay.subarrays):
+        pa = sub.pa_positions
+        assert np.array_equal(paths[m, 0], path_vector(pa, scene.user, radio, "los"))
+        # scatterers follow in scene order, each carrying its r_su leg
+        for i, sc in enumerate(scene.scatterers):
+            want = path_vector(pa, sc, radio, "nlos", user=scene.user)
+            assert np.array_equal(paths[m, 1 + i], want)
+
+
+@pytest.mark.parametrize("builder", [build_sw_layout, build_mw_layout])
+def test_synthesized_paths_equal_per_subarray_path_vectors(region, radio, half_wave, builder):
+    lay = builder(region, 3, 8, half_wave)
+    scene = sample_scene(region, l=2, rng_seed=3)
+    paths = synthesize_paths(lay, scene, radio)
+    assert paths.shape == (lay.m, scene.l + 1, lay.pas_per_subarray)
+    for m, sub in enumerate(lay.subarrays):
+        want = [path_vector(sub.pa_positions, scene.user, radio, "los")]
+        want += [path_vector(sub.pa_positions, sc, radio, "nlos", user=scene.user)
+                 for sc in scene.scatterers]
+        assert np.array_equal(paths[m], np.stack(want))
 
 
 def test_channel_vector_superposition(region, radio, half_wave):
@@ -138,10 +151,22 @@ def test_channel_vector_superposition(region, radio, half_wave):
     scene = sample_scene(region, l=0, rng_seed=2)
     paths = synthesize_paths(lay, scene, radio)[0]
     h = channel_vector(paths)
-    assert np.array_equal(h, paths[0].vector)
-    assert np.allclose(channel_vector(paths + paths), 2.0 * h)
+    assert np.array_equal(h, paths[0])
+    assert np.allclose(channel_vector(np.concatenate([paths, paths])), 2.0 * h)
     with pytest.raises(ValueError):
         channel_vector([])
+    with pytest.raises(ValueError):
+        channel_vector(np.zeros((2, 0, 8), dtype=complex))
+
+
+def test_channel_vector_superposes_every_subarray_at_once(region, radio, half_wave):
+    lay = build_mw_layout(region, 3, 8, half_wave)
+    scene = sample_scene(region, l=2, rng_seed=6)
+    paths = synthesize_paths(lay, scene, radio)
+    h = channel_vector(paths)
+    assert h.shape == (3, 8)
+    for m in range(3):
+        assert np.array_equal(h[m], channel_vector(paths[m]))
 
 
 # --- schedules ---------------------------------------------------------------

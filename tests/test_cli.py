@@ -69,6 +69,19 @@ def test_simulate_writes_the_measurements_of_run_trial(tmp_path, monkeypatch):
             np.testing.assert_array_equal(a, b)
 
 
+def test_estimate_reports_the_user_error_of_run_trial(tmp_path):
+    # trial 8 is one where hypot and norm of the 2-D error differ in the last bit
+    cfg = _write_cfg(tmp_path)
+    data, out = tmp_path / "data", tmp_path / "est"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(data), "--trial", "8"]) == 0
+    assert cli_main(["estimate", "--data", str(data), "--out", str(out), "--g-theta", "512"]) == 0
+    report = json.loads((out / "estimate.json").read_text())
+    rec = run_trial(ExperimentConfig.from_json(cfg), "mw", 25.0, 0, trial=8)
+    err = np.asarray(rec.positions[0]) - np.asarray(rec.scene_points[0])
+    assert float(np.linalg.norm(err[:2])) != rec.position_error
+    assert report["user_error_m"] == rec.position_error
+
+
 def test_estimate_polar_baseline_on_single_guide(tmp_path):
     cfg = _write_cfg(tmp_path, scenarios=["nf"], nf_rings=8)
     data = tmp_path / "nf_data"

@@ -411,8 +411,8 @@ def test_subtracting_direct_component_leaves_scattered_part(region, radio, half_
     ms = measure(lay, sch, paths, radio, snr_db=None)
     amp = np.sqrt(radio.p0)
     for m in range(2):
-        left = ms.y[m] - amp * (ms.w[m] @ paths[m][0].vector)
-        right = amp * (ms.w[m] @ paths[m][1].vector)
+        left = ms.y[m] - amp * (ms.w[m] @ paths[m, 0])
+        right = amp * (ms.w[m] @ paths[m, 1])
         assert np.allclose(left, right, rtol=1e-10, atol=1e-18)
 
 

@@ -69,6 +69,18 @@ def test_sw_small_literal_layout(region):
     assert np.allclose(lay.subarrays[0].pa_positions, [[0, 15, 2], [1, 15, 2]])
 
 
+def test_pa_positions_are_cached_read_only_stacks(region, half_wave):
+    lay = build_mw_layout(region, m=3, n=4, d=half_wave)
+    assert lay.pa_positions.shape == (3, 4, 3)
+    assert lay.reference_positions.shape == (3, 3)
+    for m, sub in enumerate(lay.subarrays):
+        assert np.array_equal(lay.pa_positions[m], sub.pa_positions)
+        assert np.array_equal(lay.reference_positions[m], sub.reference_position)
+    for arr in (lay.pa_positions, lay.reference_positions, lay.subarrays[0].pa_positions):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 def test_sw_offsets_follow_exact_spacing_model(region, half_wave):
     # offsets are stored as n*d products, not accumulated sums
     lay = build_sw_layout(region, m=3, n=32, d=half_wave)

@@ -1,9 +1,12 @@
 """Metrics, experiment configs, seed streams, trials, and sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from passloc import (
+    EstimatorConfig,
     ExperimentConfig,
     TrialRecord,
     nmse,
@@ -75,6 +78,14 @@ def test_config_json_round_trip(tmp_path):
     cfg.to_json(p)
     back = ExperimentConfig.from_json(p)
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_config_defaults_are_the_estimator_defaults():
+    cfg = ExperimentConfig()
+    got = cfg.estimator_config()
+    want = EstimatorConfig(region=cfg.region, num_paths=1)
+    for f in dataclasses.fields(EstimatorConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_scenario_layouts_and_slot_budget():

@@ -57,7 +57,7 @@ def _cmd_estimate(args) -> int:
     region, layout, radio = data["region"], data["layout"], data["radio"]
     scene = data["scene"]
     num_paths = args.paths if args.paths else (scene.l + 1 if scene is not None else 1)
-    est_cfg = EstimatorConfig(region=region, num_paths=num_paths, collect_trace=True,
+    est_cfg = EstimatorConfig(region=region, num_paths=num_paths,
                               **_overrides(args, _ESTIMATOR_FLAGS))
     if layout.m == 1 and args.baseline == "polar":
         result = run_polar_baseline(data["measurements"], layout, radio, est_cfg)

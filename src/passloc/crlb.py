@@ -145,7 +145,6 @@ def calibrate_bearing_sigma(
     trials: int = 200,
     rng_seed=0,
     g_theta: int = EstimatorConfig.g_theta,
-    grid_clip: float = EstimatorConfig.grid_clip,
     slots_per_subarray: int = 64,
     density: float = 0.5,
     fixed_height: float = 0.0,
@@ -160,7 +159,7 @@ def calibrate_bearing_sigma(
     The details dict records the sample count and per-axis scatter.
     """
     rng = np.random.default_rng(rng_seed)
-    grid = AngleGrid.uniform_cosine(g_theta, grid_clip)
+    grid = AngleGrid.uniform_cosine(g_theta)
     dh = region.h_pa - fixed_height
     total_slots = slots_per_subarray * (layout.m if layout.structure.value == "sw" else 1)
     sq_sum = 0.0

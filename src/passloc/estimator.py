@@ -32,6 +32,8 @@ from .geometry import ArrayLayout, ServiceRegion, pa_user_distance
 MAX_SIGN_SUBARRAYS = 20
 ILL_CONDITION_TOL = 1e-6
 COLLINEAR_TOL = 1e-9
+QUADRIC_GRID = 61
+QUADRIC_MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,7 @@ class EstimatorConfig:
     num_paths: int = 1
     max_outer_iters: int = 3
     g_theta: int = 1024
-    epsilon: float = 1e-9
-    lambda_penalty: float = 1.0
-    move_tol: float = 1e-3
-    grid_clip: float = 1e-3
     fixed_height: float = 0.0
-    coeff_floor: float = 1e-3
-    polish: bool = True
-    collect_trace: bool = False
 
     def __post_init__(self):
         if self.mode not in ("2d", "3d"):
@@ -79,27 +74,13 @@ class DirectionEstimate:
 
 
 @dataclass(frozen=True)
-class SignVector:
-    """One lateral sign assignment with its fit and consistency costs."""
+class PlanarFix:
+    """The winning lateral sign assignment, its fix, and its fit and consistency costs."""
 
-    signs: np.ndarray
+    position: np.ndarray  # (2,)
+    signs: np.ndarray  # (M,) of -1.0 / +1.0
     cost_ls: float
     cost_penalty: float
-
-    def __post_init__(self):
-        s = np.asarray(self.signs, dtype=float).reshape(-1).copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "signs", s)
-
-    @property
-    def total(self) -> float:
-        return self.cost_ls + self.cost_penalty
-
-
-@dataclass(frozen=True)
-class PlanarFix:
-    position: np.ndarray  # (2,)
-    sign: SignVector
     lambda_min: float
     flags: tuple[str, ...] = ()
 
@@ -233,16 +214,10 @@ def _collinear(refs_xy) -> bool:
     return bool(sv[-1] < COLLINEAR_TOL)
 
 
-def resolve_signs(
-    refs_xy,
-    varphis,
-    epsilon: float = 1e-9,
-    lambda_penalty: float = 1.0,
-    bounds=None,
-) -> PlanarFix:
+def resolve_signs(refs_xy, varphis, bounds=None) -> PlanarFix:
     """Enumerate lateral signs and keep the candidate with the lowest cost.
 
-    Cost is the projection least-squares objective plus the weighted
+    Cost is the projection least-squares objective plus the
     axial-consistency penalty; exact ties keep the first candidate in
     lexicographic sign order (-1 before +1). When ``bounds`` is given as
     ((x_lo, x_hi), (y_lo, y_hi)), candidates whose fix lands inside the
@@ -261,16 +236,16 @@ def resolve_signs(
     best = None
     for signs in itertools.product((-1.0, 1.0), repeat=m):
         s = np.array(signs)
-        q, cost_ls, lam_min = solve_position_ls(v, phis, s, epsilon)
-        cost_pen = lambda_penalty * sign_consistency_penalty(q, v, phis)
+        q, cost_ls, lam_min = solve_position_ls(v, phis, s)
+        cost_pen = sign_consistency_penalty(q, v, phis)
         infeasible = 0
         if bounds is not None:
             (x_lo, x_hi), (y_lo, y_hi) = bounds
             infeasible = int(not (x_lo <= q[0] <= x_hi and y_lo <= q[1] <= y_hi))
         rank = (infeasible, cost_ls + cost_pen)
         if best is None or rank < best[0]:
-            best = (rank, SignVector(s, cost_ls, cost_pen), q, lam_min)
-    _, sv, q, lam_min = best
+            best = (rank, s, cost_ls, cost_pen, q, lam_min)
+    _, s, cost_ls, cost_pen, q, lam_min = best
     flags = []
     if m == 1:
         flags.append("under-determined")
@@ -278,7 +253,8 @@ def resolve_signs(
         flags.append("ill-conditioned")
     if _collinear(v):
         flags.append("ambiguous")
-    return PlanarFix(position=q, sign=sv, lambda_min=lam_min, flags=tuple(flags))
+    return PlanarFix(position=q, signs=s, cost_ls=cost_ls, cost_penalty=cost_pen,
+                     lambda_min=lam_min, flags=tuple(flags))
 
 
 def _quadric_cost(x, y, z, xm, ym, delta):
@@ -286,21 +262,15 @@ def _quadric_cost(x, y, z, xm, ym, delta):
     return res, float(np.sum(res * res))
 
 
-def solve_position_3d(
-    refs,
-    varphis,
-    bounds=None,
-    coarse: int = 61,
-    max_iters: int = 60,
-) -> Position3dFix:
+def solve_position_3d(refs, varphis, bounds=None) -> Position3dFix:
     """Fuse slant-frame cosines into (x, y, height) for PAs at a common height.
 
     Each cosine pins a cone around the guide axis; writing z for the
     squared height gap, the cone becomes the quadric
     z + (y - y_m)^2 = (1/cos^2 - 1) * (x - x_m)^2. The solver scans a
-    coarse (x, y) grid with the closed-form optimal z, then polishes with
-    a damped Gauss-Newton in (x, y, z >= 0). Height is h_pa - sqrt(z),
-    clamped to [0, h_pa].
+    QUADRIC_GRID x QUADRIC_GRID (x, y) grid with the closed-form optimal
+    z, then polishes with at most QUADRIC_MAX_ITERS damped Gauss-Newton
+    steps in (x, y, z >= 0). Height is h_pa - sqrt(z), clamped to [0, h_pa].
     """
     v = np.asarray(refs, dtype=float).reshape(-1, 3)
     phis = np.asarray(varphis, dtype=float).reshape(-1)
@@ -322,8 +292,8 @@ def solve_position_3d(
             (float(ym.min() - pad), float(ym.max() + pad)),
         )
     (x_lo, x_hi), (y_lo, y_hi) = bounds
-    xs = np.linspace(x_lo, x_hi, coarse)
-    ys = np.linspace(y_lo, y_hi, coarse)
+    xs = np.linspace(x_lo, x_hi, QUADRIC_GRID)
+    ys = np.linspace(y_lo, y_hi, QUADRIC_GRID)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     # a_m = (y - y_m)^2 - delta_m (x - x_m)^2, optimal z = max(0, -mean(a))
     a = (gy[..., None] - ym) ** 2 - delta * (gx[..., None] - xm) ** 2
@@ -335,7 +305,7 @@ def solve_position_3d(
 
     mu = 1e-3
     converged = False
-    for _ in range(max_iters):
+    for _ in range(QUADRIC_MAX_ITERS):
         res, cost = _quadric_cost(p[0], p[1], p[2], xm, ym, delta)
         if cost < 1e-28:
             converged = True
@@ -391,6 +361,8 @@ def solve_position_3d(
 
 MIN_ANCHOR_INIT = 1.0
 MIN_ANCHOR_DISTANCE = 1e-3
+MOVE_TOL = 1e-3  # refinement stops once the fix moves less than this (m)
+COEFF_FLOOR = 1e-3  # a later path this much weaker than the first is absent
 REGION_SLACK = 1.0
 GAIN_TIE_REL = 1e-12
 POLISH_INIT_STEP = 0.16
@@ -452,11 +424,11 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
         # fuse slightly outside the region and must not be ranked infeasible.
         slack = REGION_SLACK
         fix = resolve_signs(
-            layout.reference_xy, varphis, config.epsilon, config.lambda_penalty,
+            layout.reference_xy, varphis,
             bounds=((-slack, region.size_x + slack), (-slack, region.size_y + slack)),
         )
         position = np.array([fix.position[0], fix.position[1], config.fixed_height])
-        signs, flags = fix.sign.signs, fix.flags
+        signs, flags = fix.signs, fix.flags
     else:
         fix3 = solve_position_3d(
             layout.reference_positions, varphis,
@@ -578,16 +550,17 @@ def run_omp_gcl(
 
     Paths are extracted strongest-first. Each path alternates
     extract_directions and fuse for up to max_outer_iters steps (stopping
-    once the fix moves less than move_tol), then runs arbitrate, polish
-    (when ``config.polish``) and peel. Reported angles and signs belong to
-    the arbitrated iterate. A path whose mean dictionary coefficient
-    magnitude falls below coeff_floor times the first path's is reported
-    absent and extraction stops.
+    once the fix moves less than MOVE_TOL), then runs arbitrate, polish
+    and peel. Reported angles and signs belong to the arbitrated iterate,
+    and each path's trace records every iterate and the polished
+    position. A path whose mean dictionary coefficient magnitude falls
+    below COEFF_FLOOR times the first path's is reported absent and
+    extraction stops.
     """
     if measurements.m != layout.m:
         raise ValueError("measurement set does not match the layout")
     region = config.region
-    grid = AngleGrid.uniform_cosine(config.g_theta, config.grid_clip)
+    grid = AngleGrid.uniform_cosine(config.g_theta)
     dh = region.h_pa - config.fixed_height
     amp = np.sqrt(radio.p0)
     w = measurements.w
@@ -615,29 +588,26 @@ def run_omp_gcl(
             iterate, r_anchor = fuse(directions, layout, config)
             moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
             iterates.append(iterate)
-            if config.collect_trace:
-                trace.append({
-                    "iteration": it,
-                    "varphis": iterate.varphis.tolist(),
-                    "signs": None if iterate.signs is None else iterate.signs.tolist(),
-                    "position": iterate.position.tolist(),
-                    "anchor_distances": r_anchor.tolist(),
-                })
-            if moved < config.move_tol:
+            trace.append({
+                "iteration": it,
+                "varphis": iterate.varphis.tolist(),
+                "signs": None if iterate.signs is None else iterate.signs.tolist(),
+                "position": iterate.position.tolist(),
+                "anchor_distances": r_anchor.tolist(),
+            })
+            if moved < MOVE_TOL:
                 break
 
         chosen = arbitrate(iterates, kind, user, layout, radio, w, residuals, amp)
         strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
-        absent = l > 0 and strength < config.coeff_floor * ref_strength
+        absent = l > 0 and strength < COEFF_FLOOR * ref_strength
         position = chosen.position
         if absent:
             coeffs = np.zeros(layout.m, dtype=complex)
             components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
         else:
-            if config.polish:
-                position = polish(position, kind, user, layout, radio, w, residuals, amp, box)
-                if config.collect_trace:
-                    trace.append({"polish": True, "position": position.tolist()})
+            position = polish(position, kind, user, layout, radio, w, residuals, amp, box)
+            trace.append({"polish": True, "position": position.tolist()})
             coeffs, components = peel(position, kind, user, layout, radio, w, residuals, amp)
         paths.append(PathEstimateResult(
             path=l, position=position,
@@ -688,7 +658,7 @@ def polar_dictionary(
 
     if rings is None:
         rings = default_polar_rings(config.region)
-    grid = AngleGrid.uniform_cosine(config.g_theta, config.grid_clip)
+    grid = AngleGrid.uniform_cosine(config.g_theta)
     dh = config.region.h_pa - config.fixed_height
     return build_polar_dictionary(layout.subarrays[0], radio, grid, rings, mode="2d", dh=dh,
                                   index=0)
@@ -733,7 +703,7 @@ def run_polar_baseline(
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength
-        elif ref_strength is not None and strength < config.coeff_floor * ref_strength:
+        elif ref_strength is not None and strength < COEFF_FLOOR * ref_strength:
             flags.add("path-absent")
             break
         support.append(de.grid_index)

@@ -69,11 +69,6 @@ class ExperimentConfig:
     seed: int = 0
     g_theta: int = EstimatorConfig.g_theta
     iters: int = EstimatorConfig.max_outer_iters
-    epsilon: float = EstimatorConfig.epsilon
-    lambda_penalty: float = EstimatorConfig.lambda_penalty
-    move_tol: float = EstimatorConfig.move_tol
-    grid_clip: float = EstimatorConfig.grid_clip
-    coeff_floor: float = EstimatorConfig.coeff_floor
     nf_n: int = 96
     nf_rings: int = DEFAULT_POLAR_RINGS
     keep_records: bool = False
@@ -85,12 +80,18 @@ class ExperimentConfig:
         for s in scen:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario '{s}'; pick from {SCENARIOS}")
+        if not scen:
+            raise ValueError("need at least one scenario")
         self.scenarios = scen
         if self.mode not in ("2d", "3d"):
             raise ValueError("mode must be '2d' or '3d'")
         self.snr_db = tuple(float(v) for v in (
             self.snr_db if isinstance(self.snr_db, (list, tuple)) else [self.snr_db]
         ))
+        if not self.snr_db:
+            raise ValueError("need at least one SNR point")
+        if self.trials < 1:
+            raise ValueError("need at least one trial")
         self.h_range = (float(self.h_range[0]), float(self.h_range[1]))
 
     @property
@@ -112,12 +113,7 @@ class ExperimentConfig:
             num_paths=self.l + 1,
             max_outer_iters=self.iters,
             g_theta=self.g_theta,
-            epsilon=self.epsilon,
-            lambda_penalty=self.lambda_penalty,
-            move_tol=self.move_tol,
-            grid_clip=self.grid_clip,
             fixed_height=self.fixed_height,
-            coeff_floor=self.coeff_floor,
         )
 
     def to_dict(self) -> dict:

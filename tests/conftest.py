@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from passloc import RadioConfig, ServiceRegion
+from passloc.channel import RadioConfig
+from passloc.geometry import ServiceRegion
 
 
 @pytest.fixture(scope="session")

@@ -6,23 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from passloc import (
+from passloc.channel import (
     RadioConfig,
-    ServiceRegion,
-    SingularGeometryError,
-    build_mw_layout,
-    build_sw_layout,
     channel_vector,
     load_measurement_set,
     make_schedule,
     measure,
     path_vector,
-    sample_scene,
     save_measurement_set,
     synthesize_paths,
     waveguide_vector,
 )
-from passloc.geometry import Scene
+from passloc.geometry import (
+    Scene,
+    ServiceRegion,
+    SingularGeometryError,
+    build_mw_layout,
+    build_sw_layout,
+    sample_scene,
+)
 
 
 # --- radio config ------------------------------------------------------------

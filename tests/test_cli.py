@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from passloc import ExperimentConfig, load_measurement_set, run_trial
+from passloc.channel import load_measurement_set
 from passloc.cli import cli_main
+from passloc.harness import ExperimentConfig, run_trial
 import passloc.harness as harness_mod
 
 
@@ -135,11 +136,24 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"snr_grid": [10.0]}))
-    code = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    # a misspelt key, and a key that estimator settings once had
+    for key, value in (("snr_grid", [10.0]), ("coeff_floor", 0.001)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
+
+
+def test_empty_sweep_exits_2(tmp_path, capsys):
+    for override in ({"snr_db": []}, {"scenarios": []}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert cli_main(["sweep", "--trials", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "need at least one trial" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_errors_exit_2(capsys):

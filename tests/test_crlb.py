@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from passloc import (
-    RadioConfig,
-    ServiceRegion,
-    build_mw_layout,
+from passloc.channel import RadioConfig
+from passloc.crlb import (
+    bearing_geometry,
     calibrate_bearing_sigma,
     crlb_bound,
     crlb_heatmap,
     diversity_score,
     fisher_information,
-    solve_position_ls,
 )
-from passloc.crlb import bearing_geometry
-from passloc.geometry import SingularGeometryError
+from passloc.estimator import solve_position_ls
+from passloc.geometry import ServiceRegion, SingularGeometryError, build_mw_layout
 
 CORNERS = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [30.0, 30.0]])
 

@@ -1,4 +1,4 @@
-"""Smoke test: every quick demo runs to completion as a script."""
+"""Smoke test: every quick demo and the README quick start run to completion."""
 
 import os
 import subprocess
@@ -16,10 +16,23 @@ def test_the_six_quick_demos_are_found():
     assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name):
+def _run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    _run_python([str(ROOT / "demos" / name)])
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "run_omp_gcl" in code
+    assert _run_python(["-c", code]).stdout.strip()

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from passloc import (
+from passloc.channel import measurement_matrix, path_vector
+from passloc.dictionary import (
     AngleGrid,
+    DictionaryError,
     build_dp_dictionary,
-    build_mw_layout,
     build_polar_dictionary,
     default_polar_rings,
     mutual_coherence,
     parameterized_distance,
-    path_vector,
     project_dictionary,
 )
-from passloc.channel import measurement_matrix
-from passloc.dictionary import DictionaryError
-from passloc.geometry import SubarrayGeometry
+from passloc.geometry import ServiceRegion, SubarrayGeometry, build_mw_layout
 
 
 @pytest.fixture(scope="module")
@@ -245,9 +243,7 @@ def test_polar_enumerates_rings_ring_major(sub, radio):
 def test_polar_dictionary_more_coherent_than_single_ring(sub, radio):
     """Adding distance rings can only tighten the worst column pair."""
     grid = AngleGrid.uniform_cosine(64)
-    rings = default_polar_rings(
-        __import__("passloc").ServiceRegion(30.0, 30.0, 2.0), count=8, r_min=2.0
-    )
+    rings = default_polar_rings(ServiceRegion(30.0, 30.0, 2.0), count=8, r_min=2.0)
     dp = build_dp_dictionary(sub, float(rings[0]), grid, radio)
     polar = build_polar_dictionary(sub, radio, grid, rings)
     assert mutual_coherence(polar.atoms) > mutual_coherence(dp.atoms)

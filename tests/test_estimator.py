@@ -3,33 +3,38 @@
 import numpy as np
 import pytest
 
-from passloc import (
-    AngleGrid,
-    EstimatorConfig,
-    ServiceRegion,
-    build_dp_dictionary,
-    build_mw_layout,
-    build_sw_layout,
+import passloc.estimator
+from passloc.channel import (
     channel_vector,
-    custom_layout,
     make_schedule,
     measure,
-    omp_direction,
+    measurement_matrix,
     path_vector,
-    project_dictionary,
+    synthesize_paths,
+)
+from passloc.dictionary import AngleGrid, build_dp_dictionary, project_dictionary
+from passloc.estimator import (
+    EstimatorConfig,
+    omp_direction,
     projection_matrix,
     reconstruct_channel,
     resolve_signs,
     run_omp_gcl,
     run_polar_baseline,
-    sample_scene,
+    sign_consistency_penalty,
     solve_position_3d,
     solve_position_ls,
-    synthesize_paths,
 )
-from passloc.channel import measurement_matrix
-from passloc.estimator import sign_consistency_penalty
-from passloc.geometry import Scene, Structure, SubarrayGeometry
+from passloc.geometry import (
+    Scene,
+    ServiceRegion,
+    Structure,
+    SubarrayGeometry,
+    build_mw_layout,
+    build_sw_layout,
+    custom_layout,
+    sample_scene,
+)
 
 
 def _projected(radio, half_wave, n=16, g=32, r=6.0, slots=24, seed=0, dh=2.0):
@@ -217,8 +222,8 @@ def test_sign_enumeration_recovers_spread_geometry():
     phis, signs = _true_bearings(refs, truth)
     fix = resolve_signs(refs, phis)
     assert np.linalg.norm(fix.position - truth) < 1e-6
-    assert np.array_equal(fix.sign.signs, signs)
-    assert fix.sign.cost_penalty == 0.0
+    assert np.array_equal(fix.signs, signs)
+    assert fix.cost_penalty == 0.0
     assert fix.flags == ()
 
 
@@ -250,7 +255,7 @@ def test_single_subarray_is_under_determined():
     fix = resolve_signs(np.array([[15.0, 15.0]]), [0.4])
     assert "under-determined" in fix.flags
     assert "ill-conditioned" in fix.flags
-    assert fix.sign.cost_ls < 1e-12
+    assert fix.cost_ls < 1e-12
 
 
 def test_sign_enumeration_cap():
@@ -267,7 +272,7 @@ def test_feasibility_box_overrides_tie_order():
     assert free.position[1] < 0.0  # mirror tie, lexicographic pick
     boxed = resolve_signs(refs, phis, bounds=((0.0, 10.0), (0.0, 10.0)))
     assert np.linalg.norm(boxed.position - truth) < 1e-6
-    assert np.array_equal(boxed.sign.signs, [1.0, 1.0])
+    assert np.array_equal(boxed.signs, [1.0, 1.0])
     # a box covering both mirror basins keeps the lexicographic order
     wide = resolve_signs(refs, phis, bounds=((0.0, 10.0), (-10.0, 10.0)))
     assert wide.position[1] < 0.0
@@ -334,15 +339,17 @@ def test_joint_loop_noiseless_user_recovery(region, radio, half_wave):
         assert not result.paths[0].absent
 
 
-def test_joint_loop_refinement_never_hurts(region, radio, half_wave):
+def test_joint_loop_refinement_never_hurts(region, radio, half_wave, monkeypatch):
     """More anchor-distance refinements keep or shrink the error (median
-    over a batch; polish disabled to isolate the iteration effect)."""
+    over a batch; polish replaced by the identity to isolate the iteration
+    effect)."""
+    monkeypatch.setattr(passloc.estimator, "polish", lambda position, *a: position)
     errs = {1: [], 3: []}
     for seed in range(40):
         for iters in (1, 3):
             scene, result = _run_once(
                 region, radio, half_wave, seed=seed,
-                max_outer_iters=iters, polish=False, g_theta=1024,
+                max_outer_iters=iters, g_theta=1024,
             )
             errs[iters].append(np.linalg.norm(result.paths[0].position[:2] - scene.user[:2]))
     assert np.median(errs[3]) <= np.median(errs[1]) + 1e-9
@@ -386,7 +393,7 @@ def test_joint_loop_rejects_mismatched_layout(region, radio, half_wave):
 
 
 def test_joint_loop_trace_records_iterations(region, radio, half_wave):
-    scene, result = _run_once(region, radio, half_wave, seed=2, collect_trace=True)
+    scene, result = _run_once(region, radio, half_wave, seed=2)
     trace = result.paths[0].trace
     assert len(trace) >= 1
     assert any("position" in t for t in trace)
@@ -487,7 +494,7 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
     r = float(rings[3])
     user = np.array([r * c, 15.0 - r * np.sqrt(1 - c * c)])
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, user, rings, slots=32)
-    from passloc import build_polar_dictionary
+    from passloc.dictionary import build_polar_dictionary
 
     dic = build_polar_dictionary(
         lay.subarrays[0], radio, grid, rings, dh=2.0, index=0

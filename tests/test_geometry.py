@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from passloc import (
+from passloc.geometry import (
     LayoutError,
     ServiceRegion,
     SingularGeometryError,
@@ -13,14 +13,12 @@ from passloc import (
     build_mw_layout,
     build_sw_layout,
     custom_layout,
-    pa_user_distance,
-    sample_scene,
-)
-from passloc.geometry import (
     layout_from_config,
     layout_points_csv,
     layout_to_config,
     load_geometry_config,
+    pa_user_distance,
+    sample_scene,
     save_geometry_config,
     scene_points_csv,
 )

@@ -5,17 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from passloc import (
-    EstimatorConfig,
+from passloc.estimator import EstimatorConfig
+from passloc.harness import (
     ExperimentConfig,
     TrialRecord,
+    derive_seed,
     nmse,
     rmse,
     run_sweep,
     run_trial,
+    scenario_layout,
     to_db,
 )
-from passloc.harness import derive_seed, scenario_layout
 import passloc.harness as harness_mod
 
 
@@ -70,6 +71,11 @@ def test_config_normalizes_and_validates():
         ExperimentConfig(mode="planar")
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trials": 3, "snr_dbs": [10.0]})
+    for bad in ({"trials": 0}, {"trials": -1}, {"scenarios": []}, {"snr_db": []}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    with pytest.raises(ValueError):
+        dataclasses.replace(ExperimentConfig(), trials=0)
 
 
 def test_config_json_round_trip(tmp_path):

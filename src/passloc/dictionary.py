@@ -4,11 +4,12 @@ An atom models the subarray response to a point target described in a
 local polar frame anchored at the reference PA: distance of the target to
 the reference element plus a direction cosine along the guide axis. The
 law of cosines gives each element's range, and the atom is the spherical
-wavefront sampled at those ranges. Because measurement-domain columns are
-L2-normalized before matching, the common amplitude convention
-(wavelength/(4*pi*r), scaled by 1/sqrt(N)) never biases atom selection;
-pre-normalization column norms are kept so least-squares coefficients can
-be reported in the original scaling.
+wavefront sampled at those ranges. Because matching divides every column's
+correlation by its measured norm ||W a|| (after projection here, or in Gram
+form in the estimator), the common amplitude convention (wavelength/(4*pi*r),
+scaled by 1/sqrt(N)) never biases atom selection; pre-normalization column
+norms are kept so least-squares coefficients can be reported in the
+original scaling.
 
 Planar mode keeps the horizontal anchor distance as the parameter and
 carries the fixed PA-to-target height gap explicitly; full-3D mode folds
@@ -102,7 +103,7 @@ def _squared_ranges(r, cosang, nd, dh: float, mode: str):
     """
     radicand = r * r + nd * nd - 2.0 * nd * r * cosang
     if mode == "2d":
-        radicand = radicand + dh * dh
+        radicand += dh * dh
     elif mode != "3d":
         raise ValueError("mode must be '2d' or '3d'")
     return radicand
@@ -146,26 +147,34 @@ def build_dp_dictionary(
 
     Columns whose element ranges are geometrically impossible are dropped
     and recorded instead of raising, so a sweep over distances degrades
-    gracefully.
+    gracefully. The atoms are column-major (F-contiguous): the ranges are
+    laid out one grid column per row and transposed, and every later step
+    of the build runs in place on two buffers.
     """
     if r_param <= 0.0:
         raise ValueError("anchor distance must be positive")
-    nd = np.arange(subarray.n_pas, dtype=float)[:, None] * subarray.spacing
-    radicand = _squared_ranges(r_param, grid.values[None, :], nd, dh, mode)
-    ok = np.all(radicand > 0.0, axis=0)
+    nd = np.arange(subarray.n_pas, dtype=float)[None, :] * subarray.spacing
+    ranges = _squared_ranges(r_param, grid.values[:, None], nd, dh, mode)  # (G, N)
+    ok = np.all(ranges > 0.0, axis=1)
     dropped = np.nonzero(~ok)[0]
     if not ok.any():
         raise DictionaryError("every grid column is geometrically invalid")
-    ranges = np.sqrt(radicand[:, ok])
-    lam = radio.wavelength
-    atoms = (lam / (FOUR_PI * ranges)) * np.exp(-1j * radio.wavenumber * ranges)
-    atoms = atoms / np.sqrt(subarray.n_pas)
+    cosines = grid.values
+    if dropped.size:
+        ranges, cosines = ranges[ok], cosines[ok]
+    np.sqrt(ranges, out=ranges)
+    atoms = np.multiply(-1j * radio.wavenumber, ranges, dtype=complex)
+    np.exp(atoms, out=atoms)
+    np.multiply(FOUR_PI, ranges, out=ranges)
+    np.divide(radio.wavelength, ranges, out=ranges)
+    np.multiply(ranges, atoms, out=atoms)
+    np.divide(atoms, np.sqrt(subarray.n_pas), out=atoms)
     return DpDictionary(
         subarray=index,
         r_param=float(r_param),
         mode=mode,
-        cosines=grid.values[ok].copy(),
-        atoms=atoms,
+        cosines=cosines,
+        atoms=atoms.T,
         dropped=dropped,
     )
 

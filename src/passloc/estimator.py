@@ -22,6 +22,7 @@ import numpy as np
 from .channel import MeasurementSet, RadioConfig, channel_vector, path_vector, point_responses
 from .dictionary import (
     AngleGrid,
+    DictionaryError,
     DpDictionary,
     build_dp_dictionary,
     default_polar_rings,
@@ -58,6 +59,8 @@ class EstimatorConfig:
             raise ValueError("need at least one path")
         if self.max_outer_iters < 1:
             raise ValueError("need at least one refinement iteration")
+        if self.g_theta < 2:  # the rule of AngleGrid.uniform_cosine
+            raise ValueError(f"g_theta must be at least 2, got {self.g_theta}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,51 @@ def omp_direction(y_res: np.ndarray, dictionary: DpDictionary, path: int = 0) ->
         grid_index=g,
         coefficient=complex(coeff),
         correlation=float(mags[g]),
+        low_confidence=bool(low),
+    )
+
+
+def gram_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
+                   path: int = 0) -> DirectionEstimate:
+    """omp_direction(y_res, project_dictionary(dictionary, w)) without the projection.
+
+    Column g of the channel-domain atoms A scores |a_g^H z| / sqrt(a_g^H G a_g)
+    with z = W^H y and G = W^H W, which is |<W a_g, y>| / ||W a_g||: the same
+    first maximum and the same coefficient a_g^H z / a_g^H G a_g, but the
+    T x G measurement-domain dictionary never exists. grid_index counts the
+    built dictionary's columns. Columns with a_g^H G a_g <= 0 are never picked.
+
+    For N x G atoms and T measurements this costs N^2 G multiply-adds
+    against T N G for the projection, so it wins only when N < T. The polar
+    baseline (one 96-element subarray, T = 64) would pay 1.5x the flops, so
+    run_polar_baseline keeps project_dictionary and omp_direction.
+    """
+    atoms = dictionary.atoms
+    if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
+        raise ValueError("measurement matrix width must match the element count")
+    if w.shape[0] != y_res.shape[0]:
+        raise ValueError("residual length does not match the measurement rows")
+    wh = w.conj().T
+    z = wh @ y_res
+    # Row g of at is a_g^T and row g of at @ G^T is (G a_g)^T, so the dot
+    # product of the two rows as real (re, im) pairs is Re(a_g^H G a_g).
+    at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
+    gat = at @ (wh @ w).T
+    quad = np.einsum("gk,gk->g", at.view(float), gat.view(float))
+    corr = (at @ z.conj()).conj()  # a_g^H z
+    valid = quad > 0.0
+    if not valid.any():
+        raise DictionaryError("measurement matrix annihilated every atom")
+    score = np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, quad, 1.0)), -1.0)
+    g = int(np.argmax(score))
+    low = score[g] <= 1e-8 * max(float(np.linalg.norm(y_res)), 1e-300)
+    return DirectionEstimate(
+        subarray=dictionary.subarray,
+        path=path,
+        varphi=float(dictionary.cosines[g]),
+        grid_index=g,
+        coefficient=complex(corr[g] / quad[g]),
+        correlation=float(score[g]),
         low_confidence=bool(low),
     )
 
@@ -396,17 +444,17 @@ def extract_directions(layout, radio, grid, w_list, residuals, r_anchor, mode="2
     """Stage 1: per subarray, the dictionary column that best matches its residual.
 
     Subarray m's dictionary is built at anchor distance r_anchor[m] and
-    projected through its measurement matrix w_list[m].
+    matched through its measurement matrix w_list[m] in Gram form
+    (gram_direction), so no projected dictionary is formed.
     """
     directions = []
     for m, sub in enumerate(layout.subarrays):
-        # Rebinding ``dic`` keeps the previous projection alive through the
-        # next build. Freed earlier, glibc trims and regrows the heap for
-        # every subarray: 40 % more page faults and 9 % fewer trials/s on
-        # mw m=3 l=1 (x86-64, Python 3.11, numpy 2.4).
+        # Rebinding ``dic`` holds the previous build through the next one, so
+        # glibc does not trim and regrow the heap per subarray: freeing it
+        # first takes an mw m=3 l=1 trial from 2.1k to 3.9k minor page faults
+        # (x86-64, Python 3.11, numpy 2.4).
         dic = build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, mode=mode, dh=dh, index=m)
-        dic = project_dictionary(dic, w_list[m])
-        directions.append(omp_direction(residuals[m], dic, path=path))
+        directions.append(gram_direction(residuals[m], w_list[m], dic, path=path))
     return directions
 
 

@@ -10,6 +10,7 @@ seeds additionally fold in the scenario and SNR so streams never alias.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -44,6 +45,16 @@ _STREAM_SCENE, _STREAM_SCHEDULE, _STREAM_NOISE = 0, 1, 2
 DEFAULT_SNR_GRID = (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0)
 
 
+_INT_FIELDS = ("m", "n", "l", "trials", "seed", "slots_per_subarray", "g_theta", "iters",
+               "nf_n", "nf_rings")
+_REAL_FIELDS = ("d", "frequency", "n_eff", "p0", "size_x", "size_y", "h_pa", "fixed_height",
+                "density")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of a sweep; serializes to/from JSON."""
@@ -74,6 +85,17 @@ class ExperimentConfig:
     keep_records: bool = False
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"config field '{name}' must be an integer, got {v!r}")
+        for name in _REAL_FIELDS:
+            v = getattr(self, name)
+            if not (_is_real(v) or (name == "d" and v is None)):
+                raise ValueError(f"config field '{name}' must be a number, got {v!r}")
+        if not isinstance(self.keep_records, bool):
+            raise ValueError(f"config field 'keep_records' must be true or false, "
+                             f"got {self.keep_records!r}")
         scen = tuple(str(s).lower() for s in (
             self.scenarios if isinstance(self.scenarios, (list, tuple)) else [self.scenarios]
         ))
@@ -85,14 +107,19 @@ class ExperimentConfig:
         self.scenarios = scen
         if self.mode not in ("2d", "3d"):
             raise ValueError("mode must be '2d' or '3d'")
-        self.snr_db = tuple(float(v) for v in (
-            self.snr_db if isinstance(self.snr_db, (list, tuple)) else [self.snr_db]
-        ))
+        snr = self.snr_db if isinstance(self.snr_db, (list, tuple)) else [self.snr_db]
+        if not all(_is_real(v) for v in snr):
+            raise ValueError(f"config field 'snr_db' must hold numbers, got {self.snr_db!r}")
+        self.snr_db = tuple(float(v) for v in snr)
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not (isinstance(self.h_range, (list, tuple)) and len(self.h_range) == 2
+                and all(_is_real(v) for v in self.h_range)):
+            raise ValueError(f"config field 'h_range' must be two numbers, got {self.h_range!r}")
         self.h_range = (float(self.h_range[0]), float(self.h_range[1]))
+        self.estimator_config()  # the estimator's own checks, e.g. g_theta >= 2
 
     @property
     def region(self) -> ServiceRegion:

@@ -156,6 +156,25 @@ def test_empty_sweep_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_one_point_angle_grid_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, g_theta=1)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "g_theta" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", "3"), ("m", 3.5), ("seed", True), ("iters", None), ("slots_per_subarray", "64"),
+    ("frequency", "28e9"), ("h_pa", [2.0]), ("snr_db", ["25"]), ("h_range", "0,6"),
+])
+def test_wrong_config_value_type_exits_2(tmp_path, capsys, field, value):
+    cfg = _write_cfg(tmp_path, **{field: value})
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_errors_exit_2(capsys):
     assert cli_main(["simulate", "--nonsense"]) == 2
     assert cli_main([]) == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from passloc.channel import measurement_matrix, path_vector
+from passloc.channel import FOUR_PI, measurement_matrix, path_vector
 from passloc.dictionary import (
     AngleGrid,
     DictionaryError,
@@ -133,6 +133,40 @@ def test_dictionary_rebuild_is_bitwise_deterministic(sub, radio):
     b = build_dp_dictionary(sub, 9.0, grid, radio)
     assert np.array_equal(a.atoms, b.atoms)
     assert np.array_equal(a.cosines, b.cosines)
+
+
+def _closed_form_atoms(sub, r, cosines, radio, mode, dh):
+    ranges = parameterized_distance(r, cosines[None, :], np.arange(sub.n_pas)[:, None],
+                                    sub.spacing, dh=dh, mode=mode)
+    atoms = (radio.wavelength / (FOUR_PI * ranges)) * np.exp(-1j * radio.wavenumber * ranges)
+    return atoms / np.sqrt(sub.n_pas)
+
+
+@pytest.mark.parametrize("r, mode, dh", [(6.0, "2d", 2.0), (0.3, "2d", 0.0), (11.5, "3d", 0.0)])
+def test_atoms_equal_the_closed_form_bit_for_bit(sub, radio, r, mode, dh):
+    grid = AngleGrid.uniform_cosine(256)
+    dic = build_dp_dictionary(sub, r, grid, radio, mode=mode, dh=dh)
+    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values, radio, mode, dh))
+    assert np.array_equal(dic.cosines, grid.values) and dic.dropped.size == 0
+    assert dic.atoms.flags.f_contiguous
+
+
+def test_dropped_columns_leave_the_closed_form_of_the_rest(sub, radio):
+    # At an anchor distance of exactly 5 element spacings, an endfire cosine
+    # one ulp below 1 puts element 5 on the target: its squared range rounds to 0.
+    v = np.nextafter(1.0, 0.0)
+    grid = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
+    r = 5 * sub.spacing * (1 - 2e-16)
+    dic = build_dp_dictionary(sub, r, grid, radio, mode="3d")
+    assert dic.dropped.tolist() == [4]
+    assert np.array_equal(dic.cosines, grid.values[:4])
+    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values[:4], radio, "3d", 0.0))
+    assert dic.atoms.flags.f_contiguous
+
+
+def test_polar_atoms_are_column_major(sub, radio):
+    polar = build_polar_dictionary(sub, radio, AngleGrid.uniform_cosine(32), [3.0, 9.0])
+    assert polar.atoms.flags.f_contiguous
 
 
 def test_3d_atoms_with_zero_height_gap_match_planar(sub, radio):

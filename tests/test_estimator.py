@@ -12,9 +12,17 @@ from passloc.channel import (
     path_vector,
     synthesize_paths,
 )
-from passloc.dictionary import AngleGrid, build_dp_dictionary, project_dictionary
+from passloc.dictionary import (
+    AngleGrid,
+    DictionaryError,
+    DpDictionary,
+    build_dp_dictionary,
+    project_dictionary,
+)
 from passloc.estimator import (
     EstimatorConfig,
+    extract_directions,
+    gram_direction,
     omp_direction,
     projection_matrix,
     reconstruct_channel,
@@ -107,6 +115,82 @@ def test_omp_validation(radio, half_wave):
     proj, _, _ = _projected(radio, half_wave)
     with pytest.raises(ValueError):
         omp_direction(np.ones(3, dtype=complex), proj)
+
+
+def _random_case(radio, half_wave, seed):
+    """A built dictionary, a complex W with some all-zero rows, and a residual."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    t = int(rng.integers(2, 80))
+    g = int(rng.integers(2, 700))
+    sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), n, half_wave)
+    mode = ("2d", "3d")[seed % 2]
+    dic = build_dp_dictionary(sub, float(rng.uniform(0.05, 40.0)), AngleGrid.uniform_cosine(g),
+                              radio, mode=mode, dh=float(rng.uniform(0.0, 4.0)), index=seed)
+    w = rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
+    w[rng.random(t) < 0.25] = 0.0
+    y = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+    if seed % 3 == 0:  # a residual that one column explains, plus a little noise
+        y = (1.5 - 0.5j) * (w @ dic.atoms[:, rng.integers(g)]) + 1e-9 * y
+    return dic, w, y
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_gram_matching_agrees_with_projected_matching(radio, half_wave, seed):
+    dic, w, y = _random_case(radio, half_wave, seed)
+    ref = omp_direction(y, project_dictionary(dic, w), path=2)
+    got = gram_direction(y, w, dic, path=2)
+    assert (got.subarray, got.path, got.grid_index, got.varphi, got.low_confidence) == (
+        ref.subarray, ref.path, ref.grid_index, ref.varphi, ref.low_confidence)
+    assert got.coefficient == pytest.approx(ref.coefficient, rel=1e-10)
+    assert got.correlation == pytest.approx(ref.correlation, rel=1e-10)
+
+
+def test_gram_matching_flags_a_residual_outside_the_range_of_w(radio, half_wave):
+    dic, w, _ = _random_case(radio, half_wave, 1)
+    q, _ = np.linalg.qr(w, mode="complete")
+    y = q[:, -1]  # orthogonal to every column of W, so W^H y = 0
+    assert gram_direction(y, w, dic).low_confidence
+    assert omp_direction(y, project_dictionary(dic, w)).low_confidence
+
+
+def test_gram_matching_ties_resolve_to_the_lower_index(radio, half_wave):
+    dic, w, _ = _random_case(radio, half_wave, 4)
+    atoms = dic.atoms.copy()
+    atoms[:, 9] = atoms[:, 5]
+    twin = DpDictionary(subarray=0, r_param=dic.r_param, mode=dic.mode,
+                        cosines=dic.cosines, atoms=atoms)
+    de = gram_direction(w @ atoms[:, 9], w, twin)
+    assert de.grid_index == 5
+    assert de.coefficient == pytest.approx(1.0, rel=1e-10)
+
+
+def test_gram_matching_validation(radio, half_wave):
+    dic, w, y = _random_case(radio, half_wave, 2)
+    with pytest.raises(DictionaryError, match="annihilated every atom"):
+        gram_direction(y, np.zeros_like(w), dic)
+    with pytest.raises(DictionaryError, match="annihilated every atom"):
+        project_dictionary(dic, np.zeros_like(w))
+    with pytest.raises(ValueError):
+        gram_direction(y[:-1], w, dic)
+    with pytest.raises(ValueError):
+        gram_direction(y, w[:, :-1], dic)
+
+
+def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_wave):
+    layout = build_mw_layout(region, 4, 16, half_wave)
+    scene = sample_scene(region, l=0, rng_seed=3)
+    ms = measure(layout, make_schedule(layout, 32, 0.5, rng_seed=1),
+                 synthesize_paths(layout, scene, radio), radio, snr_db=20.0, rng_seed=2)
+    grid = AngleGrid.uniform_cosine(128)
+    r_anchor = np.full(layout.m, 10.0)
+    dh = region.h_pa
+    ests = extract_directions(layout, radio, grid, ms.w, ms.y, r_anchor, dh=dh, path=1)
+    assert [(d.subarray, d.path) for d in ests] == [(m, 1) for m in range(layout.m)]
+    for m, (sub, d) in enumerate(zip(layout.subarrays, ests)):
+        dic = build_dp_dictionary(sub, 10.0, grid, radio, dh=dh, index=m)
+        ref = omp_direction(ms.y[m], project_dictionary(dic, ms.w[m]), path=1)
+        assert (d.grid_index, d.varphi) == (ref.grid_index, ref.varphi)
 
 
 # --- projectors and the closed-form fusion ------------------------------------

@@ -78,6 +78,33 @@ def test_config_normalizes_and_validates():
         dataclasses.replace(ExperimentConfig(), trials=0)
 
 
+def test_g_theta_below_two_is_rejected_at_config_time(region):
+    for g in (1, 0, -4):
+        with pytest.raises(ValueError, match="g_theta"):
+            EstimatorConfig(region=region, g_theta=g)
+        with pytest.raises(ValueError, match="g_theta"):
+            ExperimentConfig(g_theta=g)
+        with pytest.raises(ValueError, match="g_theta"):
+            dataclasses.replace(ExperimentConfig(), g_theta=g)
+    assert EstimatorConfig(region=region, g_theta=2).g_theta == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", "3"), ("m", 3.0), ("seed", None), ("l", True), ("g_theta", 512.0),
+    ("nf_rings", [16]), ("size_x", "30"), ("density", False), ("d", "0.005"),
+    ("snr_db", ["25"]), ("snr_db", [10.0, True]), ("h_range", [0.0]),
+    ("h_range", [0.0, "6"]), ("keep_records", 1),
+])
+def test_config_rejects_wrong_value_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_ints_for_numbers():
+    cfg = ExperimentConfig(size_x=30, d=0.005, snr_db=[25], h_range=[0, 1], p0=np.float64(2.0))
+    assert cfg.snr_db == (25.0,) and cfg.h_range == (0.0, 1.0)
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = ExperimentConfig(scenarios=("mw", "sw2"), trials=7, snr_db=(5.0, 25.0), m=4)
     p = tmp_path / "cfg.json"

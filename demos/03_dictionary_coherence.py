@@ -18,7 +18,6 @@ from passloc.dictionary import (
     build_polar_dictionary,
     default_polar_rings,
     mutual_coherence,
-    project_dictionary,
 )
 from passloc.geometry import ServiceRegion, build_mw_layout
 
@@ -54,8 +53,8 @@ print(f"  same angle, rings {rings[10]:.1f} m vs {rings[11]:.1f} m: "
 sched = make_schedule(layout, 64, 0.5, rng_seed=4)
 w = measurement_matrix(sub, sched.activation[:, 0, :], radio)
 print("measurement domain (64 slots):")
-print(f"  angle-only   {mutual_coherence(project_dictionary(dp, w).atoms):.4f}")
-print(f"  ring x angle {mutual_coherence(project_dictionary(polar, w).atoms):.6f}")
+print(f"  angle-only   {mutual_coherence(w @ dp.atoms):.4f}")
+print(f"  ring x angle {mutual_coherence(w @ polar.atoms):.6f}")
 
 # atom elements keep the spherical 1/r decay before normalization
 near = build_dp_dictionary(sub, r_param=3.0, grid=grid, radio=radio)

@@ -4,12 +4,11 @@ An atom models the subarray response to a point target described in a
 local polar frame anchored at the reference PA: distance of the target to
 the reference element plus a direction cosine along the guide axis. The
 law of cosines gives each element's range, and the atom is the spherical
-wavefront sampled at those ranges. Because matching divides every column's
-correlation by its measured norm ||W a|| (after projection here, or in Gram
-form in the estimator), the common amplitude convention (wavelength/(4*pi*r),
-scaled by 1/sqrt(N)) never biases atom selection; pre-normalization column
-norms are kept so least-squares coefficients can be reported in the
-original scaling.
+wavefront sampled at those ranges. The estimator's matcher divides every
+column's correlation by its measured norm ||W a||, so the common amplitude
+convention (wavelength/(4*pi*r), scaled by 1/sqrt(N)) never biases atom
+selection, and its least-squares coefficients are in the atoms' own scale.
+project_dictionary gives the measured columns W A themselves.
 
 Planar mode keeps the horizontal anchor distance as the parameter and
 carries the fixed PA-to-target height gap explicitly; full-3D mode folds
@@ -19,7 +18,7 @@ grid still applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .geometry import ServiceRegion, SubarrayGeometry
 
 
 class DictionaryError(ValueError):
-    """Dictionary construction or projection produced no usable columns."""
+    """A dictionary build or match found no usable column."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,10 @@ class AngleGrid:
 class DpDictionary:
     """Atoms of one subarray at a common anchor distance.
 
-    atoms is (N, G) in the channel domain; after projection through a
-    measurement matrix, measurement_atoms holds the L2-normalized columns
-    and column_norms their pre-normalization norms. dropped records source
-    grid indices removed for geometric or numerical reasons.
-    ring_distances is populated only by the polar builder, where columns
-    enumerate (distance ring, angle) pairs.
+    atoms is (N, G) in the channel domain. dropped records the grid
+    indices removed because their element ranges are geometrically
+    impossible. ring_distances is populated only by the polar builder,
+    where columns enumerate (distance ring, angle) pairs.
     """
 
     subarray: int
@@ -81,8 +78,6 @@ class DpDictionary:
     mode: str
     cosines: np.ndarray
     atoms: np.ndarray
-    measurement_atoms: np.ndarray | None = None
-    column_norms: np.ndarray | None = None
     dropped: np.ndarray = None
     ring_distances: np.ndarray | None = None
 
@@ -179,34 +174,11 @@ def build_dp_dictionary(
     )
 
 
-def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> DpDictionary:
-    """Push atoms through a measurement matrix and L2-normalize the columns.
-
-    Zero-norm columns (possible when the measurement matrix annihilates an
-    atom) are dropped and recorded. Raises when nothing survives.
-    """
+def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> np.ndarray:
+    """The (T, G) measurement-domain columns W a_g of the atoms."""
     if w.ndim != 2 or w.shape[1] != dictionary.atoms.shape[0]:
         raise ValueError("measurement matrix width must match the element count")
-    phi = w @ dictionary.atoms
-    norms = np.linalg.norm(phi, axis=0)
-    keep = norms > 0.0
-    if not keep.any():
-        raise DictionaryError("measurement matrix annihilated every atom")
-    dropped = dictionary.dropped
-    if not keep.all():
-        # map kept-column positions back to source grid indices
-        src = np.setdiff1d(np.arange(len(norms) + len(dropped)), dropped, assume_unique=True)
-        dropped = np.sort(np.concatenate([dropped, src[~keep]]))
-    return replace(
-        dictionary,
-        cosines=dictionary.cosines[keep],
-        atoms=dictionary.atoms[:, keep],
-        measurement_atoms=phi[:, keep] / norms[keep][None, :],
-        column_norms=norms[keep],
-        dropped=dropped,
-        ring_distances=None if dictionary.ring_distances is None
-        else dictionary.ring_distances[keep],
-    )
+    return w @ dictionary.atoms
 
 
 def build_polar_dictionary(

@@ -127,48 +127,16 @@ class EstimationResult:
         return np.stack([p.position for p in self.paths])
 
 
-def omp_direction(y_res: np.ndarray, dictionary: DpDictionary, path: int = 0) -> DirectionEstimate:
-    """Pick the dictionary column most correlated with the residual.
+def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
+                  path: int = 0) -> DirectionEstimate:
+    """The atom a_g whose measured column W a_g best matches the residual y.
 
-    Ties resolve to the lowest grid index (np.argmax takes the first
-    maximum). The reported coefficient is the single-column least-squares
-    gain in pre-normalization scaling, i.e. raw_col^H y / ||raw_col||^2.
-    """
-    phi = dictionary.measurement_atoms
-    if phi is None or phi.size == 0:
-        raise ValueError("dictionary has no measurement-domain columns; project it first")
-    if phi.shape[0] != y_res.shape[0]:
-        raise ValueError("residual length does not match the measurement rows")
-    corr = phi.conj().T @ y_res
-    mags = np.abs(corr)
-    g = int(np.argmax(mags))
-    coeff = corr[g] / dictionary.column_norms[g]
-    low = mags[g] <= 1e-8 * max(float(np.linalg.norm(y_res)), 1e-300)
-    return DirectionEstimate(
-        subarray=dictionary.subarray,
-        path=path,
-        varphi=float(dictionary.cosines[g]),
-        grid_index=g,
-        coefficient=complex(coeff),
-        correlation=float(mags[g]),
-        low_confidence=bool(low),
-    )
-
-
-def gram_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
-                   path: int = 0) -> DirectionEstimate:
-    """omp_direction(y_res, project_dictionary(dictionary, w)) without the projection.
-
-    Column g of the channel-domain atoms A scores |a_g^H z| / sqrt(a_g^H G a_g)
-    with z = W^H y and G = W^H W, which is |<W a_g, y>| / ||W a_g||: the same
-    first maximum and the same coefficient a_g^H z / a_g^H G a_g, but the
-    T x G measurement-domain dictionary never exists. grid_index counts the
-    built dictionary's columns. Columns with a_g^H G a_g <= 0 are never picked.
-
-    For N x G atoms and T measurements this costs N^2 G multiply-adds
-    against T N G for the projection, so it wins only when N < T. The polar
-    baseline (one 96-element subarray, T = 64) would pay 1.5x the flops, so
-    run_polar_baseline keeps project_dictionary and omp_direction.
+    Scores |<W a_g, y>| / ||W a_g|| with the correlation a_g^H (W^H y) and
+    reports the single-column least-squares coefficient a_g^H W^H y / ||W a_g||^2.
+    For N x G atoms and T measurements the energies ||W a_g||^2 come from the
+    Gram form Re(a_g^H (W^H W) a_g) when N < T (N^2 G multiply-adds), else from
+    project_dictionary (T N G). Zero-energy columns are never picked, ties go to
+    the first maximum, and grid_index counts the built dictionary's columns.
     """
     atoms = dictionary.atoms
     if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
@@ -176,17 +144,19 @@ def gram_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
     if w.shape[0] != y_res.shape[0]:
         raise ValueError("residual length does not match the measurement rows")
     wh = w.conj().T
-    z = wh @ y_res
-    # Row g of at is a_g^T and row g of at @ G^T is (G a_g)^T, so the dot
-    # product of the two rows as real (re, im) pairs is Re(a_g^H G a_g).
     at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
-    gat = at @ (wh @ w).T
-    quad = np.einsum("gk,gk->g", at.view(float), gat.view(float))
-    corr = (at @ z.conj()).conj()  # a_g^H z
-    valid = quad > 0.0
+    corr = (at @ (wh @ y_res).conj()).conj()  # a_g^H W^H y
+    if w.shape[1] < w.shape[0]:
+        # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
+        # the dot product of the two rows as real (re, im) pairs is the energy.
+        energy = np.einsum("gk,gk->g", at.view(float), (at @ (wh @ w).T).view(float))
+    else:
+        phi = project_dictionary(dictionary, w)
+        energy = sum(np.einsum("tg,tg->g", part, part) for part in (phi.real, phi.imag))
+    valid = energy > 0.0
     if not valid.any():
         raise DictionaryError("measurement matrix annihilated every atom")
-    score = np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, quad, 1.0)), -1.0)
+    score = np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, energy, 1.0)), -1.0)
     g = int(np.argmax(score))
     low = score[g] <= 1e-8 * max(float(np.linalg.norm(y_res)), 1e-300)
     return DirectionEstimate(
@@ -194,7 +164,7 @@ def gram_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
         path=path,
         varphi=float(dictionary.cosines[g]),
         grid_index=g,
-        coefficient=complex(corr[g] / quad[g]),
+        coefficient=complex(corr[g] / energy[g]),
         correlation=float(score[g]),
         low_confidence=bool(low),
     )
@@ -444,8 +414,8 @@ def extract_directions(layout, radio, grid, w_list, residuals, r_anchor, mode="2
     """Stage 1: per subarray, the dictionary column that best matches its residual.
 
     Subarray m's dictionary is built at anchor distance r_anchor[m] and
-    matched through its measurement matrix w_list[m] in Gram form
-    (gram_direction), so no projected dictionary is formed.
+    matched through its measurement matrix w_list[m] by omp_direction
+    (in Gram form while a subarray has fewer elements than pilot slots).
     """
     directions = []
     for m, sub in enumerate(layout.subarrays):
@@ -454,7 +424,7 @@ def extract_directions(layout, radio, grid, w_list, residuals, r_anchor, mode="2
         # first takes an mw m=3 l=1 trial from 2.1k to 3.9k minor page faults
         # (x86-64, Python 3.11, numpy 2.4).
         dic = build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, mode=mode, dh=dh, index=m)
-        directions.append(gram_direction(residuals[m], w_list[m], dic, path=path))
+        directions.append(omp_direction(residuals[m], w_list[m], dic, path=path))
     return directions
 
 
@@ -737,7 +707,7 @@ def run_polar_baseline(
         raise ValueError("polar baseline expects a single-subarray layout")
     if channel_dictionary is None:
         channel_dictionary = polar_dictionary(layout, radio, config, rings)
-    proj = project_dictionary(channel_dictionary, measurements.w[0])
+    dic, w = channel_dictionary, measurements.w[0]
     y = measurements.y[0].astype(complex)
     residual = y.copy()
     ref_xy = layout.reference_xy[0]
@@ -747,7 +717,7 @@ def run_polar_baseline(
     ref_strength = None
     flags = {"ambiguous", "under-determined"}
     for l in range(config.num_paths):
-        de = omp_direction(residual, proj, path=l)
+        de = omp_direction(residual, w, dic, path=l)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength
@@ -756,18 +726,18 @@ def run_polar_baseline(
             break
         support.append(de.grid_index)
         dir_ests.append(de)
-        raw = proj.measurement_atoms[:, support] * proj.column_norms[support][None, :]
+        raw = w @ dic.atoms[:, support]
         coeffs, *_ = np.linalg.lstsq(raw, y, rcond=None)
         residual = y - raw @ coeffs
 
     paths = []
     channel = np.zeros(layout.pas_per_subarray, dtype=complex)
     for l, (g, de) in enumerate(zip(support, dir_ests)):
-        r = float(proj.ring_distances[g])
-        cos = float(proj.cosines[g])
+        r = float(dic.ring_distances[g])
+        cos = float(dic.cosines[g])
         lat = np.sqrt(max(0.0, 1.0 - cos * cos))
         position = np.array([ref_xy[0] + r * cos, ref_xy[1] - r * lat, config.fixed_height])
-        comp = coeffs[l] * proj.atoms[:, g]
+        comp = coeffs[l] * dic.atoms[:, g]
         channel = channel + comp
         r_su = None
         if l > 0:

@@ -47,6 +47,7 @@ DEFAULT_SNR_GRID = (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0)
 
 _INT_FIELDS = ("m", "n", "l", "trials", "seed", "slots_per_subarray", "g_theta", "iters",
                "nf_n", "nf_rings")
+_INT_MINIMUM = {"l": 0, "iters": 1}  # g_theta's minimum is EstimatorConfig's check
 _REAL_FIELDS = ("d", "frequency", "n_eff", "p0", "size_x", "size_y", "h_pa", "fixed_height",
                 "density")
 
@@ -89,6 +90,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"config field '{name}' must be an integer, got {v!r}")
+            low = _INT_MINIMUM.get(name, v)
+            if v < low:
+                raise ValueError(f"config field '{name}' must be at least {low}, got {v}")
         for name in _REAL_FIELDS:
             v = getattr(self, name)
             if not (_is_real(v) or (name == "d" and v is None)):
@@ -283,10 +287,11 @@ def nf_dictionary(cfg: ExperimentConfig) -> DpDictionary:
 
 def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: int,
               trial: int, polar: DpDictionary | None = None) -> TrialRecord:
-    """One end-to-end trial; estimator failures come back as flagged records.
+    """One end-to-end trial; the estimator's domain failures come back as flagged records.
 
-    ``polar`` is the nf scenario's dictionary from nf_dictionary(cfg),
-    built here when not given.
+    Domain failures are ValueErrors (singular geometry, an empty dictionary)
+    and singular solves; any other exception propagates. ``polar`` is the nf
+    scenario's dictionary from nf_dictionary(cfg), built here when not given.
     """
     scene, layout, _, paths, ms = simulate_trial(cfg, scenario, snr_db, snr_index, trial)
     est_cfg = cfg.estimator_config()
@@ -297,7 +302,7 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
             result = run_polar_baseline(ms, layout, cfg.radio, est_cfg, channel_dictionary=dic)
         else:
             result = run_omp_gcl(ms, layout, cfg.radio, est_cfg)
-    except Exception as exc:  # record, do not abort the sweep
+    except (ValueError, np.linalg.LinAlgError) as exc:  # record, do not abort the sweep
         return TrialRecord(
             scenario=scenario, snr_db=snr_db, trial=trial,
             scene_points=scene.points.tolist(), positions=[],

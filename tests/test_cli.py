@@ -62,7 +62,8 @@ def test_simulate_writes_the_measurements_of_run_trial(tmp_path, monkeypatch):
         raise RuntimeError("measurements captured")
 
     monkeypatch.setattr(harness_mod, "run_omp_gcl", capture)
-    run_trial(ExperimentConfig.from_json(cfg), "mw", 25.0, 0, trial=1)
+    with pytest.raises(RuntimeError, match="measurements captured"):
+        run_trial(ExperimentConfig.from_json(cfg), "mw", 25.0, 0, trial=1)
     (used,) = seen
     assert written.noise_variance == used.noise_variance
     for name in ("y", "w", "slot_ids"):
@@ -166,12 +167,13 @@ def test_one_point_angle_grid_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("trials", "3"), ("m", 3.5), ("seed", True), ("iters", None), ("slots_per_subarray", "64"),
     ("frequency", "28e9"), ("h_pa", [2.0]), ("snr_db", ["25"]), ("h_range", "0,6"),
+    ("iters", 0), ("l", -1),
 ])
 def test_wrong_config_value_type_exits_2(tmp_path, capsys, field, value):
     cfg = _write_cfg(tmp_path, **{field: value})
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and field in err
+    assert "config error" in err and f"config field '{field}'" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 from passloc.channel import FOUR_PI, measurement_matrix, path_vector
 from passloc.dictionary import (
     AngleGrid,
-    DictionaryError,
     build_dp_dictionary,
     build_polar_dictionary,
     default_polar_rings,
@@ -14,6 +13,7 @@ from passloc.dictionary import (
     parameterized_distance,
     project_dictionary,
 )
+from passloc.estimator import omp_direction
 from passloc.geometry import ServiceRegion, SubarrayGeometry, build_mw_layout
 
 
@@ -191,44 +191,23 @@ def _live_w(sub, radio, slots=24, seed=0):
     return measurement_matrix(sub, rows, radio)
 
 
-def test_projected_columns_are_unit_norm(sub, radio):
-    dic = build_dp_dictionary(sub, 6.0, AngleGrid.uniform_cosine(64), radio)
-    proj = project_dictionary(dic, _live_w(sub, radio))
-    norms = np.linalg.norm(proj.measurement_atoms, axis=0)
-    assert np.max(np.abs(norms - 1.0)) < 1e-10
-    assert np.all(proj.column_norms > 0)
-
-
-def test_projection_scale_invariance(sub, radio):
+def test_projection_is_w_times_the_atoms(sub, radio):
     dic = build_dp_dictionary(sub, 6.0, AngleGrid.uniform_cosine(64), radio)
     w = _live_w(sub, radio)
-    a = project_dictionary(dic, w)
-    b = project_dictionary(dic, 3.0 * w)
-    assert np.allclose(a.measurement_atoms, b.measurement_atoms, atol=1e-12)
-    assert np.allclose(b.column_norms, 3.0 * a.column_norms, rtol=1e-12)
+    phi = project_dictionary(dic, w)
+    assert phi.shape == (24, 64)
+    assert np.array_equal(phi, w @ dic.atoms)
+    with pytest.raises(ValueError):
+        project_dictionary(dic, np.ones((4, 3)))  # width mismatch
 
 
 def test_projection_matches_scalar_reference(sub, radio):
     dic = build_dp_dictionary(sub, 5.0, AngleGrid.uniform_cosine(8), radio)
     w = _live_w(sub, radio, slots=6, seed=1)
-    proj = project_dictionary(dic, w)
+    phi = project_dictionary(dic, w)
     for g in range(8):
         col = np.array([sum(w[t, n] * dic.atoms[n, g] for n in range(16)) for t in range(6)])
-        assert np.allclose(proj.measurement_atoms[:, g], col / np.linalg.norm(col), atol=1e-12)
-        assert proj.column_norms[g] == pytest.approx(np.linalg.norm(col), rel=1e-12)
-
-
-def test_projection_drops_annihilated_columns(radio, half_wave):
-    two = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), 2, half_wave)
-    dic = build_dp_dictionary(two, 5.0, AngleGrid.uniform_cosine(8), radio)
-    victim = dic.atoms[:, 3]
-    # w @ victim = v1*v0 - v0*v1 = 0 exactly, so column 3 projects to zero
-    w = np.array([[victim[1], -victim[0]]])
-    proj = project_dictionary(dic, w)
-    assert proj.g == 7
-    assert 3 in proj.dropped
-    with pytest.raises(ValueError):
-        project_dictionary(dic, np.ones((4, 3)))  # width mismatch
+        assert np.allclose(phi[:, g], col, rtol=1e-12, atol=0.0)
 
 
 def test_on_grid_target_maximizes_its_own_column(region, radio, half_wave):
@@ -245,11 +224,8 @@ def test_on_grid_target_maximizes_its_own_column(region, radio, half_wave):
         )
         w = _live_w(sub, radio, seed=m)
         y = w @ path_vector(sub.pa_positions, target, radio)
-        proj = project_dictionary(
-            build_dp_dictionary(sub, r, grid, radio, dh=sub.reference_position[2]), w
-        )
-        corr = np.abs(proj.measurement_atoms.conj().T @ y)
-        assert int(np.argmax(corr)) == g_true
+        dic = build_dp_dictionary(sub, r, grid, radio, dh=sub.reference_position[2])
+        assert omp_direction(y, w, dic).grid_index == g_true
 
 
 # --- polar variant -----------------------------------------------------------

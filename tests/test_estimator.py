@@ -22,7 +22,6 @@ from passloc.dictionary import (
 from passloc.estimator import (
     EstimatorConfig,
     extract_directions,
-    gram_direction,
     omp_direction,
     projection_matrix,
     reconstruct_channel,
@@ -45,76 +44,74 @@ from passloc.geometry import (
 )
 
 
-def _projected(radio, half_wave, n=16, g=32, r=6.0, slots=24, seed=0, dh=2.0):
+def _measured(radio, half_wave, n=16, g=32, r=6.0, slots=24, seed=0, dh=2.0):
+    """A built dictionary, a live measurement matrix W, and the measured columns W A."""
     sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), n, half_wave)
     dic = build_dp_dictionary(sub, r, AngleGrid.uniform_cosine(g), radio, dh=dh, index=0)
     rng = np.random.default_rng(seed)
     rows = (rng.random((slots, n)) < 0.5).astype(np.uint8)
     rows[rows.sum(axis=1) == 0, 0] = 1
     w = measurement_matrix(sub, rows, radio)
-    return project_dictionary(dic, w), w, sub
+    return dic, w, w @ dic.atoms
 
 
 # --- greedy direction matching -------------------------------------------------
 
 
 def test_omp_matches_its_own_column(radio, half_wave):
-    proj, _, _ = _projected(radio, half_wave)
-    de = omp_direction(proj.measurement_atoms[:, 7], proj)
+    dic, w, phi = _measured(radio, half_wave)
+    de = omp_direction(phi[:, 7], w, dic)
     assert de.grid_index == 7
-    assert de.correlation == pytest.approx(1.0, rel=1e-12)
+    assert de.correlation == pytest.approx(np.linalg.norm(phi[:, 7]), rel=1e-12)
+    assert de.coefficient == pytest.approx(1.0, rel=1e-12)
     assert not de.low_confidence
-    assert de.varphi == pytest.approx(proj.cosines[7])
+    assert de.varphi == pytest.approx(dic.cosines[7])
 
 
 def test_omp_agrees_with_exhaustive_scan(radio, half_wave, rng):
-    proj, _, _ = _projected(radio, half_wave)
-    slots = proj.measurement_atoms.shape[0]
+    dic, w, phi = _measured(radio, half_wave)
+    slots = phi.shape[0]
     y = rng.standard_normal(slots) + 1j * rng.standard_normal(slots)
     corr = [
-        abs(sum(np.conj(proj.measurement_atoms[t, g]) * y[t] for t in range(slots)))
-        for g in range(proj.g)
+        abs(sum(np.conj(phi[t, g]) * y[t] for t in range(slots))) / np.linalg.norm(phi[:, g])
+        for g in range(dic.g)
     ]
-    de = omp_direction(y, proj)
+    de = omp_direction(y, w, dic)
     assert de.grid_index == int(np.argmax(corr))
     assert de.correlation == pytest.approx(max(corr), rel=1e-10)
 
 
 def test_omp_coefficient_in_pre_normalization_scale(radio, half_wave):
-    proj, _, _ = _projected(radio, half_wave)
+    dic, w, phi = _measured(radio, half_wave)
     alpha = 2.5 - 1.25j
-    raw_col = proj.measurement_atoms[:, 11] * proj.column_norms[11]
-    de = omp_direction(alpha * raw_col, proj)
+    de = omp_direction(alpha * phi[:, 11], w, dic)
     assert de.grid_index == 11
     assert de.coefficient == pytest.approx(alpha, rel=1e-10)
 
 
 def test_omp_flags_orthogonal_residual(radio, half_wave):
-    proj, _, _ = _projected(radio, half_wave, g=8, slots=12)
-    # a vector in the orthogonal complement of the 8 columns
-    q, _ = np.linalg.qr(proj.measurement_atoms, mode="complete")
-    y = q[:, -1]
-    de = omp_direction(y, proj)
+    dic, w, phi = _measured(radio, half_wave, g=8, slots=12)
+    # a vector in the orthogonal complement of the 8 measured columns
+    q, _ = np.linalg.qr(phi, mode="complete")
+    de = omp_direction(q[:, -1], w, dic)
     assert de.low_confidence
 
 
 def test_omp_scale_invariance(radio, half_wave, rng):
-    proj, _, _ = _projected(radio, half_wave)
+    dic, w, _ = _measured(radio, half_wave)
     y = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    a = omp_direction(y, proj)
-    b = omp_direction(3.7e-3 * y, proj)
+    a = omp_direction(y, w, dic)
+    b = omp_direction(3.7e-3 * y, w, dic)
     assert a.grid_index == b.grid_index
     assert b.coefficient == pytest.approx(3.7e-3 * a.coefficient, rel=1e-12)
 
 
 def test_omp_validation(radio, half_wave):
-    sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), 8, half_wave)
-    raw = build_dp_dictionary(sub, 5.0, AngleGrid.uniform_cosine(8), radio)
+    dic, w, _ = _measured(radio, half_wave)
     with pytest.raises(ValueError):
-        omp_direction(np.ones(4, dtype=complex), raw)  # never projected
-    proj, _, _ = _projected(radio, half_wave)
+        omp_direction(np.ones(3, dtype=complex), w, dic)  # residual length
     with pytest.raises(ValueError):
-        omp_direction(np.ones(3, dtype=complex), proj)
+        omp_direction(np.ones(24, dtype=complex), w[:, :-1], dic)  # W width
 
 
 def _random_case(radio, half_wave, seed):
@@ -135,46 +132,95 @@ def _random_case(radio, half_wave, seed):
     return dic, w, y
 
 
+# _random_case seeds on each side of omp_direction's choice of energy form
+GRAM_SEEDS, PROJECTED_SEEDS = (1, 4), (2, 3)
+
+
+def _oracle(dic, w, y):
+    """(grid index, score, coefficient) of the best column, from the definition."""
+    phi = w @ dic.atoms
+    energy = np.sum(np.abs(phi) ** 2, axis=0)
+    corr = phi.conj().T @ y
+    score = np.where(energy > 0.0, np.abs(corr) / np.sqrt(np.where(energy > 0.0, energy, 1.0)),
+                     -1.0)
+    g = int(np.argmax(score))
+    return g, score[g], corr[g] / energy[g]
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_gram_matching_agrees_with_projected_matching(radio, half_wave, seed):
+    """omp_direction, in either energy form, picks the oracle's column."""
     dic, w, y = _random_case(radio, half_wave, seed)
-    ref = omp_direction(y, project_dictionary(dic, w), path=2)
-    got = gram_direction(y, w, dic, path=2)
-    assert (got.subarray, got.path, got.grid_index, got.varphi, got.low_confidence) == (
-        ref.subarray, ref.path, ref.grid_index, ref.varphi, ref.low_confidence)
-    assert got.coefficient == pytest.approx(ref.coefficient, rel=1e-10)
-    assert got.correlation == pytest.approx(ref.correlation, rel=1e-10)
+    g, score, coeff = _oracle(dic, w, y)
+    got = omp_direction(y, w, dic, path=2)
+    assert (got.subarray, got.path, got.grid_index, got.varphi) == (seed, 2, g, dic.cosines[g])
+    assert got.low_confidence == (score <= 1e-8 * np.linalg.norm(y))
+    assert got.coefficient == pytest.approx(coeff, rel=1e-10)
+    assert got.correlation == pytest.approx(score, rel=1e-10)
 
 
 def test_gram_matching_flags_a_residual_outside_the_range_of_w(radio, half_wave):
-    dic, w, _ = _random_case(radio, half_wave, 1)
-    q, _ = np.linalg.qr(w, mode="complete")
-    y = q[:, -1]  # orthogonal to every column of W, so W^H y = 0
-    assert gram_direction(y, w, dic).low_confidence
-    assert omp_direction(y, project_dictionary(dic, w)).low_confidence
+    for seed in GRAM_SEEDS[:1] + PROJECTED_SEEDS[:1]:
+        dic, w, _ = _random_case(radio, half_wave, seed)
+        w[0] = 0.0
+        y = np.zeros(w.shape[0], dtype=complex)
+        y[0] = 1.0  # W^H y = 0
+        assert omp_direction(y, w, dic).low_confidence
 
 
 def test_gram_matching_ties_resolve_to_the_lower_index(radio, half_wave):
-    dic, w, _ = _random_case(radio, half_wave, 4)
-    atoms = dic.atoms.copy()
-    atoms[:, 9] = atoms[:, 5]
-    twin = DpDictionary(subarray=0, r_param=dic.r_param, mode=dic.mode,
-                        cosines=dic.cosines, atoms=atoms)
-    de = gram_direction(w @ atoms[:, 9], w, twin)
-    assert de.grid_index == 5
-    assert de.coefficient == pytest.approx(1.0, rel=1e-10)
+    for seed in GRAM_SEEDS[1:] + PROJECTED_SEEDS[1:]:
+        dic, w, _ = _random_case(radio, half_wave, seed)
+        atoms = dic.atoms.copy()
+        atoms[:, 9] = atoms[:, 5]
+        twin = DpDictionary(subarray=0, r_param=dic.r_param, mode=dic.mode,
+                            cosines=dic.cosines, atoms=atoms)
+        de = omp_direction(w @ atoms[:, 9], w, twin)
+        assert de.grid_index == 5
+        assert de.coefficient == pytest.approx(1.0, rel=1e-10)
 
 
 def test_gram_matching_validation(radio, half_wave):
-    dic, w, y = _random_case(radio, half_wave, 2)
-    with pytest.raises(DictionaryError, match="annihilated every atom"):
-        gram_direction(y, np.zeros_like(w), dic)
-    with pytest.raises(DictionaryError, match="annihilated every atom"):
-        project_dictionary(dic, np.zeros_like(w))
-    with pytest.raises(ValueError):
-        gram_direction(y[:-1], w, dic)
-    with pytest.raises(ValueError):
-        gram_direction(y, w[:, :-1], dic)
+    for seed in GRAM_SEEDS[:1] + PROJECTED_SEEDS[:1]:
+        dic, w, y = _random_case(radio, half_wave, seed)
+        with pytest.raises(DictionaryError, match="annihilated every atom"):
+            omp_direction(y, np.zeros_like(w), dic)
+        with pytest.raises(ValueError):
+            omp_direction(y[:-1], w, dic)
+        with pytest.raises(ValueError):
+            omp_direction(y, w[:, :-1], dic)
+
+
+def test_matcher_projects_only_when_n_is_at_least_t(radio, half_wave, monkeypatch):
+    """The 24 random cases cover both energy forms, and only N >= T projects."""
+    calls = []
+
+    def counted(dictionary, w):
+        calls.append(dictionary.subarray)
+        return project_dictionary(dictionary, w)
+
+    # looked up as a passloc.estimator global, so a wrapper installed there sees it
+    monkeypatch.setattr(passloc.estimator, "project_dictionary", counted)
+    projected = []
+    for seed in range(24):
+        dic, w, y = _random_case(radio, half_wave, seed)
+        omp_direction(y, w, dic)
+        if w.shape[1] >= w.shape[0]:
+            projected.append(seed)
+    assert calls == projected
+    assert 0 < len(projected) < 24
+    assert set(PROJECTED_SEEDS) <= set(projected) and not set(GRAM_SEEDS) & set(projected)
+
+
+def test_matcher_never_picks_an_annihilated_column(radio, half_wave):
+    two = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), 2, half_wave)
+    dic = build_dp_dictionary(two, 5.0, AngleGrid.uniform_cosine(8), radio)
+    victim = dic.atoms[:, 3]
+    # w @ victim = v1*v0 - v0*v1 = 0 exactly, so column 3 has zero energy (N = 2 >= T = 1)
+    w = np.array([[victim[1], -victim[0]]])
+    assert project_dictionary(dic, w)[0, 3] == 0.0
+    for y in (np.ones(1, dtype=complex), np.array([0.3 - 2.0j])):
+        assert omp_direction(y, w, dic).grid_index != 3
 
 
 def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_wave):
@@ -189,8 +235,8 @@ def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_
     assert [(d.subarray, d.path) for d in ests] == [(m, 1) for m in range(layout.m)]
     for m, (sub, d) in enumerate(zip(layout.subarrays, ests)):
         dic = build_dp_dictionary(sub, 10.0, grid, radio, dh=dh, index=m)
-        ref = omp_direction(ms.y[m], project_dictionary(dic, ms.w[m]), path=1)
-        assert (d.grid_index, d.varphi) == (ref.grid_index, ref.varphi)
+        g, _, _ = _oracle(dic, ms.w[m], ms.y[m])
+        assert (d.grid_index, d.varphi) == (g, dic.cosines[g])
 
 
 # --- projectors and the closed-form fusion ------------------------------------
@@ -583,15 +629,16 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
     dic = build_polar_dictionary(
         lay.subarrays[0], radio, grid, rings, dh=2.0, index=0
     )
-    proj = project_dictionary(dic, ms.w[0])
+    phi = project_dictionary(dic, ms.w[0])
+    phi = phi / np.linalg.norm(phi, axis=0)
     y0 = ms.y[0]
-    true_idx = int(np.argmax(np.abs(proj.measurement_atoms.conj().T @ y0)))
+    true_idx = int(np.argmax(np.abs(phi.conj().T @ y0)))
     rng = np.random.default_rng(99)
     sigma = np.sqrt(np.mean(np.abs(y0) ** 2))  # 0 dB per-slot noise
     wrong = 0
     for _ in range(500):
         noise = sigma * np.sqrt(0.5) * (rng.standard_normal(y0.size) + 1j * rng.standard_normal(y0.size))
-        pick = int(np.argmax(np.abs(proj.measurement_atoms.conj().T @ (y0 + noise))))
+        pick = int(np.argmax(np.abs(phi.conj().T @ (y0 + noise))))
         wrong += int(pick != true_idx)
     assert 0 < wrong < 500
 

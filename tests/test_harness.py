@@ -5,7 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import passloc.estimator
+from passloc.dictionary import DictionaryError
 from passloc.estimator import EstimatorConfig
+from passloc.geometry import SingularGeometryError
 from passloc.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -76,6 +79,9 @@ def test_config_normalizes_and_validates():
             ExperimentConfig(**bad)
     with pytest.raises(ValueError):
         dataclasses.replace(ExperimentConfig(), trials=0)
+    for field, bad in (("l", -1), ("iters", 0)):
+        with pytest.raises(ValueError, match=f"config field '{field}' must be at least"):
+            ExperimentConfig(**{field: bad})
 
 
 def test_g_theta_below_two_is_rejected_at_config_time(region):
@@ -194,16 +200,27 @@ def test_nf_trial_alone_matches_its_sweep_record():
 
 
 def test_trial_failure_is_recorded_not_raised(monkeypatch):
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic estimator failure")
-
-    monkeypatch.setattr(harness_mod, "run_omp_gcl", boom)
     cfg = ExperimentConfig(trials=1, snr_db=(20.0,))
-    rec = run_trial(cfg, "mw", 20.0, 0, trial=0)
-    assert rec.failed
-    assert rec.flags == ("trial-failed",)
-    assert "synthetic estimator failure" in rec.error_message
-    assert np.isnan(rec.position_error)
+    for error in (DictionaryError, SingularGeometryError, np.linalg.LinAlgError):
+        def boom(*args, **kwargs):
+            raise error("synthetic estimator failure")
+
+        monkeypatch.setattr(harness_mod, "run_omp_gcl", boom)
+        rec = run_trial(cfg, "mw", 20.0, 0, trial=0)
+        assert rec.failed
+        assert rec.flags == ("trial-failed",)
+        assert rec.error_message == f"{error.__name__}: synthetic estimator failure"
+        assert np.isnan(rec.position_error)
+
+
+def test_programming_error_stops_the_sweep(monkeypatch):
+    def typo(subarray, *args, **kwargs):
+        return subarray.n_elements  # SubarrayGeometry has n_pas
+
+    monkeypatch.setattr(passloc.estimator, "build_dp_dictionary", typo)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=2, snr_db=(20.0,), g_theta=64)
+    with pytest.raises(AttributeError, match="n_elements"):
+        run_sweep(cfg)
 
 
 # --- sweeps ---------------------------------------------------------------------

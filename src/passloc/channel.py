@@ -23,7 +23,8 @@ from .geometry import (
     ServiceRegion,
     Structure,
     SubarrayGeometry,
-    custom_layout,
+    layout_from_config,
+    layout_to_config,
     pa_user_distance,
 )
 
@@ -292,7 +293,7 @@ def measure(
 
 # --- persistence -------------------------------------------------------------
 
-MEASUREMENT_SCHEMA_VERSION = 1
+MEASUREMENT_SCHEMA_VERSION = 2
 
 
 def save_measurement_set(
@@ -303,11 +304,13 @@ def save_measurement_set(
     schedule: ActivationSchedule,
     radio: RadioConfig,
     scene: Scene | None = None,
+    experiment: dict | None = None,
 ) -> None:
     """Write measurements.csv plus a sidecar of activation bits and config.
 
     Floats are serialized with shortest-round-trip repr, so a load followed
-    by a save reproduces the numbers bit for bit.
+    by a save reproduces the numbers bit for bit. ``experiment`` is stored
+    verbatim and not interpreted here.
     """
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
@@ -323,13 +326,7 @@ def save_measurement_set(
     }
     meta = {
         "version": MEASUREMENT_SCHEMA_VERSION,
-        "region": region.to_dict(),
-        "layout": {
-            "structure": layout.structure.value,
-            "n": layout.pas_per_subarray,
-            "d": layout.pa_spacing,
-            "reference_xy": [[float(x), float(y)] for x, y in layout.reference_xy],
-        },
+        "layout": layout_to_config(layout, region),
         "radio": {"frequency": radio.frequency, "n_eff": radio.n_eff, "p0": radio.p0},
         "schedule": {
             "slots": schedule.slots,
@@ -342,6 +339,7 @@ def save_measurement_set(
             "user": [float(v) for v in scene.user],
             "scatterers": [[float(v) for v in row] for row in scene.scatterers],
         },
+        "experiment": experiment,
     }
     (d / "meta.json").write_text(json.dumps(meta, indent=2))
 
@@ -350,18 +348,17 @@ def load_measurement_set(dirpath) -> dict:
     """Rebuild everything save_measurement_set wrote.
 
     Returns a dict with keys region, layout, schedule, radio, measurements,
-    scene (None when absent). Measurement matrices are recomputed from the
-    stored activation bits and layout, which is deterministic.
+    scene and experiment (each None when absent). Measurement matrices are
+    recomputed from the stored activation bits and layout, which is
+    deterministic.
     """
     d = Path(dirpath)
     meta = json.loads((d / "meta.json").read_text())
-    if meta.get("version") != MEASUREMENT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported measurement schema: {meta.get('version')}")
-    region = ServiceRegion.from_dict(meta["region"])
-    lay = meta["layout"]
-    layout = custom_layout(
-        region, Structure(lay["structure"]), lay["reference_xy"], int(lay["n"]), float(lay["d"])
-    )
+    version = meta.get("version")
+    if version != MEASUREMENT_SCHEMA_VERSION:
+        raise ValueError(f"{d} holds measurement schema v{version}, this version reads "
+                         f"v{MEASUREMENT_SCHEMA_VERSION}; re-run `passloc simulate`")
+    region, layout = layout_from_config(meta["layout"])
     radio = RadioConfig(**meta["radio"])
     sch = meta["schedule"]
     slots = int(sch["slots"])
@@ -407,4 +404,5 @@ def load_measurement_set(dirpath) -> dict:
         "radio": radio,
         "measurements": ms,
         "scene": scene,
+        "experiment": meta.get("experiment"),
     }

@@ -1,7 +1,13 @@
 """Command-line front end: simulate, estimate, crlb, sweep.
 
+``simulate`` saves one trial together with its experiment config, narrowed
+to the simulated scenario and SNR; ``estimate`` takes every estimator
+setting from that saved run and dispatches through harness.estimate, so it
+reproduces run_trial's estimate of the same trial.
+
 Exit codes: 0 on success, 2 for configuration problems (bad flags,
-missing or invalid config files), 1 for runtime failures.
+missing or invalid config files, saved runs of another schema), 1 for
+runtime failures.
 """
 
 from __future__ import annotations
@@ -12,25 +18,16 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import load_measurement_set, save_measurement_set
+from .channel import MEASUREMENT_SCHEMA_VERSION, load_measurement_set, save_measurement_set
 from .crlb import crlb_heatmap
-from .estimator import EstimatorConfig, run_omp_gcl, run_polar_baseline
-from .harness import ExperimentConfig, position_error, run_sweep, scenario_layout, simulate_trial
+from .harness import (ExperimentConfig, estimate, position_error, run_sweep, scenario_layout,
+                      simulate_trial)
 
 CRLB_SCHEMA_VERSION = 1
 
 # (command-line flag, ExperimentConfig field) for the config overrides
 _CONFIG_FLAGS = (("seed", "seed"), ("scenario", "scenarios"), ("snr", "snr_db"),
                  ("trials", "trials"), ("mode", "mode"), ("m", "m"))
-# (command-line flag, EstimatorConfig field) for `estimate`
-_ESTIMATOR_FLAGS = (("mode", "mode"), ("g_theta", "g_theta"), ("iters", "max_outer_iters"),
-                    ("height", "fixed_height"))
-
-
-def _overrides(args, flags) -> dict:
-    """Config fields for the flags given on the command line."""
-    return {field: getattr(args, flag) for flag, field in flags
-            if getattr(args, flag, None) is not None}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -38,7 +35,9 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(args.config)
     else:
         cfg = ExperimentConfig()
-    return dataclasses.replace(cfg, **_overrides(args, _CONFIG_FLAGS))
+    overrides = {field: getattr(args, flag) for flag, field in _CONFIG_FLAGS
+                 if getattr(args, flag, None) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -46,7 +45,10 @@ def _cmd_simulate(args) -> int:
     scenario = cfg.scenarios[0]
     snr = cfg.snr_db[0]
     scene, layout, schedule, _, ms = simulate_trial(cfg, scenario, snr, 0, args.trial)
-    save_measurement_set(args.out, ms, cfg.region, layout, schedule, cfg.radio, scene=scene)
+    cell = dataclasses.replace(cfg, scenarios=[scenario], snr_db=[snr])
+    experiment = {"config": cell.to_dict(), "trial": args.trial}
+    save_measurement_set(args.out, ms, cfg.region, layout, schedule, cfg.radio, scene=scene,
+                         experiment=experiment)
     print(f"wrote {Path(args.out) / 'measurements.csv'} "
           f"({sum(len(y) for y in ms.y)} observations, scenario={scenario}, snr={snr} dB)")
     return 0
@@ -54,15 +56,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     data = load_measurement_set(args.data)
-    region, layout, radio = data["region"], data["layout"], data["radio"]
+    if data["experiment"] is None:
+        raise ValueError(f"{args.data} holds measurement schema v{MEASUREMENT_SCHEMA_VERSION} "
+                         f"without its experiment; re-run `passloc simulate`")
+    cfg = ExperimentConfig.from_dict(data["experiment"]["config"])
     scene = data["scene"]
-    num_paths = args.paths if args.paths else (scene.l + 1 if scene is not None else 1)
-    est_cfg = EstimatorConfig(region=region, num_paths=num_paths,
-                              **_overrides(args, _ESTIMATOR_FLAGS))
-    if layout.m == 1 and args.baseline == "polar":
-        result = run_polar_baseline(data["measurements"], layout, radio, est_cfg)
-    else:
-        result = run_omp_gcl(data["measurements"], layout, radio, est_cfg)
+    result = estimate(cfg, cfg.scenarios[0], data["measurements"], data["layout"])
     report = {
         "true_points": None if scene is None else scene.points.tolist(),
         "positions": [p.position.tolist() for p in result.paths],
@@ -83,7 +82,7 @@ def _cmd_estimate(args) -> int:
         ],
     }
     if scene is not None:
-        report["user_error_m"] = position_error(scene.user, result.paths[0].position, est_cfg.mode)
+        report["user_error_m"] = position_error(scene.user, result.paths[0].position, cfg.mode)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "estimate.json").write_text(json.dumps(report, indent=2))
@@ -147,17 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial", type=int, default=0, help="trial index for seed derivation")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", help="run localization on stored measurements")
+    p = sub.add_parser("estimate", help="run a saved run's estimator on its measurements")
     p.add_argument("--data", required=True, help="directory written by simulate")
     p.add_argument("--out", required=True)
-    # unset flags keep the EstimatorConfig defaults
-    p.add_argument("--mode", choices=["2d", "3d"])
-    p.add_argument("--paths", type=int, help="number of paths to extract")
-    p.add_argument("--g-theta", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--height", type=float, help="known target height (2d mode)")
-    p.add_argument("--baseline", choices=["auto", "polar"], default="auto",
-                   help="force the polar baseline on single-subarray data")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("crlb", help="bearing-fusion bound heatmap over the region")
@@ -195,10 +186,7 @@ def cli_main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, KeyError, ValueError) as exc:  # ValueError covers bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -21,6 +21,7 @@ from .channel import RadioConfig, measure, make_schedule, synthesize_paths
 from .dictionary import AngleGrid
 from .estimator import EstimatorConfig, extract_directions
 from .geometry import ArrayLayout, ServiceRegion, SingularGeometryError, pa_user_distance, sample_scene
+from .harness import ExperimentConfig
 
 SINGULAR_EIG_TOL = 1e-12
 
@@ -145,8 +146,8 @@ def calibrate_bearing_sigma(
     trials: int = 200,
     rng_seed=0,
     g_theta: int = EstimatorConfig.g_theta,
-    slots_per_subarray: int = 64,
-    density: float = 0.5,
+    slots_per_subarray: int = ExperimentConfig.slots_per_subarray,
+    density: float = ExperimentConfig.density,
     fixed_height: float = 0.0,
 ) -> tuple[float, dict]:
     """Empirical bearing noise scale at a given SNR.

@@ -10,7 +10,6 @@ the region, so subarray axes are never rotated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -372,14 +371,6 @@ def layout_from_config(cfg: dict) -> tuple[ServiceRegion, ArrayLayout]:
     m = int(cfg["m"])
     builder = build_sw_layout if structure is Structure.SW else build_mw_layout
     return region, builder(region, m, n, d)
-
-
-def save_geometry_config(path, layout: ArrayLayout, region: ServiceRegion, seed=None) -> None:
-    Path(path).write_text(json.dumps(layout_to_config(layout, region, seed), indent=2))
-
-
-def load_geometry_config(path) -> tuple[ServiceRegion, ArrayLayout]:
-    return layout_from_config(json.loads(Path(path).read_text()))
 
 
 def layout_points_csv(layout: ArrayLayout, path) -> None:

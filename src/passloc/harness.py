@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
+    MeasurementSet,
     RadioConfig,
     channel_vector,
     make_schedule,
@@ -25,7 +26,8 @@ from .channel import (
     synthesize_paths,
 )
 from .dictionary import DEFAULT_POLAR_RINGS, DpDictionary, default_polar_rings
-from .estimator import EstimatorConfig, polar_dictionary, run_omp_gcl, run_polar_baseline
+from .estimator import (EstimationResult, EstimatorConfig, polar_dictionary, run_omp_gcl,
+                        run_polar_baseline)
 from .geometry import (
     ArrayLayout,
     ServiceRegion,
@@ -47,7 +49,8 @@ DEFAULT_SNR_GRID = (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0)
 
 _INT_FIELDS = ("m", "n", "l", "trials", "seed", "slots_per_subarray", "g_theta", "iters",
                "nf_n", "nf_rings")
-_INT_MINIMUM = {"l": 0, "iters": 1}  # g_theta's minimum is EstimatorConfig's check
+_INT_MINIMUM = {"l": 0, "iters": 1, "m": 1, "n": 1, "slots_per_subarray": 1, "nf_n": 1,
+                "nf_rings": 1}  # g_theta's minimum is EstimatorConfig's check
 _REAL_FIELDS = ("d", "frequency", "n_eff", "p0", "size_x", "size_y", "h_pa", "fixed_height",
                 "density")
 
@@ -97,6 +100,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (_is_real(v) or (name == "d" and v is None)):
                 raise ValueError(f"config field '{name}' must be a number, got {v!r}")
+        if not 0.0 < self.density <= 1.0:
+            raise ValueError(f"config field 'density' must be in (0, 1], got {self.density!r}")
         if not isinstance(self.keep_records, bool):
             raise ValueError(f"config field 'keep_records' must be true or false, "
                              f"got {self.keep_records!r}")
@@ -110,7 +115,7 @@ class ExperimentConfig:
             raise ValueError("need at least one scenario")
         self.scenarios = scen
         if self.mode not in ("2d", "3d"):
-            raise ValueError("mode must be '2d' or '3d'")
+            raise ValueError(f"config field 'mode' must be '2d' or '3d', got {self.mode!r}")
         snr = self.snr_db if isinstance(self.snr_db, (list, tuple)) else [self.snr_db]
         if not all(_is_real(v) for v in snr):
             raise ValueError(f"config field 'snr_db' must hold numbers, got {self.snr_db!r}")
@@ -285,23 +290,32 @@ def nf_dictionary(cfg: ExperimentConfig) -> DpDictionary:
     return polar_dictionary(layout, cfg.radio, cfg.estimator_config(), rings)
 
 
+def estimate(cfg: ExperimentConfig, scenario: str, ms: MeasurementSet, layout: ArrayLayout,
+             polar: DpDictionary | None = None) -> EstimationResult:
+    """The scenario's estimator on one trial's measurements.
+
+    nf runs the polar baseline over ``polar`` (nf_dictionary(cfg) when not
+    given); every other scenario runs OMP-GCL.
+    """
+    if scenario == "nf":
+        dic = polar if polar is not None else nf_dictionary(cfg)
+        return run_polar_baseline(ms, layout, cfg.radio, cfg.estimator_config(),
+                                  channel_dictionary=dic)
+    return run_omp_gcl(ms, layout, cfg.radio, cfg.estimator_config())
+
+
 def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: int,
               trial: int, polar: DpDictionary | None = None) -> TrialRecord:
     """One end-to-end trial; the estimator's domain failures come back as flagged records.
 
     Domain failures are ValueErrors (singular geometry, an empty dictionary)
-    and singular solves; any other exception propagates. ``polar`` is the nf
-    scenario's dictionary from nf_dictionary(cfg), built here when not given.
+    and singular solves; any other exception propagates. ``polar`` is passed
+    on to estimate().
     """
     scene, layout, _, paths, ms = simulate_trial(cfg, scenario, snr_db, snr_index, trial)
-    est_cfg = cfg.estimator_config()
     t0 = time.perf_counter()
     try:
-        if scenario == "nf":
-            dic = polar if polar is not None else nf_dictionary(cfg)
-            result = run_polar_baseline(ms, layout, cfg.radio, est_cfg, channel_dictionary=dic)
-        else:
-            result = run_omp_gcl(ms, layout, cfg.radio, est_cfg)
+        result = estimate(cfg, scenario, ms, layout, polar)
     except (ValueError, np.linalg.LinAlgError) as exc:  # record, do not abort the sweep
         return TrialRecord(
             scenario=scenario, snr_db=snr_db, trial=trial,

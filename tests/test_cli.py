@@ -1,13 +1,17 @@
 """Command-line workflows: simulate, estimate, crlb, sweep, and exit codes."""
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from passloc.channel import load_measurement_set
+from passloc.channel import load_measurement_set, save_measurement_set
 from passloc.cli import cli_main
-from passloc.harness import ExperimentConfig, run_trial
+from passloc.harness import ExperimentConfig, run_trial, simulate_trial
 import passloc.harness as harness_mod
 
 
@@ -36,8 +40,7 @@ def test_simulate_then_estimate(tmp_path, capsys):
     assert loaded["measurements"].m == 3
 
     out = tmp_path / "est"
-    code = cli_main(["estimate", "--data", str(data), "--out", str(out), "--g-theta", "512"])
-    assert code == 0
+    assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 0
     report = json.loads((out / "estimate.json").read_text())
     assert report["user_error_m"] < 0.5  # 25 dB single trial, interior scene
     lines = (out / "positions.csv").read_text().strip().splitlines()
@@ -71,16 +74,36 @@ def test_simulate_writes_the_measurements_of_run_trial(tmp_path, monkeypatch):
             np.testing.assert_array_equal(a, b)
 
 
+def _estimate_and_run_trial(tmp_path, trial, **overrides):
+    """The CLI's estimate.json and run_trial's record for one simulated trial."""
+    cfg = _write_cfg(tmp_path, **overrides)
+    data, out = tmp_path / "data", tmp_path / "est"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(data),
+                     "--trial", str(trial)]) == 0
+    assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 0
+    report = json.loads((out / "estimate.json").read_text())
+    exp = ExperimentConfig.from_json(cfg)
+    rec = run_trial(exp, exp.scenarios[0], 25.0, 0, trial=trial)
+    assert not rec.failed
+    return report, rec
+
+
 def test_estimate_reports_the_user_error_of_run_trial(tmp_path):
     # trial 8 is one where hypot and norm of the 2-D error differ in the last bit
-    cfg = _write_cfg(tmp_path)
-    data, out = tmp_path / "data", tmp_path / "est"
-    assert cli_main(["simulate", "--config", str(cfg), "--out", str(data), "--trial", "8"]) == 0
-    assert cli_main(["estimate", "--data", str(data), "--out", str(out), "--g-theta", "512"]) == 0
-    report = json.loads((out / "estimate.json").read_text())
-    rec = run_trial(ExperimentConfig.from_json(cfg), "mw", 25.0, 0, trial=8)
+    report, rec = _estimate_and_run_trial(tmp_path, 8)
     err = np.asarray(rec.positions[0]) - np.asarray(rec.scene_points[0])
     assert float(np.linalg.norm(err[:2])) != rec.position_error
+    assert report["positions"] == rec.positions
+    assert report["user_error_m"] == rec.position_error
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"m": 4, "mode": "3d", "h_pa": 6.0, "h_range": [0.0, 6.0]}, id="mw-3d"),
+    pytest.param({"scenarios": ["nf"], "nf_rings": 8}, id="nf"),
+])
+def test_estimate_matches_run_trial_in_every_mode(tmp_path, overrides):
+    report, rec = _estimate_and_run_trial(tmp_path, 0, **overrides)
+    assert report["positions"] == rec.positions
     assert report["user_error_m"] == rec.position_error
 
 
@@ -89,13 +112,61 @@ def test_estimate_polar_baseline_on_single_guide(tmp_path):
     data = tmp_path / "nf_data"
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
     out = tmp_path / "nf_est"
-    code = cli_main(
-        ["estimate", "--data", str(data), "--out", str(out), "--baseline", "polar",
-         "--g-theta", "256"]
-    )
-    assert code == 0
+    assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 0
     report = json.loads((out / "estimate.json").read_text())
     assert "ambiguous" in report["flags"]
+
+
+def test_estimate_rejects_runs_without_their_experiment(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    old = tmp_path / "v1"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(old)]) == 0
+    meta = json.loads((old / "meta.json").read_text())
+    (old / "meta.json").write_text(json.dumps(dict(meta, version=1)))
+    # a v2 run written by the library call, which stores no experiment by default
+    bare = tmp_path / "bare"
+    exp = ExperimentConfig.from_json(cfg)
+    scene, layout, schedule, _, ms = simulate_trial(exp, "mw", 25.0, 0, 0)
+    save_measurement_set(bare, ms, exp.region, layout, schedule, exp.radio, scene=scene)
+    capsys.readouterr()
+    for data, version in ((old, "v1"), (bare, "v2")):
+        out = tmp_path / f"est_{data.name}"
+        assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"schema {version}" in err and "re-run `passloc simulate`" in err
+        assert not out.exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.sampled_from(["mw", "sw", "sw2", "nf"]), mode=st.sampled_from(["2d", "3d"]),
+       l=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 1000),
+       snr=st.sampled_from([5.0, 25.0]))
+def test_saved_run_round_trips_bit_for_bit(scenario, mode, l, seed, trial, snr):
+    cfg = ExperimentConfig(scenarios=[scenario, "mw"], snr_db=[snr, 17.5], mode=mode, l=l,
+                           seed=seed, n=8, slots_per_subarray=12, nf_n=16, h_range=(0.0, 1.5))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, data = Path(tmp) / "cfg.json", Path(tmp) / "data"
+        cfg.to_json(cfg_path)
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(data),
+                         "--trial", str(trial)]) == 0
+        loaded = load_measurement_set(data)
+    scene, layout, _, _, ms = simulate_trial(cfg, scenario, snr, 0, trial)
+
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    got = loaded["measurements"]
+    for name in ("y", "w", "slot_ids"):
+        for a, b in zip(getattr(got, name), getattr(ms, name), strict=True):
+            assert same_bits(a, b), name
+    for name in ("noise_variance", "snr_db", "mean_signal_power"):
+        assert same_bits(getattr(got, name), getattr(ms, name)), name
+    assert same_bits(loaded["scene"].points, scene.points)
+    assert same_bits(loaded["layout"].pa_positions, layout.pa_positions)
+    narrowed = dataclasses.replace(cfg, scenarios=[scenario], snr_db=[snr])
+    assert ExperimentConfig.from_dict(loaded["experiment"]["config"]) == narrowed
+    assert loaded["experiment"]["trial"] == trial
 
 
 def test_crlb_heatmap_output(tmp_path):
@@ -167,7 +238,8 @@ def test_one_point_angle_grid_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("trials", "3"), ("m", 3.5), ("seed", True), ("iters", None), ("slots_per_subarray", "64"),
     ("frequency", "28e9"), ("h_pa", [2.0]), ("snr_db", ["25"]), ("h_range", "0,6"),
-    ("iters", 0), ("l", -1),
+    ("iters", 0), ("l", -1), ("m", 0), ("n", 0), ("slots_per_subarray", 0), ("nf_n", 0),
+    ("nf_rings", 0), ("density", 0), ("density", 1.5), ("mode", "4d"),
 ])
 def test_wrong_config_value_type_exits_2(tmp_path, capsys, field, value):
     cfg = _write_cfg(tmp_path, **{field: value})
@@ -177,10 +249,16 @@ def test_wrong_config_value_type_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli_main(["simulate", "--nonsense"]) == 2
     assert cli_main([]) == 2
     assert cli_main(["estimate", "--data", "/definitely/missing", "--out", "/tmp/x"]) == 2
+    # estimator settings come from the saved run, so estimate takes none
+    for flag in (["--mode", "3d"], ["--paths", "1"], ["--g-theta", "512"], ["--iters", "2"],
+                 ["--height", "0"], ["--baseline", "polar"]):
+        assert cli_main(["estimate", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
+                         *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scenario_and_snr_overrides(tmp_path):

@@ -16,10 +16,8 @@ from passloc.geometry import (
     layout_from_config,
     layout_points_csv,
     layout_to_config,
-    load_geometry_config,
     pa_user_distance,
     sample_scene,
-    save_geometry_config,
     scene_points_csv,
 )
 
@@ -218,7 +216,7 @@ def test_scene_mean_position_close_to_region_center(region):
 # --- serialization -----------------------------------------------------------
 
 
-def test_layout_config_round_trip(region, half_wave, tmp_path):
+def test_layout_config_round_trip(region, half_wave):
     lay = build_mw_layout(region, 4, 32, half_wave)
     cfg = layout_to_config(lay, region, seed=11)
     reg2, lay2 = layout_from_config(cfg)
@@ -227,11 +225,11 @@ def test_layout_config_round_trip(region, half_wave, tmp_path):
     assert np.allclose(lay2.reference_positions, lay.reference_positions)
     assert lay2.pas_per_subarray == 32 and lay2.pa_spacing == half_wave
 
-    p = tmp_path / "geom.json"
-    save_geometry_config(p, lay, region, seed=11)
-    reg3, lay3 = load_geometry_config(p)
-    assert np.allclose(lay3.reference_positions, lay.reference_positions)
-    assert json.loads(p.read_text())["seed"] == 11
+    stored = json.loads(json.dumps(cfg))
+    assert stored["seed"] == 11
+    reg3, lay3 = layout_from_config(stored)
+    assert reg3 == region
+    assert np.array_equal(lay3.pa_positions, lay.pa_positions)
 
 
 def test_config_without_anchors_rebuilds_from_structure(region, half_wave):

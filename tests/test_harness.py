@@ -1,11 +1,13 @@
 """Metrics, experiment configs, seed streams, trials, and sweeps."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import passloc.estimator
+from passloc.crlb import calibrate_bearing_sigma
 from passloc.dictionary import DictionaryError
 from passloc.estimator import EstimatorConfig
 from passloc.geometry import SingularGeometryError
@@ -79,9 +81,14 @@ def test_config_normalizes_and_validates():
             ExperimentConfig(**bad)
     with pytest.raises(ValueError):
         dataclasses.replace(ExperimentConfig(), trials=0)
-    for field, bad in (("l", -1), ("iters", 0)):
+    for field, bad in (("l", -1), ("iters", 0), ("m", 0), ("n", 0), ("slots_per_subarray", 0),
+                       ("nf_n", 0), ("nf_rings", 0)):
         with pytest.raises(ValueError, match=f"config field '{field}' must be at least"):
             ExperimentConfig(**{field: bad})
+    for field, bad in (("density", 0.0), ("density", 1.5), ("mode", "4d")):
+        with pytest.raises(ValueError, match=f"config field '{field}' must be"):
+            ExperimentConfig(**{field: bad})
+    assert ExperimentConfig(density=1.0).density == 1.0
 
 
 def test_g_theta_below_two_is_rejected_at_config_time(region):
@@ -125,6 +132,9 @@ def test_config_defaults_are_the_estimator_defaults():
     want = EstimatorConfig(region=cfg.region, num_paths=1)
     for f in dataclasses.fields(EstimatorConfig):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
+    calibration = inspect.signature(calibrate_bearing_sigma).parameters
+    for name in ("g_theta", "slots_per_subarray", "density", "fixed_height"):
+        assert calibration[name].default == getattr(cfg, name), name
 
 
 def test_scenario_layouts_and_slot_budget():

@@ -177,8 +177,10 @@ def make_schedule(
     is forced on, which keeps pathological densities terminating.
     """
     m, n = layout.m, layout.pas_per_subarray
-    if total_slots < m:
-        raise ValueError("need at least one slot per subarray")
+    # SW splits the slots into one block per subarray; in MW every subarray sees every slot.
+    need = m if layout.structure is Structure.SW else 1
+    if total_slots < need:
+        raise ValueError(f"{layout.structure.value} schedule needs at least {need} slots, got {total_slots}")
     if not 0.0 < density <= 1.0:
         raise ValueError("activation density must be in (0, 1]")
     rng = np.random.default_rng(rng_seed)

@@ -14,7 +14,6 @@ extracted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,8 @@ from .dictionary import (
 from .geometry import ArrayLayout, ServiceRegion, pa_user_distance
 
 MAX_SIGN_SUBARRAYS = 20
+SIGN_CHUNK = 4096  # sign candidates per batched solve in resolve_signs
+LS_EPSILON = 1e-9  # ridge on the 2x2 fusion system
 ILL_CONDITION_TOL = 1e-6
 COLLINEAR_TOL = 1e-9
 QUADRIC_GRID = 61
@@ -127,32 +128,41 @@ class EstimationResult:
         return np.stack([p.position for p in self.paths])
 
 
+def atom_energies(w: np.ndarray, dictionary: DpDictionary) -> np.ndarray:
+    """The measured energies ||W a_g||^2 of a dictionary's N x G atoms under T x N W.
+
+    They come from the Gram form Re(a_g^H (W^H W) a_g) when N < T (N^2 G
+    multiply-adds), else from project_dictionary (T N G).
+    """
+    if w.shape[1] < w.shape[0]:
+        at = np.ascontiguousarray(dictionary.atoms.T, dtype=complex)  # a view for built atoms
+        # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
+        # the dot product of the two rows as real (re, im) pairs is the energy.
+        return np.einsum("gk,gk->g", at.view(float), (at @ (w.conj().T @ w).T).view(float))
+    phi = project_dictionary(dictionary, w)
+    return sum(np.einsum("tg,tg->g", part, part) for part in (phi.real, phi.imag))
+
+
 def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
-                  path: int = 0) -> DirectionEstimate:
+                  path: int = 0, energy: np.ndarray | None = None) -> DirectionEstimate:
     """The atom a_g whose measured column W a_g best matches the residual y.
 
     Scores |<W a_g, y>| / ||W a_g|| with the correlation a_g^H (W^H y) and
     reports the single-column least-squares coefficient a_g^H W^H y / ||W a_g||^2.
-    For N x G atoms and T measurements the energies ||W a_g||^2 come from the
-    Gram form Re(a_g^H (W^H W) a_g) when N < T (N^2 G multiply-adds), else from
-    project_dictionary (T N G). Zero-energy columns are never picked, ties go to
-    the first maximum, and grid_index counts the built dictionary's columns.
+    The energies ||W a_g||^2 are atom_energies(w, dictionary); a caller that
+    matches several residuals against one W passes them as ``energy``.
+    Zero-energy columns are never picked, ties go to the first maximum, and
+    grid_index counts the built dictionary's columns.
     """
     atoms = dictionary.atoms
     if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
         raise ValueError("measurement matrix width must match the element count")
     if w.shape[0] != y_res.shape[0]:
         raise ValueError("residual length does not match the measurement rows")
-    wh = w.conj().T
+    if energy is None:
+        energy = atom_energies(w, dictionary)
     at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
-    corr = (at @ (wh @ y_res).conj()).conj()  # a_g^H W^H y
-    if w.shape[1] < w.shape[0]:
-        # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
-        # the dot product of the two rows as real (re, im) pairs is the energy.
-        energy = np.einsum("gk,gk->g", at.view(float), (at @ (wh @ w).T).view(float))
-    else:
-        phi = project_dictionary(dictionary, w)
-        energy = sum(np.einsum("tg,tg->g", part, part) for part in (phi.real, phi.imag))
+    corr = (at @ (w.conj().T @ y_res).conj()).conj()  # a_g^H W^H y
     valid = energy > 0.0
     if not valid.any():
         raise DictionaryError("measurement matrix annihilated every atom")
@@ -181,12 +191,27 @@ def projection_matrix(varphi: float, sign: float) -> np.ndarray:
     return np.eye(2) - np.outer(u, u)
 
 
-def _bearing_matrix(varphis: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    lat = np.sqrt(np.clip(1.0 - varphis * varphis, 0.0, None))
-    return np.column_stack([varphis, signs * lat])
+def _fuse_candidates(v: np.ndarray, phis: np.ndarray, signs: np.ndarray, epsilon: float):
+    """Projection least-squares fixes for a (K, M) stack of lateral sign vectors.
+
+    Returns q (K, 2), the unregularized costs (K,) and the normal matrices
+    sum P_m (K, 2, 2). Per-matrix products and solves and sums over the same
+    axes give every row the bits of a one-row stack (see resolve_signs).
+    """
+    m = v.shape[0]
+    u = np.empty(signs.shape + (2,))
+    u[..., 0] = phis
+    u[..., 1] = signs * np.sqrt(np.clip(1.0 - phis * phis, 0.0, None))
+    gram = np.matmul(u.transpose(0, 2, 1), u)
+    a = m * np.eye(2) - gram
+    b = (v - u * np.sum(u * v, axis=2)[..., None]).sum(axis=1)
+    q = np.linalg.solve(a + epsilon * np.eye(2), b[..., None])[..., 0]
+    dif = q[:, None, :] - v
+    cost = np.sum(np.sum(dif * dif, axis=2) - np.sum(u * dif, axis=2) ** 2, axis=1)
+    return q, cost, a
 
 
-def solve_position_ls(refs_xy, varphis, signs, epsilon: float = 1e-9):
+def solve_position_ls(refs_xy, varphis, signs, epsilon: float = LS_EPSILON):
     """Closed-form minimizer of the summed projection residuals.
 
     Stacks projectors P_m onto the bearing complements and solves
@@ -200,27 +225,21 @@ def solve_position_ls(refs_xy, varphis, signs, epsilon: float = 1e-9):
     m = v.shape[0]
     if phis.shape[0] != m or s.shape[0] != m:
         raise ValueError("need one cosine and one sign per subarray")
-    u = _bearing_matrix(phis, s)
-    gram = u.T @ u
-    a = m * np.eye(2) - gram
-    lam_min = float(np.linalg.eigvalsh(a)[0])
-    b = (v - u * np.sum(u * v, axis=1)[:, None]).sum(axis=0)
-    q = np.linalg.solve(a + epsilon * np.eye(2), b)
-    dif = q[None, :] - v
-    cost = float(np.sum(np.sum(dif * dif, axis=1) - np.sum(u * dif, axis=1) ** 2))
-    return q, cost, lam_min
+    q, cost, a = _fuse_candidates(v, phis, s[None, :], epsilon)
+    return q[0], float(cost[0]), float(np.linalg.eigvalsh(a[0])[0])
 
 
-def sign_consistency_penalty(q, refs_xy, varphis) -> float:
+def sign_consistency_penalty(q, refs_xy, varphis):
     """Penalty for axial offsets that contradict the estimated cosines.
 
     A positive cosine says the target lies down-guide of the reference;
     only violations (x - x_m) * varphi_m < 0 contribute, quadratically.
+    ``q`` is one fix (2,), giving a float, or a (K, 2) stack, giving (K,).
     """
     v = np.asarray(refs_xy, dtype=float).reshape(-1, 2)
     phis = np.asarray(varphis, dtype=float).reshape(-1)
-    viol = np.minimum(0.0, (q[0] - v[:, 0]) * phis)
-    return float(np.sum(viol * viol))
+    viol = np.minimum(0.0, (np.asarray(q)[..., 0, None] - v[:, 0]) * phis)
+    return np.sum(viol * viol, axis=-1)
 
 
 def _collinear(refs_xy) -> bool:
@@ -233,7 +252,7 @@ def _collinear(refs_xy) -> bool:
 
 
 def resolve_signs(refs_xy, varphis, bounds=None) -> PlanarFix:
-    """Enumerate lateral signs and keep the candidate with the lowest cost.
+    """Score all 2^M lateral sign vectors and keep the one with the lowest cost.
 
     Cost is the projection least-squares objective plus the
     axial-consistency penalty; exact ties keep the first candidate in
@@ -245,25 +264,41 @@ def resolve_signs(refs_xy, varphis, bounds=None) -> PlanarFix:
     Flags report degenerate fusions: a single subarray, ill-conditioned
     geometry, and collinear references whose mirror candidates the
     penalty cannot split.
+
+    The candidates are solved as stacks of at most SIGN_CHUNK, which
+    bounds memory at M = MAX_SIGN_SUBARRAYS, and only the winner's
+    conditioning is computed. Each stack keeps the floating-point order
+    of solve_position_ls: on collinear references mirror candidates differ
+    in cost only by rounding, so a reordered sum would change which mirror
+    wins.
     """
     v = np.asarray(refs_xy, dtype=float).reshape(-1, 2)
     phis = np.asarray(varphis, dtype=float).reshape(-1)
     m = v.shape[0]
+    if phis.shape[0] != m:
+        raise ValueError("need one cosine per subarray")
     if m > MAX_SIGN_SUBARRAYS:
         raise ValueError(f"sign enumeration over {m} subarrays is intractable (cap {MAX_SIGN_SUBARRAYS})")
+    shifts = np.arange(m - 1, -1, -1)
     best = None
-    for signs in itertools.product((-1.0, 1.0), repeat=m):
-        s = np.array(signs)
-        q, cost_ls, lam_min = solve_position_ls(v, phis, s)
+    for start in range(0, 2**m, SIGN_CHUNK):
+        k = np.arange(start, min(start + SIGN_CHUNK, 2**m))
+        # bit M-1-j of k is subarray j's sign (set: +1): itertools.product order, -1 first
+        signs = np.where((k[:, None] >> shifts) & 1, 1.0, -1.0)
+        q, cost_ls, a = _fuse_candidates(v, phis, signs, LS_EPSILON)
         cost_pen = sign_consistency_penalty(q, v, phis)
-        infeasible = 0
+        outside = np.zeros(k.shape, dtype=bool)
         if bounds is not None:
             (x_lo, x_hi), (y_lo, y_hi) = bounds
-            infeasible = int(not (x_lo <= q[0] <= x_hi and y_lo <= q[1] <= y_hi))
-        rank = (infeasible, cost_ls + cost_pen)
+            outside = ~((x_lo <= q[:, 0]) & (q[:, 0] <= x_hi) & (y_lo <= q[:, 1]) & (q[:, 1] <= y_hi))
+        total = cost_ls + cost_pen
+        front = np.flatnonzero(outside == outside.min())
+        i = front[np.argmin(total[front])]
+        rank = (bool(outside[i]), float(total[i]))
         if best is None or rank < best[0]:
-            best = (rank, s, cost_ls, cost_pen, q, lam_min)
-    _, s, cost_ls, cost_pen, q, lam_min = best
+            best = (rank, signs[i].copy(), q[i].copy(), float(cost_ls[i]), float(cost_pen[i]), a[i])
+    _, s, q, cost_ls, cost_pen, a_best = best
+    lam_min = float(np.linalg.eigvalsh(a_best)[0])
     flags = []
     if m == 1:
         flags.append("under-determined")
@@ -712,12 +747,13 @@ def run_polar_baseline(
     residual = y.copy()
     ref_xy = layout.reference_xy[0]
 
+    energy = atom_energies(w, dic)  # one projection serves every path
     support: list[int] = []
     dir_ests: list[DirectionEstimate] = []
     ref_strength = None
     flags = {"ambiguous", "under-determined"}
     for l in range(config.num_paths):
-        de = omp_direction(residual, w, dic, path=l)
+        de = omp_direction(residual, w, dic, path=l, energy=energy)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength

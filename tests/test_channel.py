@@ -196,9 +196,14 @@ def test_mw_schedule_density_and_liveness(region, half_wave):
 
 
 def test_schedule_validation(region, half_wave):
+    with pytest.raises(ValueError, match="at least 3 slots"):  # SW needs a block per subarray
+        make_schedule(build_sw_layout(region, 3, 8, half_wave), total_slots=2)
     lay = build_mw_layout(region, 3, 8, half_wave)
-    with pytest.raises(ValueError):
-        make_schedule(lay, total_slots=2)
+    sch = make_schedule(lay, total_slots=2)  # MW: every subarray observes every slot
+    assert sch.activation.shape == (2, 3, 8)
+    assert sch.activation.any(axis=2).all()
+    with pytest.raises(ValueError, match="at least 1 slots"):
+        make_schedule(lay, total_slots=0)
     with pytest.raises(ValueError):
         make_schedule(lay, total_slots=16, density=0.0)
     with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 """Direction matching, sign-resolved position fusion, and the joint loop."""
 
+import itertools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import passloc.estimator
 from passloc.channel import (
@@ -333,6 +338,8 @@ def test_fusion_stationarity(rng):
 def test_fusion_validation():
     with pytest.raises(ValueError):
         solve_position_ls([[0.0, 0.0]], [0.5, 0.5], [1.0])
+    with pytest.raises(ValueError, match="one cosine per subarray"):
+        resolve_signs([[0.0, 0.0], [5.0, 0.0], [9.0, 3.0]], [0.5])  # would broadcast unchecked
 
 
 def test_sign_consistency_penalty_hand_case():
@@ -389,9 +396,19 @@ def test_single_subarray_is_under_determined():
 
 
 def test_sign_enumeration_cap():
-    refs = np.zeros((21, 2))
+    m = passloc.estimator.MAX_SIGN_SUBARRAYS
+    rng = np.random.default_rng(3)
+    refs, phis = rng.uniform(0, 30, (m, 2)), rng.uniform(-1, 1, m)
+    tracemalloc.start()
+    try:
+        fix = resolve_signs(refs, phis, bounds=((0.0, 30.0), (0.0, 30.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fix.signs.shape == (m,) and np.all(np.isfinite(fix.position))
+    assert peak < 32e6  # chunked candidates: a full 2^20 stack would need over 1 GB
     with pytest.raises(ValueError):
-        resolve_signs(refs, np.zeros(21))
+        resolve_signs(np.zeros((m + 1, 2)), np.zeros(m + 1))
 
 
 def test_feasibility_box_overrides_tie_order():
@@ -406,6 +423,129 @@ def test_feasibility_box_overrides_tie_order():
     # a box covering both mirror basins keeps the lexicographic order
     wide = resolve_signs(refs, phis, bounds=((0.0, 10.0), (-10.0, 10.0)))
     assert wide.position[1] < 0.0
+
+
+def _loop_solve(v, phis, signs, epsilon=1e-9):
+    """The single-candidate projection least-squares solve, one scalar system."""
+    u = np.column_stack([phis, signs * np.sqrt(np.clip(1.0 - phis * phis, 0.0, None))])
+    a = v.shape[0] * np.eye(2) - u.T @ u
+    b = (v - u * np.sum(u * v, axis=1)[:, None]).sum(axis=0)
+    q = np.linalg.solve(a + epsilon * np.eye(2), b)
+    dif = q[None, :] - v
+    cost = float(np.sum(np.sum(dif * dif, axis=1) - np.sum(u * dif, axis=1) ** 2))
+    return q, cost, float(np.linalg.eigvalsh(a)[0])
+
+
+def _loop_ranks(refs, phis, bounds):
+    """Every sign candidate in lexicographic order with its (outside box, cost) rank."""
+    out = []
+    for signs in itertools.product((-1.0, 1.0), repeat=len(phis)):
+        s = np.array(signs)
+        q, cost_ls, lam_min = solve_position_ls(refs, phis, s)
+        cost_pen = float(sign_consistency_penalty(q, refs, phis))
+        outside = False
+        if bounds is not None:
+            (x_lo, x_hi), (y_lo, y_hi) = bounds
+            outside = not (x_lo <= q[0] <= x_hi and y_lo <= q[1] <= y_hi)
+        out.append(((outside, cost_ls + cost_pen), s, q, cost_ls, cost_pen, lam_min))
+    return out
+
+
+def _loop_resolve(refs, phis, bounds):
+    """The per-candidate reference: the first minimum of the ranks."""
+    best = None
+    for cand in _loop_ranks(refs, phis, bounds):
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+@st.composite
+def _fusions(draw, min_m=1):
+    """Anchors, cosines and an optional box; collinear rows and exact mirrors included."""
+    m = draw(st.integers(min_m, 10))
+    kind = draw(st.sampled_from(["spread", "collinear", "mw", "mirror"]))
+    coord = st.floats(0.0, 30.0, allow_nan=False)
+    xs = np.array(draw(st.lists(coord, min_size=m, max_size=m)))
+    ys = np.array(draw(st.lists(coord, min_size=m, max_size=m)))
+    if kind == "collinear":
+        ys[:] = ys[0]
+    elif kind == "mirror":  # a common guide line and exact bearings: mirror candidates tie
+        ys[:] = 15.0
+    elif kind == "mw":
+        xs[:] = 0.0
+    refs = np.column_stack([xs, ys])
+    truth = np.array([draw(coord), draw(coord)])
+    delta = truth - refs
+    r = np.linalg.norm(delta, axis=1)
+    phis = np.where(r > 0.0, delta[:, 0] / np.where(r > 0.0, r, 1.0), 0.0)
+    if kind != "mirror" and draw(st.booleans()):
+        noise = draw(st.lists(st.floats(-0.05, 0.05), min_size=m, max_size=m))
+        phis = np.clip(phis + np.array(noise), -1.0, 1.0)
+    bounds = draw(st.sampled_from([None, ((-1.0, 31.0), (-1.0, 31.0)), ((0.0, 30.0), (15.0, 30.0))]))
+    return refs, phis, bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fusions(), draw_signs=st.data())
+def test_single_solve_matches_the_scalar_system_bit_for_bit(case, draw_signs):
+    refs, phis, _ = case
+    signs = np.array(draw_signs.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(phis),
+                                              max_size=len(phis))))
+    q, cost, lam_min = solve_position_ls(refs, phis, signs)
+    q_ref, cost_ref, lam_ref = _loop_solve(refs, phis, signs)
+    assert q.tobytes() == q_ref.tobytes()
+    assert (cost, lam_min) == (cost_ref, lam_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fusions(), chunk=st.sampled_from([1, 3, 64, passloc.estimator.SIGN_CHUNK]))
+def test_batched_signs_equal_the_candidate_loop_bit_for_bit(case, chunk):
+    """Any chunking of the stacked solve keeps the loop's winner, bits and tie order."""
+    refs, phis, bounds = case
+    with mock.patch.object(passloc.estimator, "SIGN_CHUNK", chunk):
+        fix = resolve_signs(refs, phis, bounds)
+    _, signs, q, cost_ls, cost_pen, lam_min = _loop_resolve(refs, phis, bounds)
+    assert fix.signs.tobytes() == signs.tobytes()
+    assert fix.position.tobytes() == q.tobytes()
+    assert (fix.cost_ls, fix.cost_penalty, fix.lambda_min) == (cost_ls, cost_pen, lam_min)
+    collinear = len(phis) < 3 or np.linalg.svd(refs - refs.mean(axis=0), compute_uv=False)[-1] < 1e-9
+    flags = [("under-determined", len(phis) == 1),
+             ("ill-conditioned", lam_min < passloc.estimator.ILL_CONDITION_TOL),
+             ("ambiguous", collinear)]
+    assert fix.flags == tuple(name for name, fired in flags if fired)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fusions(min_m=2), shift=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+def test_translating_anchors_and_box_translates_the_fix(case, shift):
+    refs, phis, bounds = case
+    t = np.array(shift)
+    fix = resolve_signs(refs, phis, bounds)
+    assume(fix.lambda_min > 1e-2)  # eps-regularized solve: translation error ~ eps / lambda_min
+    cands = _loop_ranks(refs, phis, bounds)
+    ranks = sorted(cand[0] + (i,) for i, cand in enumerate(cands))
+    (out0, c0, _), (out1, c1, _) = ranks[0], ranks[1]
+    # The eps-regularized solve pulls a fix toward the origin by about eps |q| / lambda_min,
+    # which moves costs (m^2, 30 m layout) by up to ~1e-8 and changes under translation, so
+    # only a runner-up more than 1e-6 away, relative and at least 1 m^2 scale, is decisive.
+    assume(out0 != out1 or abs(c1 - c0) > 1e-6 * max(abs(c0), 1.0))
+    if bounds is not None:
+        # no candidate fix near an edge, where rounding could move it across
+        for _, _, q, *_ in cands:
+            edges = np.abs(np.subtract.outer(q, np.array(bounds)))
+            assume(np.min(edges[[0, 1], [0, 1]]) > 1e-6)
+        bounds_t = tuple((lo + ti, hi + ti) for (lo, hi), ti in zip(bounds, t))
+    else:
+        bounds_t = None
+    moved = resolve_signs(refs + t, phis, bounds_t)
+    tol = 1e-6 * (1.0 + np.linalg.norm(t) + np.linalg.norm(fix.position))
+    assert np.array_equal(moved.signs, fix.signs)
+    assert np.linalg.norm(moved.position - (fix.position + t)) < tol
+    q, cost, _ = solve_position_ls(refs, phis, fix.signs)
+    q_t, cost_t, _ = solve_position_ls(refs + t, phis, fix.signs)
+    assert np.linalg.norm(q_t - (q + t)) < tol
+    assert cost_t == pytest.approx(cost, rel=1e-6, abs=1e-9)
 
 
 # --- height-resolved fusion -----------------------------------------------------
@@ -641,6 +781,24 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
         pick = int(np.argmax(np.abs(phi.conj().T @ (y0 + noise))))
         wrong += int(pick != true_idx)
     assert 0 < wrong < 500
+
+
+def test_polar_baseline_projects_once_per_trial(monkeypatch):
+    """Every path of an nf trial reuses one W A projection of the polar dictionary."""
+    from passloc.harness import ExperimentConfig, run_sweep
+
+    calls = []
+
+    def counting(dictionary, w):
+        calls.append(w.shape)
+        return project_dictionary(dictionary, w)
+
+    monkeypatch.setattr(passloc.estimator, "project_dictionary", counting)
+    cfg = ExperimentConfig(scenarios=["nf"], snr_db=[25.0], l=1, trials=3, seed=5, nf_n=32,
+                           slots_per_subarray=16, g_theta=64, nf_rings=4, keep_records=True)
+    records = run_sweep(cfg).records
+    assert [len(r.positions) for r in records] == [2] * cfg.trials
+    assert len(calls) == cfg.trials
 
 
 def test_polar_baseline_requires_single_subarray(region, radio, half_wave):

@@ -14,6 +14,7 @@ import numpy as np
 from passloc.channel import RadioConfig
 from passloc.crlb import calibrate_bearing_sigma, crlb_bound, crlb_heatmap, diversity_score
 from passloc.geometry import ServiceRegion, build_mw_layout, build_sw_layout
+from passloc.harness import ExperimentConfig
 
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
@@ -48,8 +49,8 @@ np.savetxt(out / "bound_heatmap.csv", rows, delimiter=",",
            header="x,y,trace_crlb,lambda_min", comments="")
 print(f"wrote {out / 'bound_heatmap.csv'} ({rows.shape[0]} grid points)")
 
-# sigma is not a free parameter: tie it to a pilot SNR empirically
-layout = build_mw_layout(region, 3, 32, d)
-sig_cal, info = calibrate_bearing_sigma(layout, region, radio, snr_db=20.0, trials=60)
+# sigma is not a free parameter: tie it to a pilot SNR empirically, on the
+# sweep's own mw trials (3 subarrays of 32 PAs in the same 30 m region)
+sig_cal, info = calibrate_bearing_sigma(ExperimentConfig(), "mw", snr_db=20.0, trials=60)
 print(f"\ncalibrated bearing sigma at 20 dB pilots: {sig_cal:.5f} rad "
       f"({info['samples']} samples, provenance '{info['provenance']}')")

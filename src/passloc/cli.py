@@ -3,7 +3,8 @@
 ``simulate`` saves one trial together with its experiment config, narrowed
 to the simulated scenario and SNR; ``estimate`` takes every estimator
 setting from that saved run and dispatches through harness.estimate, so it
-reproduces run_trial's estimate of the same trial.
+reproduces run_trial's estimate of the same trial. It refuses a run whose
+saved region, radio or layout block disagrees with the saved config.
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags,
 missing or invalid config files, saved runs of another schema), 1 for
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from .channel import MEASUREMENT_SCHEMA_VERSION, load_measurement_set, save_measurement_set
 from .crlb import crlb_heatmap
+from .geometry import layout_to_config
 from .harness import (ExperimentConfig, estimate, position_error, run_sweep, scenario_layout,
                       simulate_trial)
 
@@ -60,8 +62,18 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"{args.data} holds measurement schema v{MEASUREMENT_SCHEMA_VERSION} "
                          f"without its experiment; re-run `passloc simulate`")
     cfg = ExperimentConfig.from_dict(data["experiment"]["config"])
+    scenario = cfg.scenarios[0]
+    # W is rebuilt from the saved blocks and the estimator runs on cfg, so they must agree
+    layout, _ = scenario_layout(cfg, scenario)
+    saved_layout = layout_to_config(data["layout"], cfg.region)
+    for name, saved, own in (("region", data["region"], cfg.region),
+                             ("radio", data["radio"], cfg.radio),
+                             ("layout", saved_layout, layout_to_config(layout, cfg.region))):
+        if saved != own:
+            raise ValueError(f"{args.data}: the saved {name} block disagrees with the saved "
+                             f"experiment config; re-run `passloc simulate`")
     scene = data["scene"]
-    result = estimate(cfg, cfg.scenarios[0], data["measurements"], data["layout"])
+    result = estimate(cfg, scenario, data["measurements"], data["layout"])
     report = {
         "true_points": None if scene is None else scene.points.tolist(),
         "positions": [p.position.tolist() for p in result.paths],

@@ -13,15 +13,14 @@ comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import RadioConfig, measure, make_schedule, synthesize_paths
 from .dictionary import AngleGrid
-from .estimator import EstimatorConfig, extract_directions
-from .geometry import ArrayLayout, ServiceRegion, SingularGeometryError, pa_user_distance, sample_scene
-from .harness import ExperimentConfig
+from .estimator import _anchor_distances, extract_directions
+from .geometry import ServiceRegion, SingularGeometryError, pa_user_distance
+from .harness import ExperimentConfig, simulate_trial
 
 SINGULAR_EIG_TOL = 1e-12
 
@@ -138,41 +137,30 @@ def crlb_heatmap(region: ServiceRegion, refs_xy, sigma2: float, grid_n: int = 60
     return np.array(rows)
 
 
-def calibrate_bearing_sigma(
-    layout: ArrayLayout,
-    region: ServiceRegion,
-    radio: RadioConfig,
-    snr_db: float,
-    trials: int = 200,
-    rng_seed=0,
-    g_theta: int = EstimatorConfig.g_theta,
-    slots_per_subarray: int = ExperimentConfig.slots_per_subarray,
-    density: float = ExperimentConfig.density,
-    fixed_height: float = 0.0,
-) -> tuple[float, dict]:
-    """Empirical bearing noise scale at a given SNR.
+def calibrate_bearing_sigma(cfg: ExperimentConfig, scenario: str, snr_db,
+                            trials: int = 200) -> tuple[float, dict]:
+    """Empirical bearing noise scale of a scenario's pilots at a given SNR.
 
-    Runs single-shot direction estimation on random single-path scenes
-    with the anchor distance set to its true value, compares estimated
-    unit bearings (true lateral sign substituted, since sign ambiguity is
-    a separate mechanism) against truth, and returns
-    sqrt(mean ||u_hat - u||^2 / 2) to match the isotropic error model.
-    The details dict records the sample count and per-axis scatter.
+    Trial t is the sweep's own trial t of ``scenario`` (harness.simulate_trial)
+    with the scatterers removed. Each subarray estimates its direction at
+    the true anchor distance; the estimated unit bearing (true lateral sign
+    substituted, since sign ambiguity is a separate mechanism) is compared
+    with the truth, and sqrt(mean ||u_hat - u||^2 / 2) is returned to match
+    the isotropic error model. The details dict records the sample count.
+    The bearing model is planar, so a "3d" config is rejected.
     """
-    rng = np.random.default_rng(rng_seed)
-    grid = AngleGrid.uniform_cosine(g_theta)
-    dh = region.h_pa - fixed_height
-    total_slots = slots_per_subarray * (layout.m if layout.structure.value == "sw" else 1)
+    if cfg.mode == "3d":
+        raise ValueError("bearing calibration needs a '2d' config: the bearing model is planar")
+    single = replace(cfg, l=0)
+    grid = AngleGrid.uniform_cosine(cfg.g_theta)
+    dh = cfg.h_pa - cfg.fixed_height
     sq_sum = 0.0
     count = 0
     for t in range(trials):
-        scene = sample_scene(region, 0, rng.integers(2**63), mode="2d", height=fixed_height)
-        schedule = make_schedule(layout, total_slots, density, rng.integers(2**63))
-        paths = synthesize_paths(layout, scene, radio)
-        ms = measure(layout, schedule, paths, radio, snr_db, rng.integers(2**63))
+        scene, layout, _, _, ms = simulate_trial(single, scenario, snr_db, 0, t)
+        ranges = _anchor_distances(layout, scene.user, "2d")
+        ests = extract_directions(layout, cfg.radio, grid, ms.w, ms.y, ranges, dh=dh)
         deltas = scene.user[:2] - layout.reference_xy
-        ranges = [float(np.linalg.norm(delta)) for delta in deltas]
-        ests = extract_directions(layout, radio, grid, ms.w, ms.y, ranges, dh=dh)
         for delta, r_true, est in zip(deltas, ranges, ests):
             u_true = delta / r_true
             lat = np.sqrt(max(0.0, 1.0 - est.varphi**2))

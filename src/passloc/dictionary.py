@@ -214,11 +214,7 @@ def build_polar_dictionary(
     )
 
 
-DEFAULT_POLAR_RINGS = 16
-
-
-def default_polar_rings(region: ServiceRegion, count: int = DEFAULT_POLAR_RINGS,
-                        r_min: float = 1.0) -> np.ndarray:
+def default_polar_rings(region: ServiceRegion, count: int, r_min: float = 1.0) -> np.ndarray:
     """Geometric ring ladder from r_min out to the region diagonal."""
     if count < 1:
         raise ValueError("need at least one ring")

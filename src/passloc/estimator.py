@@ -24,7 +24,6 @@ from .dictionary import (
     DictionaryError,
     DpDictionary,
     build_dp_dictionary,
-    default_polar_rings,
     project_dictionary,
 )
 from .geometry import ArrayLayout, ServiceRegion, pa_user_distance
@@ -523,8 +522,8 @@ def _refit_gain(position, kind, user, layout, radio, w_list, residuals, amp) -> 
     return gain
 
 
-def arbitrate(iterates, kind, user, layout, radio, w_list, residuals, amp) -> Iterate:
-    """Stage 3: the iterate with the largest refit gain; ties keep the earliest.
+def arbitrate(iterates, kind, user, layout, radio, w_list, residuals, amp) -> tuple[Iterate, float]:
+    """Stage 3: the iterate with the largest refit gain, and that gain; ties keep the earliest.
 
     Near-degenerate sign basins make the refinement oscillate between
     mirror-like fixes of almost equal bearing cost; in the measurement
@@ -535,10 +534,10 @@ def arbitrate(iterates, kind, user, layout, radio, w_list, residuals, amp) -> It
         g = _refit_gain(cand.position, kind, user, layout, radio, w_list, residuals, amp)
         if best_gain is None or g > best_gain * (1.0 + GAIN_TIE_REL):
             best_gain, chosen = g, cand
-    return chosen
+    return chosen, best_gain
 
 
-def polish(position, kind, user, layout, radio, w_list, residuals, amp, box) -> np.ndarray:
+def polish(position, gain, kind, user, layout, radio, w_list, residuals, amp, box) -> np.ndarray:
     """Stage 4: coordinate pattern search maximizing the refit gain near a fix.
 
     The fused position inherits the angular quantization of the far
@@ -546,10 +545,11 @@ def polish(position, kind, user, layout, radio, w_list, residuals, amp, box) -> 
     than that to reconstruct its dominant channel. The search moves one
     coordinate at a time inside ``box`` (None entries are frozen), halves
     the step on failure, and only accepts strict improvements, so exact
-    mirror ties leave the input unchanged.
+    mirror ties leave the input unchanged. ``gain`` is the refit gain at
+    ``position``, as arbitrate returns it.
     """
     q = np.asarray(position, dtype=float).copy()
-    best = _refit_gain(q, kind, user, layout, radio, w_list, residuals, amp)
+    best = gain
     step = POLISH_INIT_STEP
     evals = 0
     dims = [d for d, b in enumerate(box) if b is not None]
@@ -651,7 +651,7 @@ def run_omp_gcl(
             if moved < MOVE_TOL:
                 break
 
-        chosen = arbitrate(iterates, kind, user, layout, radio, w, residuals, amp)
+        chosen, gain = arbitrate(iterates, kind, user, layout, radio, w, residuals, amp)
         strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
         absent = l > 0 and strength < COEFF_FLOOR * ref_strength
         position = chosen.position
@@ -659,7 +659,7 @@ def run_omp_gcl(
             coeffs = np.zeros(layout.m, dtype=complex)
             components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
         else:
-            position = polish(position, kind, user, layout, radio, w, residuals, amp, box)
+            position = polish(position, gain, kind, user, layout, radio, w, residuals, amp, box)
             trace.append({"polish": True, "position": position.tolist()})
             coeffs, components = peel(position, kind, user, layout, radio, w, residuals, amp)
         paths.append(PathEstimateResult(
@@ -698,19 +698,17 @@ def reconstruct_channel(positions, pa_positions, radio: RadioConfig) -> np.ndarr
 
 
 def polar_dictionary(
-    layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, rings=None
+    layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, rings
 ) -> DpDictionary:
     """Joint ring x angle atoms of a single-subarray layout at the config's grid.
 
     The atoms are scene-independent, so a caller running many trials
-    builds them once. ``rings`` defaults to default_polar_rings(region).
+    builds them once; harness.nf_dictionary builds the nf scenario's.
     """
     # Looked up at call time so that a wrapper installed on
     # passloc.dictionary (benchmarks/tracing.py) also sees this build.
     from .dictionary import build_polar_dictionary
 
-    if rings is None:
-        rings = default_polar_rings(config.region)
     grid = AngleGrid.uniform_cosine(config.g_theta)
     dh = config.region.h_pa - config.fixed_height
     return build_polar_dictionary(layout.subarrays[0], radio, grid, rings, mode="2d", dh=dh,
@@ -722,8 +720,7 @@ def run_polar_baseline(
     layout: ArrayLayout,
     radio: RadioConfig,
     config: EstimatorConfig,
-    rings=None,
-    channel_dictionary: DpDictionary | None = None,
+    dictionary: DpDictionary,
 ) -> EstimationResult:
     """Single-array matching over a joint (distance ring, angle) grid.
 
@@ -735,14 +732,12 @@ def run_polar_baseline(
     selected atoms themselves, which keeps the reconstruction on the
     measurement manifold even when the surrogate position is off.
 
-    Pass ``channel_dictionary`` (from polar_dictionary) to reuse atoms
-    across calls; it must match the layout's single subarray.
+    ``dictionary`` comes from polar_dictionary and must match the layout's
+    single subarray.
     """
     if layout.m != 1:
         raise ValueError("polar baseline expects a single-subarray layout")
-    if channel_dictionary is None:
-        channel_dictionary = polar_dictionary(layout, radio, config, rings)
-    dic, w = channel_dictionary, measurements.w[0]
+    dic, w = dictionary, measurements.w[0]
     y = measurements.y[0].astype(complex)
     residual = y.copy()
     ref_xy = layout.reference_xy[0]

@@ -25,7 +25,7 @@ from .channel import (
     measure,
     synthesize_paths,
 )
-from .dictionary import DEFAULT_POLAR_RINGS, DpDictionary, default_polar_rings
+from .dictionary import DpDictionary, default_polar_rings
 from .estimator import (EstimationResult, EstimatorConfig, polar_dictionary, run_omp_gcl,
                         run_polar_baseline)
 from .geometry import (
@@ -61,21 +61,25 @@ def _is_real(v) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of a sweep; serializes to/from JSON."""
+    """Declarative description of a sweep; serializes to/from JSON.
+
+    Fields that configure another module take that module's default, so
+    each default has one owner; nf_rings is owned here.
+    """
 
     scenarios: tuple = ("mw",)
-    mode: str = "2d"
+    mode: str = EstimatorConfig.mode
     m: int = 3
     n: int = 32
     d: float | None = None  # None -> half wavelength
     frequency: float = 28e9
-    n_eff: float = 1.4
-    p0: float = 1.0
+    n_eff: float = RadioConfig.n_eff
+    p0: float = RadioConfig.p0
     size_x: float = 30.0
     size_y: float = 30.0
     h_pa: float = 2.0
-    h_range: tuple = (0.0, 0.0)
-    fixed_height: float = 0.0
+    h_range: tuple = ServiceRegion.h_range
+    fixed_height: float = EstimatorConfig.fixed_height
     l: int = 0
     slots_per_subarray: int = 64
     density: float = 0.5
@@ -85,8 +89,7 @@ class ExperimentConfig:
     g_theta: int = EstimatorConfig.g_theta
     iters: int = EstimatorConfig.max_outer_iters
     nf_n: int = 96
-    nf_rings: int = DEFAULT_POLAR_RINGS
-    keep_records: bool = False
+    nf_rings: int = 16
 
     def __post_init__(self):
         for name in _INT_FIELDS:
@@ -102,9 +105,6 @@ class ExperimentConfig:
                 raise ValueError(f"config field '{name}' must be a number, got {v!r}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"config field 'density' must be in (0, 1], got {self.density!r}")
-        if not isinstance(self.keep_records, bool):
-            raise ValueError(f"config field 'keep_records' must be true or false, "
-                             f"got {self.keep_records!r}")
         scen = tuple(str(s).lower() for s in (
             self.scenarios if isinstance(self.scenarios, (list, tuple)) else [self.scenarios]
         ))
@@ -299,8 +299,7 @@ def estimate(cfg: ExperimentConfig, scenario: str, ms: MeasurementSet, layout: A
     """
     if scenario == "nf":
         dic = polar if polar is not None else nf_dictionary(cfg)
-        return run_polar_baseline(ms, layout, cfg.radio, cfg.estimator_config(),
-                                  channel_dictionary=dic)
+        return run_polar_baseline(ms, layout, cfg.radio, cfg.estimator_config(), dic)
     return run_omp_gcl(ms, layout, cfg.radio, cfg.estimator_config())
 
 
@@ -351,7 +350,7 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
 
 @dataclass
 class SweepResult:
-    """Aggregates plus optional per-trial records."""
+    """Aggregates plus the per-trial records."""
 
     config: ExperimentConfig
     rmse_rows: list = field(default_factory=list)
@@ -377,8 +376,7 @@ class SweepResult:
             "version": SWEEP_SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "trials": self.config.trials,
-            "failed_trials": sum(1 for rec in self.records if rec.failed)
-            if self.records else None,
+            "failed_trials": sum(1 for rec in self.records if rec.failed),
         }
         (out / "meta.json").write_text(json.dumps(meta, indent=2))
 
@@ -388,9 +386,8 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
 
     Aggregates per (scenario, SNR): RMSE and median of the user position
     error over non-failed trials, the flag rate (any flag or failure),
-    linear-mean NMSE in dB, and the pilot slot count. Per-trial records
-    are kept when cfg.keep_records is set. Raises if more than half the
-    trials of any cell fail.
+    linear-mean NMSE in dB, and the pilot slot count; the per-trial records
+    are kept. Raises if more than half the trials of any cell fail.
     """
     result = SweepResult(config=cfg)
     polar = nf_dictionary(cfg) if "nf" in cfg.scenarios else None
@@ -420,6 +417,5 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
                 "scenario": scenario, "snr_db": snr,
                 "nmse_db": to_db(float(np.mean([r.nmse_linear for r in ok]))),
             })
-            if cfg.keep_records:
-                result.records.extend(records)
+            result.records.extend(records)
     return result

@@ -260,7 +260,7 @@ def test_c08_scenario_error_orderings_high_snr():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
         scenarios=("mw", "sw", "sw2", "nf"), m=3,
-        snr_db=(20.0, 22.5, 25.0), trials=200, seed=0, keep_records=True,
+        snr_db=(20.0, 22.5, 25.0), trials=200, seed=0,
     )
     res = run_sweep(cfg)
     recs = {(r.scenario, r.snr_db, r.trial): r for r in res.records}

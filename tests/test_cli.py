@@ -137,6 +137,27 @@ def test_estimate_rejects_runs_without_their_experiment(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("block, edit", [
+    ("radio", lambda meta: meta["experiment"]["config"].update(frequency=30e9)),
+    ("layout", lambda meta: meta["layout"]["reference_xy"][0].__setitem__(1, 14.5)),
+    ("region", lambda meta: meta["layout"]["region"].update(size_y=31.0)),
+], ids=["radio", "layout", "region"])
+def test_estimate_rejects_blocks_that_disagree_with_the_experiment(tmp_path, capsys, block, edit):
+    # W is rebuilt from the saved blocks while the estimator runs on the config, so an
+    # edited copy of either would mix two deployments into one estimate
+    cfg = _write_cfg(tmp_path)
+    data, out = tmp_path / "data", tmp_path / "est"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    meta = json.loads((data / "meta.json").read_text())
+    edit(meta)
+    (data / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"saved {block} block disagrees" in err
+    assert not out.exists()
+
+
 @settings(max_examples=30, deadline=None)
 @given(scenario=st.sampled_from(["mw", "sw", "sw2", "nf"]), mode=st.sampled_from(["2d", "3d"]),
        l=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 1000),
@@ -192,6 +213,15 @@ def test_sweep_command_writes_tables(tmp_path):
     assert json.loads((out / "meta.json").read_text())["config"]["trials"] == 2
 
 
+def test_sweep_meta_counts_failed_trials(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(_write_cfg(tmp_path)), "--trials", "2",
+                     "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert type(meta["failed_trials"]) is int and 0 <= meta["failed_trials"] <= 2
+    assert "keep_records" not in meta["config"]
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = cli_main(["sweep", "--config", str(missing), "--out", str(tmp_path / "o")])
@@ -208,8 +238,8 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    # a misspelt key, and a key that estimator settings once had
-    for key, value in (("snr_grid", [10.0]), ("coeff_floor", 0.001)):
+    # a misspelt key, and keys that estimator settings and sweeps once had
+    for key, value in (("snr_grid", [10.0]), ("coeff_floor", 0.001), ("keep_records", True)):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         code = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -1,9 +1,12 @@
 """Fisher information, bound variants, diversity score, and calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from passloc.channel import RadioConfig
+import passloc.crlb as crlb_mod
+import passloc.harness as harness_mod
 from passloc.crlb import (
     bearing_geometry,
     calibrate_bearing_sigma,
@@ -13,7 +16,8 @@ from passloc.crlb import (
     fisher_information,
 )
 from passloc.estimator import solve_position_ls
-from passloc.geometry import ServiceRegion, SingularGeometryError, build_mw_layout
+from passloc.geometry import SingularGeometryError
+from passloc.harness import ExperimentConfig
 
 CORNERS = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [30.0, 30.0]])
 
@@ -145,16 +149,28 @@ def test_heatmap_marks_singular_rows_infinite(region):
     assert np.all(np.isfinite(rows[np.abs(rows[:, 1] - 15.0) > 1e-9][:, 2]))
 
 
-def test_calibration_tracks_noise_level(region):
-    radio = RadioConfig(frequency=28e9)
-    lay = build_mw_layout(region, 2, 16, radio.wavelength / 2)
-    clean, info = calibrate_bearing_sigma(
-        lay, region, radio, snr_db=None, trials=3, g_theta=512
-    )
-    noisy, _ = calibrate_bearing_sigma(
-        lay, region, radio, snr_db=0.0, trials=3, g_theta=512
-    )
+def test_calibration_tracks_noise_level():
+    cfg = ExperimentConfig(m=2, n=16, g_theta=512)
+    clean, info = calibrate_bearing_sigma(cfg, "mw", None, trials=3)
+    noisy, _ = calibrate_bearing_sigma(cfg, "mw", 0.0, trials=3)
     assert 0.0 < clean < 0.02  # grid quantization only
     assert noisy > clean
     assert info["samples"] == 6
     assert info["provenance"] == "calibrated"
+
+
+def test_calibration_runs_the_sweeps_trials(monkeypatch):
+    """Trial t of the calibration is the sweep's trial t, scatterers removed."""
+    cfg = ExperimentConfig(m=2, n=16, g_theta=64, l=2, seed=7, slots_per_subarray=16)
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return harness_mod.simulate_trial(*args)
+
+    monkeypatch.setattr(crlb_mod, "simulate_trial", spy)
+    calibrate_bearing_sigma(cfg, "sw", 10.0, trials=2)
+    assert [a[1:] for a in seen] == [("sw", 10.0, 0, 0), ("sw", 10.0, 0, 1)]
+    assert all(a[0] == dataclasses.replace(cfg, l=0) for a in seen)
+    with pytest.raises(ValueError, match="planar"):
+        calibrate_bearing_sigma(dataclasses.replace(cfg, mode="3d"), "mw", 10.0, trials=1)

@@ -28,6 +28,7 @@ from passloc.estimator import (
     EstimatorConfig,
     extract_directions,
     omp_direction,
+    polar_dictionary,
     projection_matrix,
     reconstruct_channel,
     resolve_signs,
@@ -516,6 +517,25 @@ def test_batched_signs_equal_the_candidate_loop_bit_for_bit(case, chunk):
     assert fix.flags == tuple(name for name, fired in flags if fired)
 
 
+def _assume_decisive(refs, phis, bounds):
+    """Skip draws whose winner a small change in the costs or fixes could flip.
+
+    The eps-regularized solve pulls a fix toward the origin by about
+    eps |q| / lambda_min, which moves costs (m^2, 30 m layout) by up to ~1e-8,
+    so only a runner-up more than 1e-6 away, relative and at least 1 m^2
+    scale, is decisive. No candidate fix may lie near a box edge either,
+    where rounding could move it across.
+    """
+    cands = _loop_ranks(refs, phis, bounds)
+    ranks = sorted(cand[0] + (i,) for i, cand in enumerate(cands))
+    (out0, c0, _), (out1, c1, _) = ranks[0], ranks[1]
+    assume(out0 != out1 or abs(c1 - c0) > 1e-6 * max(abs(c0), 1.0))
+    if bounds is not None:
+        for _, _, q, *_ in cands:
+            edges = np.abs(np.subtract.outer(q, np.array(bounds)))
+            assume(np.min(edges[[0, 1], [0, 1]]) > 1e-6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_fusions(min_m=2), shift=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
 def test_translating_anchors_and_box_translates_the_fix(case, shift):
@@ -523,18 +543,8 @@ def test_translating_anchors_and_box_translates_the_fix(case, shift):
     t = np.array(shift)
     fix = resolve_signs(refs, phis, bounds)
     assume(fix.lambda_min > 1e-2)  # eps-regularized solve: translation error ~ eps / lambda_min
-    cands = _loop_ranks(refs, phis, bounds)
-    ranks = sorted(cand[0] + (i,) for i, cand in enumerate(cands))
-    (out0, c0, _), (out1, c1, _) = ranks[0], ranks[1]
-    # The eps-regularized solve pulls a fix toward the origin by about eps |q| / lambda_min,
-    # which moves costs (m^2, 30 m layout) by up to ~1e-8 and changes under translation, so
-    # only a runner-up more than 1e-6 away, relative and at least 1 m^2 scale, is decisive.
-    assume(out0 != out1 or abs(c1 - c0) > 1e-6 * max(abs(c0), 1.0))
+    _assume_decisive(refs, phis, bounds)  # the eps pull changes under translation
     if bounds is not None:
-        # no candidate fix near an edge, where rounding could move it across
-        for _, _, q, *_ in cands:
-            edges = np.abs(np.subtract.outer(q, np.array(bounds)))
-            assume(np.min(edges[[0, 1], [0, 1]]) > 1e-6)
         bounds_t = tuple((lo + ti, hi + ti) for (lo, hi), ti in zip(bounds, t))
     else:
         bounds_t = None
@@ -546,6 +556,26 @@ def test_translating_anchors_and_box_translates_the_fix(case, shift):
     q_t, cost_t, _ = solve_position_ls(refs + t, phis, fix.signs)
     assert np.linalg.norm(q_t - (q + t)) < tol
     assert cost_t == pytest.approx(cost, rel=1e-6, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_fusions(min_m=2), data=st.data())
+def test_permuting_subarrays_permutes_the_signs(case, data):
+    """Reordering anchors and cosines together reorders the signs and keeps the fix."""
+    refs, phis, bounds = case
+    p = np.array(data.draw(st.permutations(range(len(phis)))))
+    _assume_decisive(refs, phis, bounds)  # the order of the sums moves costs by rounding
+    fix = resolve_signs(refs, phis, bounds)
+    moved = resolve_signs(refs[p], phis[p], bounds)
+    tol = 1e-9 * (1.0 + np.linalg.norm(fix.position))
+    assert np.array_equal(moved.signs, fix.signs[p])
+    assert np.linalg.norm(moved.position - fix.position) < tol
+    for name in ("cost_ls", "cost_penalty", "lambda_min"):
+        assert getattr(moved, name) == pytest.approx(getattr(fix, name), rel=1e-9, abs=1e-9), name
+    q, cost, lam_min = solve_position_ls(refs, phis, fix.signs)
+    q_p, cost_p, lam_p = solve_position_ls(refs[p], phis[p], fix.signs[p])
+    assert np.linalg.norm(q_p - q) < tol
+    assert (cost_p, lam_p) == pytest.approx((cost, lam_min), rel=1e-9, abs=1e-9)
 
 
 # --- height-resolved fusion -----------------------------------------------------
@@ -737,7 +767,7 @@ def test_polar_baseline_exact_on_joint_grid(region, radio, half_wave):
     # place the user on the negative-y side, matching the reported convention
     user = np.array([0.0 + r * c, 15.0 - r * np.sqrt(1 - c * c)])
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, user, rings)
-    result = run_polar_baseline(ms, lay, radio, cfg, rings=rings)
+    result = run_polar_baseline(ms, lay, radio, cfg, polar_dictionary(lay, radio, cfg, rings))
     assert np.linalg.norm(result.paths[0].position[:2] - user) < 1e-9
     assert "ambiguous" in result.flags
     assert "under-determined" in result.flags
@@ -750,7 +780,7 @@ def test_polar_baseline_off_ring_error_floor(region, radio, half_wave):
     r = 7.0  # halfway between the 5 m and 9 m rings
     user = np.array([r * c, 15.0 - r * np.sqrt(1 - c * c)])
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, user, rings)
-    result = run_polar_baseline(ms, lay, radio, cfg, rings=rings)
+    result = run_polar_baseline(ms, lay, radio, cfg, polar_dictionary(lay, radio, cfg, rings))
     err = np.linalg.norm(result.paths[0].position[:2] - user)
     # any atom sits on some ring, so the error cannot beat half the gap
     assert err >= 2.0 - 1e-9
@@ -795,7 +825,7 @@ def test_polar_baseline_projects_once_per_trial(monkeypatch):
 
     monkeypatch.setattr(passloc.estimator, "project_dictionary", counting)
     cfg = ExperimentConfig(scenarios=["nf"], snr_db=[25.0], l=1, trials=3, seed=5, nf_n=32,
-                           slots_per_subarray=16, g_theta=64, nf_rings=4, keep_records=True)
+                           slots_per_subarray=16, g_theta=64, nf_rings=4)
     records = run_sweep(cfg).records
     assert [len(r.positions) for r in records] == [2] * cfg.trials
     assert len(calls) == cfg.trials
@@ -806,8 +836,9 @@ def test_polar_baseline_requires_single_subarray(region, radio, half_wave):
     scene = sample_scene(region, l=0, rng_seed=0)
     sch = make_schedule(lay, total_slots=16, rng_seed=0)
     ms = measure(lay, sch, synthesize_paths(lay, scene, radio), radio, None)
+    cfg = EstimatorConfig(region=region)
     with pytest.raises(ValueError):
-        run_polar_baseline(ms, lay, radio, EstimatorConfig(region=region))
+        run_polar_baseline(ms, lay, radio, cfg, polar_dictionary(lay, radio, cfg, [5.0]))
 
 
 def test_estimator_config_validation(region):

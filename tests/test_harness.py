@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import passloc.estimator
-from passloc.crlb import calibrate_bearing_sigma
-from passloc.dictionary import DictionaryError
-from passloc.estimator import EstimatorConfig
-from passloc.geometry import SingularGeometryError
+from passloc.channel import RadioConfig
+from passloc.dictionary import DictionaryError, default_polar_rings
+from passloc.estimator import EstimatorConfig, polar_dictionary, run_polar_baseline
+from passloc.geometry import ServiceRegion, SingularGeometryError
 from passloc.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -106,7 +106,7 @@ def test_g_theta_below_two_is_rejected_at_config_time(region):
     ("trials", "3"), ("m", 3.0), ("seed", None), ("l", True), ("g_theta", 512.0),
     ("nf_rings", [16]), ("size_x", "30"), ("density", False), ("d", "0.005"),
     ("snr_db", ["25"]), ("snr_db", [10.0, True]), ("h_range", [0.0]),
-    ("h_range", [0.0, "6"]), ("keep_records", 1),
+    ("h_range", [0.0, "6"]),
 ])
 def test_config_rejects_wrong_value_types(field, value):
     with pytest.raises(ValueError, match=field):
@@ -132,9 +132,16 @@ def test_config_defaults_are_the_estimator_defaults():
     want = EstimatorConfig(region=cfg.region, num_paths=1)
     for f in dataclasses.fields(EstimatorConfig):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
-    calibration = inspect.signature(calibrate_bearing_sigma).parameters
-    for name in ("g_theta", "slots_per_subarray", "density", "fixed_height"):
-        assert calibration[name].default == getattr(cfg, name), name
+    assert cfg.radio == RadioConfig(cfg.frequency)
+    assert cfg.region == ServiceRegion(cfg.size_x, cfg.size_y, cfg.h_pa)
+
+
+def test_nf_rings_is_the_only_ring_count_default():
+    """The layers below the harness take the ring count, or the built dictionary."""
+    for fn, name in ((default_polar_rings, "count"), (polar_dictionary, "rings"),
+                     (run_polar_baseline, "dictionary")):
+        assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty, name
+    assert "rings" not in inspect.signature(run_polar_baseline).parameters
 
 
 def test_scenario_layouts_and_slot_budget():
@@ -199,8 +206,7 @@ def test_trials_share_scenes_across_scenarios():
 
 def test_nf_trial_alone_matches_its_sweep_record():
     # without a prebuilt dictionary run_trial must still honour cfg.nf_rings
-    cfg = ExperimentConfig(scenarios=("nf",), trials=1, snr_db=(25.0,), seed=3, nf_rings=8,
-                           keep_records=True)
+    cfg = ExperimentConfig(scenarios=("nf",), trials=1, snr_db=(25.0,), seed=3, nf_rings=8)
     swept = run_sweep(cfg).records[0]
     alone = run_trial(cfg, "nf", 25.0, 0, trial=0)
     assert not alone.failed
@@ -238,8 +244,7 @@ def test_programming_error_stops_the_sweep(monkeypatch):
 
 def test_small_sweep_aggregates(tmp_path):
     cfg = ExperimentConfig(
-        scenarios=("mw",), trials=3, snr_db=(15.0, 25.0), keep_records=True,
-        g_theta=512, seed=5,
+        scenarios=("mw",), trials=3, snr_db=(15.0, 25.0), g_theta=512, seed=5,
     )
     calls = []
     result = run_sweep(cfg, progress=lambda rec: calls.append(rec.trial))

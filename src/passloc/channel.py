@@ -11,22 +11,11 @@ phase exp(j*k*n_eff*x).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    ArrayLayout,
-    Scene,
-    ServiceRegion,
-    Structure,
-    SubarrayGeometry,
-    layout_from_config,
-    layout_to_config,
-    pa_user_distance,
-)
+from .geometry import ArrayLayout, Scene, Structure, SubarrayGeometry, pa_user_distance
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -292,119 +281,3 @@ def measure(
             ys.append(c)
     return MeasurementSet(tuple(ys), tuple(ws), tuple(slots), sigma2, snr_db, power)
 
-
-# --- persistence -------------------------------------------------------------
-
-MEASUREMENT_SCHEMA_VERSION = 2
-
-
-def save_measurement_set(
-    dirpath,
-    ms: MeasurementSet,
-    region: ServiceRegion,
-    layout: ArrayLayout,
-    schedule: ActivationSchedule,
-    radio: RadioConfig,
-    scene: Scene | None = None,
-    experiment: dict | None = None,
-) -> None:
-    """Write measurements.csv plus a sidecar of activation bits and config.
-
-    Floats are serialized with shortest-round-trip repr, so a load followed
-    by a save reproduces the numbers bit for bit. ``experiment`` is stored
-    verbatim and not interpreted here.
-    """
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    lines = [f"# passloc measurements v{MEASUREMENT_SCHEMA_VERSION}", "subarray,slot,re_y,im_y"]
-    for m in range(ms.m):
-        for sl, v in zip(ms.slot_ids[m], ms.y[m]):
-            lines.append(f"{m},{int(sl)},{float(v.real)!r},{float(v.imag)!r}")
-    (d / "measurements.csv").write_text("\n".join(lines) + "\n")
-
-    bits = {
-        str(m): ["".join(str(int(b)) for b in schedule.activation[t, m]) for t in ms.slot_ids[m]]
-        for m in range(ms.m)
-    }
-    meta = {
-        "version": MEASUREMENT_SCHEMA_VERSION,
-        "layout": layout_to_config(layout, region),
-        "radio": {"frequency": radio.frequency, "n_eff": radio.n_eff, "p0": radio.p0},
-        "schedule": {
-            "slots": schedule.slots,
-            "sw_blocks": list(map(list, schedule.sw_blocks)) if schedule.sw_blocks else None,
-            "activation_bits": bits,
-        },
-        "noise": {"snr_db": ms.snr_db, "noise_variance": ms.noise_variance,
-                  "mean_signal_power": ms.mean_signal_power},
-        "scene": None if scene is None else {
-            "user": [float(v) for v in scene.user],
-            "scatterers": [[float(v) for v in row] for row in scene.scatterers],
-        },
-        "experiment": experiment,
-    }
-    (d / "meta.json").write_text(json.dumps(meta, indent=2))
-
-
-def load_measurement_set(dirpath) -> dict:
-    """Rebuild everything save_measurement_set wrote.
-
-    Returns a dict with keys region, layout, schedule, radio, measurements,
-    scene and experiment (each None when absent). Measurement matrices are
-    recomputed from the stored activation bits and layout, which is
-    deterministic.
-    """
-    d = Path(dirpath)
-    meta = json.loads((d / "meta.json").read_text())
-    version = meta.get("version")
-    if version != MEASUREMENT_SCHEMA_VERSION:
-        raise ValueError(f"{d} holds measurement schema v{version}, this version reads "
-                         f"v{MEASUREMENT_SCHEMA_VERSION}; re-run `passloc simulate`")
-    region, layout = layout_from_config(meta["layout"])
-    radio = RadioConfig(**meta["radio"])
-    sch = meta["schedule"]
-    slots = int(sch["slots"])
-    act = np.zeros((slots, layout.m, layout.pas_per_subarray), dtype=np.uint8)
-    blocks = tuple(tuple(b) for b in sch["sw_blocks"]) if sch["sw_blocks"] else None
-    for m_str, rows in sch["activation_bits"].items():
-        m = int(m_str)
-        sl = np.arange(*blocks[m]) if blocks is not None else np.arange(slots)
-        for t, bitstr in zip(sl, rows):
-            act[t, m] = np.frombuffer(bitstr.encode(), dtype=np.uint8) - ord("0")
-    schedule = ActivationSchedule(layout.structure, slots, act, blocks)
-
-    per_sub: dict[int, list[tuple[int, complex]]] = {m: [] for m in range(layout.m)}
-    body = (d / "measurements.csv").read_text().splitlines()
-    for line in body:
-        if not line or line.startswith("#") or line.startswith("subarray"):
-            continue
-        m_s, t_s, re_s, im_s = line.split(",")
-        per_sub[int(m_s)].append((int(t_s), complex(float(re_s), float(im_s))))
-    ys, ws, slot_ids = [], [], []
-    for m in range(layout.m):
-        rows = per_sub[m]
-        sl = np.array([t for t, _ in rows], dtype=int)
-        ys.append(np.array([v for _, v in rows], dtype=complex))
-        ws.append(measurement_matrix(layout.subarrays[m], schedule.activation[sl, m, :], radio))
-        slot_ids.append(sl)
-    ms = MeasurementSet(
-        tuple(ys),
-        tuple(ws),
-        tuple(slot_ids),
-        float(meta["noise"]["noise_variance"]),
-        meta["noise"]["snr_db"],
-        float(meta["noise"]["mean_signal_power"]),
-    )
-    scene = None
-    if meta.get("scene"):
-        scene = Scene(np.array(meta["scene"]["user"]),
-                      np.array(meta["scene"]["scatterers"]).reshape(-1, 3))
-    return {
-        "region": region,
-        "layout": layout,
-        "schedule": schedule,
-        "radio": radio,
-        "measurements": ms,
-        "scene": scene,
-        "experiment": meta.get("experiment"),
-    }

@@ -1,14 +1,13 @@
 """Command-line front end: simulate, estimate, crlb, sweep.
 
-``simulate`` saves one trial together with its experiment config, narrowed
-to the simulated scenario and SNR; ``estimate`` takes every estimator
-setting from that saved run and dispatches through harness.estimate, so it
-reproduces run_trial's estimate of the same trial. It refuses a run whose
-saved region, radio or layout block disagrees with the saved config.
+``simulate`` saves one trial with its experiment config narrowed to the
+simulated scenario and SNR (harness.save_run); ``estimate`` reads it back
+(harness.load_run) and dispatches through harness.estimate on the saved
+config, so it reproduces run_trial's estimate of the same trial.
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags,
-missing or invalid config files, saved runs of another schema), 1 for
-runtime failures.
+missing or invalid config files, saved runs of another schema or with
+corrupt pilots), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import MEASUREMENT_SCHEMA_VERSION, load_measurement_set, save_measurement_set
 from .crlb import crlb_heatmap
-from .geometry import layout_to_config
-from .harness import (ExperimentConfig, estimate, position_error, run_sweep, scenario_layout,
-                      simulate_trial)
+from .harness import (ExperimentConfig, estimate, load_run, position_error, run_sweep, save_run,
+                      scenario_layout)
 
 CRLB_SCHEMA_VERSION = 1
 
@@ -44,38 +41,18 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    scenario = cfg.scenarios[0]
-    snr = cfg.snr_db[0]
-    scene, layout, schedule, _, ms = simulate_trial(cfg, scenario, snr, 0, args.trial)
-    cell = dataclasses.replace(cfg, scenarios=[scenario], snr_db=[snr])
-    experiment = {"config": cell.to_dict(), "trial": args.trial}
-    save_measurement_set(args.out, ms, cfg.region, layout, schedule, cfg.radio, scene=scene,
-                         experiment=experiment)
-    print(f"wrote {Path(args.out) / 'measurements.csv'} "
-          f"({sum(len(y) for y in ms.y)} observations, scenario={scenario}, snr={snr} dB)")
+    ms = save_run(args.out, cfg, args.trial)
+    print(f"wrote {Path(args.out) / 'measurements.csv'} ({sum(len(y) for y in ms.y)} "
+          f"observations, scenario={cfg.scenarios[0]}, snr={cfg.snr_db[0]} dB)")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    data = load_measurement_set(args.data)
-    if data["experiment"] is None:
-        raise ValueError(f"{args.data} holds measurement schema v{MEASUREMENT_SCHEMA_VERSION} "
-                         f"without its experiment; re-run `passloc simulate`")
-    cfg = ExperimentConfig.from_dict(data["experiment"]["config"])
-    scenario = cfg.scenarios[0]
-    # W is rebuilt from the saved blocks and the estimator runs on cfg, so they must agree
-    layout, _ = scenario_layout(cfg, scenario)
-    saved_layout = layout_to_config(data["layout"], cfg.region)
-    for name, saved, own in (("region", data["region"], cfg.region),
-                             ("radio", data["radio"], cfg.radio),
-                             ("layout", saved_layout, layout_to_config(layout, cfg.region))):
-        if saved != own:
-            raise ValueError(f"{args.data}: the saved {name} block disagrees with the saved "
-                             f"experiment config; re-run `passloc simulate`")
-    scene = data["scene"]
-    result = estimate(cfg, scenario, data["measurements"], data["layout"])
+    run = load_run(args.data)
+    cfg, scene = run.config, run.scene
+    result = estimate(cfg, cfg.scenarios[0], run.measurements, run.layout)
     report = {
-        "true_points": None if scene is None else scene.points.tolist(),
+        "true_points": scene.points.tolist(),
         "positions": [p.position.tolist() for p in result.paths],
         "flags": list(result.flags),
         "paths": [
@@ -92,9 +69,8 @@ def _cmd_estimate(args) -> int:
             }
             for p in result.paths
         ],
+        "user_error_m": position_error(scene.user, result.paths[0].position, cfg.mode),
     }
-    if scene is not None:
-        report["user_error_m"] = position_error(scene.user, result.paths[0].position, cfg.mode)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "estimate.json").write_text(json.dumps(report, indent=2))
@@ -103,14 +79,13 @@ def _cmd_estimate(args) -> int:
         px, py, pz = (float(v) for v in p.position)
         lines.append(f"{p.path},{px!r},{py!r},{pz!r},{int(p.absent)}")
     (out / "positions.csv").write_text("\n".join(lines) + "\n")
-    msg = f"wrote {out / 'estimate.json'}"
-    if "user_error_m" in report:
-        msg += f" (user error {report['user_error_m']:.4g} m)"
-    print(msg)
+    print(f"wrote {out / 'estimate.json'} (user error {report['user_error_m']:.4g} m)")
     return 0
 
 
 def _cmd_crlb(args) -> int:
+    if not args.sigma > 0.0:
+        raise ValueError(f"--sigma must be positive, got {args.sigma}")
     cfg = _load_config(args)
     layout, _ = scenario_layout(cfg, cfg.scenarios[0])
     rows = crlb_heatmap(cfg.region, layout.reference_xy, args.sigma**2,

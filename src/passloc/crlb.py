@@ -65,8 +65,8 @@ def bearing_geometry(target_xy, refs_xy):
 
 def fisher_information(target_xy, refs_xy, sigma2: float) -> np.ndarray:
     """Exact 2x2 information matrix sum_m P_m / (sigma2 * r_m^2)."""
-    if sigma2 <= 0.0:
-        raise ValueError("bearing noise variance must be positive")
+    if not sigma2 > 0.0:
+        raise ValueError(f"bearing noise variance must be positive, got {sigma2}")
     _, ranges, projectors = bearing_geometry(target_xy, refs_xy)
     return (projectors / (ranges**2)[:, None, None]).sum(axis=0) / sigma2
 
@@ -83,12 +83,12 @@ def crlb_bound(target_xy, refs_xy, sigma2: float, mode: str = "exact") -> CrlbRe
     if mode not in ("exact", "paper"):
         raise ValueError("mode must be 'exact' or 'paper'")
     q = np.asarray(target_xy, dtype=float).reshape(2)
+    fim = fisher_information(q, refs_xy, sigma2)
     _, ranges, projectors = bearing_geometry(q, refs_xy)
     psum = projectors.sum(axis=0)
     evals, evecs = np.linalg.eigh(psum)
     lam_min = float(evals[0])
     rep_range = float(np.exp(np.mean(np.log(ranges))))
-    fim = (projectors / (ranges**2)[:, None, None]).sum(axis=0) / sigma2
 
     if lam_min < SINGULAR_EIG_TOL:
         inf_mat = np.full((2, 2), np.inf)
@@ -124,6 +124,8 @@ def crlb_heatmap(region: ServiceRegion, refs_xy, sigma2: float, grid_n: int = 60
     The margin keeps grid points off the references themselves; points
     with singular geometry report an infinite trace.
     """
+    if grid_n < 1:
+        raise ValueError(f"heatmap grid needs at least one point per axis, got {grid_n}")
     xs = np.linspace(margin, region.size_x - margin, grid_n)
     ys = np.linspace(margin, region.size_y - margin, grid_n)
     rows = []

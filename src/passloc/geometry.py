@@ -86,23 +86,6 @@ class ServiceRegion:
             and np.all(p[:, 1] <= self.size_y)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "size_x": self.size_x,
-            "size_y": self.size_y,
-            "h_pa": self.h_pa,
-            "h_range": list(self.h_range),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServiceRegion":
-        return cls(
-            size_x=float(d["size_x"]),
-            size_y=float(d["size_y"]),
-            h_pa=float(d["h_pa"]),
-            h_range=tuple(d.get("h_range", (0.0, 0.0))),
-        )
-
 
 @dataclass(frozen=True)
 class SubarrayGeometry:
@@ -336,41 +319,7 @@ def sample_scene(
     return Scene(np.array(user), np.array(scatterers).reshape(l, 3))
 
 
-# --- serialization -----------------------------------------------------------
-
-GEOMETRY_SCHEMA_VERSION = 1
-
-
-def layout_to_config(layout: ArrayLayout, region: ServiceRegion, seed=None) -> dict:
-    """JSON-ready description: region, structure, m, n, d, seed, anchors."""
-    return {
-        "version": GEOMETRY_SCHEMA_VERSION,
-        "region": region.to_dict(),
-        "structure": layout.structure.value,
-        "m": layout.m,
-        "n": layout.pas_per_subarray,
-        "d": layout.pa_spacing,
-        "seed": seed,
-        "reference_xy": [[float(x), float(y)] for x, y in layout.reference_xy],
-    }
-
-
-def layout_from_config(cfg: dict) -> tuple[ServiceRegion, ArrayLayout]:
-    """Rebuild (region, layout) from a config dict.
-
-    When explicit anchors are present they win (exact round trip);
-    otherwise the layout is rebuilt from (structure, m, n, d).
-    """
-    region = ServiceRegion.from_dict(cfg["region"])
-    structure = Structure(cfg["structure"])
-    n = int(cfg["n"])
-    d = float(cfg["d"])
-    refs = cfg.get("reference_xy")
-    if refs is not None:
-        return region, custom_layout(region, structure, refs, n, d)
-    m = int(cfg["m"])
-    builder = build_sw_layout if structure is Structure.SW else build_mw_layout
-    return region, builder(region, m, n, d)
+# --- plotting exports ---------------------------------------------------------
 
 
 def layout_points_csv(layout: ArrayLayout, path) -> None:

@@ -1,4 +1,4 @@
-"""Experiment orchestration: scenarios, trials, metrics, and sweep outputs.
+"""Experiment orchestration: scenarios, trials, saved runs, metrics, and sweep outputs.
 
 A sweep runs one or more deployment scenarios over an SNR grid with
 paired scenes: the scene seed depends only on the master seed and the
@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .channel import (
     channel_vector,
     make_schedule,
     measure,
+    measurement_matrix,
     synthesize_paths,
 )
 from .dictionary import DpDictionary, default_polar_rings
@@ -30,6 +32,7 @@ from .estimator import (EstimationResult, EstimatorConfig, polar_dictionary, run
                         run_polar_baseline)
 from .geometry import (
     ArrayLayout,
+    Scene,
     ServiceRegion,
     Structure,
     build_mw_layout,
@@ -348,6 +351,106 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
     )
 
 
+# --- saved runs -----------------------------------------------------------------
+
+RUN_SCHEMA_VERSION = 3
+
+
+@dataclass(frozen=True)
+class SavedRun:
+    """A trial read back by load_run: its experiment and what the estimator sees."""
+
+    config: ExperimentConfig  # narrowed to one scenario at one SNR
+    trial: int
+    layout: ArrayLayout
+    measurements: MeasurementSet
+    scene: Scene
+
+
+def save_run(dirpath, cfg: ExperimentConfig, trial: int) -> MeasurementSet:
+    """Simulate one trial of cfg's first scenario at its first SNR and save it.
+
+    measurements.csv holds the pilots; meta.json holds the config narrowed
+    to that cell, the trial index, each subarray's activation bits in
+    observation order, the noise variance and mean signal power, and the
+    scene. Region, radio, layout and SNR follow from the config. Floats are
+    written with shortest-round-trip repr, so load_run rebuilds the
+    measurements bit for bit.
+    """
+    cell = replace(cfg, scenarios=[cfg.scenarios[0]], snr_db=[cfg.snr_db[0]])
+    scene, _, schedule, _, ms = simulate_trial(cell, cell.scenarios[0], cell.snr_db[0], 0, trial)
+    d = Path(dirpath)
+    d.mkdir(parents=True, exist_ok=True)
+    lines = [f"# passloc measurements v{RUN_SCHEMA_VERSION}", "subarray,slot,re_y,im_y"]
+    for m, (slots, y) in enumerate(zip(ms.slot_ids, ms.y)):
+        lines += [f"{m},{int(t)},{float(v.real)!r},{float(v.imag)!r}" for t, v in zip(slots, y)]
+    (d / "measurements.csv").write_text("\n".join(lines) + "\n")
+    meta = {
+        "version": RUN_SCHEMA_VERSION,
+        "experiment": {"config": cell.to_dict(), "trial": trial},
+        "activation_bits": {str(m): ["".join(map(str, schedule.activation[t, m])) for t in slots]
+                            for m, slots in enumerate(ms.slot_ids)},
+        "noise": {"noise_variance": ms.noise_variance, "mean_signal_power": ms.mean_signal_power},
+        "scene": {"user": scene.user.tolist(), "scatterers": scene.scatterers.tolist()},
+    }
+    (d / "meta.json").write_text(json.dumps(meta, indent=2))
+    return ms
+
+
+def load_run(dirpath) -> SavedRun:
+    """Read a directory written by save_run.
+
+    The layout comes from scenario_layout on the saved config, and each
+    subarray's W is measurement_matrix over its own saved activation rows.
+    The pilots are outside input: a subarray index outside the layout, an
+    activation-row count that differs from the observation count, or a bit
+    string that is not N characters of 0 and 1 raises a ValueError naming
+    the subarray. Runs of another schema raise a ValueError naming theirs.
+    """
+    d = Path(dirpath)
+    meta = json.loads((d / "meta.json").read_text())
+    version = meta.get("version")
+    if version != RUN_SCHEMA_VERSION:
+        raise ValueError(f"{d} holds measurement schema v{version}, this version reads "
+                         f"v{RUN_SCHEMA_VERSION}; re-run `passloc simulate`")
+    cfg = ExperimentConfig.from_dict(meta["experiment"]["config"])
+    layout, _ = scenario_layout(cfg, cfg.scenarios[0])
+    n = layout.pas_per_subarray
+
+    def subarray(index) -> int:
+        m = int(index)
+        if not 0 <= m < layout.m:
+            raise ValueError(f"{d}: subarray {m} lies outside the {layout.m}-subarray layout")
+        return m
+
+    observed = [[] for _ in range(layout.m)]
+    for line in (d / "measurements.csv").read_text().splitlines():
+        if line and not line.startswith(("#", "subarray")):
+            m_s, t_s, re_s, im_s = line.split(",")
+            observed[subarray(m_s)].append((int(t_s), complex(float(re_s), float(im_s))))
+    bits = {subarray(m_s): rows for m_s, rows in meta["activation_bits"].items()}
+    ys, ws, slot_ids = [], [], []
+    for m, (sub, obs) in enumerate(zip(layout.subarrays, observed)):
+        rows = bits.get(m, [])
+        if not obs or len(rows) != len(obs):
+            raise ValueError(f"{d}: subarray {m} has {len(rows)} activation rows for "
+                             f"{len(obs)} observations")
+        for row in rows:
+            if not (isinstance(row, str) and len(row) == n and set(row) <= {"0", "1"}):
+                raise ValueError(f"{d}: subarray {m} has activation row {row!r}, "
+                                 f"not {n} characters of 0 and 1")
+        act = np.frombuffer("".join(rows).encode(), dtype=np.uint8).reshape(-1, n) - ord("0")
+        ws.append(measurement_matrix(sub, act, cfg.radio))
+        slot_ids.append(np.array([t for t, _ in obs], dtype=int))
+        ys.append(np.array([v for _, v in obs], dtype=complex))
+    noise = meta["noise"]
+    ms = MeasurementSet(tuple(ys), tuple(ws), tuple(slot_ids), float(noise["noise_variance"]),
+                        cfg.snr_db[0], float(noise["mean_signal_power"]))
+    scene = Scene(np.array(meta["scene"]["user"]),
+                  np.array(meta["scene"]["scatterers"]).reshape(-1, 3))
+    return SavedRun(cfg, int(meta["experiment"]["trial"]), layout, ms, scene)
+
+
 @dataclass
 class SweepResult:
     """Aggregates plus the per-trial records."""
@@ -372,11 +475,14 @@ class SweepResult:
         for r in self.nmse_rows:
             lines.append(f"{r['scenario']},{r['snr_db']!r},{r['nmse_db']!r}")
         (out / "nmse.csv").write_text("\n".join(lines) + "\n")
+        # error_message is "<exception class>: <message>" (run_trial)
+        errors = Counter(r.error_message.partition(":")[0] for r in self.records if r.failed)
         meta = {
             "version": SWEEP_SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "trials": self.config.trials,
-            "failed_trials": sum(1 for rec in self.records if rec.failed),
+            "failed_trials": errors.total(),
+            "failed_by_error": dict(sorted(errors.items())),
         }
         (out / "meta.json").write_text(json.dumps(meta, indent=2))
 

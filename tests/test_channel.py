@@ -9,11 +9,9 @@ import pytest
 from passloc.channel import (
     RadioConfig,
     channel_vector,
-    load_measurement_set,
     make_schedule,
     measure,
     path_vector,
-    save_measurement_set,
     synthesize_paths,
     waveguide_vector,
 )
@@ -287,29 +285,6 @@ def test_measure_validates_layout_schedule_pairing(region, radio, half_wave):
         measure(other, sch, synthesize_paths(other, scene, radio), radio, None)
     with pytest.raises(ValueError):
         measure(lay, sch, paths[:1], radio, None)
-
-
-# --- persistence -------------------------------------------------------------
-
-
-def test_measurement_round_trip_bit_exact(region, radio, half_wave, tmp_path):
-    lay = build_sw_layout(region, 2, 8, half_wave)
-    scene = sample_scene(region, l=1, rng_seed=8)
-    paths = synthesize_paths(lay, scene, radio)
-    sch = make_schedule(lay, total_slots=12, rng_seed=8)
-    ms = measure(lay, sch, paths, radio, snr_db=15.0, rng_seed=8)
-    save_measurement_set(tmp_path / "ms", ms, region, lay, sch, radio, scene=scene)
-    got = load_measurement_set(tmp_path / "ms")
-    ms2 = got["measurements"]
-    for m in range(2):
-        assert np.array_equal(ms2.y[m], ms.y[m])
-        assert np.array_equal(ms2.w[m], ms.w[m])
-        assert np.array_equal(ms2.slot_ids[m], ms.slot_ids[m])
-    assert ms2.noise_variance == ms.noise_variance
-    assert got["region"] == region
-    assert np.allclose(got["layout"].reference_positions, lay.reference_positions)
-    assert isinstance(got["scene"], Scene)
-    assert np.array_equal(got["scene"].points, scene.points)
 
 
 def test_mirror_scene_channels_identical_under_sw(region, radio, half_wave):

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from passloc.channel import load_measurement_set, save_measurement_set
 from passloc.cli import cli_main
-from passloc.harness import ExperimentConfig, run_trial, simulate_trial
+from passloc.harness import ExperimentConfig, load_run, run_trial, simulate_trial
 import passloc.harness as harness_mod
 
 
@@ -35,9 +34,7 @@ def test_simulate_then_estimate(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(data), "--trial", "1"]) == 0
     assert (data / "measurements.csv").exists()
     assert (data / "meta.json").exists()
-    loaded = load_measurement_set(data)
-    assert loaded["scene"] is not None
-    assert loaded["measurements"].m == 3
+    assert load_run(data).measurements.m == 3
 
     out = tmp_path / "est"
     assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 0
@@ -56,7 +53,7 @@ def test_simulate_writes_the_measurements_of_run_trial(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path)
     data = tmp_path / "data"
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(data), "--trial", "1"]) == 0
-    written = load_measurement_set(data)["measurements"]
+    written = load_run(data).measurements
 
     seen = []
 
@@ -118,43 +115,61 @@ def test_estimate_polar_baseline_on_single_guide(tmp_path):
 
 
 def test_estimate_rejects_runs_without_their_experiment(tmp_path, capsys):
+    # v1 runs stored no experiment; v2 runs stored the deployment a second time
     cfg = _write_cfg(tmp_path)
-    old = tmp_path / "v1"
-    assert cli_main(["simulate", "--config", str(cfg), "--out", str(old)]) == 0
-    meta = json.loads((old / "meta.json").read_text())
-    (old / "meta.json").write_text(json.dumps(dict(meta, version=1)))
-    # a v2 run written by the library call, which stores no experiment by default
-    bare = tmp_path / "bare"
-    exp = ExperimentConfig.from_json(cfg)
-    scene, layout, schedule, _, ms = simulate_trial(exp, "mw", 25.0, 0, 0)
-    save_measurement_set(bare, ms, exp.region, layout, schedule, exp.radio, scene=scene)
+    data = tmp_path / "data"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    meta = json.loads((data / "meta.json").read_text())
     capsys.readouterr()
-    for data, version in ((old, "v1"), (bare, "v2")):
-        out = tmp_path / f"est_{data.name}"
+    for version in (1, 2):
+        (data / "meta.json").write_text(json.dumps(dict(meta, version=version)))
+        out = tmp_path / f"est_v{version}"
         assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"schema {version}" in err and "re-run `passloc simulate`" in err
+        assert f"schema v{version}" in err and "re-run `passloc simulate`" in err
         assert not out.exists()
 
 
-@pytest.mark.parametrize("block, edit", [
-    ("radio", lambda meta: meta["experiment"]["config"].update(frequency=30e9)),
-    ("layout", lambda meta: meta["layout"]["reference_xy"][0].__setitem__(1, 14.5)),
-    ("region", lambda meta: meta["layout"]["region"].update(size_y=31.0)),
-], ids=["radio", "layout", "region"])
-def test_estimate_rejects_blocks_that_disagree_with_the_experiment(tmp_path, capsys, block, edit):
-    # W is rebuilt from the saved blocks while the estimator runs on the config, so an
-    # edited copy of either would mix two deployments into one estimate
+def _truncate_rows(meta, rows):
+    meta["activation_bits"]["0"] = meta["activation_bits"]["0"][:10]
+
+
+def _overwrite_row(meta, rows):
+    meta["activation_bits"]["1"][5] = "2" * len(meta["activation_bits"]["1"][5])
+
+
+def _shorten_row(meta, rows):
+    meta["activation_bits"]["2"][0] = meta["activation_bits"]["2"][0][:-1]
+
+
+def _bits_of_a_fourth_subarray(meta, rows):
+    meta["activation_bits"]["3"] = meta["activation_bits"]["2"]
+
+
+def _csv_row_of_a_fourth_subarray(meta, rows):
+    rows.append("3" + rows[-1][1:])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate_rows, "subarray 0 has 10 activation rows for 64 observations"),
+    (_overwrite_row, "subarray 1 has activation row '2222"),
+    (_shorten_row, "subarray 2 has activation row"),
+    (_bits_of_a_fourth_subarray, "subarray 3 lies outside the 3-subarray layout"),
+    (_csv_row_of_a_fourth_subarray, "subarray 3 lies outside the 3-subarray layout"),
+], ids=["truncated-rows", "non-binary-row", "short-row", "bits-index", "csv-index"])
+def test_estimate_rejects_corrupt_pilots(tmp_path, capsys, corrupt, message):
+    # truncated rows once gave W all-zero rows, and a row of 2s a doubled W row, with exit 0
     cfg = _write_cfg(tmp_path)
     data, out = tmp_path / "data", tmp_path / "est"
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
     meta = json.loads((data / "meta.json").read_text())
-    edit(meta)
+    rows = (data / "measurements.csv").read_text().splitlines()
+    corrupt(meta, rows)
     (data / "meta.json").write_text(json.dumps(meta))
+    (data / "measurements.csv").write_text("\n".join(rows) + "\n")
     capsys.readouterr()
     assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"saved {block} block disagrees" in err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -170,24 +185,24 @@ def test_saved_run_round_trips_bit_for_bit(scenario, mode, l, seed, trial, snr):
         cfg.to_json(cfg_path)
         assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(data),
                          "--trial", str(trial)]) == 0
-        loaded = load_measurement_set(data)
+        loaded = load_run(data)
     scene, layout, _, _, ms = simulate_trial(cfg, scenario, snr, 0, trial)
 
     def same_bits(a, b):
         a, b = np.asarray(a), np.asarray(b)
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    got = loaded["measurements"]
+    got = loaded.measurements
     for name in ("y", "w", "slot_ids"):
         for a, b in zip(getattr(got, name), getattr(ms, name), strict=True):
             assert same_bits(a, b), name
     for name in ("noise_variance", "snr_db", "mean_signal_power"):
         assert same_bits(getattr(got, name), getattr(ms, name)), name
-    assert same_bits(loaded["scene"].points, scene.points)
-    assert same_bits(loaded["layout"].pa_positions, layout.pa_positions)
-    narrowed = dataclasses.replace(cfg, scenarios=[scenario], snr_db=[snr])
-    assert ExperimentConfig.from_dict(loaded["experiment"]["config"]) == narrowed
-    assert loaded["experiment"]["trial"] == trial
+    assert got.snr_db == loaded.config.snr_db[0]
+    assert same_bits(loaded.scene.points, scene.points)
+    assert same_bits(loaded.layout.pa_positions, layout.pa_positions)
+    assert loaded.config == dataclasses.replace(cfg, scenarios=[scenario], snr_db=[snr])
+    assert loaded.trial == trial
 
 
 def test_crlb_heatmap_output(tmp_path):
@@ -200,6 +215,19 @@ def test_crlb_heatmap_output(tmp_path):
     assert len(lines) == 2 + 36
     vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     assert np.all(vals[:, 2] > 0)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "0"], "--sigma must be positive"),
+    (["--sigma", "-0.01"], "--sigma must be positive"),
+    (["--grid", "0"], "heatmap grid needs at least one point"),
+], ids=["sigma-zero", "sigma-negative", "grid-zero"])
+def test_crlb_rejects_degenerate_bounds(tmp_path, capsys, flags, message):
+    # --sigma 0 once wrote a table of nan traces and --grid 0 an empty one, both with exit 0
+    out = tmp_path / "crlb.csv"
+    assert cli_main(["crlb", "--m", "4", "--grid", "6", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_command_writes_tables(tmp_path):
@@ -298,6 +326,11 @@ def test_scenario_and_snr_overrides(tmp_path):
     )
     assert code == 0
     meta = json.loads((data / "meta.json").read_text())
-    assert meta["layout"]["structure"] == "sw"
-    assert len(meta["layout"]["reference_xy"]) == 2
-    assert meta["noise"]["snr_db"] == 30.0
+    # the deployment and the SNR are stored once, in the experiment config
+    assert set(meta) == {"version", "experiment", "activation_bits", "noise", "scene"}
+    assert set(meta["noise"]) == {"noise_variance", "mean_signal_power"}
+    assert meta["experiment"]["config"]["scenarios"] == ["sw2"]
+    assert meta["experiment"]["config"]["snr_db"] == [30.0]
+    run = load_run(data)
+    assert run.layout.structure.value == "sw" and run.layout.m == 2
+    assert run.measurements.snr_db == 30.0

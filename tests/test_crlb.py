@@ -66,6 +66,16 @@ def test_fisher_validation():
         fisher_information([0.0, 0.0], CORNERS, sigma2=0.01)
 
 
+def test_bound_uses_the_fisher_information_and_its_checks(region):
+    q = [12.0, 7.0]
+    assert np.array_equal(crlb_bound(q, CORNERS, 1e-4).fim, fisher_information(q, CORNERS, 1e-4))
+    for sigma2 in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            crlb_bound(q, CORNERS, sigma2)
+    with pytest.raises(ValueError, match="at least one point"):
+        crlb_heatmap(region, CORNERS, 1e-4, grid_n=0)
+
+
 def test_paper_bound_equals_exact_at_equal_ranges():
     target = np.array([15.0, 15.0])
     ang = np.deg2rad([10.0, 95.0, 200.0, 300.0])

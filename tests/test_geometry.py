@@ -1,6 +1,4 @@
-"""Geometry layer: regions, layouts, distances, scenes, serialization."""
-
-import json
+"""Geometry layer: regions, layouts, distances, scenes, plotting exports."""
 
 import numpy as np
 import pytest
@@ -13,9 +11,7 @@ from passloc.geometry import (
     build_mw_layout,
     build_sw_layout,
     custom_layout,
-    layout_from_config,
     layout_points_csv,
-    layout_to_config,
     pa_user_distance,
     sample_scene,
     scene_points_csv,
@@ -213,31 +209,7 @@ def test_scene_mean_position_close_to_region_center(region):
     assert np.all(np.abs(pts.mean(axis=0) - region.center) < 0.02 * 30.0)
 
 
-# --- serialization -----------------------------------------------------------
-
-
-def test_layout_config_round_trip(region, half_wave):
-    lay = build_mw_layout(region, 4, 32, half_wave)
-    cfg = layout_to_config(lay, region, seed=11)
-    reg2, lay2 = layout_from_config(cfg)
-    assert reg2 == region
-    assert lay2.structure is Structure.MW
-    assert np.allclose(lay2.reference_positions, lay.reference_positions)
-    assert lay2.pas_per_subarray == 32 and lay2.pa_spacing == half_wave
-
-    stored = json.loads(json.dumps(cfg))
-    assert stored["seed"] == 11
-    reg3, lay3 = layout_from_config(stored)
-    assert reg3 == region
-    assert np.array_equal(lay3.pa_positions, lay.pa_positions)
-
-
-def test_config_without_anchors_rebuilds_from_structure(region, half_wave):
-    lay = build_sw_layout(region, 3, 16, half_wave)
-    cfg = layout_to_config(lay, region)
-    cfg.pop("reference_xy")
-    _, lay2 = layout_from_config(cfg)
-    assert np.allclose(lay2.reference_positions, lay.reference_positions)
+# --- plotting exports --------------------------------------------------------
 
 
 def test_points_csv_row_counts(region, half_wave, tmp_path):

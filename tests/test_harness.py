@@ -2,9 +2,11 @@
 
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import passloc.estimator
 from passloc.channel import RadioConfig
@@ -227,6 +229,45 @@ def test_trial_failure_is_recorded_not_raised(monkeypatch):
         assert rec.flags == ("trial-failed",)
         assert rec.error_message == f"{error.__name__}: synthetic estimator failure"
         assert np.isnan(rec.position_error)
+
+
+def test_sweep_meta_counts_failures_by_error_class(monkeypatch, tmp_path):
+    real = harness_mod.run_omp_gcl
+    errors = iter([DictionaryError, np.linalg.LinAlgError, DictionaryError])
+
+    def fail_three_times(*args, **kwargs):
+        error = next(errors, None)
+        if error is not None:
+            raise error("synthetic estimator failure")
+        return real(*args, **kwargs)
+
+    cfg = ExperimentConfig(scenarios=("mw",), trials=6, snr_db=(20.0,), g_theta=256, seed=4)
+    run_sweep(cfg).write_csv(tmp_path / "clean")
+    monkeypatch.setattr(harness_mod, "run_omp_gcl", fail_three_times)
+    run_sweep(cfg).write_csv(tmp_path / "failing")
+    clean = json.loads((tmp_path / "clean" / "meta.json").read_text())
+    failing = json.loads((tmp_path / "failing" / "meta.json").read_text())
+    assert (clean["failed_trials"], clean["failed_by_error"]) == (0, {})
+    assert failing["failed_trials"] == 3
+    assert failing["failed_by_error"] == {"DictionaryError": 2, "LinAlgError": 1}
+
+
+_SCENARIO_MODES = [(s, m) for s in ("mw", "sw", "sw2", "nf") for m in ("2d", "3d")
+                   if (s, m) != ("nf", "3d")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_mode=st.sampled_from(_SCENARIO_MODES), l=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1), snr=st.sampled_from([5.0, 25.0]))
+def test_no_in_region_trial_gives_an_unflagged_nan(scenario_mode, l, seed, snr):
+    scenario, mode = scenario_mode
+    cfg = ExperimentConfig(scenarios=[scenario], mode=mode, l=l, seed=seed, snr_db=[snr],
+                           n=8, slots_per_subarray=12, nf_n=16, nf_rings=4, g_theta=64,
+                           h_range=(0.0, 1.5))
+    rec = run_trial(cfg, scenario, snr, 0, trial=0)
+    finite = (bool(rec.positions) and np.all(np.isfinite(rec.positions))
+              and np.isfinite(rec.nmse_linear))
+    assert finite or rec.flags, rec
 
 
 def test_programming_error_stops_the_sweep(monkeypatch):

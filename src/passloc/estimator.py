@@ -2,8 +2,9 @@
 
 Per path, each subarray scores its angle dictionary against the current
 measurement residual and reports a direction cosine. The cosines are
-fused into a single position: in planar mode by enumerating the unknown
-lateral signs and solving a projection least-squares problem in closed
+fused into a single position: in planar mode by scoring the lateral sign
+vectors a fix can be consistent with (one per y-band between the anchor
+heights), each a projection least-squares problem solved in closed
 form, in full-3D mode by fitting the quadric that links squared height
 gap, lateral offset, and axial offset. The dictionary anchor distance is
 then refreshed from the fused position and the loop repeats. A converged
@@ -28,8 +29,6 @@ from .dictionary import (
 )
 from .geometry import ArrayLayout, ServiceRegion, pa_user_distance
 
-MAX_SIGN_SUBARRAYS = 20
-SIGN_CHUNK = 4096  # sign candidates per batched solve in resolve_signs
 LS_EPSILON = 1e-9  # ridge on the 2x2 fusion system
 ILL_CONDITION_TOL = 1e-6
 COLLINEAR_TOL = 1e-9
@@ -195,7 +194,8 @@ def _fuse_candidates(v: np.ndarray, phis: np.ndarray, signs: np.ndarray, epsilon
 
     Returns q (K, 2), the unregularized costs (K,) and the normal matrices
     sum P_m (K, 2, 2). Per-matrix products and solves and sums over the same
-    axes give every row the bits of a one-row stack (see resolve_signs).
+    axes give every row the bits of a one-row stack, so resolve_signs and
+    solve_position_ls agree bit for bit.
     """
     m = v.shape[0]
     u = np.empty(signs.shape + (2,))
@@ -241,72 +241,58 @@ def sign_consistency_penalty(q, refs_xy, varphis):
     return np.sum(viol * viol, axis=-1)
 
 
-def _collinear(refs_xy) -> bool:
-    v = np.asarray(refs_xy, dtype=float).reshape(-1, 2)
-    if v.shape[0] < 3:
-        return True
-    centered = v - v.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    return bool(sv[-1] < COLLINEAR_TOL)
-
-
 def resolve_signs(refs_xy, varphis, bounds=None) -> PlanarFix:
-    """Score all 2^M lateral sign vectors and keep the one with the lowest cost.
+    """Score the geometry-consistent lateral sign vectors; keep the lowest-cost one.
 
-    Cost is the projection least-squares objective plus the
-    axial-consistency penalty; exact ties keep the first candidate in
-    lexicographic sign order (-1 before +1). When ``bounds`` is given as
-    ((x_lo, x_hi), (y_lo, y_hi)), candidates whose fix lands inside the
-    box outrank all candidates outside it regardless of cost; biased
-    bearings can create spurious low-cost line concurrences well outside
-    the deployment area, and this keeps the fusion in the feasible basin.
-    Flags report degenerate fusions: a single subarray, ill-conditioned
-    geometry, and collinear references whose mirror candidates the
-    penalty cannot split.
+    Every guide runs along +x, so subarray m's lateral sign at a fix is
+    sign(y - y_m) and the only self-consistent sign vectors are the
+    y-bands: one below all anchor lines, one per gap between them, one
+    above, where heights closer than COLLINEAR_TOL share a line. Cost is
+    the projection least-squares objective plus the axial-consistency
+    penalty, and exact ties keep the lower band. When ``bounds`` is given
+    as ((x_lo, x_hi), (y_lo, y_hi)), fixes inside the box outrank all
+    fixes outside it regardless of cost: biased bearings can create
+    spurious low-cost line concurrences well outside the deployment area.
 
-    The candidates are solved as stacks of at most SIGN_CHUNK, which
-    bounds memory at M = MAX_SIGN_SUBARRAYS, and only the winner's
-    conditioning is computed. Each stack keeps the floating-point order
-    of solve_position_ls: on collinear references mirror candidates differ
-    in cost only by rounding, so a reordered sum would change which mirror
-    wins.
+    On one guide line (ptp of the anchor heights below COLLINEAR_TOL) the
+    two bands are exact mirrors of equal cost, so the upper fix is the
+    reflection of the lower and the fix is the one at y <= y_0 unless the
+    box excludes it; it is flagged "ambiguous". A single subarray is
+    "under-determined" and a small lambda_min "ill-conditioned".
     """
     v = np.asarray(refs_xy, dtype=float).reshape(-1, 2)
     phis = np.asarray(varphis, dtype=float).reshape(-1)
     m = v.shape[0]
     if phis.shape[0] != m:
         raise ValueError("need one cosine per subarray")
-    if m > MAX_SIGN_SUBARRAYS:
-        raise ValueError(f"sign enumeration over {m} subarrays is intractable (cap {MAX_SIGN_SUBARRAYS})")
-    shifts = np.arange(m - 1, -1, -1)
-    best = None
-    for start in range(0, 2**m, SIGN_CHUNK):
-        k = np.arange(start, min(start + SIGN_CHUNK, 2**m))
-        # bit M-1-j of k is subarray j's sign (set: +1): itertools.product order, -1 first
-        signs = np.where((k[:, None] >> shifts) & 1, 1.0, -1.0)
-        q, cost_ls, a = _fuse_candidates(v, phis, signs, LS_EPSILON)
-        cost_pen = sign_consistency_penalty(q, v, phis)
-        outside = np.zeros(k.shape, dtype=bool)
-        if bounds is not None:
-            (x_lo, x_hi), (y_lo, y_hi) = bounds
-            outside = ~((x_lo <= q[:, 0]) & (q[:, 0] <= x_hi) & (y_lo <= q[:, 1]) & (q[:, 1] <= y_hi))
-        total = cost_ls + cost_pen
-        front = np.flatnonzero(outside == outside.min())
-        i = front[np.argmin(total[front])]
-        rank = (bool(outside[i]), float(total[i]))
-        if best is None or rank < best[0]:
-            best = (rank, signs[i].copy(), q[i].copy(), float(cost_ls[i]), float(cost_pen[i]), a[i])
-    _, s, q, cost_ls, cost_pen, a_best = best
-    lam_min = float(np.linalg.eigvalsh(a_best)[0])
-    flags = []
-    if m == 1:
-        flags.append("under-determined")
-    if lam_min < ILL_CONDITION_TOL:
-        flags.append("ill-conditioned")
-    if _collinear(v):
-        flags.append("ambiguous")
-    return PlanarFix(position=q, signs=s, cost_ls=cost_ls, cost_penalty=cost_pen,
-                     lambda_min=lam_min, flags=tuple(flags))
+    ys = v[:, 1]
+    collinear = np.ptp(ys) < COLLINEAR_TOL
+    if collinear:
+        signs = -np.ones((1, m))
+    else:  # band k is +1 for the anchors on the k lowest lines
+        levels = np.unique(ys)
+        line = np.cumsum(np.diff(levels, prepend=levels[0]) >= COLLINEAR_TOL)
+        rank = line[np.searchsorted(levels, ys)]
+        signs = np.where(rank < np.arange(rank.max() + 2)[:, None], 1.0, -1.0)
+    q, cost_ls, a = _fuse_candidates(v, phis, signs, LS_EPSILON)
+    if collinear:  # the fix and its reflection, lower first
+        pair = np.array([q[0], [q[0, 0], 2.0 * ys.min() - q[0, 1]]])
+        order = np.argsort(pair[:, 1], kind="stable")
+        signs, q = np.vstack([signs, -signs])[order], pair[order]
+        cost_ls, a = np.repeat(cost_ls, 2), np.repeat(a, 2, axis=0)
+    cost_pen = sign_consistency_penalty(q, v, phis)
+    outside = np.zeros(len(q), dtype=bool)
+    if bounds is not None:
+        (x_lo, x_hi), (y_lo, y_hi) = bounds
+        outside = ~((x_lo <= q[:, 0]) & (q[:, 0] <= x_hi) & (y_lo <= q[:, 1]) & (q[:, 1] <= y_hi))
+    front = np.flatnonzero(outside == outside.min())
+    i = front[np.argmin((cost_ls + cost_pen)[front])]
+    lam_min = float(np.linalg.eigvalsh(a[i])[0])
+    flags = (("under-determined", m == 1), ("ill-conditioned", lam_min < ILL_CONDITION_TOL),
+             ("ambiguous", collinear))
+    return PlanarFix(position=q[i], signs=signs[i], cost_ls=float(cost_ls[i]),
+                     cost_penalty=float(cost_pen[i]), lambda_min=lam_min,
+                     flags=tuple(name for name, fired in flags if fired))
 
 
 def _quadric_cost(x, y, z, xm, ym, delta):
@@ -323,6 +309,8 @@ def solve_position_3d(refs, varphis, bounds=None) -> Position3dFix:
     QUADRIC_GRID x QUADRIC_GRID (x, y) grid with the closed-form optimal
     z, then polishes with at most QUADRIC_MAX_ITERS damped Gauss-Newton
     steps in (x, y, z >= 0). Height is h_pa - sqrt(z), clamped to [0, h_pa].
+    On one guide line the fix is the mirror on the y <= y_0 side unless
+    the box's y range excludes it and admits the other.
     """
     v = np.asarray(refs, dtype=float).reshape(-1, 3)
     phis = np.asarray(varphis, dtype=float).reshape(-1)
@@ -397,8 +385,10 @@ def solve_position_3d(refs, varphis, bounds=None) -> Position3dFix:
     flags = []
     if not converged:
         flags.append("non-converged")
-    if np.ptp(ym) < COLLINEAR_TOL:
+    if np.ptp(ym) < COLLINEAR_TOL:  # the cost is even in y - y_0: resolve_signs' mirror rule
         flags.append("ambiguous")
+        lower, upper = sorted((p[1], 2.0 * ym.min() - p[1]))
+        p[1] = upper if not y_lo <= lower <= y_hi and y_lo <= upper <= y_hi else lower
     if p[2] < 1e-12:  # sub-micron gap: snap so a zero-gap target reports h_pa exactly
         p[2] = 0.0
     height = h_pa - np.sqrt(p[2])
@@ -542,17 +532,21 @@ def polish(position, gain, kind, user, layout, radio, w_list, residuals, amp, bo
 
     The fused position inherits the angular quantization of the far
     subarrays; a target close to one subarray needs finer range accuracy
-    than that to reconstruct its dominant channel. The search moves one
-    coordinate at a time inside ``box`` (None entries are frozen), halves
-    the step on failure, and only accepts strict improvements, so exact
-    mirror ties leave the input unchanged. ``gain`` is the refit gain at
-    ``position``, as arbitrate returns it.
+    than that to reconstruct its dominant channel. The search starts from
+    ``position`` clamped into ``box`` (None entries are frozen), moves one
+    coordinate at a time inside it, halves the step on failure, and only
+    accepts strict improvements, so exact mirror ties leave the start
+    unchanged. ``gain`` is the refit gain at ``position``, as arbitrate
+    returns it; a clamped start is scored afresh.
     """
-    q = np.asarray(position, dtype=float).copy()
-    best = gain
-    step = POLISH_INIT_STEP
-    evals = 0
     dims = [d for d, b in enumerate(box) if b is not None]
+    q = np.asarray(position, dtype=float).copy()
+    for d in dims:
+        q[d] = min(max(q[d], box[d][0]), box[d][1])
+    clamped = not np.array_equal(q, position)
+    best = _refit_gain(q, kind, user, layout, radio, w_list, residuals, amp) if clamped else gain
+    step = POLISH_INIT_STEP
+    evals = int(clamped)
     while step >= POLISH_MIN_STEP and evals < POLISH_MAX_EVALS:
         improved = False
         for d in dims:
@@ -727,7 +721,7 @@ def run_polar_baseline(
     Classic greedy pursuit with joint least squares over the selected
     columns. Positions are read off the winning atoms; with one linear
     array the lateral sign is unobservable, so the negative-y side is
-    reported by convention (matching the sign enumerator's tie order) and
+    reported by convention (resolve_signs' single-line mirror rule) and
     the result is flagged ambiguous. Channels are rebuilt from the
     selected atoms themselves, which keeps the reconstruction on the
     measurement manifold even when the surrogate position is off.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -53,7 +53,7 @@ DEFAULT_SNR_GRID = (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0)
 _INT_FIELDS = ("m", "n", "l", "trials", "seed", "slots_per_subarray", "g_theta", "iters",
                "nf_n", "nf_rings")
 _INT_MINIMUM = {"l": 0, "iters": 1, "m": 1, "n": 1, "slots_per_subarray": 1, "nf_n": 1,
-                "nf_rings": 1}  # g_theta's minimum is EstimatorConfig's check
+                "nf_rings": 1, "seed": 0, "trials": 1}  # g_theta: EstimatorConfig's check
 _REAL_FIELDS = ("d", "frequency", "n_eff", "p0", "size_x", "size_y", "h_pa", "fixed_height",
                 "density")
 
@@ -106,6 +106,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (_is_real(v) or (name == "d" and v is None)):
                 raise ValueError(f"config field '{name}' must be a number, got {v!r}")
+        if self.d is not None and not self.d > 0.0:
+            raise ValueError(f"config field 'd' must be positive, got {self.d!r}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"config field 'density' must be in (0, 1], got {self.density!r}")
         scen = tuple(str(s).lower() for s in (
@@ -119,18 +121,24 @@ class ExperimentConfig:
         self.scenarios = scen
         if self.mode not in ("2d", "3d"):
             raise ValueError(f"config field 'mode' must be '2d' or '3d', got {self.mode!r}")
+        for s in scen:  # the height fit needs three subarrays; nf runs the planar baseline
+            if self.mode == "3d" and {"mw": self.m, "sw": self.m, "sw2": 2}.get(s, 3) < 3:
+                raise ValueError(f"config field 'mode' is '3d', but scenario '{s}' has fewer "
+                                 f"than the three subarrays height estimation needs")
         snr = self.snr_db if isinstance(self.snr_db, (list, tuple)) else [self.snr_db]
         if not all(_is_real(v) for v in snr):
             raise ValueError(f"config field 'snr_db' must hold numbers, got {self.snr_db!r}")
         self.snr_db = tuple(float(v) for v in snr)
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
         if not (isinstance(self.h_range, (list, tuple)) and len(self.h_range) == 2
                 and all(_is_real(v) for v in self.h_range)):
             raise ValueError(f"config field 'h_range' must be two numbers, got {self.h_range!r}")
         self.h_range = (float(self.h_range[0]), float(self.h_range[1]))
+        lo, hi = self.h_range
+        if self.mode == "2d" and not lo <= self.fixed_height <= hi:
+            raise ValueError(f"config field 'fixed_height' must lie in h_range {self.h_range} "
+                             f"in 2-D mode, got {self.fixed_height!r}")
         self.estimator_config()  # the estimator's own checks, e.g. g_theta >= 2
 
     @property
@@ -246,6 +254,7 @@ class TrialRecord:
     nmse_linear: float
     flags: tuple
     wall_time_s: float
+    mirror_error: float | None = None  # to the truth's mirror across the guide line, if ambiguous
     failed: bool = False
     error_message: str = ""
 
@@ -340,6 +349,10 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
         path_errors.append(float(dists[k]))
         remaining.pop(k)
 
+    mirror_error = None
+    if "ambiguous" in result.flags:  # one guide line at y_0 cannot tell y from 2 y_0 - y
+        mirror = scene.user * [1.0, -1.0, 1.0] + [0.0, 2.0 * layout.reference_xy[:, 1].min(), 0.0]
+        mirror_error = position_error(mirror, result.paths[0].position, cfg.mode)
     h_true = channel_vector(paths).reshape(-1)
     h_est = result.channels.reshape(-1)
     return TrialRecord(
@@ -348,6 +361,7 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
         positions=[p.position.tolist() for p in result.paths],
         position_error=err_user, path_errors=path_errors,
         nmse_linear=nmse(h_true, h_est), flags=result.flags, wall_time_s=wall,
+        mirror_error=mirror_error,
     )
 
 
@@ -477,12 +491,19 @@ class SweepResult:
         (out / "nmse.csv").write_text("\n".join(lines) + "\n")
         # error_message is "<exception class>: <message>" (run_trial)
         errors = Counter(r.error_message.partition(":")[0] for r in self.records if r.failed)
+        resolved = defaultdict(list)  # per cell, over its ambiguous trials
+        for r in self.records:
+            if r.mirror_error is not None:
+                resolved[r.scenario, r.snr_db].append(min(r.position_error, r.mirror_error))
         meta = {
             "version": SWEEP_SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "trials": self.config.trials,
             "failed_trials": errors.total(),
             "failed_by_error": dict(sorted(errors.items())),
+            "mirror_resolved": [{"scenario": scen, "snr_db": snr, "ambiguous_trials": len(e),
+                                 "median_m": float(np.median(e))}
+                                for (scen, snr), e in resolved.items()],
         }
         (out / "meta.json").write_text(json.dumps(meta, indent=2))
 

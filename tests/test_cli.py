@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from passloc.cli import cli_main
 from passloc.harness import ExperimentConfig, load_run, run_trial, simulate_trial
@@ -178,6 +178,7 @@ def test_estimate_rejects_corrupt_pilots(tmp_path, capsys, corrupt, message):
        l=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 1000),
        snr=st.sampled_from([5.0, 25.0]))
 def test_saved_run_round_trips_bit_for_bit(scenario, mode, l, seed, trial, snr):
+    assume((scenario, mode) != ("sw2", "3d"))  # rejected: two subarrays cannot fit a height
     cfg = ExperimentConfig(scenarios=[scenario, "mw"], snr_db=[snr, 17.5], mode=mode, l=l,
                            seed=seed, n=8, slots_per_subarray=12, nf_n=16, h_range=(0.0, 1.5))
     with tempfile.TemporaryDirectory() as tmp:
@@ -282,7 +283,15 @@ def test_empty_sweep_exits_2(tmp_path, capsys):
         cfg.write_text(json.dumps(override))
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert cli_main(["sweep", "--trials", "0", "--out", str(tmp_path / "o")]) == 2
-    assert "need at least one trial" in capsys.readouterr().err
+    assert "config field 'trials' must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_3d_sweep_without_three_subarrays_exits_2_before_any_trial(tmp_path, capsys):
+    assert cli_main(["sweep", "--scenario", "sw2", "--mode", "3d", "--trials", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'mode'" in err and "'sw2'" in err
     assert not (tmp_path / "o").exists()
 
 

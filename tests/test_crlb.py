@@ -183,4 +183,4 @@ def test_calibration_runs_the_sweeps_trials(monkeypatch):
     assert [a[1:] for a in seen] == [("sw", 10.0, 0, 0), ("sw", 10.0, 0, 1)]
     assert all(a[0] == dataclasses.replace(cfg, l=0) for a in seen)
     with pytest.raises(ValueError, match="planar"):
-        calibrate_bearing_sigma(dataclasses.replace(cfg, mode="3d"), "mw", 10.0, trials=1)
+        calibrate_bearing_sigma(dataclasses.replace(cfg, mode="3d", m=3), "mw", 10.0, trials=1)

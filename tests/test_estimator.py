@@ -1,7 +1,5 @@
 """Direction matching, sign-resolved position fusion, and the joint loop."""
 
-import itertools
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -396,20 +394,18 @@ def test_single_subarray_is_under_determined():
     assert fix.cost_ls < 1e-12
 
 
-def test_sign_enumeration_cap():
-    m = passloc.estimator.MAX_SIGN_SUBARRAYS
+def test_forty_subarrays_resolve_from_one_candidate_per_band():
     rng = np.random.default_rng(3)
-    refs, phis = rng.uniform(0, 30, (m, 2)), rng.uniform(-1, 1, m)
-    tracemalloc.start()
-    try:
+    refs = rng.uniform(0, 30, (40, 2))
+    truth = np.array([13.0, 17.5])
+    phis, signs = _true_bearings(refs, truth)
+    with mock.patch.object(passloc.estimator, "_fuse_candidates",
+                           wraps=passloc.estimator._fuse_candidates) as scorer:
         fix = resolve_signs(refs, phis, bounds=((0.0, 30.0), (0.0, 30.0)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert fix.signs.shape == (m,) and np.all(np.isfinite(fix.position))
-    assert peak < 32e6  # chunked candidates: a full 2^20 stack would need over 1 GB
-    with pytest.raises(ValueError):
-        resolve_signs(np.zeros((m + 1, 2)), np.zeros(m + 1))
+    (_, _, stacked, _), _ = scorer.call_args
+    assert stacked.shape == (41, 40)  # 40 distinct heights, 2^40 sign vectors
+    assert np.linalg.norm(fix.position - truth) < 1e-6
+    assert np.array_equal(fix.signs, signs)
 
 
 def test_feasibility_box_overrides_tie_order():
@@ -417,11 +413,11 @@ def test_feasibility_box_overrides_tie_order():
     truth = np.array([5.0, 3.0])
     phis, _ = _true_bearings(refs, truth)
     free = resolve_signs(refs, phis)
-    assert free.position[1] < 0.0  # mirror tie, lexicographic pick
+    assert free.position[1] < 0.0  # mirror tie, settled on the negative-y side
     boxed = resolve_signs(refs, phis, bounds=((0.0, 10.0), (0.0, 10.0)))
     assert np.linalg.norm(boxed.position - truth) < 1e-6
     assert np.array_equal(boxed.signs, [1.0, 1.0])
-    # a box covering both mirror basins keeps the lexicographic order
+    # a box covering both mirror basins keeps the negative-y side
     wide = resolve_signs(refs, phis, bounds=((0.0, 10.0), (-10.0, 10.0)))
     assert wide.position[1] < 0.0
 
@@ -437,12 +433,41 @@ def _loop_solve(v, phis, signs, epsilon=1e-9):
     return q, cost, float(np.linalg.eigvalsh(a)[0])
 
 
+def _band_signs(ys):
+    """The y-band sign vectors, lowest band first: +1 exactly for the anchors below the band.
+
+    Heights less than 1e-9 apart lie on one line.
+    """
+    lines = []
+    for y in sorted(set(ys.tolist())):
+        if lines and y - lines[-1][-1] < 1e-9:
+            lines[-1].append(y)
+        else:
+            lines.append([y])
+    line_of = {y: k for k, line in enumerate(lines) for y in line}
+    return [np.array([1.0 if line_of[y] < k else -1.0 for y in ys.tolist()])
+            for k in range(len(lines) + 1)]
+
+
+def _loop_candidates(refs, phis):
+    """Every y-band candidate as (signs, fix, cost, lambda_min), lowest first.
+
+    On one guide line only the lower band is solved; the upper one is its
+    reflection across the line, and the pair is ordered by the fix's y.
+    """
+    ys = refs[:, 1]
+    if np.ptp(ys) >= 1e-9:
+        return [(s, *solve_position_ls(refs, phis, s)) for s in _band_signs(ys)]
+    s = -np.ones(len(ys))
+    q, cost, lam_min = solve_position_ls(refs, phis, s)
+    pair = [(s, q, cost, lam_min), (-s, np.array([q[0], 2.0 * ys.min() - q[1]]), cost, lam_min)]
+    return sorted(pair, key=lambda cand: cand[1][1])
+
+
 def _loop_ranks(refs, phis, bounds):
-    """Every sign candidate in lexicographic order with its (outside box, cost) rank."""
+    """Every y-band candidate, lowest first, with its (outside box, cost) rank."""
     out = []
-    for signs in itertools.product((-1.0, 1.0), repeat=len(phis)):
-        s = np.array(signs)
-        q, cost_ls, lam_min = solve_position_ls(refs, phis, s)
+    for s, q, cost_ls, lam_min in _loop_candidates(refs, phis):
         cost_pen = float(sign_consistency_penalty(q, refs, phis))
         outside = False
         if bounds is not None:
@@ -500,17 +525,16 @@ def test_single_solve_matches_the_scalar_system_bit_for_bit(case, draw_signs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_fusions(), chunk=st.sampled_from([1, 3, 64, passloc.estimator.SIGN_CHUNK]))
-def test_batched_signs_equal_the_candidate_loop_bit_for_bit(case, chunk):
-    """Any chunking of the stacked solve keeps the loop's winner, bits and tie order."""
+@given(case=_fusions())
+def test_batched_signs_equal_the_candidate_loop_bit_for_bit(case):
+    """The stacked solve of the y-bands keeps the loop's winner, bits and tie order."""
     refs, phis, bounds = case
-    with mock.patch.object(passloc.estimator, "SIGN_CHUNK", chunk):
-        fix = resolve_signs(refs, phis, bounds)
+    fix = resolve_signs(refs, phis, bounds)
     _, signs, q, cost_ls, cost_pen, lam_min = _loop_resolve(refs, phis, bounds)
     assert fix.signs.tobytes() == signs.tobytes()
     assert fix.position.tobytes() == q.tobytes()
     assert (fix.cost_ls, fix.cost_penalty, fix.lambda_min) == (cost_ls, cost_pen, lam_min)
-    collinear = len(phis) < 3 or np.linalg.svd(refs - refs.mean(axis=0), compute_uv=False)[-1] < 1e-9
+    collinear = np.ptp(refs[:, 1]) < 1e-9
     flags = [("under-determined", len(phis) == 1),
              ("ill-conditioned", lam_min < passloc.estimator.ILL_CONDITION_TOL),
              ("ambiguous", collinear)]
@@ -542,7 +566,9 @@ def test_translating_anchors_and_box_translates_the_fix(case, shift):
     refs, phis, bounds = case
     t = np.array(shift)
     fix = resolve_signs(refs, phis, bounds)
-    assume(fix.lambda_min > 1e-2)  # eps-regularized solve: translation error ~ eps / lambda_min
+    # eps-regularized solves: a fix moves by ~ eps / lambda_min under translation, and
+    # a rival's move can carry it into the box, so every candidate must be well posed
+    assume(min(cand[-1] for cand in _loop_ranks(refs, phis, bounds)) > 1e-2)
     _assume_decisive(refs, phis, bounds)  # the eps pull changes under translation
     if bounds is not None:
         bounds_t = tuple((lo + ti, hi + ti) for (lo, hi), ti in zip(bounds, t))
@@ -567,8 +593,9 @@ def test_permuting_subarrays_permutes_the_signs(case, data):
     _assume_decisive(refs, phis, bounds)  # the order of the sums moves costs by rounding
     fix = resolve_signs(refs, phis, bounds)
     moved = resolve_signs(refs[p], phis[p], bounds)
-    tol = 1e-9 * (1.0 + np.linalg.norm(fix.position))
     assert np.array_equal(moved.signs, fix.signs[p])
+    assume(fix.lambda_min > 1e-2)  # reordered sums move the fix by rounding / lambda_min
+    tol = 1e-9 * (1.0 + np.linalg.norm(fix.position))
     assert np.linalg.norm(moved.position - fix.position) < tol
     for name in ("cost_ls", "cost_penalty", "lambda_min"):
         assert getattr(moved, name) == pytest.approx(getattr(fix, name), rel=1e-9, abs=1e-9), name
@@ -576,6 +603,42 @@ def test_permuting_subarrays_permutes_the_signs(case, data):
     q_p, cost_p, lam_p = solve_position_ls(refs[p], phis[p], fix.signs[p])
     assert np.linalg.norm(q_p - q) < tol
     assert (cost_p, lam_p) == pytest.approx((cost, lam_min), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 8), truth=st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)),
+       shift=st.floats(-50.0, 50.0), data=st.data())
+def test_mw_winner_signs_match_its_own_fix(region, half_wave, m, truth, shift, data):
+    """With exact bearings, the winning band is the one its fix lies in, in any order or y-shift."""
+    refs = build_mw_layout(region, m, 32, half_wave).reference_xy
+    truth = np.array(truth)
+    assume(np.min(np.abs(truth - refs)) > 0.1)  # off every anchor's x and y line
+    p = np.array(data.draw(st.permutations(range(m))))
+    t = np.array([0.0, shift])
+    refs, truth = refs[p] + t, truth + t
+    phis, _ = _true_bearings(refs, truth)
+    bounds = ((-1.0, 31.0), (-1.0 + shift, 31.0 + shift))  # fuse's slack box, shifted
+    fix = resolve_signs(refs, phis, bounds)
+    assert np.array_equal(fix.signs, np.sign(fix.position[1] - refs[:, 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_fusions(), y0=st.floats(-20.0, 50.0))
+def test_single_guide_line_takes_the_lower_mirror_unless_boxed_out(case, y0):
+    """On one guide line the fix lies at y <= y_0 unless the box excludes it, admitting the mirror."""
+    refs, phis, bounds = case
+    refs = np.column_stack([refs[:, 0], np.full(len(phis), y0)])
+    fix = resolve_signs(refs, phis, bounds)
+    assert "ambiguous" in fix.flags
+    q, mirror = fix.position, np.array([fix.position[0], 2.0 * y0 - fix.position[1]])
+
+    def inside(point):
+        return bounds is None or all(lo <= c <= hi for c, (lo, hi) in zip(point, bounds))
+
+    assert q[1] <= y0 or (inside(q) and not inside(mirror))
+    lower = resolve_signs(refs, phis)  # no box: always the lower mirror
+    assert lower.position[1] <= y0
+    assert lower.cost_ls == fix.cost_ls and lower.position[0] == fix.position[0]
 
 
 # --- height-resolved fusion -----------------------------------------------------
@@ -604,10 +667,18 @@ def test_3d_fusion_zero_gap_returns_pa_height():
 
 
 def test_3d_fusion_flags_collinear_row():
+    """One guide line: flagged, and the fix takes the y <= y_0 mirror unless the box excludes it."""
     refs = np.array([[0.0, 15.0, 4.0], [15.0, 15.0, 4.0], [30.0, 15.0, 4.0]])
-    truth = np.array([12.0, 11.0, 1.0])
-    fix = solve_position_3d(refs, _slant_bearings(refs, truth), bounds=((0, 30), (0, 30)))
-    assert "ambiguous" in fix.flags
+    truth = np.array([12.0, 19.0, 1.0])
+    phis = _slant_bearings(refs, truth)
+    low = solve_position_3d(refs, phis, bounds=((0, 30), (0, 30)))
+    high = solve_position_3d(refs, phis, bounds=((0, 30), (15, 30)))  # excludes y < 15
+    assert low.position[1] <= 15.0 <= high.position[1]
+    for fix in (low, high):  # one line fixes only x and the radius around it
+        x, y, h = fix.position
+        assert x == pytest.approx(12.0, abs=1e-3)
+        assert np.hypot(y - 15.0, 4.0 - h) == pytest.approx(5.0, abs=1e-3)
+        assert "ambiguous" in fix.flags
 
 
 def test_3d_fusion_validation():

@@ -115,6 +115,30 @@ def test_config_rejects_wrong_value_types(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("kwargs, field, named", [
+    ({"scenarios": ["sw2"], "mode": "3d"}, "mode", "sw2"),
+    ({"scenarios": ["mw", "sw"], "m": 2, "mode": "3d"}, "mode", "mw"),
+    ({"scenarios": ["sw"], "m": 2, "mode": "3d"}, "mode", "sw"),
+    ({"seed": -1}, "seed", "-1"),
+    ({"trials": 0}, "trials", "0"),
+    ({"d": 0.0}, "d", "0.0"),
+    ({"d": -0.005}, "d", "-0.005"),
+    ({"fixed_height": 0.5}, "fixed_height", "0.5"),
+    ({"fixed_height": 2.5, "h_range": (0.0, 2.0)}, "fixed_height", "2.5"),
+], ids=["sw2-3d", "mw-m2-3d", "sw-m2-3d", "seed", "trials", "d-zero", "d-negative",
+        "height-above-range", "height-above-pa"])
+def test_config_rejects_unrunnable_values_naming_the_field(kwargs, field, named):
+    with pytest.raises(ValueError, match=f"config field '{field}'") as err:
+        ExperimentConfig(**kwargs)
+    assert named in str(err.value)
+
+
+def test_config_keeps_runnable_3d_and_height_settings():
+    assert ExperimentConfig(scenarios=["mw", "sw", "nf"], m=3, mode="3d").mode == "3d"
+    assert ExperimentConfig(mode="3d", fixed_height=5.0).fixed_height == 5.0  # 2-D only
+    assert ExperimentConfig(fixed_height=1.0, h_range=(0.0, 1.0)).fixed_height == 1.0
+
+
 def test_config_accepts_ints_for_numbers():
     cfg = ExperimentConfig(size_x=30, d=0.005, snr_db=[25], h_range=[0, 1], p0=np.float64(2.0))
     assert cfg.snr_db == (25.0,) and cfg.h_range == (0.0, 1.0)
@@ -253,7 +277,7 @@ def test_sweep_meta_counts_failures_by_error_class(monkeypatch, tmp_path):
 
 
 _SCENARIO_MODES = [(s, m) for s in ("mw", "sw", "sw2", "nf") for m in ("2d", "3d")
-                   if (s, m) != ("nf", "3d")]
+                   if (s, m) not in {("nf", "3d"), ("sw2", "3d")}]  # sw2 3-D is rejected
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,6 +292,40 @@ def test_no_in_region_trial_gives_an_unflagged_nan(scenario_mode, l, seed, snr):
     finite = (bool(rec.positions) and np.all(np.isfinite(rec.positions))
               and np.isfinite(rec.nmse_linear))
     assert finite or rec.flags, rec
+
+
+def test_3d_polish_starts_inside_the_height_range():
+    # the fused height sits at h_pa, above h_range; a search that kept it there
+    # reached the mw corner PA at (0, 0, h_pa) and failed the trial
+    cfg = ExperimentConfig(scenarios=["mw"], mode="3d", l=2, seed=3780294245, snr_db=[5.0],
+                           n=8, slots_per_subarray=12, g_theta=64, h_range=(0.0, 1.5))
+    rec = run_trial(cfg, "mw", 5.0, 0, trial=0)
+    assert not rec.failed, rec.error_message
+    assert all(0.0 <= p[2] <= 1.5 for p in rec.positions)
+
+
+def test_ambiguous_trials_report_the_mirror_resolved_error(tmp_path):
+    cfg = ExperimentConfig(scenarios=("sw2", "mw"), trials=4, snr_db=(25.0,), g_theta=256,
+                           seed=2)
+    result = run_sweep(cfg)
+    y0 = cfg.size_y / 2.0  # the sw guide line
+    for rec in result.records:
+        if rec.scenario == "mw":
+            assert rec.mirror_error is None and "ambiguous" not in rec.flags
+            continue
+        assert "ambiguous" in rec.flags
+        x, y, _ = rec.scene_points[0]
+        ex, ey, _ = rec.positions[0]
+        assert rec.position_error == pytest.approx(np.hypot(ex - x, ey - y))
+        assert rec.mirror_error == pytest.approx(np.hypot(ex - x, ey - (2.0 * y0 - y)))
+    result.write_csv(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    sw2 = [r for r in result.records if r.scenario == "sw2"]
+    assert meta["mirror_resolved"] == [{
+        "scenario": "sw2", "snr_db": 25.0, "ambiguous_trials": 4,
+        "median_m": float(np.median([min(r.position_error, r.mirror_error) for r in sw2])),
+    }]
+    assert result.rmse_rows[0]["median_m"] == float(np.median([r.position_error for r in sw2]))
 
 
 def test_programming_error_stops_the_sweep(monkeypatch):

@@ -456,8 +456,10 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
     """Stage 2: fuse the directions into one fix and refresh the anchor distances from it.
 
     Planar mode resolves the lateral signs (resolve_signs); 3-D mode fits
-    the cone quadric (solve_position_3d). Returns the iterate and the
-    anchor distances for the next dictionary build.
+    the cone quadric (solve_position_3d). On one guide line a 3-D fit
+    fixes only x and the radius around the line, so a height outside
+    h_range moves into it along that circle, on the fix's side. Returns
+    the iterate and the anchor distances for the next dictionary build.
     """
     region = config.region
     varphis = np.array([d.varphi for d in directions])
@@ -477,6 +479,12 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
             bounds=((0.0, region.size_x), (0.0, region.size_y)),
         )
         position, signs, flags = fix3.position, None, fix3.flags
+        (h_lo, h_hi), (x, y, h) = region.h_range, position
+        if "ambiguous" in flags and not h_lo <= h <= h_hi:
+            y0, h_in = layout.reference_xy[:, 1].min(), min(max(h, h_lo), h_hi)
+            r2 = (y - y0) ** 2 + (region.h_pa - h) ** 2  # squared radius around the line
+            lateral = np.sqrt(max(r2 - (region.h_pa - h_in) ** 2, 0.0))
+            position = np.array([x, y0 + lateral if y > y0 else y0 - lateral, h_in])
     # Anchor distances are refreshed from the fix projected onto the region
     # box: targets live inside it, and an escaped intermediate fix would
     # collapse the distance of a nearby subarray and poison the next dictionary.

@@ -23,8 +23,10 @@ from passloc.dictionary import (
     project_dictionary,
 )
 from passloc.estimator import (
+    DirectionEstimate,
     EstimatorConfig,
     extract_directions,
+    fuse,
     omp_direction,
     polar_dictionary,
     projection_matrix,
@@ -679,6 +681,21 @@ def test_3d_fusion_flags_collinear_row():
         assert x == pytest.approx(12.0, abs=1e-3)
         assert np.hypot(y - 15.0, 4.0 - h) == pytest.approx(5.0, abs=1e-3)
         assert "ambiguous" in fix.flags
+
+
+def test_3d_fuse_moves_a_single_line_fix_into_the_height_range_along_its_circle(half_wave):
+    region = ServiceRegion(30.0, 30.0, 6.0, (0.0, 3.0))
+    layout = build_sw_layout(region, 3, 32, half_wave)
+    truth = np.array([12.0, 11.0, 1.0])
+    phis = _slant_bearings(layout.reference_positions, truth)
+    assert solve_position_3d(layout.reference_positions, phis, ((0, 30), (0, 30))).position[2] > 3.0
+    directions = [DirectionEstimate(m, 0, float(c), 0, 1.0, 1.0) for m, c in enumerate(phis)]
+    iterate, _ = fuse(directions, layout, EstimatorConfig(region=region, mode="3d"))
+    x, y, h = iterate.position
+    assert 0.0 <= h <= 3.0 and y <= 15.0
+    assert x == pytest.approx(12.0, abs=1e-3)
+    assert np.hypot(y - 15.0, 6.0 - h) == pytest.approx(np.hypot(4.0, 5.0), abs=1e-3)
+    assert "ambiguous" in iterate.flags
 
 
 def test_3d_fusion_validation():

@@ -11,7 +11,7 @@ so its fix is decimeter class where the user's is centimeter class.
 import numpy as np
 
 from passloc.channel import RadioConfig, channel_vector, make_schedule, measure, synthesize_paths
-from passloc.estimator import EstimatorConfig, run_omp_gcl
+from passloc.estimator import EstimatorConfig, run_omp_gcl, start_dictionaries
 from passloc.geometry import ServiceRegion, build_mw_layout, sample_scene
 from passloc.harness import nmse, to_db
 
@@ -25,7 +25,7 @@ schedule = make_schedule(layout, 64, 0.5, rng_seed=1)
 ms = measure(layout, schedule, paths, radio, snr_db=25.0, rng_seed=2)
 
 cfg = EstimatorConfig(region=region, num_paths=2, g_theta=1024, max_outer_iters=3)
-result = run_omp_gcl(ms, layout, radio, cfg)
+result = run_omp_gcl(ms, layout, radio, cfg, start_dictionaries(layout, radio, cfg))
 
 print("          truth                     estimate            error")
 labels = ["user     ", "scatterer"]

@@ -9,7 +9,8 @@ full pipeline runs on noisy pilots.
 import numpy as np
 
 from passloc.channel import RadioConfig, make_schedule, measure, synthesize_paths
-from passloc.estimator import EstimatorConfig, run_omp_gcl, solve_position_3d
+from passloc.estimator import (EstimatorConfig, run_omp_gcl, solve_position_3d,
+                               start_dictionaries)
 from passloc.geometry import ServiceRegion, build_mw_layout, sample_scene
 
 region = ServiceRegion(30.0, 30.0, 6.0, h_range=(0.0, 6.0))
@@ -38,7 +39,7 @@ paths = synthesize_paths(layout, scene, radio)
 ms = measure(layout, make_schedule(layout, 64, 0.5, rng_seed=5), paths, radio,
              snr_db=25.0, rng_seed=6)
 cfg = EstimatorConfig(region=region, mode="3d", g_theta=1024)
-result = run_omp_gcl(ms, layout, radio, cfg)
+result = run_omp_gcl(ms, layout, radio, cfg, start_dictionaries(layout, radio, cfg))
 est = result.paths[0].position
 err = np.linalg.norm(est - scene.user)
 print(f"\n25 dB pilots: user {np.round(scene.user, 3)} -> "

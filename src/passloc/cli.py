@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .crlb import crlb_heatmap
 from .harness import (ExperimentConfig, estimate, load_run, position_error, run_sweep, save_run,
-                      scenario_layout)
+                      scenario_atoms, scenario_layout)
 
 CRLB_SCHEMA_VERSION = 1
 
@@ -50,7 +50,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     run = load_run(args.data)
     cfg, scene = run.config, run.scene
-    result = estimate(cfg, cfg.scenarios[0], run.measurements, run.layout)
+    scenario = cfg.scenarios[0]
+    result = estimate(cfg, scenario, run.measurements, run.layout, scenario_atoms(cfg, scenario))
     report = {
         "true_points": scene.points.tolist(),
         "positions": [p.position.tolist() for p in result.paths],

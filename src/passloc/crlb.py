@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dictionary import AngleGrid
-from .estimator import _anchor_distances, extract_directions
+from .estimator import _anchor_distances, anchor_dictionaries, extract_directions
 from .geometry import ServiceRegion, SingularGeometryError, pa_user_distance
 from .harness import ExperimentConfig, simulate_trial
 
@@ -154,14 +153,14 @@ def calibrate_bearing_sigma(cfg: ExperimentConfig, scenario: str, snr_db,
     if cfg.mode == "3d":
         raise ValueError("bearing calibration needs a '2d' config: the bearing model is planar")
     single = replace(cfg, l=0)
-    grid = AngleGrid.uniform_cosine(cfg.g_theta)
-    dh = cfg.h_pa - cfg.fixed_height
+    est_cfg = cfg.estimator_config()
     sq_sum = 0.0
     count = 0
     for t in range(trials):
         scene, layout, _, _, ms = simulate_trial(single, scenario, snr_db, 0, t)
         ranges = _anchor_distances(layout, scene.user, "2d")
-        ests = extract_directions(layout, cfg.radio, grid, ms.w, ms.y, ranges, dh=dh)
+        ests = extract_directions(ms.w, ms.y, anchor_dictionaries(layout, cfg.radio, est_cfg,
+                                                                  ranges))
         deltas = scene.user[:2] - layout.reference_xy
         for delta, r_true, est in zip(deltas, ranges, ests):
             u_true = delta / r_true

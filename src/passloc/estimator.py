@@ -15,7 +15,7 @@ extracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +60,15 @@ class EstimatorConfig:
             raise ValueError("need at least one refinement iteration")
         if self.g_theta < 2:  # the rule of AngleGrid.uniform_cosine
             raise ValueError(f"g_theta must be at least 2, got {self.g_theta}")
+
+    @property
+    def grid(self) -> AngleGrid:
+        return AngleGrid.uniform_cosine(self.g_theta)
+
+    @property
+    def dh(self) -> float:
+        """The PA-to-target height gap planar-mode dictionaries carry."""
+        return self.region.h_pa - self.fixed_height
 
 
 @dataclass(frozen=True)
@@ -433,22 +442,59 @@ def _anchor_distances(layout: ArrayLayout, point, mode: str, floor: float = MIN_
     return np.maximum(r, floor)
 
 
-def extract_directions(layout, radio, grid, w_list, residuals, r_anchor, mode="2d", dh=0.0,
-                       path=0) -> list:
+def anchor_dictionaries(layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig,
+                        r_anchor):
+    """Subarray m's dictionary at anchor distance r_anchor[m], built as the caller iterates."""
+    grid = config.grid
+    for m, sub in enumerate(layout.subarrays):
+        yield build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, mode=config.mode,
+                                  dh=config.dh, index=m)
+
+
+def _start_distances(layout: ArrayLayout, config: EstimatorConfig) -> np.ndarray:
+    """Anchor distances of every path's first iteration: to the region center.
+
+    They are floored so that a reference placed at the center stays usable.
+    """
+    h_lo, h_hi = config.region.h_range
+    center = np.array([*config.region.center, 0.5 * (h_lo + h_hi)])
+    return _anchor_distances(layout, center, config.mode, MIN_ANCHOR_INIT)
+
+
+def start_dictionaries(layout: ArrayLayout, radio: RadioConfig,
+                       config: EstimatorConfig) -> list[DpDictionary]:
+    """Each subarray's dictionary for the first iteration of every path.
+
+    Their atoms depend only on the layout and the config, never on the
+    scene, so a caller running many trials builds them once. One
+    dictionary is built per distinct (n_pas, spacing, start distance), and
+    each subarray gets a copy labelled with its own index that shares its
+    read-only atoms.
+    """
+    r_start = _start_distances(layout, config)
+    built, start = {}, []
+    for m, sub in enumerate(layout.subarrays):
+        key = (sub.n_pas, sub.spacing, float(r_start[m]))
+        if key not in built:
+            built[key] = build_dp_dictionary(sub, key[2], config.grid, radio, mode=config.mode,
+                                             dh=config.dh)
+            built[key].atoms.setflags(write=False)
+        start.append(replace(built[key], subarray=m))
+    return start
+
+
+def extract_directions(w_list, residuals, dictionaries, path=0, energies=None) -> list:
     """Stage 1: per subarray, the dictionary column that best matches its residual.
 
-    Subarray m's dictionary is built at anchor distance r_anchor[m] and
-    matched through its measurement matrix w_list[m] by omp_direction
-    (in Gram form while a subarray has fewer elements than pilot slots).
+    Subarray m's dictionary is matched through its measurement matrix
+    w_list[m] by omp_direction (in Gram form while a subarray has fewer
+    elements than pilot slots); energies[m], when given, are its
+    atom_energies. ``dictionaries`` may be built lazily (anchor_dictionaries).
     """
     directions = []
-    for m, sub in enumerate(layout.subarrays):
-        # Rebinding ``dic`` holds the previous build through the next one, so
-        # glibc does not trim and regrow the heap per subarray: freeing it
-        # first takes an mw m=3 l=1 trial from 2.1k to 3.9k minor page faults
-        # (x86-64, Python 3.11, numpy 2.4).
-        dic = build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, mode=mode, dh=dh, index=m)
-        directions.append(omp_direction(residuals[m], w_list[m], dic, path=path))
+    for m, dic in enumerate(dictionaries):
+        energy = None if energies is None else energies[m]
+        directions.append(omp_direction(residuals[m], w_list[m], dic, path=path, energy=energy))
     return directions
 
 
@@ -600,33 +646,35 @@ def run_omp_gcl(
     layout: ArrayLayout,
     radio: RadioConfig,
     config: EstimatorConfig,
+    start: list[DpDictionary],
 ) -> EstimationResult:
     """Joint multi-path localization and channel reconstruction.
 
     Paths are extracted strongest-first. Each path alternates
     extract_directions and fuse for up to max_outer_iters steps (stopping
     once the fix moves less than MOVE_TOL), then runs arbitrate, polish
-    and peel. Reported angles and signs belong to the arbitrated iterate,
-    and each path's trace records every iterate and the polished
-    position. A path whose mean dictionary coefficient magnitude falls
-    below COEFF_FLOOR times the first path's is reported absent and
-    extraction stops.
+    and peel. Every path's first iteration matches against ``start``, the
+    layout's start_dictionaries, whose energies are computed once per
+    trial; later iterations build at the fused anchor distances. Polish
+    keeps an ambiguous fix on its side of the guide line. Reported angles
+    and signs belong to the arbitrated iterate, and each path's trace
+    records every iterate and the polished position. A path whose mean
+    dictionary coefficient magnitude falls below COEFF_FLOOR times the
+    first path's is reported absent and extraction stops.
     """
     if measurements.m != layout.m:
         raise ValueError("measurement set does not match the layout")
+    if [d.r_param for d in start] != _start_distances(layout, config).tolist():
+        raise ValueError("start dictionaries do not match the layout and config; "
+                         "build them with start_dictionaries")
     region = config.region
-    grid = AngleGrid.uniform_cosine(config.g_theta)
-    dh = region.h_pa - config.fixed_height
     amp = np.sqrt(radio.p0)
     w = measurements.w
     residuals = [y.astype(complex).copy() for y in measurements.y]
-    h_lo, h_hi = region.h_range
+    start_energies = [atom_energies(w_m, d) for w_m, d in zip(w, start)]
     box = ((0.0, region.size_x), (0.0, region.size_y),
-           None if config.mode == "2d" else (h_lo, h_hi))
-    # Every path starts from the region center, floored so that a reference
-    # placed at the center stays usable.
-    center = np.array([*region.center, 0.5 * (h_lo + h_hi)])
-    r_start = _anchor_distances(layout, center, config.mode, MIN_ANCHOR_INIT)
+           None if config.mode == "2d" else region.h_range)
+    y0 = layout.reference_xy[:, 1].min()
 
     paths: list[PathEstimateResult] = []
     user = None
@@ -635,11 +683,13 @@ def run_omp_gcl(
 
     for l in range(config.num_paths):
         kind = "los" if l == 0 else "nlos"
-        r_anchor = r_start
         iterates, trace = [], []
         for it in range(config.max_outer_iters):
-            directions = extract_directions(layout, radio, grid, w, residuals, r_anchor,
-                                            config.mode, dh, l)
+            if it == 0:
+                directions = extract_directions(w, residuals, start, l, start_energies)
+            else:
+                dictionaries = anchor_dictionaries(layout, radio, config, r_anchor)
+                directions = extract_directions(w, residuals, dictionaries, l)
             iterate, r_anchor = fuse(directions, layout, config)
             moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
             iterates.append(iterate)
@@ -661,7 +711,12 @@ def run_omp_gcl(
             coeffs = np.zeros(layout.m, dtype=complex)
             components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
         else:
-            position = polish(position, gain, kind, user, layout, radio, w, residuals, amp, box)
+            path_box = box
+            if "ambiguous" in chosen.flags:  # one guide line: stay on the fix's side of it
+                side = (0.0, y0) if position[1] <= y0 else (y0, region.size_y)
+                path_box = (box[0], side, box[2])
+            position = polish(position, gain, kind, user, layout, radio, w, residuals, amp,
+                              path_box)
             trace.append({"polish": True, "position": position.tolist()})
             coeffs, components = peel(position, kind, user, layout, radio, w, residuals, amp)
         paths.append(PathEstimateResult(
@@ -705,16 +760,14 @@ def polar_dictionary(
     """Joint ring x angle atoms of a single-subarray layout at the config's grid.
 
     The atoms are scene-independent, so a caller running many trials
-    builds them once; harness.nf_dictionary builds the nf scenario's.
+    builds them once; harness.scenario_atoms builds the nf scenario's.
     """
     # Looked up at call time so that a wrapper installed on
     # passloc.dictionary (benchmarks/tracing.py) also sees this build.
     from .dictionary import build_polar_dictionary
 
-    grid = AngleGrid.uniform_cosine(config.g_theta)
-    dh = config.region.h_pa - config.fixed_height
-    return build_polar_dictionary(layout.subarrays[0], radio, grid, rings, mode="2d", dh=dh,
-                                  index=0)
+    return build_polar_dictionary(layout.subarrays[0], radio, config.grid, rings, mode="2d",
+                                  dh=config.dh, index=0)
 
 
 def run_polar_baseline(

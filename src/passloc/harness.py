@@ -29,7 +29,7 @@ from .channel import (
 )
 from .dictionary import DpDictionary, default_polar_rings
 from .estimator import (EstimationResult, EstimatorConfig, polar_dictionary, run_omp_gcl,
-                        run_polar_baseline)
+                        run_polar_baseline, start_dictionaries)
 from .geometry import (
     ArrayLayout,
     Scene,
@@ -292,41 +292,45 @@ def simulate_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_inde
     return scene, layout, schedule, paths, ms
 
 
-def nf_dictionary(cfg: ExperimentConfig) -> DpDictionary:
-    """The nf scenario's polar dictionary with cfg.nf_rings rings.
+def scenario_atoms(cfg: ExperimentConfig, scenario: str) -> list[DpDictionary]:
+    """The scene-independent atoms of a scenario's estimator, one dictionary per subarray.
 
-    Its atoms are scene-independent, so a sweep builds it once.
+    nf gets its polar dictionary with cfg.nf_rings rings, every other
+    scenario the OMP-GCL start dictionaries. No scene or trial enters
+    them, so a sweep builds them once per scenario.
     """
-    layout, _ = scenario_layout(cfg, "nf")
-    rings = default_polar_rings(cfg.region, cfg.nf_rings)
-    return polar_dictionary(layout, cfg.radio, cfg.estimator_config(), rings)
+    layout, _ = scenario_layout(cfg, scenario)
+    if scenario == "nf":
+        rings = default_polar_rings(cfg.region, cfg.nf_rings)
+        return [polar_dictionary(layout, cfg.radio, cfg.estimator_config(), rings)]
+    return start_dictionaries(layout, cfg.radio, cfg.estimator_config())
 
 
 def estimate(cfg: ExperimentConfig, scenario: str, ms: MeasurementSet, layout: ArrayLayout,
-             polar: DpDictionary | None = None) -> EstimationResult:
-    """The scenario's estimator on one trial's measurements.
+             atoms: list[DpDictionary]) -> EstimationResult:
+    """The scenario's estimator on one trial's measurements, given scenario_atoms(cfg, scenario).
 
-    nf runs the polar baseline over ``polar`` (nf_dictionary(cfg) when not
-    given); every other scenario runs OMP-GCL.
+    nf runs the polar baseline; every other scenario runs OMP-GCL.
     """
     if scenario == "nf":
-        dic = polar if polar is not None else nf_dictionary(cfg)
-        return run_polar_baseline(ms, layout, cfg.radio, cfg.estimator_config(), dic)
-    return run_omp_gcl(ms, layout, cfg.radio, cfg.estimator_config())
+        return run_polar_baseline(ms, layout, cfg.radio, cfg.estimator_config(), atoms[0])
+    return run_omp_gcl(ms, layout, cfg.radio, cfg.estimator_config(), atoms)
 
 
 def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: int,
-              trial: int, polar: DpDictionary | None = None) -> TrialRecord:
+              trial: int, atoms: list[DpDictionary] | None = None) -> TrialRecord:
     """One end-to-end trial; the estimator's domain failures come back as flagged records.
 
     Domain failures are ValueErrors (singular geometry, an empty dictionary)
-    and singular solves; any other exception propagates. ``polar`` is passed
-    on to estimate().
+    and singular solves; any other exception propagates. ``atoms`` are
+    scenario_atoms(cfg, scenario), built here when not given.
     """
+    if atoms is None:
+        atoms = scenario_atoms(cfg, scenario)
     scene, layout, _, paths, ms = simulate_trial(cfg, scenario, snr_db, snr_index, trial)
     t0 = time.perf_counter()
     try:
-        result = estimate(cfg, scenario, ms, layout, polar)
+        result = estimate(cfg, scenario, ms, layout, atoms)
     except (ValueError, np.linalg.LinAlgError) as exc:  # record, do not abort the sweep
         return TrialRecord(
             scenario=scenario, snr_db=snr_db, trial=trial,
@@ -517,13 +521,13 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
     are kept. Raises if more than half the trials of any cell fail.
     """
     result = SweepResult(config=cfg)
-    polar = nf_dictionary(cfg) if "nf" in cfg.scenarios else None
     for scenario in cfg.scenarios:
         _, total_slots = scenario_layout(cfg, scenario)
+        atoms = scenario_atoms(cfg, scenario)
         for snr_index, snr in enumerate(cfg.snr_db):
             records = []
             for trial in range(cfg.trials):
-                rec = run_trial(cfg, scenario, snr, snr_index, trial, polar)
+                rec = run_trial(cfg, scenario, snr, snr_index, trial, atoms)
                 records.append(rec)
                 if progress is not None:
                     progress(rec)

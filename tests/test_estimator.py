@@ -1,5 +1,6 @@
 """Direction matching, sign-resolved position fusion, and the joint loop."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,8 @@ from passloc.dictionary import (
 from passloc.estimator import (
     DirectionEstimate,
     EstimatorConfig,
+    _start_distances,
+    anchor_dictionaries,
     extract_directions,
     fuse,
     omp_direction,
@@ -37,6 +40,7 @@ from passloc.estimator import (
     sign_consistency_penalty,
     solve_position_3d,
     solve_position_ls,
+    start_dictionaries,
 )
 from passloc.geometry import (
     Scene,
@@ -234,15 +238,32 @@ def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_
     scene = sample_scene(region, l=0, rng_seed=3)
     ms = measure(layout, make_schedule(layout, 32, 0.5, rng_seed=1),
                  synthesize_paths(layout, scene, radio), radio, snr_db=20.0, rng_seed=2)
-    grid = AngleGrid.uniform_cosine(128)
-    r_anchor = np.full(layout.m, 10.0)
-    dh = region.h_pa
-    ests = extract_directions(layout, radio, grid, ms.w, ms.y, r_anchor, dh=dh, path=1)
+    cfg = EstimatorConfig(region=region, g_theta=128)
+    dics = anchor_dictionaries(layout, radio, cfg, np.full(layout.m, 10.0))
+    ests = extract_directions(ms.w, ms.y, dics, path=1)
     assert [(d.subarray, d.path) for d in ests] == [(m, 1) for m in range(layout.m)]
     for m, (sub, d) in enumerate(zip(layout.subarrays, ests)):
-        dic = build_dp_dictionary(sub, 10.0, grid, radio, dh=dh, index=m)
+        dic = build_dp_dictionary(sub, 10.0, cfg.grid, radio, dh=region.h_pa, index=m)
         g, _, _ = _oracle(dic, ms.w[m], ms.y[m])
         assert (d.grid_index, d.varphi) == (g, dic.cosines[g])
+
+
+@pytest.mark.parametrize("m, mode", [(8, "2d"), (3, "2d"), (4, "3d")])
+def test_start_dictionaries_are_the_start_builds_shared_per_distance(region, radio, half_wave,
+                                                                     m, mode):
+    layout = build_mw_layout(region, m, 16, half_wave)
+    cfg = EstimatorConfig(region=region, mode=mode, g_theta=64)
+    start = start_dictionaries(layout, radio, cfg)
+    built = list(anchor_dictionaries(layout, radio, cfg, _start_distances(layout, cfg)))
+    assert [d.subarray for d in start] == list(range(m))
+    for s, b in zip(start, built, strict=True):
+        assert (s.r_param, s.mode) == (b.r_param, b.mode)
+        assert np.array_equal(s.atoms, b.atoms) and np.array_equal(s.cosines, b.cosines)
+        assert not s.atoms.flags.writeable
+    # subarrays at one start distance share one atoms array
+    distinct = {d.r_param for d in start}
+    assert len({id(d.atoms) for d in start}) == len(distinct)
+    assert len(distinct) == {8: 4, 3: 2, 4: 2}[m]
 
 
 # --- projectors and the closed-form fusion ------------------------------------
@@ -716,7 +737,7 @@ def _run_once(region, radio, half_wave, *, m=3, n=32, l=0, seed=0, snr=None, **c
     sch = make_schedule(lay, total_slots=64, rng_seed=seed)
     ms = measure(lay, sch, paths, radio, snr_db=snr, rng_seed=seed)
     cfg = EstimatorConfig(region=region, num_paths=l + 1, **cfg_kw)
-    return scene, run_omp_gcl(ms, lay, radio, cfg)
+    return scene, run_omp_gcl(ms, lay, radio, cfg, start_dictionaries(lay, radio, cfg))
 
 
 def test_joint_loop_noiseless_user_recovery(region, radio, half_wave):
@@ -765,7 +786,7 @@ def test_joint_loop_flags_absent_second_path(region, radio, half_wave):
     sch = make_schedule(lay, total_slots=64, rng_seed=1)
     ms = measure(lay, sch, paths, radio, snr_db=None, rng_seed=1)
     cfg = EstimatorConfig(region=region, num_paths=2)
-    result = run_omp_gcl(ms, lay, radio, cfg)
+    result = run_omp_gcl(ms, lay, radio, cfg, start_dictionaries(lay, radio, cfg))
     assert result.paths[1].absent
     assert "path-absent" in result.flags
 
@@ -776,8 +797,14 @@ def test_joint_loop_rejects_mismatched_layout(region, radio, half_wave):
     scene = sample_scene(region, l=0, rng_seed=0)
     sch = make_schedule(lay3, total_slots=64, rng_seed=0)
     ms = measure(lay3, sch, synthesize_paths(lay3, scene, radio), radio, None)
+    cfg = EstimatorConfig(region=region)
     with pytest.raises(ValueError):
-        run_omp_gcl(ms, lay2, radio, EstimatorConfig(region=region))
+        run_omp_gcl(ms, lay2, radio, cfg, start_dictionaries(lay2, radio, cfg))
+    with pytest.raises(ValueError, match="start dictionaries"):
+        run_omp_gcl(ms, lay3, radio, cfg, start_dictionaries(lay2, radio, cfg))
+    with pytest.raises(ValueError, match="start dictionaries"):
+        run_omp_gcl(ms, lay3, radio, cfg,
+                    start_dictionaries(lay3, radio, dataclasses.replace(cfg, mode="3d")))
 
 
 def test_joint_loop_trace_records_iterations(region, radio, half_wave):
@@ -794,8 +821,37 @@ def test_joint_loop_3d_smoke(radio, half_wave):
     sch = make_schedule(lay, total_slots=64, rng_seed=7)
     ms = measure(lay, sch, synthesize_paths(lay, scene, radio), radio, None, rng_seed=7)
     cfg = EstimatorConfig(region=tall, mode="3d", g_theta=2048)
-    result = run_omp_gcl(ms, lay, radio, cfg)
+    result = run_omp_gcl(ms, lay, radio, cfg, start_dictionaries(lay, radio, cfg))
     assert np.linalg.norm(result.paths[0].position - scene.user) < 0.1
+
+
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+@pytest.mark.parametrize("build", [build_sw_layout, build_mw_layout])
+def test_polish_keeps_an_ambiguous_fix_on_its_side_of_the_guide(radio, half_wave, monkeypatch,
+                                                               mode, build):
+    tall = ServiceRegion(30.0, 30.0, 6.0, h_range=(0.0, 3.0))
+    lay = build(tall, 3, 16, half_wave)
+    cfg = EstimatorConfig(region=tall, mode=mode, num_paths=2, g_theta=256)
+    start = start_dictionaries(lay, radio, cfg)
+    real, seen = passloc.estimator.polish, []
+
+    def spy(position, *args):
+        seen.append((position[1], args[-1]))
+        return real(position, *args)
+
+    monkeypatch.setattr(passloc.estimator, "polish", spy)
+    for seed in range(3):
+        scene = sample_scene(tall, l=1, rng_seed=seed, mode=mode)
+        sch = make_schedule(lay, total_slots=96, rng_seed=seed)
+        ms = measure(lay, sch, synthesize_paths(lay, scene, radio), radio, 25.0, rng_seed=seed)
+        run_omp_gcl(ms, lay, radio, cfg, start)
+    assert seen
+    for y, box in seen:
+        if build is build_sw_layout:  # one guide line at y = 15
+            assert box[1] == ((0.0, 15.0) if y <= 15.0 else (15.0, 30.0))
+        else:
+            assert box[1] == (0.0, 30.0)
+        assert box[2] == (None if mode == "2d" else (0.0, 3.0))
 
 
 def test_subtracting_direct_component_leaves_scattered_part(region, radio, half_wave):

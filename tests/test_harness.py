@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import passloc.estimator
 from passloc.channel import RadioConfig
 from passloc.dictionary import DictionaryError, default_polar_rings
-from passloc.estimator import EstimatorConfig, polar_dictionary, run_polar_baseline
+from passloc.estimator import (EstimatorConfig, _start_distances, polar_dictionary,
+                               run_polar_baseline)
 from passloc.geometry import ServiceRegion, SingularGeometryError
 from passloc.harness import (
     ExperimentConfig,
@@ -230,15 +231,63 @@ def test_trials_share_scenes_across_scenarios():
     assert c.scene_points != a.scene_points
 
 
-def test_nf_trial_alone_matches_its_sweep_record():
-    # without a prebuilt dictionary run_trial must still honour cfg.nf_rings
-    cfg = ExperimentConfig(scenarios=("nf",), trials=1, snr_db=(25.0,), seed=3, nf_rings=8)
-    swept = run_sweep(cfg).records[0]
-    alone = run_trial(cfg, "nf", 25.0, 0, trial=0)
-    assert not alone.failed
-    assert alone.positions == swept.positions
-    assert alone.position_error == swept.position_error
-    assert alone.nmse_linear == swept.nmse_linear
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(scenarios=("nf",), nf_rings=8), id="nf"),
+    pytest.param(dict(scenarios=("mw",), l=1), id="mw-l1"),
+    pytest.param(dict(scenarios=("mw",), m=4, mode="3d", h_pa=6.0, h_range=(0.0, 6.0)),
+                 id="mw-3d"),
+    pytest.param(dict(scenarios=("sw",)), id="sw"),
+    pytest.param(dict(scenarios=("sw2",)), id="sw2"),
+])
+def test_trial_alone_matches_its_sweep_record(overrides):
+    # run_trial builds its own atoms (nf: with cfg.nf_rings) when the sweep's are not
+    # passed, and the sweep's second trial shows that its shared atoms carry nothing
+    # over from the first
+    cfg = ExperimentConfig(trials=2, snr_db=(25.0,), seed=3, **overrides)
+    swept = run_sweep(cfg).records[1].to_dict()
+    alone = run_trial(cfg, cfg.scenarios[0], 25.0, 0, trial=1).to_dict()
+    assert not alone["failed"]
+    for rec in (swept, alone):
+        rec.pop("wall_time_s")
+    assert alone == swept
+
+
+def test_a_sweep_builds_each_start_dictionary_once(monkeypatch):
+    # mw m=8 has 4 distinct anchor distances to the region center: corners, edge midpoints
+    cfg = ExperimentConfig(scenarios=("mw",), m=8, l=1, trials=3, snr_db=(25.0,), seed=5,
+                           g_theta=256)
+    layout, _ = scenario_layout(cfg, "mw")
+    r_start = set(_start_distances(layout, cfg.estimator_config()).tolist())
+    built, directions = [], []
+    real_build = passloc.estimator.build_dp_dictionary
+    real_extract = passloc.estimator.extract_directions
+
+    def build(sub, r_param, *args, **kwargs):
+        built.append(r_param)
+        return real_build(sub, r_param, *args, **kwargs)
+
+    def extract(*args, **kwargs):
+        directions.append(real_extract(*args, **kwargs))
+        return directions[-1]
+
+    monkeypatch.setattr(passloc.estimator, "build_dp_dictionary", build)
+    monkeypatch.setattr(passloc.estimator, "extract_directions", extract)
+    run_sweep(cfg)
+    assert len(r_start) == 4
+    assert sorted(r for r in built if r in r_start) == sorted(r_start)
+    assert set(built[:4]) == r_start  # before the first trial
+    assert len(directions) >= 2 * cfg.trials  # every trial ran both paths
+    for found in directions:
+        assert [d.subarray for d in found] == list(range(cfg.m))
+
+
+def test_polish_keeps_a_single_guide_fix_on_its_side_of_the_line():
+    # trial 2 fuses to (5.85, 13.92), below the sw2 guide at y = 15; a search free to
+    # cross the line followed a ridge of the refit gain to (16.08, 17.19)
+    cfg = ExperimentConfig(scenarios=("sw2",), trials=4, snr_db=(25.0,), g_theta=256, seed=2)
+    rec = run_trial(cfg, "sw2", 25.0, 0, trial=2)
+    assert "ambiguous" in rec.flags
+    assert rec.positions[0][1] == pytest.approx(12.76, abs=0.01)
 
 
 def test_trial_failure_is_recorded_not_raised(monkeypatch):

@@ -26,22 +26,18 @@ FOUR_PI = 4.0 * np.pi
 class RadioConfig:
     """Carrier and waveguide parameters.
 
-    n_eff is the effective refractive index of the dielectric guide and
-    p0 the pilot power; both default to the values used throughout the
-    bundled experiments.
+    n_eff is the effective refractive index of the dielectric guide; it
+    defaults to the value used throughout the bundled experiments.
     """
 
     frequency: float
     n_eff: float = 1.4
-    p0: float = 1.0
 
     def __post_init__(self):
         if self.frequency <= 0.0:
             raise ValueError("carrier frequency must be positive")
         if self.n_eff < 1.0:
             raise ValueError("effective index below 1 is unphysical")
-        if self.p0 <= 0.0:
-            raise ValueError("pilot power must be positive")
 
     @property
     def wavelength(self) -> float:
@@ -207,8 +203,8 @@ class MeasurementSet:
 
     y[m] holds subarray m's observed slots; w[m] is the matching matrix
     whose row t is the conjugated elementwise product of that slot's
-    activation mask with the waveguide vector, so y = sqrt(p0) * w @ h
-    plus noise. slot_ids[m] maps rows back to global slot indices.
+    activation mask with the waveguide vector, so y = w @ h plus noise.
+    slot_ids[m] maps rows back to global slot indices.
     """
 
     y: tuple[np.ndarray, ...]
@@ -239,19 +235,22 @@ def measure(
     snr_db: float | None,
     rng_seed=0,
 ) -> MeasurementSet:
-    """Collect pilots y = sqrt(p0) * w @ h + noise for every subarray.
+    """Collect pilots y = w @ h + noise for every subarray.
 
     The per-trial noise variance is the mean clean-signal power over all
     observed slots of all subarrays divided by the linear SNR, so the
-    quoted SNR is an average over the whole pilot frame. ``snr_db=None``
-    (or +inf) disables noise.
+    quoted SNR is an average over the whole pilot frame, and a pilot power
+    would scale signal and noise alike. ``snr_db=None`` (or +inf) disables
+    noise; NaN and -inf raise.
     """
     if schedule.m != layout.m or schedule.activation.shape[2] != layout.pas_per_subarray:
         raise ValueError("schedule does not match the layout dimensions")
     if len(paths) != layout.m:
         raise ValueError("need the paths of every subarray")
+    noiseless = snr_db is None or snr_db == np.inf
+    if not (noiseless or np.isfinite(snr_db)):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
     rng = np.random.default_rng(rng_seed)
-    amp = np.sqrt(radio.p0)
     channels = channel_vector(paths)
 
     clean, ws, slots = [], [], []
@@ -261,23 +260,14 @@ def measure(
         if np.any(rows.sum(axis=1) == 0):
             raise ValueError("schedule contains an all-off observed slot")
         w = measurement_matrix(sub, rows, radio)
-        clean.append(amp * (w @ channels[m]))
+        clean.append(w @ channels[m])
         ws.append(w)
         slots.append(sl)
 
     power = float(np.mean(np.concatenate([np.abs(c) ** 2 for c in clean])))
-    if snr_db is None or np.isinf(snr_db):
-        sigma2 = 0.0
-    else:
-        sigma2 = power / (10.0 ** (snr_db / 10.0))
-
-    ys = []
-    for c in clean:
-        if sigma2 > 0.0:
-            scale = np.sqrt(sigma2 / 2.0)
-            noise = scale * (rng.standard_normal(c.size) + 1j * rng.standard_normal(c.size))
-            ys.append(c + noise)
-        else:
-            ys.append(c)
+    sigma2 = 0.0 if noiseless else power / (10.0 ** (snr_db / 10.0))
+    scale = np.sqrt(sigma2 / 2.0)
+    ys = [c + scale * (rng.standard_normal(c.size) + 1j * rng.standard_normal(c.size))
+          if sigma2 > 0.0 else c for c in clean]
     return MeasurementSet(tuple(ys), tuple(ws), tuple(slots), sigma2, snr_db, power)
 

@@ -11,14 +11,14 @@ selection, and its least-squares coefficients are in the atoms' own scale.
 project_dictionary gives the measured columns W A themselves.
 
 Planar mode keeps the horizontal anchor distance as the parameter and
-carries the fixed PA-to-target height gap explicitly; full-3D mode folds
-the unknown height gap into a slant distance so the same one-parameter
-grid still applies.
+carries the fixed PA-to-target height gap dh explicitly; full-3D mode folds
+the unknown height gap into a slant distance and builds with dh = 0, so
+the same one-parameter grid still applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,38 +73,27 @@ class DpDictionary:
     where columns enumerate (distance ring, angle) pairs.
     """
 
-    subarray: int
     r_param: float
-    mode: str
     cosines: np.ndarray
     atoms: np.ndarray
-    dropped: np.ndarray = None
+    dropped: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     ring_distances: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.dropped is None:
-            object.__setattr__(self, "dropped", np.empty(0, dtype=int))
 
     @property
     def g(self) -> int:
         return self.cosines.size
 
 
-def _squared_ranges(r, cosang, nd, dh: float, mode: str):
-    """Law of cosines r^2 + (n*d)^2 - 2*(n*d)*r*cos, plus dh^2 in planar mode.
+def _squared_ranges(r, cosang, nd, dh: float):
+    """Law of cosines r^2 + (n*d)^2 - 2*(n*d)*r*cos, plus dh^2.
 
     Non-positive entries mark geometrically impossible (distance, angle)
     pairs; callers decide whether that raises or drops a column.
     """
-    radicand = r * r + nd * nd - 2.0 * nd * r * cosang
-    if mode == "2d":
-        radicand += dh * dh
-    elif mode != "3d":
-        raise ValueError("mode must be '2d' or '3d'")
-    return radicand
+    return r * r + nd * nd - 2.0 * nd * r * cosang + dh * dh
 
 
-def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0, mode: str = "2d"):
+def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0):
     """Element range from local polar coordinates via the law of cosines.
 
     Parameters
@@ -113,9 +102,8 @@ def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0, mode: str = 
     cosang : direction cosine(s) of the target along the guide axis.
     n : element index or indices (0 at the reference PA).
     d : element spacing in meters.
-    dh : PA-to-target height gap, used only in planar mode.
-    mode : "2d" adds dh**2 under the root; "3d" expects dh already folded
-        into the slant distance and ignores it.
+    dh : PA-to-target height gap, added under the root; 0 for a slant r,
+        which already holds it.
 
     Broadcasting applies across r, cosang, and n.
     """
@@ -123,7 +111,7 @@ def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0, mode: str = 
     if np.any(r <= 0.0):
         raise ValueError("anchor distance must be positive")
     nd = np.asarray(n, dtype=float) * d
-    radicand = _squared_ranges(r, np.asarray(cosang, dtype=float), nd, dh, mode)
+    radicand = _squared_ranges(r, np.asarray(cosang, dtype=float), nd, dh)
     if np.any(radicand <= 0.0):
         raise ValueError("non-positive squared range; grid point is geometrically invalid")
     return np.sqrt(radicand)
@@ -134,9 +122,7 @@ def build_dp_dictionary(
     r_param: float,
     grid: AngleGrid,
     radio: RadioConfig,
-    mode: str = "2d",
     dh: float = 0.0,
-    index: int = -1,
 ) -> DpDictionary:
     """Channel-domain atoms for one subarray at a fixed anchor distance.
 
@@ -149,7 +135,7 @@ def build_dp_dictionary(
     if r_param <= 0.0:
         raise ValueError("anchor distance must be positive")
     nd = np.arange(subarray.n_pas, dtype=float)[None, :] * subarray.spacing
-    ranges = _squared_ranges(r_param, grid.values[:, None], nd, dh, mode)  # (G, N)
+    ranges = _squared_ranges(r_param, grid.values[:, None], nd, dh)  # (G, N)
     ok = np.all(ranges > 0.0, axis=1)
     dropped = np.nonzero(~ok)[0]
     if not ok.any():
@@ -164,14 +150,7 @@ def build_dp_dictionary(
     np.divide(radio.wavelength, ranges, out=ranges)
     np.multiply(ranges, atoms, out=atoms)
     np.divide(atoms, np.sqrt(subarray.n_pas), out=atoms)
-    return DpDictionary(
-        subarray=index,
-        r_param=float(r_param),
-        mode=mode,
-        cosines=cosines,
-        atoms=atoms.T,
-        dropped=dropped,
-    )
+    return DpDictionary(r_param=float(r_param), cosines=cosines, atoms=atoms.T, dropped=dropped)
 
 
 def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> np.ndarray:
@@ -186,9 +165,7 @@ def build_polar_dictionary(
     radio: RadioConfig,
     angle_grid: AngleGrid,
     distance_grid,
-    mode: str = "2d",
     dh: float = 0.0,
-    index: int = -1,
 ) -> DpDictionary:
     """Joint (distance ring, angle) dictionary for single-array matching.
 
@@ -200,14 +177,12 @@ def build_polar_dictionary(
         raise ValueError("distance grid must be positive and strictly increasing")
     blocks, cosines, ring_of = [], [], []
     for r in rings:
-        d = build_dp_dictionary(subarray, r, angle_grid, radio, mode=mode, dh=dh)
+        d = build_dp_dictionary(subarray, r, angle_grid, radio, dh=dh)
         blocks.append(d.atoms)
         cosines.append(d.cosines)
         ring_of.append(np.full(d.g, r))
     return DpDictionary(
-        subarray=index,
         r_param=float(rings[0]),
-        mode=mode,
         cosines=np.concatenate(cosines),
         atoms=np.hstack(blocks),
         ring_distances=np.concatenate(ring_of),

@@ -15,11 +15,13 @@ extracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 
 import numpy as np
 
-from .channel import MeasurementSet, RadioConfig, channel_vector, path_vector, point_responses
+from .channel import MeasurementSet, RadioConfig, path_vector
 from .dictionary import (
     AngleGrid,
     DictionaryError,
@@ -67,16 +69,14 @@ class EstimatorConfig:
 
     @property
     def dh(self) -> float:
-        """The PA-to-target height gap planar-mode dictionaries carry."""
-        return self.region.h_pa - self.fixed_height
+        """Height gap the dictionaries carry; a 3-D slant distance already holds it, so 0 there."""
+        return self.region.h_pa - self.fixed_height if self.mode == "2d" else 0.0
 
 
 @dataclass(frozen=True)
 class DirectionEstimate:
     """Best dictionary column for one subarray against one residual."""
 
-    subarray: int
-    path: int
     varphi: float
     grid_index: int
     coefficient: complex
@@ -151,7 +151,7 @@ def atom_energies(w: np.ndarray, dictionary: DpDictionary) -> np.ndarray:
 
 
 def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
-                  path: int = 0, energy: np.ndarray | None = None) -> DirectionEstimate:
+                  energy: np.ndarray | None = None) -> DirectionEstimate:
     """The atom a_g whose measured column W a_g best matches the residual y.
 
     Scores |<W a_g, y>| / ||W a_g|| with the correlation a_g^H (W^H y) and
@@ -177,8 +177,6 @@ def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
     g = int(np.argmax(score))
     low = score[g] <= 1e-8 * max(float(np.linalg.norm(y_res)), 1e-300)
     return DirectionEstimate(
-        subarray=dictionary.subarray,
-        path=path,
         varphi=float(dictionary.cosines[g]),
         grid_index=g,
         coefficient=complex(corr[g] / energy[g]),
@@ -309,7 +307,7 @@ def _quadric_cost(x, y, z, xm, ym, delta):
     return res, float(np.sum(res * res))
 
 
-def solve_position_3d(refs, varphis, bounds=None) -> Position3dFix:
+def solve_position_3d(refs, varphis, bounds) -> Position3dFix:
     """Fuse slant-frame cosines into (x, y, height) for PAs at a common height.
 
     Each cosine pins a cone around the guide axis; writing z for the
@@ -317,7 +315,8 @@ def solve_position_3d(refs, varphis, bounds=None) -> Position3dFix:
     z + (y - y_m)^2 = (1/cos^2 - 1) * (x - x_m)^2. The solver scans a
     QUADRIC_GRID x QUADRIC_GRID (x, y) grid with the closed-form optimal
     z, then polishes with at most QUADRIC_MAX_ITERS damped Gauss-Newton
-    steps in (x, y, z >= 0). Height is h_pa - sqrt(z), clamped to [0, h_pa].
+    steps in (x, y, z >= 0); ``bounds`` ((x_lo, x_hi), (y_lo, y_hi)) spans
+    the scan grid. Height is h_pa - sqrt(z), clamped to [0, h_pa].
     On one guide line the fix is the mirror on the y <= y_0 side unless
     the box's y range excludes it and admits the other.
     """
@@ -334,12 +333,6 @@ def solve_position_3d(refs, varphis, bounds=None) -> Position3dFix:
     c = np.where(np.abs(phis) < 1e-12, np.copysign(1e-12, phis), phis)
     delta = 1.0 / (c * c) - 1.0
 
-    if bounds is None:
-        pad = 1.0
-        bounds = (
-            (float(xm.min() - pad), float(xm.max() + pad)),
-            (float(ym.min() - pad), float(ym.max() + pad)),
-        )
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     xs = np.linspace(x_lo, x_hi, QUADRIC_GRID)
     ys = np.linspace(y_lo, y_hi, QUADRIC_GRID)
@@ -423,13 +416,14 @@ POLISH_MAX_EVALS = 160
 
 @dataclass(frozen=True)
 class Iterate:
-    """One refinement step of a path: its directions and the fix fused from them."""
+    """One refinement step of a path: its directions, the fix fused from them, and polish's box."""
 
     directions: list
     varphis: np.ndarray
     position: np.ndarray  # (3,)
     signs: np.ndarray | None  # None in 3-D mode
     flags: tuple[str, ...]
+    box: tuple  # per coordinate (lo, hi), or None for a frozen one
 
 
 def _anchor_distances(layout: ArrayLayout, point, mode: str, floor: float = MIN_ANCHOR_DISTANCE):
@@ -447,8 +441,7 @@ def anchor_dictionaries(layout: ArrayLayout, radio: RadioConfig, config: Estimat
     """Subarray m's dictionary at anchor distance r_anchor[m], built as the caller iterates."""
     grid = config.grid
     for m, sub in enumerate(layout.subarrays):
-        yield build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, mode=config.mode,
-                                  dh=config.dh, index=m)
+        yield build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, dh=config.dh)
 
 
 def _start_distances(layout: ArrayLayout, config: EstimatorConfig) -> np.ndarray:
@@ -466,24 +459,22 @@ def start_dictionaries(layout: ArrayLayout, radio: RadioConfig,
     """Each subarray's dictionary for the first iteration of every path.
 
     Their atoms depend only on the layout and the config, never on the
-    scene, so a caller running many trials builds them once. One
-    dictionary is built per distinct (n_pas, spacing, start distance), and
-    each subarray gets a copy labelled with its own index that shares its
-    read-only atoms.
+    scene, so a caller running many trials builds them once. One read-only
+    dictionary is built per distinct (n_pas, spacing, start distance) and
+    shared by the subarrays that have it.
     """
     r_start = _start_distances(layout, config)
     built, start = {}, []
     for m, sub in enumerate(layout.subarrays):
         key = (sub.n_pas, sub.spacing, float(r_start[m]))
         if key not in built:
-            built[key] = build_dp_dictionary(sub, key[2], config.grid, radio, mode=config.mode,
-                                             dh=config.dh)
+            built[key] = build_dp_dictionary(sub, key[2], config.grid, radio, dh=config.dh)
             built[key].atoms.setflags(write=False)
-        start.append(replace(built[key], subarray=m))
+        start.append(built[key])
     return start
 
 
-def extract_directions(w_list, residuals, dictionaries, path=0, energies=None) -> list:
+def extract_directions(w_list, residuals, dictionaries, energies=None) -> list:
     """Stage 1: per subarray, the dictionary column that best matches its residual.
 
     Subarray m's dictionary is matched through its measurement matrix
@@ -491,11 +482,9 @@ def extract_directions(w_list, residuals, dictionaries, path=0, energies=None) -
     elements than pilot slots); energies[m], when given, are its
     atom_energies. ``dictionaries`` may be built lazily (anchor_dictionaries).
     """
-    directions = []
-    for m, dic in enumerate(dictionaries):
-        energy = None if energies is None else energies[m]
-        directions.append(omp_direction(residuals[m], w_list[m], dic, path=path, energy=energy))
-    return directions
+    energies = [None] * len(w_list) if energies is None else energies
+    return [omp_direction(y, w_m, dic, energy=e)
+            for y, w_m, dic, e in zip(residuals, w_list, dictionaries, energies)]
 
 
 def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iterate, np.ndarray]:
@@ -504,10 +493,14 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
     Planar mode resolves the lateral signs (resolve_signs); 3-D mode fits
     the cone quadric (solve_position_3d). On one guide line a 3-D fit
     fixes only x and the radius around the line, so a height outside
-    h_range moves into it along that circle, on the fix's side. Returns
-    the iterate and the anchor distances for the next dictionary build.
+    h_range moves into it along that circle, on the fix's side. The
+    iterate carries polish's box: the region, plus h_range in 3-D, which
+    for an ambiguous fix stops at the guide line on the fix's side.
+    Returns the iterate and the anchor distances for the next dictionary
+    build.
     """
     region = config.region
+    y0 = layout.reference_xy[:, 1].min()
     varphis = np.array([d.varphi for d in directions])
     if config.mode == "2d":
         # Inflated box for sign feasibility: boundary users with noisy bearings
@@ -527,10 +520,14 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
         position, signs, flags = fix3.position, None, fix3.flags
         (h_lo, h_hi), (x, y, h) = region.h_range, position
         if "ambiguous" in flags and not h_lo <= h <= h_hi:
-            y0, h_in = layout.reference_xy[:, 1].min(), min(max(h, h_lo), h_hi)
+            h_in = min(max(h, h_lo), h_hi)
             r2 = (y - y0) ** 2 + (region.h_pa - h) ** 2  # squared radius around the line
             lateral = np.sqrt(max(r2 - (region.h_pa - h_in) ** 2, 0.0))
             position = np.array([x, y0 + lateral if y > y0 else y0 - lateral, h_in])
+    box = [(0.0, region.size_x), (0.0, region.size_y),
+           None if config.mode == "2d" else region.h_range]
+    if "ambiguous" in flags:  # one guide line: stay on the fix's side of it
+        box[1] = (0.0, y0) if position[1] <= y0 else (y0, region.size_y)
     # Anchor distances are refreshed from the fix projected onto the region
     # box: targets live inside it, and an escaped intermediate fix would
     # collapse the distance of a nearby subarray and poison the next dictionary.
@@ -538,36 +535,40 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
     anchor_point[0] = min(max(anchor_point[0], 0.0), region.size_x)
     anchor_point[1] = min(max(anchor_point[1], 0.0), region.size_y)
     r_anchor = _anchor_distances(layout, anchor_point, config.mode)
-    return Iterate(directions, varphis, position, signs, flags), r_anchor
+    return Iterate(directions, varphis, position, signs, flags, tuple(box)), r_anchor
 
 
-def _path_templates(position, kind, user, layout, radio, w_list, amp):
-    """Per subarray, the path vector b at ``position`` and its measured template amp * W b."""
-    b = path_vector(layout.pa_positions, position, radio, kind, user=user)
-    for m, b_m in enumerate(b.reshape(layout.m, layout.pas_per_subarray)):
-        yield b_m, amp * (w_list[m] @ b_m)
+def rank_one_fit(position, kind, user, layout, radio, w_list, residuals) -> list[tuple]:
+    """Per subarray, the least-squares fit of the path at ``position`` to the residual.
 
-
-def _refit_gain(position, kind, user, layout, radio, w_list, residuals, amp) -> float:
-    """Residual energy captured by a rank-one refit of the path at ``position``.
-
-    Per subarray this is |<t, res>|^2 / ||t||^2 with t the measured
-    component template; the least-squares refit removes exactly this much
-    energy, so larger is better. Bearing costs cannot tell mirror-like
-    candidates apart when bearings are nearly axial, but this can: the
-    template phase pattern is position-specific.
+    Each entry is (b, t, c, e): the path vector b, its measured template
+    t = W b, the coefficient c = <t, res> / ||t||^2 and the energy
+    e = |<t, res>|^2 / ||t||^2 that subtracting c t removes (c = e = 0 when
+    t = 0). Bearing costs cannot tell mirror-like candidates apart when
+    bearings are nearly axial, but e can: the template phase pattern is
+    position-specific.
     """
-    gain = 0.0
-    templates = _path_templates(position, kind, user, layout, radio, w_list, amp)
-    for (_, t), res in zip(templates, residuals):
+    fits = []
+    b = path_vector(layout.pa_positions, position, radio, kind, user=user)
+    for w_m, b_m, res in zip(w_list, b.reshape(layout.m, layout.pas_per_subarray), residuals):
+        t = w_m @ b_m
         den = float(np.vdot(t, t).real)
-        if den > 0.0:
-            gain += abs(np.vdot(t, res)) ** 2 / den
+        ip = np.vdot(t, res)
+        fits.append((b_m, t, complex(ip / den), abs(ip) ** 2 / den) if den > 0.0
+                    else (b_m, t, 0.0, 0.0))
+    return fits
+
+
+def refit_gain(fit, position) -> float:
+    """The refit gain at ``position``: the energy the fits ``fit(position)`` remove, in order."""
+    gain = 0.0
+    for *_, e in fit(position):
+        gain += e
     return gain
 
 
-def arbitrate(iterates, kind, user, layout, radio, w_list, residuals, amp) -> tuple[Iterate, float]:
-    """Stage 3: the iterate with the largest refit gain, and that gain; ties keep the earliest.
+def arbitrate(iterates, gain) -> tuple[Iterate, float]:
+    """Stage 3: the iterate with the largest ``gain``, and that gain; ties keep the earliest.
 
     Near-degenerate sign basins make the refinement oscillate between
     mirror-like fixes of almost equal bearing cost; in the measurement
@@ -575,14 +576,14 @@ def arbitrate(iterates, kind, user, layout, radio, w_list, residuals, amp) -> tu
     """
     best_gain, chosen = None, None
     for cand in iterates:
-        g = _refit_gain(cand.position, kind, user, layout, radio, w_list, residuals, amp)
+        g = gain(cand.position)
         if best_gain is None or g > best_gain * (1.0 + GAIN_TIE_REL):
             best_gain, chosen = g, cand
     return chosen, best_gain
 
 
-def polish(position, gain, kind, user, layout, radio, w_list, residuals, amp, box) -> np.ndarray:
-    """Stage 4: coordinate pattern search maximizing the refit gain near a fix.
+def polish(position, best, gain, box) -> np.ndarray:
+    """Stage 4: coordinate pattern search maximizing ``gain`` near a fix.
 
     The fused position inherits the angular quantization of the far
     subarrays; a target close to one subarray needs finer range accuracy
@@ -590,32 +591,29 @@ def polish(position, gain, kind, user, layout, radio, w_list, residuals, amp, bo
     ``position`` clamped into ``box`` (None entries are frozen), moves one
     coordinate at a time inside it, halves the step on failure, and only
     accepts strict improvements, so exact mirror ties leave the start
-    unchanged. ``gain`` is the refit gain at ``position``, as arbitrate
-    returns it; a clamped start is scored afresh.
+    unchanged. ``best`` is gain(position), as arbitrate returns it; a
+    clamped start is scored afresh.
     """
     dims = [d for d, b in enumerate(box) if b is not None]
     q = np.asarray(position, dtype=float).copy()
     for d in dims:
         q[d] = min(max(q[d], box[d][0]), box[d][1])
     clamped = not np.array_equal(q, position)
-    best = _refit_gain(q, kind, user, layout, radio, w_list, residuals, amp) if clamped else gain
+    if clamped:
+        best = gain(q)
     step = POLISH_INIT_STEP
     evals = int(clamped)
     while step >= POLISH_MIN_STEP and evals < POLISH_MAX_EVALS:
         improved = False
-        for d in dims:
-            lo, hi = box[d]
-            for delta in (step, -step):
-                cand = q.copy()
-                cand[d] = min(max(cand[d] + delta, lo), hi)
-                if cand[d] == q[d]:
-                    continue
-                gain = _refit_gain(cand, kind, user, layout, radio, w_list, residuals, amp)
-                evals += 1
-                if gain > best * (1.0 + GAIN_TIE_REL):
-                    q, best, improved = cand, gain, True
-                if evals >= POLISH_MAX_EVALS:
-                    break
+        for d, delta in product(dims, (step, -step)):
+            cand = q.copy()
+            cand[d] = min(max(cand[d] + delta, box[d][0]), box[d][1])
+            if cand[d] == q[d]:
+                continue
+            g = gain(cand)
+            evals += 1
+            if g > best * (1.0 + GAIN_TIE_REL):
+                q, best, improved = cand, g, True
             if evals >= POLISH_MAX_EVALS:
                 break
         if not improved:
@@ -623,22 +621,17 @@ def polish(position, gain, kind, user, layout, radio, w_list, residuals, amp, bo
     return q
 
 
-def peel(position, kind, user, layout, radio, w_list, residuals, amp):
-    """Stage 5: refit the path's complex gain per subarray and subtract it from ``residuals``.
+def peel(fits, residuals):
+    """Stage 5: subtract each subarray's rank_one_fit from ``residuals`` in place.
 
-    The gain absorbs the common phase of the anchor-distance error.
+    The fitted gain absorbs the common phase of the anchor-distance error.
     Returns the per-subarray gains and the (M, N) channel-domain
-    components with the gain applied; ``residuals`` is updated in place.
+    components with the gain applied.
     """
-    coeffs = np.zeros(layout.m, dtype=complex)
-    components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
-    for m, (b, t) in enumerate(_path_templates(position, kind, user, layout, radio, w_list, amp)):
-        denom = float(np.vdot(t, t).real)
-        c = complex(np.vdot(t, residuals[m]) / denom) if denom > 0.0 else 0.0
+    for m, (_, t, c, _) in enumerate(fits):
         residuals[m] = residuals[m] - c * t
-        coeffs[m] = c
-        components[m] = c * b
-    return coeffs, components
+    return (np.array([c for _, _, c, _ in fits], dtype=complex),
+            np.array([c * b for b, _, c, _ in fits], dtype=complex))
 
 
 def run_omp_gcl(
@@ -653,28 +646,23 @@ def run_omp_gcl(
     Paths are extracted strongest-first. Each path alternates
     extract_directions and fuse for up to max_outer_iters steps (stopping
     once the fix moves less than MOVE_TOL), then runs arbitrate, polish
-    and peel. Every path's first iteration matches against ``start``, the
-    layout's start_dictionaries, whose energies are computed once per
-    trial; later iterations build at the fused anchor distances. Polish
-    keeps an ambiguous fix on its side of the guide line. Reported angles
-    and signs belong to the arbitrated iterate, and each path's trace
-    records every iterate and the polished position. A path whose mean
-    dictionary coefficient magnitude falls below COEFF_FLOOR times the
-    first path's is reported absent and extraction stops.
+    and peel against one refit gain, built from rank_one_fit. Every path's
+    first iteration matches against ``start``, the layout's
+    start_dictionaries, whose energies are computed once per trial; later
+    iterations build at the fused anchor distances. Reported angles and
+    signs belong to the arbitrated iterate, and each path's trace records
+    every iterate and the polished position. A path whose mean dictionary
+    coefficient magnitude falls below COEFF_FLOOR times the first path's
+    is reported absent and extraction stops.
     """
     if measurements.m != layout.m:
         raise ValueError("measurement set does not match the layout")
     if [d.r_param for d in start] != _start_distances(layout, config).tolist():
         raise ValueError("start dictionaries do not match the layout and config; "
                          "build them with start_dictionaries")
-    region = config.region
-    amp = np.sqrt(radio.p0)
     w = measurements.w
     residuals = [y.astype(complex).copy() for y in measurements.y]
     start_energies = [atom_energies(w_m, d) for w_m, d in zip(w, start)]
-    box = ((0.0, region.size_x), (0.0, region.size_y),
-           None if config.mode == "2d" else region.h_range)
-    y0 = layout.reference_xy[:, 1].min()
 
     paths: list[PathEstimateResult] = []
     user = None
@@ -686,10 +674,10 @@ def run_omp_gcl(
         iterates, trace = [], []
         for it in range(config.max_outer_iters):
             if it == 0:
-                directions = extract_directions(w, residuals, start, l, start_energies)
+                directions = extract_directions(w, residuals, start, start_energies)
             else:
                 dictionaries = anchor_dictionaries(layout, radio, config, r_anchor)
-                directions = extract_directions(w, residuals, dictionaries, l)
+                directions = extract_directions(w, residuals, dictionaries)
             iterate, r_anchor = fuse(directions, layout, config)
             moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
             iterates.append(iterate)
@@ -703,7 +691,10 @@ def run_omp_gcl(
             if moved < MOVE_TOL:
                 break
 
-        chosen, gain = arbitrate(iterates, kind, user, layout, radio, w, residuals, amp)
+        fit = partial(rank_one_fit, kind=kind, user=user, layout=layout, radio=radio,
+                      w_list=w, residuals=residuals)
+        gain = partial(refit_gain, fit)
+        chosen, best = arbitrate(iterates, gain)
         strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
         absent = l > 0 and strength < COEFF_FLOOR * ref_strength
         position = chosen.position
@@ -711,14 +702,9 @@ def run_omp_gcl(
             coeffs = np.zeros(layout.m, dtype=complex)
             components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
         else:
-            path_box = box
-            if "ambiguous" in chosen.flags:  # one guide line: stay on the fix's side of it
-                side = (0.0, y0) if position[1] <= y0 else (y0, region.size_y)
-                path_box = (box[0], side, box[2])
-            position = polish(position, gain, kind, user, layout, radio, w, residuals, amp,
-                              path_box)
+            position = polish(position, best, gain, chosen.box)
             trace.append({"polish": True, "position": position.tolist()})
-            coeffs, components = peel(position, kind, user, layout, radio, w, residuals, amp)
+            coeffs, components = peel(fit(position), residuals)
         paths.append(PathEstimateResult(
             path=l, position=position,
             distances=_anchor_distances(layout, position, config.mode),
@@ -743,31 +729,22 @@ def run_omp_gcl(
     return EstimationResult(paths=paths, channels=channels, flags=tuple(sorted(global_flags)))
 
 
-def reconstruct_channel(positions, pa_positions, radio: RadioConfig) -> np.ndarray:
-    """Channel at arbitrary PA coordinates from estimated path positions.
-
-    positions is (K, 3) with the user first; scattered legs reuse the
-    estimated user position, so reconstruction needs geometry only. This
-    is the hook for evaluating candidate PA placements that never
-    transmitted a pilot.
-    """
-    return channel_vector(point_responses(pa_positions, positions, radio))
-
-
 def polar_dictionary(
     layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, rings
 ) -> DpDictionary:
     """Joint ring x angle atoms of a single-subarray layout at the config's grid.
 
     The atoms are scene-independent, so a caller running many trials
-    builds them once; harness.scenario_atoms builds the nf scenario's.
+    builds them once; harness.scenario_atoms builds the nf scenario's. The
+    baseline is planar even in a 3-D config, so they carry the planar
+    height gap h_pa - fixed_height rather than config.dh.
     """
     # Looked up at call time so that a wrapper installed on
     # passloc.dictionary (benchmarks/tracing.py) also sees this build.
     from .dictionary import build_polar_dictionary
 
-    return build_polar_dictionary(layout.subarrays[0], radio, config.grid, rings, mode="2d",
-                                  dh=config.dh, index=0)
+    return build_polar_dictionary(layout.subarrays[0], radio, config.grid, rings,
+                                  dh=config.region.h_pa - config.fixed_height)
 
 
 def run_polar_baseline(
@@ -803,7 +780,7 @@ def run_polar_baseline(
     ref_strength = None
     flags = {"ambiguous", "under-determined"}
     for l in range(config.num_paths):
-        de = omp_direction(residual, w, dic, path=l, energy=energy)
+        de = omp_direction(residual, w, dic, energy=energy)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength

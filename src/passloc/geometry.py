@@ -77,15 +77,6 @@ class ServiceRegion:
     def diagonal(self) -> float:
         return float(np.hypot(self.size_x, self.size_y))
 
-    def contains_xy(self, points) -> bool:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(
-            np.all(p[:, 0] >= 0.0)
-            and np.all(p[:, 0] <= self.size_x)
-            and np.all(p[:, 1] >= 0.0)
-            and np.all(p[:, 1] <= self.size_y)
-        )
-
 
 @dataclass(frozen=True)
 class SubarrayGeometry:

@@ -10,6 +10,7 @@ seeds additionally fold in the scenario and SNR so streams never alias.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from collections import Counter, defaultdict
@@ -54,12 +55,12 @@ _INT_FIELDS = ("m", "n", "l", "trials", "seed", "slots_per_subarray", "g_theta",
                "nf_n", "nf_rings")
 _INT_MINIMUM = {"l": 0, "iters": 1, "m": 1, "n": 1, "slots_per_subarray": 1, "nf_n": 1,
                 "nf_rings": 1, "seed": 0, "trials": 1}  # g_theta: EstimatorConfig's check
-_REAL_FIELDS = ("d", "frequency", "n_eff", "p0", "size_x", "size_y", "h_pa", "fixed_height",
-                "density")
+_REAL_FIELDS = ("d", "frequency", "n_eff", "size_x", "size_y", "h_pa", "fixed_height", "density")
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -77,7 +78,6 @@ class ExperimentConfig:
     d: float | None = None  # None -> half wavelength
     frequency: float = 28e9
     n_eff: float = RadioConfig.n_eff
-    p0: float = RadioConfig.p0
     size_x: float = 30.0
     size_y: float = 30.0
     h_pa: float = 2.0
@@ -105,7 +105,7 @@ class ExperimentConfig:
         for name in _REAL_FIELDS:
             v = getattr(self, name)
             if not (_is_real(v) or (name == "d" and v is None)):
-                raise ValueError(f"config field '{name}' must be a number, got {v!r}")
+                raise ValueError(f"config field '{name}' must be a finite number, got {v!r}")
         if self.d is not None and not self.d > 0.0:
             raise ValueError(f"config field 'd' must be positive, got {self.d!r}")
         if not 0.0 < self.density <= 1.0:
@@ -126,14 +126,14 @@ class ExperimentConfig:
                 raise ValueError(f"config field 'mode' is '3d', but scenario '{s}' has fewer "
                                  f"than the three subarrays height estimation needs")
         snr = self.snr_db if isinstance(self.snr_db, (list, tuple)) else [self.snr_db]
-        if not all(_is_real(v) for v in snr):
-            raise ValueError(f"config field 'snr_db' must hold numbers, got {self.snr_db!r}")
+        if not all(_is_real(v) or v == math.inf for v in snr):  # +inf runs noiseless
+            raise ValueError(f"config field 'snr_db' must be finite or +inf, got {self.snr_db!r}")
         self.snr_db = tuple(float(v) for v in snr)
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
         if not (isinstance(self.h_range, (list, tuple)) and len(self.h_range) == 2
                 and all(_is_real(v) for v in self.h_range)):
-            raise ValueError(f"config field 'h_range' must be two numbers, got {self.h_range!r}")
+            raise ValueError(f"config field 'h_range' needs two finite numbers, got {self.h_range}")
         self.h_range = (float(self.h_range[0]), float(self.h_range[1]))
         lo, hi = self.h_range
         if self.mode == "2d" and not lo <= self.fixed_height <= hi:
@@ -147,7 +147,7 @@ class ExperimentConfig:
 
     @property
     def radio(self) -> RadioConfig:
-        return RadioConfig(self.frequency, self.n_eff, self.p0)
+        return RadioConfig(self.frequency, self.n_eff)
 
     @property
     def spacing(self) -> float:
@@ -371,7 +371,7 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
 
 # --- saved runs -----------------------------------------------------------------
 
-RUN_SCHEMA_VERSION = 3
+RUN_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

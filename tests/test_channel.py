@@ -38,8 +38,6 @@ def test_radio_validation():
         RadioConfig(frequency=0.0)
     with pytest.raises(ValueError):
         RadioConfig(frequency=28e9, n_eff=0.9)
-    with pytest.raises(ValueError):
-        RadioConfig(frequency=28e9, p0=0.0)
 
 
 # --- waveguide vector --------------------------------------------------------
@@ -225,7 +223,7 @@ def test_noiseless_measurement_is_exact_projection(region, radio, half_wave):
     assert ms.noise_variance == 0.0
     for m in range(lay.m):
         h = channel_vector(paths[m])
-        assert np.array_equal(ms.y[m], np.sqrt(radio.p0) * (ms.w[m] @ h))
+        assert np.array_equal(ms.y[m], ms.w[m] @ h)
     ms_inf = measure(lay, sch, paths, radio, snr_db=np.inf)
     assert np.array_equal(ms_inf.y[0], ms.y[0])
 
@@ -239,22 +237,10 @@ def test_slot_scalar_against_stacked_evaluation(region, radio, half_wave):
         h = channel_vector(paths[m])
         for row, t in enumerate(ms.slot_ids[m]):
             mask = sch.activation[t, m]
-            want = math.sqrt(radio.p0) * sum(
+            want = sum(
                 complex(np.conj(mask[n] * g[n]) * h[n]) for n in range(8)
             )
             assert abs(ms.y[m][row] - want) < 1e-10 * max(1.0, abs(want))
-
-
-def test_pilot_power_scales_amplitude_by_sqrt(region, half_wave):
-    lay = build_mw_layout(region, 2, 8, half_wave)
-    scene = sample_scene(region, l=0, rng_seed=4)
-    sch = make_schedule(lay, total_slots=8, rng_seed=4)
-    r1 = RadioConfig(frequency=28e9, p0=1.0)
-    r2 = RadioConfig(frequency=28e9, p0=2.0)
-    y1 = measure(lay, sch, synthesize_paths(lay, scene, r1), r1, snr_db=None)
-    y2 = measure(lay, sch, synthesize_paths(lay, scene, r2), r2, snr_db=None)
-    for m in range(2):
-        assert np.array_equal(y2.y[m], np.sqrt(2.0) * y1.y[m])
 
 
 def test_empirical_snr_matches_requested_level(region, radio, half_wave):
@@ -285,6 +271,14 @@ def test_measure_validates_layout_schedule_pairing(region, radio, half_wave):
         measure(other, sch, synthesize_paths(other, scene, radio), radio, None)
     with pytest.raises(ValueError):
         measure(lay, sch, paths[:1], radio, None)
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+def test_measure_rejects_an_snr_that_is_neither_finite_nor_noiseless(region, radio, half_wave,
+                                                                    snr_db):
+    lay, scene, paths, sch = _measured_setup(region, radio, half_wave)
+    with pytest.raises(ValueError, match="snr_db"):
+        measure(lay, sch, paths, radio, snr_db)
 
 
 def test_mirror_scene_channels_identical_under_sw(region, radio, half_wave):

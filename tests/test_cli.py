@@ -115,14 +115,19 @@ def test_estimate_polar_baseline_on_single_guide(tmp_path):
 
 
 def test_estimate_rejects_runs_without_their_experiment(tmp_path, capsys):
-    # v1 runs stored no experiment; v2 runs stored the deployment a second time
+    # v1 runs stored no experiment; v2 runs stored the deployment a second time;
+    # v3 runs stored a pilot power p0 in the config
     cfg = _write_cfg(tmp_path)
     data = tmp_path / "data"
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
     meta = json.loads((data / "meta.json").read_text())
     capsys.readouterr()
-    for version in (1, 2):
-        (data / "meta.json").write_text(json.dumps(dict(meta, version=version)))
+    v3_config = dict(meta["experiment"]["config"], p0=1.0)
+    for version in (1, 2, 3):
+        old = dict(meta, version=version)
+        if version == 3:
+            old["experiment"] = dict(meta["experiment"], config=v3_config)
+        (data / "meta.json").write_text(json.dumps(old))
         out = tmp_path / f"est_v{version}"
         assert cli_main(["estimate", "--data", str(data), "--out", str(out)]) == 2
         err = capsys.readouterr().err

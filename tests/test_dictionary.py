@@ -13,7 +13,7 @@ from passloc.dictionary import (
     parameterized_distance,
     project_dictionary,
 )
-from passloc.estimator import omp_direction
+from passloc.estimator import EstimatorConfig, omp_direction
 from passloc.geometry import ServiceRegion, SubarrayGeometry, build_mw_layout
 
 
@@ -57,8 +57,6 @@ def test_reference_element_range_is_anchor_distance():
     assert parameterized_distance(5.0, 0.3, 0, d=0.01, dh=2.0) == pytest.approx(
         np.sqrt(29.0)
     )
-    # 3d mode treats the anchor distance as already-slant and ignores dh
-    assert parameterized_distance(5.0, 0.3, 0, d=0.01, dh=2.0, mode="3d") == pytest.approx(5.0)
 
 
 def test_collinear_target_range_is_axis_difference():
@@ -87,8 +85,6 @@ def test_range_validation():
         parameterized_distance(-1.0, 0.5, 2, d=0.01)
     with pytest.raises(ValueError):
         parameterized_distance(3.0, 1.0, 3, d=1.0)  # target exactly on element 3
-    with pytest.raises(ValueError):
-        parameterized_distance(3.0, 0.5, 1, d=0.01, mode="slant")
 
 
 # --- channel-domain atoms ----------------------------------------------------
@@ -135,18 +131,20 @@ def test_dictionary_rebuild_is_bitwise_deterministic(sub, radio):
     assert np.array_equal(a.cosines, b.cosines)
 
 
-def _closed_form_atoms(sub, r, cosines, radio, mode, dh):
+def _closed_form_atoms(sub, r, cosines, radio, dh):
     ranges = parameterized_distance(r, cosines[None, :], np.arange(sub.n_pas)[:, None],
-                                    sub.spacing, dh=dh, mode=mode)
+                                    sub.spacing, dh=dh)
     atoms = (radio.wavelength / (FOUR_PI * ranges)) * np.exp(-1j * radio.wavenumber * ranges)
     return atoms / np.sqrt(sub.n_pas)
 
 
-@pytest.mark.parametrize("r, mode, dh", [(6.0, "2d", 2.0), (0.3, "2d", 0.0), (11.5, "3d", 0.0)])
-def test_atoms_equal_the_closed_form_bit_for_bit(sub, radio, r, mode, dh):
+# a 3-D (slant) anchor distance carries no separate height gap
+@pytest.mark.parametrize("r, dh", [(6.0, 2.0), (0.3, 0.0), (11.5, 0.0)],
+                         ids=["6.0-2d-2.0", "0.3-2d-0.0", "11.5-3d-0.0"])
+def test_atoms_equal_the_closed_form_bit_for_bit(sub, radio, r, dh):
     grid = AngleGrid.uniform_cosine(256)
-    dic = build_dp_dictionary(sub, r, grid, radio, mode=mode, dh=dh)
-    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values, radio, mode, dh))
+    dic = build_dp_dictionary(sub, r, grid, radio, dh=dh)
+    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values, radio, dh))
     assert np.array_equal(dic.cosines, grid.values) and dic.dropped.size == 0
     assert dic.atoms.flags.f_contiguous
 
@@ -157,10 +155,10 @@ def test_dropped_columns_leave_the_closed_form_of_the_rest(sub, radio):
     v = np.nextafter(1.0, 0.0)
     grid = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
     r = 5 * sub.spacing * (1 - 2e-16)
-    dic = build_dp_dictionary(sub, r, grid, radio, mode="3d")
+    dic = build_dp_dictionary(sub, r, grid, radio)
     assert dic.dropped.tolist() == [4]
     assert np.array_equal(dic.cosines, grid.values[:4])
-    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values[:4], radio, "3d", 0.0))
+    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values[:4], radio, 0.0))
     assert dic.atoms.flags.f_contiguous
 
 
@@ -170,9 +168,14 @@ def test_polar_atoms_are_column_major(sub, radio):
 
 
 def test_3d_atoms_with_zero_height_gap_match_planar(sub, radio):
+    """3-D dictionaries carry no height gap: their slant distance holds it."""
+    tall = ServiceRegion(30.0, 30.0, 6.0, (0.0, 3.0))
+    assert EstimatorConfig(region=tall, fixed_height=1.0).dh == 5.0
+    slant_cfg = EstimatorConfig(region=tall, mode="3d", fixed_height=1.0)
+    assert slant_cfg.dh == 0.0
     grid = AngleGrid.uniform_cosine(64)
-    flat = build_dp_dictionary(sub, 8.0, grid, radio, mode="2d", dh=0.0)
-    slant = build_dp_dictionary(sub, 8.0, grid, radio, mode="3d")
+    flat = build_dp_dictionary(sub, 8.0, grid, radio, dh=0.0)
+    slant = build_dp_dictionary(sub, 8.0, grid, radio, dh=slant_cfg.dh)
     assert np.array_equal(flat.atoms, slant.atoms)
 
 

@@ -14,6 +14,7 @@ from passloc.channel import (
     measure,
     measurement_matrix,
     path_vector,
+    point_responses,
     synthesize_paths,
 )
 from passloc.dictionary import (
@@ -24,16 +25,22 @@ from passloc.dictionary import (
     project_dictionary,
 )
 from passloc.estimator import (
+    POLISH_MAX_EVALS,
+    POLISH_MIN_STEP,
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
     anchor_dictionaries,
+    arbitrate,
     extract_directions,
     fuse,
     omp_direction,
+    peel,
     polar_dictionary,
+    polish,
     projection_matrix,
-    reconstruct_channel,
+    rank_one_fit,
+    refit_gain,
     resolve_signs,
     run_omp_gcl,
     run_polar_baseline,
@@ -57,7 +64,7 @@ from passloc.geometry import (
 def _measured(radio, half_wave, n=16, g=32, r=6.0, slots=24, seed=0, dh=2.0):
     """A built dictionary, a live measurement matrix W, and the measured columns W A."""
     sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), n, half_wave)
-    dic = build_dp_dictionary(sub, r, AngleGrid.uniform_cosine(g), radio, dh=dh, index=0)
+    dic = build_dp_dictionary(sub, r, AngleGrid.uniform_cosine(g), radio, dh=dh)
     rng = np.random.default_rng(seed)
     rows = (rng.random((slots, n)) < 0.5).astype(np.uint8)
     rows[rows.sum(axis=1) == 0, 0] = 1
@@ -131,9 +138,9 @@ def _random_case(radio, half_wave, seed):
     t = int(rng.integers(2, 80))
     g = int(rng.integers(2, 700))
     sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), n, half_wave)
-    mode = ("2d", "3d")[seed % 2]
-    dic = build_dp_dictionary(sub, float(rng.uniform(0.05, 40.0)), AngleGrid.uniform_cosine(g),
-                              radio, mode=mode, dh=float(rng.uniform(0.0, 4.0)), index=seed)
+    r, dh = float(rng.uniform(0.05, 40.0)), float(rng.uniform(0.0, 4.0))
+    dic = build_dp_dictionary(sub, r, AngleGrid.uniform_cosine(g), radio,
+                              dh=dh if seed % 2 == 0 else 0.0)  # odd seeds: a 3-D (slant) build
     w = rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
     w[rng.random(t) < 0.25] = 0.0
     y = rng.standard_normal(t) + 1j * rng.standard_normal(t)
@@ -162,8 +169,8 @@ def test_gram_matching_agrees_with_projected_matching(radio, half_wave, seed):
     """omp_direction, in either energy form, picks the oracle's column."""
     dic, w, y = _random_case(radio, half_wave, seed)
     g, score, coeff = _oracle(dic, w, y)
-    got = omp_direction(y, w, dic, path=2)
-    assert (got.subarray, got.path, got.grid_index, got.varphi) == (seed, 2, g, dic.cosines[g])
+    got = omp_direction(y, w, dic)
+    assert (got.grid_index, got.varphi) == (g, dic.cosines[g])
     assert got.low_confidence == (score <= 1e-8 * np.linalg.norm(y))
     assert got.coefficient == pytest.approx(coeff, rel=1e-10)
     assert got.correlation == pytest.approx(score, rel=1e-10)
@@ -183,8 +190,7 @@ def test_gram_matching_ties_resolve_to_the_lower_index(radio, half_wave):
         dic, w, _ = _random_case(radio, half_wave, seed)
         atoms = dic.atoms.copy()
         atoms[:, 9] = atoms[:, 5]
-        twin = DpDictionary(subarray=0, r_param=dic.r_param, mode=dic.mode,
-                            cosines=dic.cosines, atoms=atoms)
+        twin = DpDictionary(r_param=dic.r_param, cosines=dic.cosines, atoms=atoms)
         de = omp_direction(w @ atoms[:, 9], w, twin)
         assert de.grid_index == 5
         assert de.coefficient == pytest.approx(1.0, rel=1e-10)
@@ -206,18 +212,20 @@ def test_matcher_projects_only_when_n_is_at_least_t(radio, half_wave, monkeypatc
     calls = []
 
     def counted(dictionary, w):
-        calls.append(dictionary.subarray)
+        calls.append(dictionary)
         return project_dictionary(dictionary, w)
 
     # looked up as a passloc.estimator global, so a wrapper installed there sees it
     monkeypatch.setattr(passloc.estimator, "project_dictionary", counted)
-    projected = []
+    projected, called = [], []
     for seed in range(24):
         dic, w, y = _random_case(radio, half_wave, seed)
         omp_direction(y, w, dic)
+        called += [seed] * len(calls)
+        calls.clear()
         if w.shape[1] >= w.shape[0]:
             projected.append(seed)
-    assert calls == projected
+    assert called == projected
     assert 0 < len(projected) < 24
     assert set(PROJECTED_SEEDS) <= set(projected) and not set(GRAM_SEEDS) & set(projected)
 
@@ -240,10 +248,10 @@ def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_
                  synthesize_paths(layout, scene, radio), radio, snr_db=20.0, rng_seed=2)
     cfg = EstimatorConfig(region=region, g_theta=128)
     dics = anchor_dictionaries(layout, radio, cfg, np.full(layout.m, 10.0))
-    ests = extract_directions(ms.w, ms.y, dics, path=1)
-    assert [(d.subarray, d.path) for d in ests] == [(m, 1) for m in range(layout.m)]
+    ests = extract_directions(ms.w, ms.y, dics)
+    assert len(ests) == layout.m
     for m, (sub, d) in enumerate(zip(layout.subarrays, ests)):
-        dic = build_dp_dictionary(sub, 10.0, cfg.grid, radio, dh=region.h_pa, index=m)
+        dic = build_dp_dictionary(sub, 10.0, cfg.grid, radio, dh=region.h_pa)
         g, _, _ = _oracle(dic, ms.w[m], ms.y[m])
         assert (d.grid_index, d.varphi) == (g, dic.cosines[g])
 
@@ -255,14 +263,13 @@ def test_start_dictionaries_are_the_start_builds_shared_per_distance(region, rad
     cfg = EstimatorConfig(region=region, mode=mode, g_theta=64)
     start = start_dictionaries(layout, radio, cfg)
     built = list(anchor_dictionaries(layout, radio, cfg, _start_distances(layout, cfg)))
-    assert [d.subarray for d in start] == list(range(m))
     for s, b in zip(start, built, strict=True):
-        assert (s.r_param, s.mode) == (b.r_param, b.mode)
+        assert s.r_param == b.r_param
         assert np.array_equal(s.atoms, b.atoms) and np.array_equal(s.cosines, b.cosines)
         assert not s.atoms.flags.writeable
-    # subarrays at one start distance share one atoms array
+    # subarrays at one start distance share one dictionary
     distinct = {d.r_param for d in start}
-    assert len({id(d.atoms) for d in start}) == len(distinct)
+    assert len({id(d) for d in start}) == len(distinct)
     assert len(distinct) == {8: 4, 3: 2, 4: 2}[m]
 
 
@@ -710,7 +717,7 @@ def test_3d_fuse_moves_a_single_line_fix_into_the_height_range_along_its_circle(
     truth = np.array([12.0, 11.0, 1.0])
     phis = _slant_bearings(layout.reference_positions, truth)
     assert solve_position_3d(layout.reference_positions, phis, ((0, 30), (0, 30))).position[2] > 3.0
-    directions = [DirectionEstimate(m, 0, float(c), 0, 1.0, 1.0) for m, c in enumerate(phis)]
+    directions = [DirectionEstimate(float(c), 0, 1.0, 1.0) for c in phis]
     iterate, _ = fuse(directions, layout, EstimatorConfig(region=region, mode="3d"))
     x, y, h = iterate.position
     assert 0.0 <= h <= 3.0 and y <= 15.0
@@ -720,11 +727,12 @@ def test_3d_fuse_moves_a_single_line_fix_into_the_height_range_along_its_circle(
 
 
 def test_3d_fusion_validation():
+    box = ((0, 30), (0, 30))
     with pytest.raises(ValueError):
-        solve_position_3d(np.zeros((2, 3)), [0.1, 0.2])
+        solve_position_3d(np.zeros((2, 3)), [0.1, 0.2], box)
     refs = np.array([[0.0, 0.0, 4.0], [1.0, 0.0, 3.0], [0.0, 1.0, 4.0]])
     with pytest.raises(ValueError):
-        solve_position_3d(refs, [0.1, 0.2, 0.3])
+        solve_position_3d(refs, [0.1, 0.2, 0.3], box)
 
 
 # --- joint loop ------------------------------------------------------------------
@@ -854,16 +862,79 @@ def test_polish_keeps_an_ambiguous_fix_on_its_side_of_the_guide(radio, half_wave
         assert box[2] == (None if mode == "2d" else (0.0, 3.0))
 
 
+# --- refit gain, arbitration, polish and peel on their own ---------------------------
+
+
+def _bowl(peak, calls=None):
+    """A synthetic refit gain, concave with its maximum 100 at ``peak``."""
+    def gain(q):
+        if calls is not None:
+            calls.append(np.array(q))
+        return 100.0 - float(np.sum((np.asarray(q) - peak) ** 2))
+    return gain
+
+
+def test_polish_climbs_a_concave_gain_to_its_peak_and_keeps_frozen_coordinates():
+    peak = np.array([6.3, 4.1, 2.0])  # the frozen height would gain by moving too
+    gain, start = _bowl(peak), np.array([5.0, 5.0, 0.0])
+    q = polish(start, gain(start), gain, ((0.0, 10.0), (0.0, 10.0), None))
+    assert np.all(np.abs(q[:2] - peak[:2]) < POLISH_MIN_STEP)
+    assert q[2] == 0.0
+    assert np.array_equal(start, [5.0, 5.0, 0.0])  # the caller's array is left alone
+
+
+def test_polish_clamps_a_start_outside_its_box_and_scores_it_afresh():
+    calls = []
+    gain = _bowl(np.array([9.0, 5.0, 1.0]), calls)
+    # a stale gain far above any reachable value would freeze a search that trusted it
+    q = polish(np.array([12.0, 5.0, 4.0]), 1e9, gain, ((0.0, 10.0), (0.0, 10.0), (0.0, 3.0)))
+    assert np.array_equal(calls[0], [10.0, 5.0, 3.0])
+    assert np.all(np.abs(q - [9.0, 5.0, 1.0]) < POLISH_MIN_STEP)
+    assert len(calls) <= POLISH_MAX_EVALS
+
+
+def test_polish_leaves_the_start_of_a_flat_gain_unchanged():
+    calls = []
+    start = np.array([3.0, 7.0, 0.5])
+    q = polish(start, 1.0, lambda p: calls.append(p) or 1.0, ((0.0, 10.0), (0.0, 10.0), None))
+    assert np.array_equal(q, start)
+    assert 0 < len(calls) <= POLISH_MAX_EVALS
+
+
+def test_arbitrate_keeps_the_earliest_of_tied_largest_gains():
+    def iterate(x):
+        return mock.Mock(position=np.array([x, 0.0, 0.0]))
+    iterates = [iterate(x) for x in (1.0, 3.0, 3.0, 2.0)]
+    chosen, best = arbitrate(iterates, lambda q: -abs(q[0] - 3.0) + 5.0)
+    assert chosen is iterates[1] and best == 5.0
+
+
+def test_peeling_the_true_path_removes_the_refit_gain(region, radio, half_wave):
+    """At the true position of a noiseless single path the fit explains every pilot."""
+    lay = build_mw_layout(region, 3, 16, half_wave)
+    scene = sample_scene(region, l=0, rng_seed=8)
+    sch = make_schedule(lay, total_slots=32, rng_seed=8)
+    ms = measure(lay, sch, synthesize_paths(lay, scene, radio), radio, None)
+    residuals = [y.copy() for y in ms.y]
+    fits = rank_one_fit(scene.user, "los", None, lay, radio, ms.w, residuals)
+    energy = sum(float(np.vdot(y, y).real) for y in ms.y)
+    assert refit_gain(lambda q: fits, scene.user) == pytest.approx(energy, rel=1e-10)
+    coeffs, components = peel(fits, residuals)
+    assert np.allclose(coeffs, 1.0, rtol=1e-10)
+    assert np.allclose(components, channel_vector(synthesize_paths(lay, scene, radio)),
+                       rtol=1e-10, atol=0.0)
+    assert all(np.linalg.norm(r) < 1e-10 * np.linalg.norm(y) for r, y in zip(residuals, ms.y))
+
+
 def test_subtracting_direct_component_leaves_scattered_part(region, radio, half_wave):
     lay = build_mw_layout(region, 2, 16, half_wave)
     scene = sample_scene(region, l=1, rng_seed=4)
     paths = synthesize_paths(lay, scene, radio)
     sch = make_schedule(lay, total_slots=32, rng_seed=4)
     ms = measure(lay, sch, paths, radio, snr_db=None)
-    amp = np.sqrt(radio.p0)
     for m in range(2):
-        left = ms.y[m] - amp * (ms.w[m] @ paths[m, 0])
-        right = amp * (ms.w[m] @ paths[m, 1])
+        left = ms.y[m] - ms.w[m] @ paths[m, 0]
+        right = ms.w[m] @ paths[m, 1]
         assert np.allclose(left, right, rtol=1e-10, atol=1e-18)
 
 
@@ -875,15 +946,15 @@ def test_reconstruction_from_truth_is_exact(region, radio, half_wave):
     scene = sample_scene(region, l=2, rng_seed=5)
     paths = synthesize_paths(lay, scene, radio)
     for m, sub in enumerate(lay.subarrays):
-        h = reconstruct_channel(scene.points, sub.pa_positions, radio)
+        h = channel_vector(point_responses(sub.pa_positions, scene.points, radio))
         assert np.array_equal(h, channel_vector(paths[m]))
 
 
 def test_reconstruction_phase_sensitivity_to_range(radio):
     # a 1 cm range error rotates the element phase by wavenumber * 0.01
     pa = np.array([[0.0, 0.0, 0.0]])
-    h1 = reconstruct_channel([[5.0, 0.0, 0.0]], pa, radio)
-    h2 = reconstruct_channel([[5.01, 0.0, 0.0]], pa, radio)
+    h1 = channel_vector(point_responses(pa, [[5.0, 0.0, 0.0]], radio))
+    h2 = channel_vector(point_responses(pa, [[5.01, 0.0, 0.0]], radio))
     got = np.angle(h2[0] * np.conj(h1[0]))
     want = np.angle(np.exp(-1j * radio.wavenumber * 0.01))
     assert got == pytest.approx(want, abs=1e-6)
@@ -940,9 +1011,7 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, user, rings, slots=32)
     from passloc.dictionary import build_polar_dictionary
 
-    dic = build_polar_dictionary(
-        lay.subarrays[0], radio, grid, rings, dh=2.0, index=0
-    )
+    dic = build_polar_dictionary(lay.subarrays[0], radio, grid, rings, dh=2.0)
     phi = project_dictionary(dic, ms.w[0])
     phi = phi / np.linalg.norm(phi, axis=0)
     y0 = ms.y[0]

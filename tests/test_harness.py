@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,8 +127,17 @@ def test_config_rejects_wrong_value_types(field, value):
     ({"d": -0.005}, "d", "-0.005"),
     ({"fixed_height": 0.5}, "fixed_height", "0.5"),
     ({"fixed_height": 2.5, "h_range": (0.0, 2.0)}, "fixed_height", "2.5"),
+    ({"snr_db": (25.0, float("nan"))}, "snr_db", "nan"),
+    ({"snr_db": -math.inf}, "snr_db", "-inf"),
+    ({"frequency": float("nan")}, "frequency", "nan"),
+    ({"n_eff": math.inf}, "n_eff", "inf"),
+    ({"size_y": -math.inf}, "size_y", "-inf"),
+    ({"density": float("nan")}, "density", "nan"),
+    ({"d": math.inf}, "d", "inf"),
+    ({"h_range": (0.0, float("nan"))}, "h_range", "nan"),
 ], ids=["sw2-3d", "mw-m2-3d", "sw-m2-3d", "seed", "trials", "d-zero", "d-negative",
-        "height-above-range", "height-above-pa"])
+        "height-above-range", "height-above-pa", "snr-nan", "snr-minus-inf", "frequency-nan",
+        "n-eff-inf", "size-minus-inf", "density-nan", "d-inf", "h-range-nan"])
 def test_config_rejects_unrunnable_values_naming_the_field(kwargs, field, named):
     with pytest.raises(ValueError, match=f"config field '{field}'") as err:
         ExperimentConfig(**kwargs)
@@ -141,7 +151,7 @@ def test_config_keeps_runnable_3d_and_height_settings():
 
 
 def test_config_accepts_ints_for_numbers():
-    cfg = ExperimentConfig(size_x=30, d=0.005, snr_db=[25], h_range=[0, 1], p0=np.float64(2.0))
+    cfg = ExperimentConfig(size_x=30, d=0.005, snr_db=[25], h_range=[0, 1], n_eff=np.float64(1.5))
     assert cfg.snr_db == (25.0,) and cfg.h_range == (0.0, 1.0)
 
 
@@ -277,8 +287,6 @@ def test_a_sweep_builds_each_start_dictionary_once(monkeypatch):
     assert sorted(r for r in built if r in r_start) == sorted(r_start)
     assert set(built[:4]) == r_start  # before the first trial
     assert len(directions) >= 2 * cfg.trials  # every trial ran both paths
-    for found in directions:
-        assert [d.subarray for d in found] == list(range(cfg.m))
 
 
 def test_polish_keeps_a_single_guide_fix_on_its_side_of_the_line():

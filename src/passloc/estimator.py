@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -409,9 +408,8 @@ MOVE_TOL = 1e-3  # refinement stops once the fix moves less than this (m)
 COEFF_FLOOR = 1e-3  # a later path this much weaker than the first is absent
 REGION_SLACK = 1.0
 GAIN_TIE_REL = 1e-12
-POLISH_INIT_STEP = 0.16
-POLISH_MIN_STEP = 5e-4
-POLISH_MAX_EVALS = 160
+POLISH_MAX_STEPS = 12  # Gauss-Newton steps per polish
+POLISH_HALVINGS = 6  # a rejected step is halved at most this often
 
 
 @dataclass(frozen=True)
@@ -567,6 +565,53 @@ def refit_gain(fit, position) -> float:
     return gain
 
 
+def _template_jacobian(position, dims, kind, user, layout, radio) -> tuple[np.ndarray, np.ndarray]:
+    """Each subarray's path vector b_m at ``position`` and db_m/dp along the coordinates ``dims``.
+
+    Returns b (M, N) and db (M, N, len(dims)), with
+    db_n/dp = -b_n (jk + 1/r_n) (p - pa_n) / r_n from one path_vector call.
+    A scattered path's second leg is one complex factor common to every
+    PA; its derivative is left out, because a per-subarray coefficient
+    absorbs it and the refit gain does not depend on it.
+    """
+    pa = layout.pa_positions.reshape(-1, 3)
+    b = path_vector(pa, position, radio, kind, user=user)
+    r = pa_user_distance(pa, position)
+    offset = np.asarray(position, dtype=float)[dims] - pa[:, dims]
+    db = -(b * (1j * radio.wavenumber + 1.0 / r) / r)[:, None] * offset
+    shape = (layout.m, layout.pas_per_subarray)
+    return b.reshape(shape), db.reshape(shape + (len(dims),))
+
+
+def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) -> tuple:
+    """The refit gain at ``position``, its gradient and its Gauss-Newton curvature along ``dims``.
+
+    Per subarray, with the template t = W b, its derivative d = W db
+    (_template_jacobian, one W @ [b, db] product), s = t^H res and
+    c = s / ||t||^2, the gain sums |s|^2 / ||t||^2, the gradient
+    2 Re(conj(s) d^H res) / ||t||^2 - 2 |c|^2 Re(d^H t), and the curvature
+    H = 2 |c|^2 Re(d^H P d), where P = I - t t^H / ||t||^2 projects out the
+    template. H is the Gauss-Newton Hessian of the energy left after the
+    fit: positive semidefinite, and the negative Hessian of the gain where
+    the fit explains the residual.
+    """
+    b, db = _template_jacobian(position, dims, kind, user, layout, radio)
+    gain, grad, curv = 0.0, np.zeros(len(dims)), np.zeros((len(dims), len(dims)))
+    for w_m, b_m, db_m, res in zip(w_list, b, db, residuals):
+        td = w_m @ np.column_stack([b_m, db_m])
+        t, d = td[:, 0], td[:, 1:]
+        den = float(np.vdot(t, t).real)
+        if den <= 0.0:
+            continue
+        s = np.vdot(t, res)
+        c2 = abs(s) ** 2 / den ** 2
+        dt = d.conj().T @ t
+        gain += abs(s) ** 2 / den
+        grad += 2.0 * (np.conj(s) * (d.conj().T @ res)).real / den - 2.0 * c2 * dt.real
+        curv += 2.0 * c2 * (d.conj().T @ d - np.outer(dt, dt.conj()) / den).real
+    return gain, grad, curv
+
+
 def arbitrate(iterates, gain) -> tuple[Iterate, float]:
     """Stage 3: the iterate with the largest ``gain``, and that gain; ties keep the earliest.
 
@@ -582,43 +627,75 @@ def arbitrate(iterates, gain) -> tuple[Iterate, float]:
     return chosen, best_gain
 
 
-def polish(position, best, gain, box) -> np.ndarray:
-    """Stage 4: coordinate pattern search maximizing ``gain`` near a fix.
+def polish(position, slope, box) -> tuple[np.ndarray, dict]:
+    """Stage 4: damped Gauss-Newton ascent on the refit gain near a fix.
 
     The fused position inherits the angular quantization of the far
     subarrays; a target close to one subarray needs finer range accuracy
-    than that to reconstruct its dominant channel. The search starts from
-    ``position`` clamped into ``box`` (None entries are frozen), moves one
-    coordinate at a time inside it, halves the step on failure, and only
-    accepts strict improvements, so exact mirror ties leave the start
-    unchanged. ``best`` is gain(position), as arbitrate returns it; a
-    clamped start is scored afresh.
+    than that to reconstruct its dominant channel. ``slope(q, dims)``
+    returns the gain at q with its gradient and Gauss-Newton curvature H
+    along the free coordinates dims (refit_slope). The ascent starts from
+    ``position`` clamped into ``box`` (None entries are frozen) and scores
+    it afresh. A coordinate on a face of the box whose gradient points out
+    of it is held; the others take the Newton step H^+ grad, a
+    pseudo-inverse because on one guide line the circle around it is a
+    null direction of H. The candidate is clipped to the box and taken only
+    if it strictly improves the gain, so exact mirror ties leave the start
+    unchanged; otherwise the step length is halved, up to POLISH_HALVINGS
+    times, along the dogleg path that bends from the Newton step to the
+    gradient. The ascent stops when the model's predicted gain
+    grad . step / 2 is within GAIN_TIE_REL of the gain, when no halving
+    improves, or after POLISH_MAX_STEPS steps. Returns the polished
+    position and {"steps", "evaluations", "capped"}: the steps taken, the
+    slope calls, and whether the step cap was hit.
     """
     dims = [d for d, b in enumerate(box) if b is not None]
+    lo, hi = np.array([box[d] for d in dims], dtype=float).T
     q = np.asarray(position, dtype=float).copy()
-    for d in dims:
-        q[d] = min(max(q[d], box[d][0]), box[d][1])
-    clamped = not np.array_equal(q, position)
-    if clamped:
-        best = gain(q)
-    step = POLISH_INIT_STEP
-    evals = int(clamped)
-    while step >= POLISH_MIN_STEP and evals < POLISH_MAX_EVALS:
-        improved = False
-        for d, delta in product(dims, (step, -step)):
+    q[dims] = np.clip(q[dims], lo, hi)
+    best, grad, curv = slope(q, dims)
+    steps, evals = 0, 1
+    while steps < POLISH_MAX_STEPS:
+        # coordinates on a face of the box whose gradient points out of it stay put
+        x = q[dims]
+        free = ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
+        g, h = np.where(free, grad, 0.0), curv * np.outer(free, free)
+        w, v = np.linalg.eigh(h)  # H^+ g: h is symmetric positive semidefinite
+        keep = w > 1e-8 * w[-1]
+        newton = v[:, keep] @ ((g @ v[:, keep]) / w[keep])
+        if 0.5 * float(g @ newton) <= abs(best) * GAIN_TIE_REL:
+            break
+        cauchy = float(g @ g) / float(g @ h @ g) * g
+        radius = float(np.linalg.norm(newton))
+        for _ in range(POLISH_HALVINGS + 1):
             cand = q.copy()
-            cand[d] = min(max(cand[d] + delta, box[d][0]), box[d][1])
-            if cand[d] == q[d]:
-                continue
-            g = gain(cand)
+            cand[dims] = np.clip(x + _dogleg(cauchy, newton, radius), lo, hi)
+            scored = slope(cand, dims)
             evals += 1
-            if g > best * (1.0 + GAIN_TIE_REL):
-                q, best, improved = cand, g, True
-            if evals >= POLISH_MAX_EVALS:
+            if scored[0] > best * (1.0 + GAIN_TIE_REL):
                 break
-        if not improved:
-            step *= 0.5
-    return q
+            radius *= 0.5
+        else:
+            break
+        q, (best, grad, curv) = cand, scored
+        steps += 1
+    return q, {"steps": steps, "evaluations": evals, "capped": steps == POLISH_MAX_STEPS}
+
+
+def _dogleg(cauchy, newton, radius):
+    """The point at length ``radius`` on the path from 0 via ``cauchy`` to ``newton``.
+
+    The Cauchy point maximizes the quadratic model along the gradient, so a
+    short step runs up the gradient and a long one is the Newton step.
+    """
+    if np.linalg.norm(newton) <= radius:
+        return newton
+    reach = float(np.linalg.norm(cauchy))
+    if reach >= radius:
+        return cauchy * (radius / reach)
+    d = newton - cauchy  # solve ||cauchy + tau d|| = radius for tau in (0, 1)
+    a, b, c = float(d @ d), float(cauchy @ d), reach * reach - radius * radius
+    return cauchy + (-b + np.sqrt(b * b - a * c)) / a * d
 
 
 def peel(fits, residuals):
@@ -645,13 +722,15 @@ def run_omp_gcl(
 
     Paths are extracted strongest-first. Each path alternates
     extract_directions and fuse for up to max_outer_iters steps (stopping
-    once the fix moves less than MOVE_TOL), then runs arbitrate, polish
-    and peel against one refit gain, built from rank_one_fit. Every path's
+    once the fix moves less than MOVE_TOL), then runs arbitrate and peel
+    against one refit gain, built from rank_one_fit, and polish against its
+    slope (refit_slope) over the same path model. Every path's
     first iteration matches against ``start``, the layout's
     start_dictionaries, whose energies are computed once per trial; later
     iterations build at the fused anchor distances. Reported angles and
     signs belong to the arbitrated iterate, and each path's trace records
-    every iterate and the polished position. A path whose mean dictionary
+    every iterate and the polished position with polish's steps,
+    evaluations and whether it hit its step cap. A path whose mean dictionary
     coefficient magnitude falls below COEFF_FLOOR times the first path's
     is reported absent and extraction stops.
     """
@@ -691,10 +770,11 @@ def run_omp_gcl(
             if moved < MOVE_TOL:
                 break
 
-        fit = partial(rank_one_fit, kind=kind, user=user, layout=layout, radio=radio,
-                      w_list=w, residuals=residuals)
-        gain = partial(refit_gain, fit)
-        chosen, best = arbitrate(iterates, gain)
+        model = dict(kind=kind, user=user, layout=layout, radio=radio, w_list=w,
+                     residuals=residuals)
+        fit = partial(rank_one_fit, **model)
+        slope = partial(refit_slope, **model)
+        chosen, _ = arbitrate(iterates, partial(refit_gain, fit))
         strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
         absent = l > 0 and strength < COEFF_FLOOR * ref_strength
         position = chosen.position
@@ -702,8 +782,8 @@ def run_omp_gcl(
             coeffs = np.zeros(layout.m, dtype=complex)
             components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
         else:
-            position = polish(position, best, gain, chosen.box)
-            trace.append({"polish": True, "position": position.tolist()})
+            position, stats = polish(position, slope, chosen.box)
+            trace.append({"polish": True, "position": position.tolist(), **stats})
             coeffs, components = peel(fit(position), residuals)
         paths.append(PathEstimateResult(
             path=l, position=position,

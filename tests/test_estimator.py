@@ -1,6 +1,7 @@
 """Direction matching, sign-resolved position fusion, and the joint loop."""
 
 import dataclasses
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -25,8 +26,8 @@ from passloc.dictionary import (
     project_dictionary,
 )
 from passloc.estimator import (
-    POLISH_MAX_EVALS,
-    POLISH_MIN_STEP,
+    POLISH_HALVINGS,
+    POLISH_MAX_STEPS,
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
@@ -41,6 +42,7 @@ from passloc.estimator import (
     projection_matrix,
     rank_one_fit,
     refit_gain,
+    refit_slope,
     resolve_signs,
     run_omp_gcl,
     run_polar_baseline,
@@ -760,7 +762,7 @@ def test_joint_loop_refinement_never_hurts(region, radio, half_wave, monkeypatch
     """More anchor-distance refinements keep or shrink the error (median
     over a batch; polish replaced by the identity to isolate the iteration
     effect)."""
-    monkeypatch.setattr(passloc.estimator, "polish", lambda position, *a: position)
+    monkeypatch.setattr(passloc.estimator, "polish", lambda position, *a: (position, {}))
     errs = {1: [], 3: []}
     for seed in range(40):
         for iters in (1, 3):
@@ -865,40 +867,111 @@ def test_polish_keeps_an_ambiguous_fix_on_its_side_of_the_guide(radio, half_wave
 # --- refit gain, arbitration, polish and peel on their own ---------------------------
 
 
-def _bowl(peak, calls=None):
-    """A synthetic refit gain, concave with its maximum 100 at ``peak``."""
-    def gain(q):
+def _bowl(peak, calls=None, flat=()):
+    """A synthetic refit slope: the concave gain 100 - ||q - peak||^2, blind to the
+    coordinates in ``flat``, with its gradient and curvature along ``dims``."""
+    live = np.array([d not in flat for d in range(3)])
+
+    def slope(q, dims):
         if calls is not None:
             calls.append(np.array(q))
-        return 100.0 - float(np.sum((np.asarray(q) - peak) ** 2))
-    return gain
+        dif = np.where(live, np.asarray(q) - peak, 0.0)
+        return 100.0 - float(dif @ dif), -2.0 * dif[dims], np.diag(2.0 * live[dims])
+    return slope
+
+
+_BOX = ((0.0, 10.0), (0.0, 10.0), (0.0, 3.0))
+_MAX_EVALUATIONS = 1 + POLISH_MAX_STEPS * (POLISH_HALVINGS + 1)
+
+
+def test_polish_reaches_the_peak_of_a_concave_gain_in_all_three_coordinates():
+    start, peak = np.array([1.0, 9.0, 0.2]), np.array([6.3, 4.1, 2.0])
+    q, stats = polish(start, _bowl(peak), _BOX)
+    assert np.all(np.abs(q - peak) < 1e-6)
+    assert np.array_equal(start, [1.0, 9.0, 0.2])  # the caller's array is left alone
+    assert 1 <= stats["steps"] < POLISH_MAX_STEPS and not stats["capped"]
 
 
 def test_polish_climbs_a_concave_gain_to_its_peak_and_keeps_frozen_coordinates():
     peak = np.array([6.3, 4.1, 2.0])  # the frozen height would gain by moving too
-    gain, start = _bowl(peak), np.array([5.0, 5.0, 0.0])
-    q = polish(start, gain(start), gain, ((0.0, 10.0), (0.0, 10.0), None))
-    assert np.all(np.abs(q[:2] - peak[:2]) < POLISH_MIN_STEP)
+    q, _ = polish(np.array([5.0, 5.0, 0.0]), _bowl(peak), _BOX[:2] + (None,))
+    assert np.all(np.abs(q[:2] - peak[:2]) < 1e-6)
     assert q[2] == 0.0
-    assert np.array_equal(start, [5.0, 5.0, 0.0])  # the caller's array is left alone
 
 
 def test_polish_clamps_a_start_outside_its_box_and_scores_it_afresh():
     calls = []
-    gain = _bowl(np.array([9.0, 5.0, 1.0]), calls)
-    # a stale gain far above any reachable value would freeze a search that trusted it
-    q = polish(np.array([12.0, 5.0, 4.0]), 1e9, gain, ((0.0, 10.0), (0.0, 10.0), (0.0, 3.0)))
+    q, stats = polish(np.array([12.0, 5.0, 4.0]), _bowl(np.array([9.0, 5.0, 1.0]), calls), _BOX)
     assert np.array_equal(calls[0], [10.0, 5.0, 3.0])
-    assert np.all(np.abs(q - [9.0, 5.0, 1.0]) < POLISH_MIN_STEP)
-    assert len(calls) <= POLISH_MAX_EVALS
+    assert np.all(np.abs(q - [9.0, 5.0, 1.0]) < 1e-6)
+    assert stats["evaluations"] == len(calls) <= _MAX_EVALUATIONS
 
 
 def test_polish_leaves_the_start_of_a_flat_gain_unchanged():
     calls = []
     start = np.array([3.0, 7.0, 0.5])
-    q = polish(start, 1.0, lambda p: calls.append(p) or 1.0, ((0.0, 10.0), (0.0, 10.0), None))
+    q, stats = polish(start, _bowl(start, calls, flat=(0, 1, 2)), _BOX)
     assert np.array_equal(q, start)
-    assert 0 < len(calls) <= POLISH_MAX_EVALS
+    assert stats == {"steps": 0, "evaluations": 1, "capped": False} and len(calls) == 1
+
+
+def test_polish_does_not_move_along_a_coordinate_the_gain_ignores():
+    """On one guide line the gain is constant along the circle around it: its curvature
+    is singular there, and the pseudo-inverse step leaves that coordinate alone."""
+    start, peak = np.array([2.0, 7.0, 0.5]), np.array([6.3, 4.1, 2.0])
+    q, _ = polish(start, _bowl(peak, flat=(1,)), _BOX)
+    assert q[1] == 7.0
+    assert np.all(np.abs(q[[0, 2]] - peak[[0, 2]]) < 1e-6)
+
+
+def _slope_case(radio, half_wave, mode, kind):
+    """A 25 dB single-path residual, the path's true point and its refit model."""
+    tall = ServiceRegion(30.0, 30.0, 6.0, h_range=(0.0, 3.0))
+    lay = build_mw_layout(tall, 4, 16, half_wave)
+    scene = sample_scene(tall, l=1, rng_seed=3, mode=mode)
+    sch = make_schedule(lay, total_slots=128, rng_seed=3)
+    path = 0 if kind == "los" else 1
+    clean = synthesize_paths(lay, scene, radio)[:, path:path + 1]  # (M, 1, N)
+    ms = measure(lay, sch, clean, radio, 25.0, rng_seed=3)
+    model = dict(kind=kind, user=None if kind == "los" else scene.user, layout=lay,
+                 radio=radio, w_list=ms.w, residuals=ms.y)
+    return scene.points[path], [0, 1] if mode == "2d" else [0, 1, 2], model
+
+
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+@pytest.mark.parametrize("kind", ["los", "nlos"])
+def test_refit_slope_matches_central_differences_of_the_refit_gain(radio, half_wave, mode, kind):
+    truth, dims, model = _slope_case(radio, half_wave, mode, kind)
+    gain = partial(refit_gain, partial(rank_one_fit, **model))
+    q = truth + np.array([0.03, -0.02, 0.01 if mode == "3d" else 0.0])
+    g, grad, _ = refit_slope(q, dims, **model)
+    assert g == pytest.approx(gain(q), rel=1e-12)
+    h, axes = 1e-6, np.eye(3)[dims]
+    fd = np.array([(gain(q + h * e) - gain(q - h * e)) / (2.0 * h) for e in axes])
+    np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-5 * np.abs(fd).max())
+
+    # near the truth the fit explains the residual up to noise, so the Gauss-Newton
+    # curvature is the negative Hessian of the gain
+    q = truth + np.array([0.002, -0.001, 0.001 if mode == "3d" else 0.0])
+    _, _, curv = refit_slope(q, dims, **model)
+    h = 1e-4
+    hess = np.array([[(gain(q + h * a + h * b) - gain(q + h * a - h * b)
+                       - gain(q - h * a + h * b) + gain(q - h * a - h * b)) / (4.0 * h * h)
+                      for b in axes] for a in axes])
+    assert np.array_equal(curv, curv.T)
+    assert np.linalg.eigvalsh(curv)[0] >= -1e-12 * np.abs(curv).max()
+    assert np.linalg.norm(curv + hess) <= 0.1 * np.linalg.norm(hess)
+
+
+def test_polish_trace_reports_its_steps_and_evaluations_within_the_cap(region, radio, half_wave):
+    _, result = _run_once(region, radio, half_wave, l=1, seed=4, snr=25.0, g_theta=256)
+    polished = [t for p in result.paths if not p.absent for t in p.trace if "polish" in t]
+    assert len(polished) == 2
+    for entry in polished:
+        assert {"steps", "evaluations", "capped"} <= entry.keys()
+        assert 1 <= entry["evaluations"] <= _MAX_EVALUATIONS
+        assert 0 <= entry["steps"] <= POLISH_MAX_STEPS
+        assert entry["capped"] == (entry["steps"] == POLISH_MAX_STEPS)
 
 
 def test_arbitrate_keeps_the_earliest_of_tied_largest_gains():

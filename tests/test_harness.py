@@ -291,11 +291,23 @@ def test_a_sweep_builds_each_start_dictionary_once(monkeypatch):
 
 def test_polish_keeps_a_single_guide_fix_on_its_side_of_the_line():
     # trial 2 fuses to (5.85, 13.92), below the sw2 guide at y = 15; a search free to
-    # cross the line followed a ridge of the refit gain to (16.08, 17.19)
+    # cross the line followed a ridge of the refit gain to (16.08, 17.19). The user is
+    # at (11.30, 13.45).
     cfg = ExperimentConfig(scenarios=("sw2",), trials=4, snr_db=(25.0,), g_theta=256, seed=2)
     rec = run_trial(cfg, "sw2", 25.0, 0, trial=2)
     assert "ambiguous" in rec.flags
-    assert rec.positions[0][1] == pytest.approx(12.76, abs=0.01)
+    assert rec.positions[0][1] == pytest.approx(13.47, abs=0.01)
+
+
+def test_3d_polish_on_one_guide_line_keeps_the_channel():
+    # the fix starts at y = -0.69, below the box; clamped to the y = 0 face, a Newton
+    # step along the radius around the line is cut off by that face, so polish must
+    # move the height instead (a coordinate pattern search reached -42.7 dB here)
+    cfg = ExperimentConfig(scenarios=("sw",), m=4, mode="3d", h_pa=6.0, h_range=(0.0, 3.0),
+                           trials=200, snr_db=(25.0,), seed=11)
+    rec = run_trial(cfg, "sw", 25.0, 0, trial=174)
+    assert "ambiguous" in rec.flags
+    assert 10.0 * np.log10(rec.nmse_linear) < -35.0
 
 
 def test_trial_failure_is_recorded_not_raised(monkeypatch):

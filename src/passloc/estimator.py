@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -408,8 +409,8 @@ MOVE_TOL = 1e-3  # refinement stops once the fix moves less than this (m)
 COEFF_FLOOR = 1e-3  # a later path this much weaker than the first is absent
 REGION_SLACK = 1.0
 GAIN_TIE_REL = 1e-12
-POLISH_MAX_STEPS = 12  # Gauss-Newton steps per polish
-POLISH_HALVINGS = 6  # a rejected step is halved at most this often
+POLISH_STEP = 0.16  # polish's coordinate move and its longest Newton step (m)
+POLISH_MAX_EVALS = 160  # refit-slope calls per polish
 
 
 @dataclass(frozen=True)
@@ -536,35 +537,6 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
     return Iterate(directions, varphis, position, signs, flags, tuple(box)), r_anchor
 
 
-def rank_one_fit(position, kind, user, layout, radio, w_list, residuals) -> list[tuple]:
-    """Per subarray, the least-squares fit of the path at ``position`` to the residual.
-
-    Each entry is (b, t, c, e): the path vector b, its measured template
-    t = W b, the coefficient c = <t, res> / ||t||^2 and the energy
-    e = |<t, res>|^2 / ||t||^2 that subtracting c t removes (c = e = 0 when
-    t = 0). Bearing costs cannot tell mirror-like candidates apart when
-    bearings are nearly axial, but e can: the template phase pattern is
-    position-specific.
-    """
-    fits = []
-    b = path_vector(layout.pa_positions, position, radio, kind, user=user)
-    for w_m, b_m, res in zip(w_list, b.reshape(layout.m, layout.pas_per_subarray), residuals):
-        t = w_m @ b_m
-        den = float(np.vdot(t, t).real)
-        ip = np.vdot(t, res)
-        fits.append((b_m, t, complex(ip / den), abs(ip) ** 2 / den) if den > 0.0
-                    else (b_m, t, 0.0, 0.0))
-    return fits
-
-
-def refit_gain(fit, position) -> float:
-    """The refit gain at ``position``: the energy the fits ``fit(position)`` remove, in order."""
-    gain = 0.0
-    for *_, e in fit(position):
-        gain += e
-    return gain
-
-
 def _template_jacobian(position, dims, kind, user, layout, radio) -> tuple[np.ndarray, np.ndarray]:
     """Each subarray's path vector b_m at ``position`` and db_m/dp along the coordinates ``dims``.
 
@@ -583,52 +555,68 @@ def _template_jacobian(position, dims, kind, user, layout, radio) -> tuple[np.nd
     return b.reshape(shape), db.reshape(shape + (len(dims),))
 
 
-def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) -> tuple:
-    """The refit gain at ``position``, its gradient and its Gauss-Newton curvature along ``dims``.
+def rank_one_fit(position, kind, user, layout, radio, w_list, residuals, dims=()) -> list[tuple]:
+    """Per subarray, the least-squares fit of the path at ``position`` to the residual.
 
-    Per subarray, with the template t = W b, its derivative d = W db
-    (_template_jacobian, one W @ [b, db] product), s = t^H res and
-    c = s / ||t||^2, the gain sums |s|^2 / ||t||^2, the gradient
-    2 Re(conj(s) d^H res) / ||t||^2 - 2 |c|^2 Re(d^H t), and the curvature
-    H = 2 |c|^2 Re(d^H P d), where P = I - t t^H / ||t||^2 projects out the
-    template. H is the Gauss-Newton Hessian of the energy left after the
-    fit: positive semidefinite, and the negative Hessian of the gain where
-    the fit explains the residual.
+    Each entry is (b, t, d, c): the path vector b, its measured template
+    t = W b, the template's derivative d = W db/dp along the coordinates
+    ``dims`` (_template_jacobian; one W @ [b, db] product), and the
+    coefficient c = <t, res> / ||t||^2 (0 when t = 0). Bearing costs cannot
+    tell mirror-like candidates apart when bearings are nearly axial, but
+    the fit can: the template phase pattern is position-specific.
     """
-    b, db = _template_jacobian(position, dims, kind, user, layout, radio)
-    gain, grad, curv = 0.0, np.zeros(len(dims)), np.zeros((len(dims), len(dims)))
+    b, db = _template_jacobian(position, list(dims), kind, user, layout, radio)
+    fits = []
     for w_m, b_m, db_m, res in zip(w_list, b, db, residuals):
         td = w_m @ np.column_stack([b_m, db_m])
         t, d = td[:, 0], td[:, 1:]
         den = float(np.vdot(t, t).real)
-        if den <= 0.0:
+        fits.append((b_m, t, d, complex(np.vdot(t, res) / den) if den > 0.0 else 0j))
+    return fits
+
+
+def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) -> tuple:
+    """The refit gain at ``position``, its gradient and its Gauss-Newton curvature along ``dims``.
+
+    With each subarray's rank_one_fit (t, d, c), the gain sums the energy
+    |c|^2 ||t||^2 that subtracting c t removes, the gradient sums
+    2 Re(conj(c) d^H (res - c t)), and the curvature H sums
+    2 |c|^2 Re(d^H P d), where P = I - t t^H / ||t||^2 projects out the
+    template. H is the Gauss-Newton Hessian of the energy left after the
+    fit: positive semidefinite, and the negative Hessian of the gain where
+    the fit explains the residual. With no ``dims`` it is the gain alone.
+    """
+    fits = rank_one_fit(position, kind, user, layout, radio, w_list, residuals, dims)
+    gain, grad, curv = 0.0, np.zeros(len(dims)), np.zeros((len(dims), len(dims)))
+    for (_, t, d, c), res in zip(fits, residuals):
+        den = float(np.vdot(t, t).real)
+        if den == 0.0:  # no template, nothing fitted
             continue
-        s = np.vdot(t, res)
-        c2 = abs(s) ** 2 / den ** 2
         dt = d.conj().T @ t
-        gain += abs(s) ** 2 / den
-        grad += 2.0 * (np.conj(s) * (d.conj().T @ res)).real / den - 2.0 * c2 * dt.real
-        curv += 2.0 * c2 * (d.conj().T @ d - np.outer(dt, dt.conj()) / den).real
+        gain += abs(c) ** 2 * den
+        grad += 2.0 * (np.conj(c) * (d.conj().T @ (res - c * t))).real
+        curv += 2.0 * abs(c) ** 2 * (d.conj().T @ d - np.outer(dt, dt.conj()) / den).real
     return gain, grad, curv
 
 
-def arbitrate(iterates, gain) -> tuple[Iterate, float]:
-    """Stage 3: the iterate with the largest ``gain``, and that gain; ties keep the earliest.
+def arbitrate(iterates, slope) -> tuple[Iterate, float]:
+    """Stage 3: the iterate with the largest refit gain, and that gain; ties keep the earliest.
 
-    Near-degenerate sign basins make the refinement oscillate between
-    mirror-like fixes of almost equal bearing cost; in the measurement
-    domain the candidates differ sharply.
+    The gain is slope(position, [])[0], refit_slope with no free
+    coordinates. Near-degenerate sign basins make the refinement oscillate
+    between mirror-like fixes of almost equal bearing cost; in the
+    measurement domain the candidates differ sharply.
     """
     best_gain, chosen = None, None
     for cand in iterates:
-        g = gain(cand.position)
+        g = slope(cand.position, [])[0]
         if best_gain is None or g > best_gain * (1.0 + GAIN_TIE_REL):
             best_gain, chosen = g, cand
     return chosen, best_gain
 
 
 def polish(position, slope, box) -> tuple[np.ndarray, dict]:
-    """Stage 4: damped Gauss-Newton ascent on the refit gain near a fix.
+    """Stage 4: coordinate climb, then damped Gauss-Newton ascent on the refit gain near a fix.
 
     The fused position inherits the angular quantization of the far
     subarrays; a target close to one subarray needs finer range accuracy
@@ -636,66 +624,62 @@ def polish(position, slope, box) -> tuple[np.ndarray, dict]:
     returns the gain at q with its gradient and Gauss-Newton curvature H
     along the free coordinates dims (refit_slope). The ascent starts from
     ``position`` clamped into ``box`` (None entries are frozen) and scores
-    it afresh. A coordinate on a face of the box whose gradient points out
-    of it is held; the others take the Newton step H^+ grad, a
-    pseudo-inverse because on one guide line the circle around it is a
-    null direction of H. The candidate is clipped to the box and taken only
-    if it strictly improves the gain, so exact mirror ties leave the start
-    unchanged; otherwise the step length is halved, up to POLISH_HALVINGS
-    times, along the dogleg path that bends from the Newton step to the
-    gradient. The ascent stops when the model's predicted gain
-    grad . step / 2 is within GAIN_TIE_REL of the gain, when no halving
-    improves, or after POLISH_MAX_STEPS steps. Returns the polished
-    position and {"steps", "evaluations", "capped"}: the steps taken, the
-    slope calls, and whether the step cap was hit.
+    it afresh. It first climbs in POLISH_STEP moves along one coordinate at
+    a time while any move gains: a fix that starts on a side lobe of the
+    gain, or in a dip of it at a face of the box, is carried over them.
+    Then each step solves (H + mu I) s = grad with mu = |grad| / length,
+    so no step is longer than length (POLISH_STEP, halved on each rejected
+    step), and close to a peak, where H outweighs mu, s is the Newton step;
+    mu also keeps the step off the null direction of H on one guide line,
+    the circle around it. A coordinate on a face of the box whose gradient
+    points out of it is held. Every move is clipped to the box and taken
+    only if it strictly improves the gain, so exact mirror ties leave the
+    start unchanged. The ascent stops when the step's predicted gain
+    grad . s / 2 is within GAIN_TIE_REL of the gain or after
+    POLISH_MAX_EVALS slope calls. Returns the polished position and
+    {"steps", "evaluations", "capped"}: the moves taken, the slope calls,
+    and whether the call budget ran out.
     """
     dims = [d for d, b in enumerate(box) if b is not None]
     lo, hi = np.array([box[d] for d in dims], dtype=float).T
     q = np.asarray(position, dtype=float).copy()
     q[dims] = np.clip(q[dims], lo, hi)
     best, grad, curv = slope(q, dims)
-    steps, evals = 0, 1
-    while steps < POLISH_MAX_STEPS:
+    steps, evals, back = 0, 1, None
+    climbing = True
+    while climbing:
+        climbing = False
+        for i, delta in product(range(len(dims)), (POLISH_STEP, -POLISH_STEP)):
+            cand = q.copy()
+            cand[dims[i]] = min(max(q[dims[i]] + delta, lo[i]), hi[i])
+            if cand[dims[i]] == q[dims[i]] or (i, delta) == back or evals == POLISH_MAX_EVALS:
+                continue
+            scored = slope(cand, dims)
+            evals += 1
+            if scored[0] > best * (1.0 + GAIN_TIE_REL):
+                q, (best, grad, curv), steps, climbing = cand, scored, steps + 1, True
+                back = (i, -delta)
+    length = POLISH_STEP
+    while evals < POLISH_MAX_EVALS:
         # coordinates on a face of the box whose gradient points out of it stay put
         x = q[dims]
         free = ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
         g, h = np.where(free, grad, 0.0), curv * np.outer(free, free)
-        w, v = np.linalg.eigh(h)  # H^+ g: h is symmetric positive semidefinite
-        keep = w > 1e-8 * w[-1]
-        newton = v[:, keep] @ ((g @ v[:, keep]) / w[keep])
-        if 0.5 * float(g @ newton) <= abs(best) * GAIN_TIE_REL:
+        mu = float(np.linalg.norm(g)) / length
+        if mu == 0.0:
             break
-        cauchy = float(g @ g) / float(g @ h @ g) * g
-        radius = float(np.linalg.norm(newton))
-        for _ in range(POLISH_HALVINGS + 1):
-            cand = q.copy()
-            cand[dims] = np.clip(x + _dogleg(cauchy, newton, radius), lo, hi)
-            scored = slope(cand, dims)
-            evals += 1
-            if scored[0] > best * (1.0 + GAIN_TIE_REL):
-                break
-            radius *= 0.5
+        step = np.linalg.solve(h + mu * np.eye(len(dims)), g)
+        if 0.5 * float(g @ step) <= abs(best) * GAIN_TIE_REL:
+            break
+        cand = q.copy()
+        cand[dims] = np.clip(x + step, lo, hi)
+        scored = slope(cand, dims)
+        evals += 1
+        if scored[0] > best * (1.0 + GAIN_TIE_REL):
+            q, (best, grad, curv), steps, length = cand, scored, steps + 1, POLISH_STEP
         else:
-            break
-        q, (best, grad, curv) = cand, scored
-        steps += 1
-    return q, {"steps": steps, "evaluations": evals, "capped": steps == POLISH_MAX_STEPS}
-
-
-def _dogleg(cauchy, newton, radius):
-    """The point at length ``radius`` on the path from 0 via ``cauchy`` to ``newton``.
-
-    The Cauchy point maximizes the quadratic model along the gradient, so a
-    short step runs up the gradient and a long one is the Newton step.
-    """
-    if np.linalg.norm(newton) <= radius:
-        return newton
-    reach = float(np.linalg.norm(cauchy))
-    if reach >= radius:
-        return cauchy * (radius / reach)
-    d = newton - cauchy  # solve ||cauchy + tau d|| = radius for tau in (0, 1)
-    a, b, c = float(d @ d), float(cauchy @ d), reach * reach - radius * radius
-    return cauchy + (-b + np.sqrt(b * b - a * c)) / a * d
+            length *= 0.5
+    return q, {"steps": steps, "evaluations": evals, "capped": evals == POLISH_MAX_EVALS}
 
 
 def peel(fits, residuals):
@@ -705,10 +689,10 @@ def peel(fits, residuals):
     Returns the per-subarray gains and the (M, N) channel-domain
     components with the gain applied.
     """
-    for m, (_, t, c, _) in enumerate(fits):
+    for m, (_, t, _, c) in enumerate(fits):
         residuals[m] = residuals[m] - c * t
-    return (np.array([c for _, _, c, _ in fits], dtype=complex),
-            np.array([c * b for b, _, c, _ in fits], dtype=complex))
+    return (np.array([c for *_, c in fits], dtype=complex),
+            np.array([c * b for b, *_, c in fits], dtype=complex))
 
 
 def run_omp_gcl(
@@ -722,15 +706,15 @@ def run_omp_gcl(
 
     Paths are extracted strongest-first. Each path alternates
     extract_directions and fuse for up to max_outer_iters steps (stopping
-    once the fix moves less than MOVE_TOL), then runs arbitrate and peel
-    against one refit gain, built from rank_one_fit, and polish against its
-    slope (refit_slope) over the same path model. Every path's
+    once the fix moves less than MOVE_TOL), then runs arbitrate and polish
+    against one refit slope (refit_slope, built on rank_one_fit) and peels
+    the rank_one_fit of the same path model at the polished fix. Every path's
     first iteration matches against ``start``, the layout's
     start_dictionaries, whose energies are computed once per trial; later
     iterations build at the fused anchor distances. Reported angles and
     signs belong to the arbitrated iterate, and each path's trace records
-    every iterate and the polished position with polish's steps,
-    evaluations and whether it hit its step cap. A path whose mean dictionary
+    every iterate and the polished position with polish's moves, slope
+    calls and whether it ran out of calls. A path whose mean dictionary
     coefficient magnitude falls below COEFF_FLOOR times the first path's
     is reported absent and extraction stops.
     """
@@ -774,7 +758,7 @@ def run_omp_gcl(
                      residuals=residuals)
         fit = partial(rank_one_fit, **model)
         slope = partial(refit_slope, **model)
-        chosen, _ = arbitrate(iterates, partial(refit_gain, fit))
+        chosen, _ = arbitrate(iterates, slope)
         strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
         absent = l > 0 and strength < COEFF_FLOOR * ref_strength
         position = chosen.position

@@ -1,7 +1,6 @@
 """Direction matching, sign-resolved position fusion, and the joint loop."""
 
 import dataclasses
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -26,8 +25,8 @@ from passloc.dictionary import (
     project_dictionary,
 )
 from passloc.estimator import (
-    POLISH_HALVINGS,
-    POLISH_MAX_STEPS,
+    POLISH_MAX_EVALS,
+    POLISH_STEP,
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
@@ -41,7 +40,6 @@ from passloc.estimator import (
     polish,
     projection_matrix,
     rank_one_fit,
-    refit_gain,
     refit_slope,
     resolve_signs,
     run_omp_gcl,
@@ -868,43 +866,39 @@ def test_polish_keeps_an_ambiguous_fix_on_its_side_of_the_guide(radio, half_wave
 
 
 def _bowl(peak, calls=None, flat=()):
-    """A synthetic refit slope: the concave gain 100 - ||q - peak||^2, blind to the
-    coordinates in ``flat``, with its gradient and curvature along ``dims``."""
+    """A synthetic refit slope: the concave gain 1 - ||q - peak||^2, blind to the
+    coordinates in ``flat``, with its gradient and curvature along ``dims``. With a
+    peak of 1 and a curvature of 2, a gain within GAIN_TIE_REL of the peak is within
+    1e-6 of it; callers start within 1 of the peak, where the gain is positive."""
     live = np.array([d not in flat for d in range(3)])
 
     def slope(q, dims):
         if calls is not None:
             calls.append(np.array(q))
         dif = np.where(live, np.asarray(q) - peak, 0.0)
-        return 100.0 - float(dif @ dif), -2.0 * dif[dims], np.diag(2.0 * live[dims])
+        return 1.0 - float(dif @ dif), -2.0 * dif[dims], np.diag(2.0 * live[dims])
     return slope
 
 
 _BOX = ((0.0, 10.0), (0.0, 10.0), (0.0, 3.0))
-_MAX_EVALUATIONS = 1 + POLISH_MAX_STEPS * (POLISH_HALVINGS + 1)
-
-
-def test_polish_reaches_the_peak_of_a_concave_gain_in_all_three_coordinates():
-    start, peak = np.array([1.0, 9.0, 0.2]), np.array([6.3, 4.1, 2.0])
-    q, stats = polish(start, _bowl(peak), _BOX)
-    assert np.all(np.abs(q - peak) < 1e-6)
-    assert np.array_equal(start, [1.0, 9.0, 0.2])  # the caller's array is left alone
-    assert 1 <= stats["steps"] < POLISH_MAX_STEPS and not stats["capped"]
 
 
 def test_polish_climbs_a_concave_gain_to_its_peak_and_keeps_frozen_coordinates():
-    peak = np.array([6.3, 4.1, 2.0])  # the frozen height would gain by moving too
-    q, _ = polish(np.array([5.0, 5.0, 0.0]), _bowl(peak), _BOX[:2] + (None,))
-    assert np.all(np.abs(q[:2] - peak[:2]) < 1e-6)
-    assert q[2] == 0.0
+    start, peak = np.array([5.8, 4.6, 1.5]), np.array([6.3, 4.1, 2.0])
+    for height, free in ((None, [0, 1]), ((0.0, 3.0), [0, 1, 2])):
+        q, stats = polish(start, _bowl(peak), _BOX[:2] + (height,))
+        assert np.all(np.abs(q[free] - peak[free]) < 1e-6)
+        assert height is not None or q[2] == 1.5  # the frozen height would gain by moving too
+        assert stats["steps"] >= 1 and not stats["capped"]
+    assert np.array_equal(start, [5.8, 4.6, 1.5])  # the caller's array is left alone
 
 
 def test_polish_clamps_a_start_outside_its_box_and_scores_it_afresh():
     calls = []
-    q, stats = polish(np.array([12.0, 5.0, 4.0]), _bowl(np.array([9.0, 5.0, 1.0]), calls), _BOX)
+    q, stats = polish(np.array([12.0, 5.0, 4.0]), _bowl(np.array([9.5, 5.0, 2.4]), calls), _BOX)
     assert np.array_equal(calls[0], [10.0, 5.0, 3.0])
-    assert np.all(np.abs(q - [9.0, 5.0, 1.0]) < 1e-6)
-    assert stats["evaluations"] == len(calls) <= _MAX_EVALUATIONS
+    assert np.all(np.abs(q - [9.5, 5.0, 2.4]) < 1e-6)
+    assert stats["evaluations"] == len(calls) < POLISH_MAX_EVALS
 
 
 def test_polish_leaves_the_start_of_a_flat_gain_unchanged():
@@ -912,13 +906,15 @@ def test_polish_leaves_the_start_of_a_flat_gain_unchanged():
     start = np.array([3.0, 7.0, 0.5])
     q, stats = polish(start, _bowl(start, calls, flat=(0, 1, 2)), _BOX)
     assert np.array_equal(q, start)
-    assert stats == {"steps": 0, "evaluations": 1, "capped": False} and len(calls) == 1
+    # the start, then one move of POLISH_STEP either way along each coordinate
+    assert stats == {"steps": 0, "evaluations": 7, "capped": False} and len(calls) == 7
+    assert sorted(np.abs(c - start).sum() for c in calls) == pytest.approx([0.0] + [POLISH_STEP] * 6)
 
 
 def test_polish_does_not_move_along_a_coordinate_the_gain_ignores():
     """On one guide line the gain is constant along the circle around it: its curvature
-    is singular there, and the pseudo-inverse step leaves that coordinate alone."""
-    start, peak = np.array([2.0, 7.0, 0.5]), np.array([6.3, 4.1, 2.0])
+    is singular there, and neither a coordinate move nor a damped step takes that way."""
+    start, peak = np.array([5.8, 7.0, 1.5]), np.array([6.3, 4.1, 2.0])
     q, _ = polish(start, _bowl(peak, flat=(1,)), _BOX)
     assert q[1] == 7.0
     assert np.all(np.abs(q[[0, 2]] - peak[[0, 2]]) < 1e-6)
@@ -942,10 +938,17 @@ def _slope_case(radio, half_wave, mode, kind):
 @pytest.mark.parametrize("kind", ["los", "nlos"])
 def test_refit_slope_matches_central_differences_of_the_refit_gain(radio, half_wave, mode, kind):
     truth, dims, model = _slope_case(radio, half_wave, mode, kind)
-    gain = partial(refit_gain, partial(rank_one_fit, **model))
+
+    def gain(q):
+        return refit_slope(q, [], **model)[0]
+
     q = truth + np.array([0.03, -0.02, 0.01 if mode == "3d" else 0.0])
     g, grad, _ = refit_slope(q, dims, **model)
-    assert g == pytest.approx(gain(q), rel=1e-12)
+    fits = rank_one_fit(q, model["kind"], model["user"], model["layout"], model["radio"],
+                        model["w_list"], model["residuals"])
+    removed = sum(abs(np.vdot(t, y)) ** 2 / np.vdot(t, t).real
+                  for (_, t, _, _), y in zip(fits, model["residuals"]))
+    assert g == pytest.approx(gain(q), rel=1e-12) and g == pytest.approx(removed, rel=1e-12)
     h, axes = 1e-6, np.eye(3)[dims]
     fd = np.array([(gain(q + h * e) - gain(q - h * e)) / (2.0 * h) for e in axes])
     np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-5 * np.abs(fd).max())
@@ -969,16 +972,16 @@ def test_polish_trace_reports_its_steps_and_evaluations_within_the_cap(region, r
     assert len(polished) == 2
     for entry in polished:
         assert {"steps", "evaluations", "capped"} <= entry.keys()
-        assert 1 <= entry["evaluations"] <= _MAX_EVALUATIONS
-        assert 0 <= entry["steps"] <= POLISH_MAX_STEPS
-        assert entry["capped"] == (entry["steps"] == POLISH_MAX_STEPS)
+        assert 1 <= entry["evaluations"] <= POLISH_MAX_EVALS
+        assert 0 <= entry["steps"] < entry["evaluations"]
+        assert entry["capped"] == (entry["evaluations"] == POLISH_MAX_EVALS)
 
 
 def test_arbitrate_keeps_the_earliest_of_tied_largest_gains():
     def iterate(x):
         return mock.Mock(position=np.array([x, 0.0, 0.0]))
     iterates = [iterate(x) for x in (1.0, 3.0, 3.0, 2.0)]
-    chosen, best = arbitrate(iterates, lambda q: -abs(q[0] - 3.0) + 5.0)
+    chosen, best = arbitrate(iterates, lambda q, dims: (-abs(q[0] - 3.0) + 5.0, None, None))
     assert chosen is iterates[1] and best == 5.0
 
 
@@ -991,7 +994,8 @@ def test_peeling_the_true_path_removes_the_refit_gain(region, radio, half_wave):
     residuals = [y.copy() for y in ms.y]
     fits = rank_one_fit(scene.user, "los", None, lay, radio, ms.w, residuals)
     energy = sum(float(np.vdot(y, y).real) for y in ms.y)
-    assert refit_gain(lambda q: fits, scene.user) == pytest.approx(energy, rel=1e-10)
+    gain = refit_slope(scene.user, [], "los", None, lay, radio, ms.w, residuals)[0]
+    assert gain == pytest.approx(energy, rel=1e-10)
     coeffs, components = peel(fits, residuals)
     assert np.allclose(coeffs, 1.0, rtol=1e-10)
     assert np.allclose(components, channel_vector(synthesize_paths(lay, scene, radio)),

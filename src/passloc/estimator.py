@@ -411,6 +411,7 @@ REGION_SLACK = 1.0
 GAIN_TIE_REL = 1e-12
 POLISH_STEP = 0.16  # polish's coordinate move and its longest Newton step (m)
 POLISH_MAX_EVALS = 160  # refit-slope calls per polish
+POLISH_TOL = 1e-6  # polish stops once a step predicts less relative gain than this
 
 
 @dataclass(frozen=True)
@@ -548,55 +549,60 @@ def _template_jacobian(position, dims, kind, user, layout, radio) -> tuple[np.nd
     """
     pa = layout.pa_positions.reshape(-1, 3)
     b = path_vector(pa, position, radio, kind, user=user)
+    shape = (layout.m, layout.pas_per_subarray)
+    if not dims:
+        return b.reshape(shape), np.empty(shape + (0,), dtype=complex)
     r = pa_user_distance(pa, position)
     offset = np.asarray(position, dtype=float)[dims] - pa[:, dims]
     db = -(b * (1j * radio.wavenumber + 1.0 / r) / r)[:, None] * offset
-    shape = (layout.m, layout.pas_per_subarray)
     return b.reshape(shape), db.reshape(shape + (len(dims),))
 
 
-def rank_one_fit(position, kind, user, layout, radio, w_list, residuals, dims=()) -> list[tuple]:
+def rank_one_fit(position, kind, user, layout, radio, w_list, residuals) -> list[tuple]:
     """Per subarray, the least-squares fit of the path at ``position`` to the residual.
 
-    Each entry is (b, t, d, c): the path vector b, its measured template
-    t = W b, the template's derivative d = W db/dp along the coordinates
-    ``dims`` (_template_jacobian; one W @ [b, db] product), and the
-    coefficient c = <t, res> / ||t||^2 (0 when t = 0). Bearing costs cannot
-    tell mirror-like candidates apart when bearings are nearly axial, but
-    the fit can: the template phase pattern is position-specific.
+    Each entry is (b, t, c): the path vector b, its measured template
+    t = W b and the coefficient c = <t, res> / ||t||^2 (0 when t = 0) that
+    peel subtracts; refit_slope scores the same fit.
     """
-    b, db = _template_jacobian(position, list(dims), kind, user, layout, radio)
     fits = []
-    for w_m, b_m, db_m, res in zip(w_list, b, db, residuals):
-        td = w_m @ np.column_stack([b_m, db_m])
-        t, d = td[:, 0], td[:, 1:]
+    b = path_vector(layout.pa_positions, position, radio, kind, user=user)
+    for w_m, b_m, res in zip(w_list, b.reshape(layout.m, layout.pas_per_subarray), residuals):
+        t = w_m @ b_m
         den = float(np.vdot(t, t).real)
-        fits.append((b_m, t, d, complex(np.vdot(t, res) / den) if den > 0.0 else 0j))
+        fits.append((b_m, t, complex(np.vdot(t, res) / den) if den > 0.0 else 0j))
     return fits
 
 
 def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) -> tuple:
     """The refit gain at ``position``, its gradient and its Gauss-Newton curvature along ``dims``.
 
-    With each subarray's rank_one_fit (t, d, c), the gain sums the energy
-    |c|^2 ||t||^2 that subtracting c t removes, the gradient sums
+    Per subarray, with the template t = W b, its derivative d = W db
+    (_template_jacobian, one W @ [b, db] product), their inner products
+    with [t, d, res] (one more product), s = t^H res and c = s / ||t||^2,
+    the gain sums the energy |s|^2 / ||t||^2 that
+    subtracting rank_one_fit's c t removes, the gradient sums
     2 Re(conj(c) d^H (res - c t)), and the curvature H sums
     2 |c|^2 Re(d^H P d), where P = I - t t^H / ||t||^2 projects out the
     template. H is the Gauss-Newton Hessian of the energy left after the
     fit: positive semidefinite, and the negative Hessian of the gain where
     the fit explains the residual. With no ``dims`` it is the gain alone.
     """
-    fits = rank_one_fit(position, kind, user, layout, radio, w_list, residuals, dims)
+    b, db = _template_jacobian(position, dims, kind, user, layout, radio)
     gain, grad, curv = 0.0, np.zeros(len(dims)), np.zeros((len(dims), len(dims)))
-    for (_, t, d, c), res in zip(fits, residuals):
-        den = float(np.vdot(t, t).real)
+    for w_m, b_m, db_m, res in zip(w_list, b, db, residuals):
+        td = w_m @ np.column_stack([b_m, db_m])
+        mom = td.conj().T @ np.column_stack([td, res])  # [t, d]^H [t, d, res]
+        den = mom[0, 0].real
         if den == 0.0:  # no template, nothing fitted
             continue
-        dt = d.conj().T @ t
-        gain += abs(c) ** 2 * den
-        grad += 2.0 * (np.conj(c) * (d.conj().T @ (res - c * t))).real
-        curv += 2.0 * abs(c) ** 2 * (d.conj().T @ d - np.outer(dt, dt.conj()) / den).real
-    return gain, grad, curv
+        s = mom[0, -1]
+        gain += abs(s) ** 2 / den
+        if dims:
+            c, dt = s / den, mom[1:, 0]
+            grad += 2.0 * (np.conj(c) * (mom[1:, -1] - c * dt)).real
+            curv += 2.0 * abs(c) ** 2 * (mom[1:, 1:-1] - np.outer(dt, dt.conj()) / den).real
+    return float(gain), grad, curv
 
 
 def arbitrate(iterates, slope) -> tuple[Iterate, float]:
@@ -622,23 +628,24 @@ def polish(position, slope, box) -> tuple[np.ndarray, dict]:
     subarrays; a target close to one subarray needs finer range accuracy
     than that to reconstruct its dominant channel. ``slope(q, dims)``
     returns the gain at q with its gradient and Gauss-Newton curvature H
-    along the free coordinates dims (refit_slope). The ascent starts from
-    ``position`` clamped into ``box`` (None entries are frozen) and scores
-    it afresh. It first climbs in POLISH_STEP moves along one coordinate at
-    a time while any move gains: a fix that starts on a side lobe of the
-    gain, or in a dip of it at a face of the box, is carried over them.
-    Then each step solves (H + mu I) s = grad with mu = |grad| / length,
-    so no step is longer than length (POLISH_STEP, halved on each rejected
-    step), and close to a peak, where H outweighs mu, s is the Newton step;
-    mu also keeps the step off the null direction of H on one guide line,
-    the circle around it. A coordinate on a face of the box whose gradient
+    along the free coordinates dims (refit_slope; the gain alone when dims
+    is empty). The ascent starts from ``position`` clamped into ``box``
+    (None entries are frozen) and scores it afresh. It first climbs in
+    POLISH_STEP moves along one coordinate at a time, never straight back,
+    while any move gains: a fix that starts on a side lobe of the gain, or
+    in a dip of it at a face of the box, is carried over them. Then each
+    step solves (H + mu I) s = grad with mu = |grad| / length, so no step
+    is longer than length (POLISH_STEP, halved on each rejected step), and
+    close to a peak, where H outweighs mu, s is the Newton step; mu also
+    keeps the step off the null direction of H on one guide line, the
+    circle around it. A coordinate on a face of the box whose gradient
     points out of it is held. Every move is clipped to the box and taken
     only if it strictly improves the gain, so exact mirror ties leave the
     start unchanged. The ascent stops when the step's predicted gain
-    grad . s / 2 is within GAIN_TIE_REL of the gain or after
-    POLISH_MAX_EVALS slope calls. Returns the polished position and
-    {"steps", "evaluations", "capped"}: the moves taken, the slope calls,
-    and whether the call budget ran out.
+    grad . s / 2 is below POLISH_TOL of the gain or after POLISH_MAX_EVALS
+    slope calls. Returns the polished position and {"steps",
+    "evaluations", "capped"}: the moves taken, the slope calls, and
+    whether the call budget ran out.
     """
     dims = [d for d, b in enumerate(box) if b is not None]
     lo, hi = np.array([box[d] for d in dims], dtype=float).T
@@ -654,11 +661,13 @@ def polish(position, slope, box) -> tuple[np.ndarray, dict]:
             cand[dims[i]] = min(max(q[dims[i]] + delta, lo[i]), hi[i])
             if cand[dims[i]] == q[dims[i]] or (i, delta) == back or evals == POLISH_MAX_EVALS:
                 continue
-            scored = slope(cand, dims)
+            gain = slope(cand, [])[0]
             evals += 1
-            if scored[0] > best * (1.0 + GAIN_TIE_REL):
-                q, (best, grad, curv), steps, climbing = cand, scored, steps + 1, True
-                back = (i, -delta)
+            if gain > best * (1.0 + GAIN_TIE_REL):
+                q, best, steps, climbing, back = cand, gain, steps + 1, True, (i, -delta)
+    if steps and evals < POLISH_MAX_EVALS:
+        best, grad, curv = slope(q, dims)
+        evals += 1
     length = POLISH_STEP
     while evals < POLISH_MAX_EVALS:
         # coordinates on a face of the box whose gradient points out of it stay put
@@ -669,7 +678,7 @@ def polish(position, slope, box) -> tuple[np.ndarray, dict]:
         if mu == 0.0:
             break
         step = np.linalg.solve(h + mu * np.eye(len(dims)), g)
-        if 0.5 * float(g @ step) <= abs(best) * GAIN_TIE_REL:
+        if 0.5 * float(g @ step) <= abs(best) * POLISH_TOL:
             break
         cand = q.copy()
         cand[dims] = np.clip(x + step, lo, hi)
@@ -689,10 +698,10 @@ def peel(fits, residuals):
     Returns the per-subarray gains and the (M, N) channel-domain
     components with the gain applied.
     """
-    for m, (_, t, _, c) in enumerate(fits):
+    for m, (_, t, c) in enumerate(fits):
         residuals[m] = residuals[m] - c * t
     return (np.array([c for *_, c in fits], dtype=complex),
-            np.array([c * b for b, *_, c in fits], dtype=complex))
+            np.array([c * b for b, _, c in fits], dtype=complex))
 
 
 def run_omp_gcl(

@@ -86,8 +86,8 @@ def _estimate_and_run_trial(tmp_path, trial, **overrides):
 
 
 def test_estimate_reports_the_user_error_of_run_trial(tmp_path):
-    # trial 8 is one where hypot and norm of the 2-D error differ in the last bit
-    report, rec = _estimate_and_run_trial(tmp_path, 8)
+    # trial 10 is one where hypot and norm of the 2-D error differ in the last bit
+    report, rec = _estimate_and_run_trial(tmp_path, 10)
     err = np.asarray(rec.positions[0]) - np.asarray(rec.scene_points[0])
     assert float(np.linalg.norm(err[:2])) != rec.position_error
     assert report["positions"] == rec.positions

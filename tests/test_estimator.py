@@ -27,6 +27,7 @@ from passloc.dictionary import (
 from passloc.estimator import (
     POLISH_MAX_EVALS,
     POLISH_STEP,
+    POLISH_TOL,
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
@@ -867,9 +868,9 @@ def test_polish_keeps_an_ambiguous_fix_on_its_side_of_the_guide(radio, half_wave
 
 def _bowl(peak, calls=None, flat=()):
     """A synthetic refit slope: the concave gain 1 - ||q - peak||^2, blind to the
-    coordinates in ``flat``, with its gradient and curvature along ``dims``. With a
-    peak of 1 and a curvature of 2, a gain within GAIN_TIE_REL of the peak is within
-    1e-6 of it; callers start within 1 of the peak, where the gain is positive."""
+    coordinates in ``flat``, with its gradient and curvature along ``dims``. Polish
+    stops once a step predicts a gain below POLISH_TOL, which on this bowl is within
+    _REACHED of the peak; callers start within 1 of it, where the gain is positive."""
     live = np.array([d not in flat for d in range(3)])
 
     def slope(q, dims):
@@ -880,6 +881,7 @@ def _bowl(peak, calls=None, flat=()):
     return slope
 
 
+_REACHED = np.sqrt(POLISH_TOL)
 _BOX = ((0.0, 10.0), (0.0, 10.0), (0.0, 3.0))
 
 
@@ -887,7 +889,7 @@ def test_polish_climbs_a_concave_gain_to_its_peak_and_keeps_frozen_coordinates()
     start, peak = np.array([5.8, 4.6, 1.5]), np.array([6.3, 4.1, 2.0])
     for height, free in ((None, [0, 1]), ((0.0, 3.0), [0, 1, 2])):
         q, stats = polish(start, _bowl(peak), _BOX[:2] + (height,))
-        assert np.all(np.abs(q[free] - peak[free]) < 1e-6)
+        assert np.all(np.abs(q[free] - peak[free]) < _REACHED)
         assert height is not None or q[2] == 1.5  # the frozen height would gain by moving too
         assert stats["steps"] >= 1 and not stats["capped"]
     assert np.array_equal(start, [5.8, 4.6, 1.5])  # the caller's array is left alone
@@ -897,7 +899,7 @@ def test_polish_clamps_a_start_outside_its_box_and_scores_it_afresh():
     calls = []
     q, stats = polish(np.array([12.0, 5.0, 4.0]), _bowl(np.array([9.5, 5.0, 2.4]), calls), _BOX)
     assert np.array_equal(calls[0], [10.0, 5.0, 3.0])
-    assert np.all(np.abs(q - [9.5, 5.0, 2.4]) < 1e-6)
+    assert np.all(np.abs(q - [9.5, 5.0, 2.4]) < _REACHED)
     assert stats["evaluations"] == len(calls) < POLISH_MAX_EVALS
 
 
@@ -917,7 +919,7 @@ def test_polish_does_not_move_along_a_coordinate_the_gain_ignores():
     start, peak = np.array([5.8, 7.0, 1.5]), np.array([6.3, 4.1, 2.0])
     q, _ = polish(start, _bowl(peak, flat=(1,)), _BOX)
     assert q[1] == 7.0
-    assert np.all(np.abs(q[[0, 2]] - peak[[0, 2]]) < 1e-6)
+    assert np.all(np.abs(q[[0, 2]] - peak[[0, 2]]) < _REACHED)
 
 
 def _slope_case(radio, half_wave, mode, kind):
@@ -947,7 +949,7 @@ def test_refit_slope_matches_central_differences_of_the_refit_gain(radio, half_w
     fits = rank_one_fit(q, model["kind"], model["user"], model["layout"], model["radio"],
                         model["w_list"], model["residuals"])
     removed = sum(abs(np.vdot(t, y)) ** 2 / np.vdot(t, t).real
-                  for (_, t, _, _), y in zip(fits, model["residuals"]))
+                  for (_, t, _), y in zip(fits, model["residuals"]))
     assert g == pytest.approx(gain(q), rel=1e-12) and g == pytest.approx(removed, rel=1e-12)
     h, axes = 1e-6, np.eye(3)[dims]
     fd = np.array([(gain(q + h * e) - gain(q - h * e)) / (2.0 * h) for e in axes])

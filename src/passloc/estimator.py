@@ -538,24 +538,23 @@ def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iter
     return Iterate(directions, varphis, position, signs, flags, tuple(box)), r_anchor
 
 
-def _template_jacobian(position, dims, kind, user, layout, radio) -> tuple[np.ndarray, np.ndarray]:
-    """Each subarray's path vector b_m at ``position`` and db_m/dp along the coordinates ``dims``.
+def _template_jacobian(position, dims, kind, user, layout, radio) -> np.ndarray:
+    """Each subarray's path vector b_m at ``position``, then db_m/dp along the coordinates ``dims``.
 
-    Returns b (M, N) and db (M, N, len(dims)), with
+    Returns [b, db] (M, N, 1 + len(dims)), with
     db_n/dp = -b_n (jk + 1/r_n) (p - pa_n) / r_n from one path_vector call.
     A scattered path's second leg is one complex factor common to every
     PA; its derivative is left out, because a per-subarray coefficient
     absorbs it and the refit gain does not depend on it.
     """
     pa = layout.pa_positions.reshape(-1, 3)
-    b = path_vector(pa, position, radio, kind, user=user)
-    shape = (layout.m, layout.pas_per_subarray)
-    if not dims:
-        return b.reshape(shape), np.empty(shape + (0,), dtype=complex)
-    r = pa_user_distance(pa, position)
-    offset = np.asarray(position, dtype=float)[dims] - pa[:, dims]
-    db = -(b * (1j * radio.wavenumber + 1.0 / r) / r)[:, None] * offset
-    return b.reshape(shape), db.reshape(shape + (len(dims),))
+    bd = np.empty((len(pa), 1 + len(dims)), dtype=complex)
+    bd[:, 0] = b = path_vector(pa, position, radio, kind, user=user)
+    if dims:
+        r = pa_user_distance(pa, position)
+        offset = np.asarray(position, dtype=float)[dims] - pa[:, dims]
+        bd[:, 1:] = -(b * (1j * radio.wavenumber + 1.0 / r) / r)[:, None] * offset
+    return bd.reshape(layout.m, layout.pas_per_subarray, -1)
 
 
 def rank_one_fit(position, kind, user, layout, radio, w_list, residuals) -> list[tuple]:
@@ -578,8 +577,8 @@ def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) ->
     """The refit gain at ``position``, its gradient and its Gauss-Newton curvature along ``dims``.
 
     Per subarray, with the template t = W b, its derivative d = W db
-    (_template_jacobian, one W @ [b, db] product), their inner products
-    with [t, d, res] (one more product), s = t^H res and c = s / ||t||^2,
+    (_template_jacobian, one W @ [b, db] product), the Gram matrix of
+    [t, d] and its products with res, s = t^H res and c = s / ||t||^2,
     the gain sums the energy |s|^2 / ||t||^2 that
     subtracting rank_one_fit's c t removes, the gradient sums
     2 Re(conj(c) d^H (res - c t)), and the curvature H sums
@@ -588,20 +587,21 @@ def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) ->
     fit: positive semidefinite, and the negative Hessian of the gain where
     the fit explains the residual. With no ``dims`` it is the gain alone.
     """
-    b, db = _template_jacobian(position, dims, kind, user, layout, radio)
+    bd = _template_jacobian(position, dims, kind, user, layout, radio)
     gain, grad, curv = 0.0, np.zeros(len(dims)), np.zeros((len(dims), len(dims)))
-    for w_m, b_m, db_m, res in zip(w_list, b, db, residuals):
-        td = w_m @ np.column_stack([b_m, db_m])
-        mom = td.conj().T @ np.column_stack([td, res])  # [t, d]^H [t, d, res]
-        den = mom[0, 0].real
+    for w_m, bd_m, res in zip(w_list, bd, residuals):
+        td = w_m @ bd_m  # [t, d]
+        td_h = td.conj().T
+        gram, proj = td_h @ td, td_h @ res
+        den = gram[0, 0].real
         if den == 0.0:  # no template, nothing fitted
             continue
-        s = mom[0, -1]
+        s = proj[0]
         gain += abs(s) ** 2 / den
         if dims:
-            c, dt = s / den, mom[1:, 0]
-            grad += 2.0 * (np.conj(c) * (mom[1:, -1] - c * dt)).real
-            curv += 2.0 * abs(c) ** 2 * (mom[1:, 1:-1] - np.outer(dt, dt.conj()) / den).real
+            c, dt = s / den, gram[1:, 0]
+            grad += 2.0 * (np.conj(c) * (proj[1:] - c * dt)).real
+            curv += 2.0 * abs(c) ** 2 * (gram[1:, 1:] - dt[:, None] * dt.conj() / den).real
     return float(gain), grad, curv
 
 
@@ -674,7 +674,7 @@ def polish(position, slope, box) -> tuple[np.ndarray, dict]:
         x = q[dims]
         free = ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
         g, h = np.where(free, grad, 0.0), curv * np.outer(free, free)
-        mu = float(np.linalg.norm(g)) / length
+        mu = float(np.sqrt(g @ g)) / length
         if mu == 0.0:
             break
         step = np.linalg.solve(h + mu * np.eye(len(dims)), g)

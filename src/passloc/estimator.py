@@ -579,8 +579,8 @@ def refit_slope(position, dims, kind, user, layout, radio, w_list, residuals) ->
     Per subarray, with the template t = W b, its derivative d = W db
     (_template_jacobian, one W @ [b, db] product), the Gram matrix of
     [t, d] and its products with res, s = t^H res and c = s / ||t||^2,
-    the gain sums the energy |s|^2 / ||t||^2 that
-    subtracting rank_one_fit's c t removes, the gradient sums
+    the gain sums the energy |s|^2 / ||t||^2 that subtracting
+    rank_one_fit's c t removes, the gradient sums
     2 Re(conj(c) d^H (res - c t)), and the curvature H sums
     2 |c|^2 Re(d^H P d), where P = I - t t^H / ||t||^2 projects out the
     template. H is the Gauss-Newton Hessian of the energy left after the
@@ -700,7 +700,7 @@ def peel(fits, residuals):
     """
     for m, (_, t, c) in enumerate(fits):
         residuals[m] = residuals[m] - c * t
-    return (np.array([c for *_, c in fits], dtype=complex),
+    return (np.array([c for _, _, c in fits], dtype=complex),
             np.array([c * b for b, _, c in fits], dtype=complex))
 
 
@@ -716,8 +716,8 @@ def run_omp_gcl(
     Paths are extracted strongest-first. Each path alternates
     extract_directions and fuse for up to max_outer_iters steps (stopping
     once the fix moves less than MOVE_TOL), then runs arbitrate and polish
-    against one refit slope (refit_slope, built on rank_one_fit) and peels
-    the rank_one_fit of the same path model at the polished fix. Every path's
+    against one refit slope (refit_slope) and peels rank_one_fit's fit of
+    the same path model at the polished fix. Every path's
     first iteration matches against ``start``, the layout's
     start_dictionaries, whose energies are computed once per trial; later
     iterations build at the fused anchor distances. Reported angles and

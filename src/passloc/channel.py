@@ -54,19 +54,22 @@ def path_vector(
     radio: RadioConfig,
     kind: str = "los",
     user=None,
+    ranges=None,
 ) -> np.ndarray:
     """Per-element response of one path at arbitrary PA coordinates.
 
     Direct path: (lam/(4*pi*r_n)) * exp(-j*k*r_n). Scattered path adds the
     scatterer-to-user leg r_su as a common factor
     lam*exp(-j*k*r_su) / ((4*pi)^(3/2) * r_n * r_su), with ``source`` the
-    scatterer and ``user`` the user position.
+    scatterer and ``user`` the user position. A caller that already holds
+    the PA ranges r_n = pa_user_distance(pa_positions, source) passes them
+    as ``ranges``.
     """
     pa = np.asarray(pa_positions, dtype=float).reshape(-1, 3)
     src = np.asarray(source, dtype=float).reshape(3)
     lam = radio.wavelength
     k = radio.wavenumber
-    r = pa_user_distance(pa, src)
+    r = pa_user_distance(pa, src) if ranges is None else ranges
     phase = np.exp(-1j * k * r)
     if kind == "los":
         return (lam / (FOUR_PI * r)) * phase

@@ -120,27 +120,33 @@ def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0):
 def build_dp_dictionary(
     subarray: SubarrayGeometry,
     r_param: float,
-    grid: AngleGrid,
+    grid: AngleGrid | np.ndarray,
     radio: RadioConfig,
     dh: float = 0.0,
 ) -> DpDictionary:
     """Channel-domain atoms for one subarray at a fixed anchor distance.
 
-    Columns whose element ranges are geometrically impossible are dropped
-    and recorded instead of raising, so a sweep over distances degrades
+    ``grid`` is an AngleGrid or any strictly increasing 1-D array of
+    cosines in (-1, 1), such as a subset of a grid's values. Every element
+    is computed on its own, so a column's bits do not depend on which
+    other columns are built with it. Columns whose element ranges are
+    geometrically impossible are dropped and recorded (as positions in
+    ``grid``) instead of raising, so a sweep over distances degrades
     gracefully. The atoms are column-major (F-contiguous): the ranges are
     laid out one grid column per row and transposed, and every later step
     of the build runs in place on two buffers.
     """
     if r_param <= 0.0:
         raise ValueError("anchor distance must be positive")
+    cosines = grid.values if isinstance(grid, AngleGrid) else np.asarray(grid, dtype=float)
+    if cosines.ndim != 1 or np.any(np.diff(cosines) <= 0.0) or np.any(np.abs(cosines) >= 1.0):
+        raise ValueError("cosines must be strictly increasing and lie strictly inside (-1, 1)")
     nd = np.arange(subarray.n_pas, dtype=float)[None, :] * subarray.spacing
-    ranges = _squared_ranges(r_param, grid.values[:, None], nd, dh)  # (G, N)
+    ranges = _squared_ranges(r_param, cosines[:, None], nd, dh)  # (G, N)
     ok = np.all(ranges > 0.0, axis=1)
     dropped = np.nonzero(~ok)[0]
     if not ok.any():
         raise DictionaryError("every grid column is geometrically invalid")
-    cosines = grid.values
     if dropped.size:
         ranges, cosines = ranges[ok], cosines[ok]
     np.sqrt(ranges, out=ranges)

@@ -29,7 +29,7 @@ from .dictionary import (
     build_dp_dictionary,
     project_dictionary,
 )
-from .geometry import ArrayLayout, ServiceRegion, pa_user_distance
+from .geometry import ArrayLayout, ServiceRegion, SubarrayGeometry, pa_user_distance
 
 LS_EPSILON = 1e-9  # ridge on the 2x2 fusion system
 ILL_CONDITION_TOL = 1e-6
@@ -75,13 +75,14 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class DirectionEstimate:
-    """Best dictionary column for one subarray against one residual."""
+    """Best dictionary column for one subarray against one residual, and how many were scored."""
 
     varphi: float
     grid_index: int
     coefficient: complex
     correlation: float
     low_confidence: bool = False
+    columns_scored: int = 0
 
 
 @dataclass(frozen=True)
@@ -135,19 +136,62 @@ class EstimationResult:
         return np.stack([p.position for p in self.paths])
 
 
-def atom_energies(w: np.ndarray, dictionary: DpDictionary) -> np.ndarray:
+def measured_gram(w: np.ndarray) -> np.ndarray | None:
+    """W^H W when atom_energies takes the Gram form (N < T), else None: it projects."""
+    return w.conj().T @ w if w.shape[1] < w.shape[0] else None
+
+
+def atom_energies(w: np.ndarray, dictionary: DpDictionary, gram=None) -> np.ndarray:
     """The measured energies ||W a_g||^2 of a dictionary's N x G atoms under T x N W.
 
     They come from the Gram form Re(a_g^H (W^H W) a_g) when N < T (N^2 G
-    multiply-adds), else from project_dictionary (T N G).
+    multiply-adds), else from project_dictionary (T N G). ``gram`` is
+    measured_gram(w), formed here when not given; W is fixed per subarray
+    for a whole trial, so a caller matching many dictionaries forms it once.
     """
-    if w.shape[1] < w.shape[0]:
+    gram = measured_gram(w) if gram is None else gram
+    if gram is not None:
         at = np.ascontiguousarray(dictionary.atoms.T, dtype=complex)  # a view for built atoms
         # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
         # the dot product of the two rows as real (re, im) pairs is the energy.
-        return np.einsum("gk,gk->g", at.view(float), (at @ (w.conj().T @ w).T).view(float))
+        return np.einsum("gk,gk->g", at.view(float), (at @ gram.T).view(float))
     phi = project_dictionary(dictionary, w)
     return sum(np.einsum("tg,tg->g", part, part) for part in (phi.real, phi.imag))
+
+
+def _scores(y_res, w, dictionary: DpDictionary, energy=None, gram=None) -> tuple:
+    """Per column: the score |<W a_g, y>| / ||W a_g||, the correlation a_g^H (W^H y) and the energy.
+
+    A column W annihilates (zero energy) scores -1, below every other.
+    """
+    atoms = dictionary.atoms
+    if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
+        raise ValueError("measurement matrix width must match the element count")
+    if w.shape[0] != y_res.shape[0]:
+        raise ValueError("residual length does not match the measurement rows")
+    if energy is None:
+        energy = atom_energies(w, dictionary, gram)
+    at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
+    corr = (at @ (w.conj().T @ y_res).conj()).conj()  # a_g^H W^H y
+    valid = energy > 0.0
+    score = np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, energy, 1.0)), -1.0)
+    return score, corr, energy
+
+
+def _pick(y_res, index, score, corr, energy, cosines) -> DirectionEstimate:
+    """The first best-scoring column; ``index`` gives its grid_index."""
+    g = int(np.argmax(score))
+    if score[g] < 0.0:
+        raise DictionaryError("measurement matrix annihilated every atom")
+    low = score[g] <= 1e-8 * max(float(np.linalg.norm(y_res)), 1e-300)
+    return DirectionEstimate(
+        varphi=float(cosines[g]),
+        grid_index=int(index[g]),
+        coefficient=complex(corr[g] / energy[g]),
+        correlation=float(score[g]),
+        low_confidence=bool(low),
+        columns_scored=len(index),
+    )
 
 
 def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
@@ -161,28 +205,63 @@ def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
     Zero-energy columns are never picked, ties go to the first maximum, and
     grid_index counts the built dictionary's columns.
     """
-    atoms = dictionary.atoms
-    if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
-        raise ValueError("measurement matrix width must match the element count")
-    if w.shape[0] != y_res.shape[0]:
-        raise ValueError("residual length does not match the measurement rows")
-    if energy is None:
-        energy = atom_energies(w, dictionary)
-    at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
-    corr = (at @ (w.conj().T @ y_res).conj()).conj()  # a_g^H W^H y
-    valid = energy > 0.0
-    if not valid.any():
-        raise DictionaryError("measurement matrix annihilated every atom")
-    score = np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, energy, 1.0)), -1.0)
-    g = int(np.argmax(score))
-    low = score[g] <= 1e-8 * max(float(np.linalg.norm(y_res)), 1e-300)
-    return DirectionEstimate(
-        varphi=float(dictionary.cosines[g]),
-        grid_index=g,
-        coefficient=complex(corr[g] / energy[g]),
-        correlation=float(score[g]),
-        low_confidence=bool(low),
-    )
+    score, corr, energy = _scores(y_res, w, dictionary, energy)
+    return _pick(y_res, range(dictionary.g), score, corr, energy, dictionary.cosines)
+
+
+REFINE_FRACTION = 0.5  # a coarse interval is refined when an end scores this share of the best
+
+
+def coarse_columns(subarray: SubarrayGeometry, radio: RadioConfig, g: int) -> np.ndarray:
+    """The columns match_direction scores first on a g-column grid: every S-th, and the last.
+
+    S = max(1, floor(g lambda / (8 N d))) is an eighth of the main lobe's
+    null-to-null width 2 lambda / (N d) counted in steps of a uniform cosine
+    grid, so a lobe's peak lies within S / 2 columns of a coarse column. It
+    is 8 for N = 32 at half-wave spacing and g = 1024; S = 1 is the full grid.
+    """
+    stride = max(1, int(g * radio.wavelength / (8.0 * subarray.n_pas * subarray.spacing)))
+    return np.unique(np.append(np.arange(0, g, stride), g - 1))
+
+
+def _scored(y_res, w, columns, idx, gram) -> tuple:
+    """The columns of idx that columns(idx) keeps, and their scores, correlations, energies, cosines."""
+    dictionary = columns(idx)
+    score, corr, energy = _scores(y_res, w, dictionary, gram=gram)
+    return np.delete(idx, dictionary.dropped), score, corr, energy, dictionary.cosines
+
+
+def match_direction(y_res: np.ndarray, w: np.ndarray, columns, coarse: np.ndarray,
+                    gram=None) -> DirectionEstimate:
+    """omp_direction on a grid, scoring the columns near its best coarse scores only.
+
+    ``columns(idx)`` is the DpDictionary of grid columns idx, as
+    build_dp_dictionary gives them (dropped ones recorded). The first stage
+    scores the ``coarse`` columns (coarse_columns: increasing, from 0 to the
+    grid's last column). The second scores every column strictly between
+    two neighbouring coarse columns of which one scores at least
+    REFINE_FRACTION of the best coarse score, or all of them when no coarse
+    score is positive. The pick is the first maximum over the scored
+    columns in grid order: omp_direction's pick on the full grid whenever
+    that lies in a refined interval, as a main lobe's peak does. Its
+    grid_index counts the grid's columns and columns_scored the columns
+    both stages scored. ``gram`` is measured_gram(w), formed when not given.
+    """
+    gram = measured_gram(w) if gram is None else gram
+    scored = _scored(y_res, w, columns, coarse, gram)
+    idx, score = scored[:2]
+    best = score.max()
+    hot = np.concatenate(([False], (score >= REFINE_FRACTION * best) | (best <= 0.0), [False]))
+    rest = np.ones(coarse[-1] + 1, dtype=bool)
+    rest[coarse] = False
+    rest = np.flatnonzero(rest)
+    above = np.searchsorted(idx, rest)  # a column's coarse neighbours are idx[above - 1], idx[above]
+    fine = rest[hot[above] | hot[above + 1]]
+    if fine.size:
+        merged = [np.concatenate(pair) for pair in zip(scored, _scored(y_res, w, columns, fine, gram))]
+        order = np.argsort(merged[0])
+        scored = [a[order] for a in merged]
+    return _pick(y_res, *scored)
 
 
 def projection_matrix(varphi: float, sign: float) -> np.ndarray:
@@ -436,12 +515,25 @@ def _anchor_distances(layout: ArrayLayout, point, mode: str, floor: float = MIN_
     return np.maximum(r, floor)
 
 
-def anchor_dictionaries(layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig,
-                        r_anchor):
-    """Subarray m's dictionary at anchor distance r_anchor[m], built as the caller iterates."""
-    grid = config.grid
-    for m, sub in enumerate(layout.subarrays):
-        yield build_dp_dictionary(sub, float(r_anchor[m]), grid, radio, dh=config.dh)
+def _built_columns(subarray, r_param: float, cosines, radio: RadioConfig, dh: float, idx):
+    """build_dp_dictionary of the grid columns idx of ``cosines`` at anchor distance r_param."""
+    return build_dp_dictionary(subarray, r_param, cosines[idx], radio, dh=dh)
+
+
+def anchor_columns(layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, r_anchor):
+    """Per subarray m, the match_direction columns of config.grid at anchor distance r_anchor[m].
+
+    Each match builds only the columns it scores.
+    """
+    values = config.grid.values
+    return [partial(_built_columns, sub, float(r), values, radio, config.dh)
+            for sub, r in zip(layout.subarrays, r_anchor)]
+
+
+def _taken_columns(dictionary: DpDictionary, idx) -> DpDictionary:
+    """The columns idx of a dictionary that dropped none of its grid's columns."""
+    return DpDictionary(r_param=dictionary.r_param, cosines=dictionary.cosines[idx],
+                        atoms=dictionary.atoms[:, idx])
 
 
 def _start_distances(layout: ArrayLayout, config: EstimatorConfig) -> np.ndarray:
@@ -474,17 +566,16 @@ def start_dictionaries(layout: ArrayLayout, radio: RadioConfig,
     return start
 
 
-def extract_directions(w_list, residuals, dictionaries, energies=None) -> list:
-    """Stage 1: per subarray, the dictionary column that best matches its residual.
+def extract_directions(w_list, residuals, columns, coarse, grams=None) -> list:
+    """Stage 1: per subarray, the grid column that best matches its residual.
 
-    Subarray m's dictionary is matched through its measurement matrix
-    w_list[m] by omp_direction (in Gram form while a subarray has fewer
-    elements than pilot slots); energies[m], when given, are its
-    atom_energies. ``dictionaries`` may be built lazily (anchor_dictionaries).
+    Subarray m's grid columns ``columns[m]`` are matched through its
+    measurement matrix w_list[m] by match_direction, coarse[m] first
+    (coarse_columns); grams[m], when given, is measured_gram(w_list[m]).
     """
-    energies = [None] * len(w_list) if energies is None else energies
-    return [omp_direction(y, w_m, dic, energy=e)
-            for y, w_m, dic, e in zip(residuals, w_list, dictionaries, energies)]
+    grams = [None] * len(w_list) if grams is None else grams
+    return [match_direction(y, w_m, col, c, gram=g)
+            for y, w_m, col, c, g in zip(residuals, w_list, columns, coarse, grams)]
 
 
 def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iterate, np.ndarray]:
@@ -542,16 +633,17 @@ def _template_jacobian(position, dims, kind, user, layout, radio) -> np.ndarray:
     """Each subarray's path vector b_m at ``position``, then db_m/dp along the coordinates ``dims``.
 
     Returns [b, db] (M, N, 1 + len(dims)), with
-    db_n/dp = -b_n (jk + 1/r_n) (p - pa_n) / r_n from one path_vector call.
+    db_n/dp = -b_n (jk + 1/r_n) (p - pa_n) / r_n from one path_vector call
+    and one computation of the PA ranges r_n.
     A scattered path's second leg is one complex factor common to every
     PA; its derivative is left out, because a per-subarray coefficient
     absorbs it and the refit gain does not depend on it.
     """
     pa = layout.pa_positions.reshape(-1, 3)
+    r = pa_user_distance(pa, position)
     bd = np.empty((len(pa), 1 + len(dims)), dtype=complex)
-    bd[:, 0] = b = path_vector(pa, position, radio, kind, user=user)
+    bd[:, 0] = b = path_vector(pa, position, radio, kind, user=user, ranges=r)
     if dims:
-        r = pa_user_distance(pa, position)
         offset = np.asarray(position, dtype=float)[dims] - pa[:, dims]
         bd[:, 1:] = -(b * (1j * radio.wavenumber + 1.0 / r) / r)[:, None] * offset
     return bd.reshape(layout.m, layout.pas_per_subarray, -1)
@@ -717,24 +809,29 @@ def run_omp_gcl(
     extract_directions and fuse for up to max_outer_iters steps (stopping
     once the fix moves less than MOVE_TOL), then runs arbitrate and polish
     against one refit slope (refit_slope) and peels rank_one_fit's fit of
-    the same path model at the polished fix. Every path's
-    first iteration matches against ``start``, the layout's
-    start_dictionaries, whose energies are computed once per trial; later
-    iterations build at the fused anchor distances. Reported angles and
-    signs belong to the arbitrated iterate, and each path's trace records
-    every iterate and the polished position with polish's moves, slope
-    calls and whether it ran out of calls. A path whose mean dictionary
+    the same path model at the polished fix. Every match is
+    match_direction's two-stage one, against W^H W formed once per subarray
+    and trial: every path's first iteration takes its columns from
+    ``start``, the layout's start_dictionaries, and later iterations build
+    only the columns they score, at the fused anchor distances. Reported
+    angles and signs belong to the arbitrated iterate, and each path's
+    trace records every iterate with the columns each subarray's match
+    scored, and the polished position with polish's moves, slope calls and
+    whether it ran out of calls. A path whose mean dictionary
     coefficient magnitude falls below COEFF_FLOOR times the first path's
     is reported absent and extraction stops.
     """
     if measurements.m != layout.m:
         raise ValueError("measurement set does not match the layout")
-    if [d.r_param for d in start] != _start_distances(layout, config).tolist():
+    if ([d.r_param for d in start] != _start_distances(layout, config).tolist()
+            or any(d.g != config.g_theta for d in start)):
         raise ValueError("start dictionaries do not match the layout and config; "
                          "build them with start_dictionaries")
     w = measurements.w
     residuals = [y.astype(complex).copy() for y in measurements.y]
-    start_energies = [atom_energies(w_m, d) for w_m, d in zip(w, start)]
+    grams = [measured_gram(w_m) for w_m in w]
+    coarse = [coarse_columns(sub, radio, config.g_theta) for sub in layout.subarrays]
+    start_columns = [partial(_taken_columns, d) for d in start]
 
     paths: list[PathEstimateResult] = []
     user = None
@@ -745,11 +842,8 @@ def run_omp_gcl(
         kind = "los" if l == 0 else "nlos"
         iterates, trace = [], []
         for it in range(config.max_outer_iters):
-            if it == 0:
-                directions = extract_directions(w, residuals, start, start_energies)
-            else:
-                dictionaries = anchor_dictionaries(layout, radio, config, r_anchor)
-                directions = extract_directions(w, residuals, dictionaries)
+            columns = start_columns if it == 0 else anchor_columns(layout, radio, config, r_anchor)
+            directions = extract_directions(w, residuals, columns, coarse, grams)
             iterate, r_anchor = fuse(directions, layout, config)
             moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
             iterates.append(iterate)
@@ -759,6 +853,7 @@ def run_omp_gcl(
                 "signs": None if iterate.signs is None else iterate.signs.tolist(),
                 "position": iterate.position.tolist(),
                 "anchor_distances": r_anchor.tolist(),
+                "columns_scored": [d.columns_scored for d in directions],
             })
             if moved < MOVE_TOL:
                 break

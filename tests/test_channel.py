@@ -21,6 +21,7 @@ from passloc.geometry import (
     SingularGeometryError,
     build_mw_layout,
     build_sw_layout,
+    pa_user_distance,
     sample_scene,
 )
 
@@ -86,6 +87,15 @@ def test_nlos_amplitude_carries_both_hops(radio):
     # total phase is the sum of both hop delays
     want = -radio.wavenumber * (r + r_su)
     assert cmath.phase(b[0] * cmath.exp(-1j * want)) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_path_vector_takes_the_caller_s_pa_ranges(radio):
+    pa = np.array([[0.0, 0.0, 2.0], [0.4, 0.0, 2.0], [0.8, 0.0, 2.0]])
+    scatterer, user = np.array([4.0, 3.0, 0.0]), np.array([1.0, 7.0, 0.0])
+    r = pa_user_distance(pa, scatterer)
+    for kind in ("los", "nlos"):
+        want = path_vector(pa, scatterer, radio, kind, user=user)
+        assert np.array_equal(path_vector(pa, scatterer, radio, kind, user=user, ranges=r), want)
 
 
 def test_nlos_requires_user_and_guards_coincidence(radio):

@@ -129,6 +129,11 @@ def test_dictionary_rebuild_is_bitwise_deterministic(sub, radio):
     b = build_dp_dictionary(sub, 9.0, grid, radio)
     assert np.array_equal(a.atoms, b.atoms)
     assert np.array_equal(a.cosines, b.cosines)
+    # a column's bits do not depend on the columns built with it
+    for idx in (np.arange(0, 128, 8), np.array([3, 4, 5, 77, 127]), np.array([64])):
+        part = build_dp_dictionary(sub, 9.0, grid.values[idx], radio)
+        assert np.array_equal(part.atoms, a.atoms[:, idx])
+        assert np.array_equal(part.cosines, grid.values[idx])
 
 
 def _closed_form_atoms(sub, r, cosines, radio, dh):
@@ -182,6 +187,9 @@ def test_3d_atoms_with_zero_height_gap_match_planar(sub, radio):
 def test_dictionary_validation(sub, radio):
     with pytest.raises(ValueError):
         build_dp_dictionary(sub, 0.0, AngleGrid.uniform_cosine(8), radio)
+    for cosines in ([0.1, 0.1], [0.2, -0.3], [0.5, 1.0], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_dp_dictionary(sub, 3.0, np.array(cosines), radio)
 
 
 # --- projection --------------------------------------------------------------

@@ -31,10 +31,12 @@ from passloc.estimator import (
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
-    anchor_dictionaries,
+    anchor_columns,
     arbitrate,
+    coarse_columns,
     extract_directions,
     fuse,
+    match_direction,
     omp_direction,
     peel,
     polar_dictionary,
@@ -242,19 +244,87 @@ def test_matcher_never_picks_an_annihilated_column(radio, half_wave):
         assert omp_direction(y, w, dic).grid_index != 3
 
 
+# --- two-stage matching ----------------------------------------------------------
+
+
+def _columns_of(dic):
+    """match_direction's columns of a built dictionary's grid."""
+    return lambda idx: DpDictionary(r_param=dic.r_param, cosines=dic.cosines[idx],
+                                    atoms=dic.atoms[:, idx])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_two_stage_match_picks_the_full_grid_column(radio, half_wave, seed):
+    """match_direction at its subarray's stride (1 to 17 here), in either energy form."""
+    dic, w, y = _random_case(radio, half_wave, seed)
+    sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), dic.atoms.shape[0], half_wave)
+    full = omp_direction(y, w, dic)
+    got = match_direction(y, w, _columns_of(dic), coarse_columns(sub, radio, dic.g))
+    assert (got.grid_index, got.varphi) == (full.grid_index, full.varphi)
+    assert got.low_confidence == full.low_confidence
+
+
+def test_two_stage_match_finds_a_peak_between_coarse_columns_that_are_not_local_maxima(
+        radio, half_wave):
+    # Two paths 35 columns apart at a 120 degree phase offset give a flat top:
+    # the coarse scores around the peak are within 0.4 % of it, and the coarse
+    # columns either side of the peak are not local maxima of the coarse scores,
+    # so refining only around those maxima would miss the peak.
+    dic, w, _ = _measured(radio, half_wave, n=32, g=1024, slots=64)
+    y = w @ (dic.atoms[:, 304] + np.exp(2j * np.pi / 3) * dic.atoms[:, 339])
+    full = omp_direction(y, w, dic)
+    coarse = coarse_columns(SubarrayGeometry(np.zeros(3), 32, half_wave), radio, 1024)
+    assert np.array_equal(coarse, np.append(np.arange(0, 1024, 8), 1023))  # S = 8
+    phi = w @ dic.atoms[:, coarse]
+    score = np.abs(phi.conj().T @ y) / np.linalg.norm(phi, axis=0)
+    i = np.searchsorted(coarse, full.grid_index) - 1
+    assert coarse[i] < full.grid_index < coarse[i + 1]
+    for k in (i, i + 1):
+        assert score[k] < max(score[k - 1], score[k + 1])
+    got = match_direction(y, w, _columns_of(dic), coarse)
+    assert (got.grid_index, got.varphi) == (full.grid_index, full.varphi)
+    assert got.columns_scored < 1024
+
+
+def test_two_stage_match_at_stride_one_is_omp_direction(radio, half_wave):
+    # S = floor(128 / (4 * 32)) = 1: the coarse columns are the whole grid
+    dic, w, _ = _measured(radio, half_wave, n=32, g=128, slots=64)
+    coarse = coarse_columns(SubarrayGeometry(np.zeros(3), 32, half_wave), radio, 128)
+    assert np.array_equal(coarse, np.arange(128))
+    rng = np.random.default_rng(5)
+    for y in (w @ dic.atoms[:, 40], rng.standard_normal(64) + 1j * rng.standard_normal(64)):
+        assert match_direction(y, w, _columns_of(dic), coarse) == omp_direction(y, w, dic)
+
+
+def test_two_stage_match_without_a_scoring_coarse_column_scores_the_full_grid(radio, half_wave):
+    dic, w, phi = _measured(radio, half_wave, n=16, g=64)
+    coarse = np.append(np.arange(0, 64, 8), 63)
+    atoms = dic.atoms.copy()
+    atoms[:, coarse] = 0.0  # W annihilates every coarse column
+    hollow = DpDictionary(r_param=dic.r_param, cosines=dic.cosines, atoms=atoms)
+    for y in (phi[:, 21], phi[:, 8] + 0.5 * phi[:, 44]):
+        got = match_direction(y, w, _columns_of(hollow), coarse)
+        assert got == omp_direction(y, w, hollow)
+        assert got.columns_scored == 64
+    with pytest.raises(DictionaryError, match="annihilated every atom"):
+        match_direction(phi[:, 21], np.zeros_like(w), _columns_of(dic), coarse)
+
+
 def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_wave):
     layout = build_mw_layout(region, 4, 16, half_wave)
     scene = sample_scene(region, l=0, rng_seed=3)
     ms = measure(layout, make_schedule(layout, 32, 0.5, rng_seed=1),
                  synthesize_paths(layout, scene, radio), radio, snr_db=20.0, rng_seed=2)
     cfg = EstimatorConfig(region=region, g_theta=128)
-    dics = anchor_dictionaries(layout, radio, cfg, np.full(layout.m, 10.0))
-    ests = extract_directions(ms.w, ms.y, dics)
+    columns = anchor_columns(layout, radio, cfg, np.full(layout.m, 10.0))
+    coarse = [coarse_columns(sub, radio, cfg.g_theta) for sub in layout.subarrays]
+    ests = extract_directions(ms.w, ms.y, columns, coarse)
     assert len(ests) == layout.m
     for m, (sub, d) in enumerate(zip(layout.subarrays, ests)):
         dic = build_dp_dictionary(sub, 10.0, cfg.grid, radio, dh=region.h_pa)
         g, _, _ = _oracle(dic, ms.w[m], ms.y[m])
         assert (d.grid_index, d.varphi) == (g, dic.cosines[g])
+        assert d.columns_scored < cfg.g_theta  # S = 128 / (4 * 16) = 2
 
 
 @pytest.mark.parametrize("m, mode", [(8, "2d"), (3, "2d"), (4, "3d")])
@@ -263,7 +333,8 @@ def test_start_dictionaries_are_the_start_builds_shared_per_distance(region, rad
     layout = build_mw_layout(region, m, 16, half_wave)
     cfg = EstimatorConfig(region=region, mode=mode, g_theta=64)
     start = start_dictionaries(layout, radio, cfg)
-    built = list(anchor_dictionaries(layout, radio, cfg, _start_distances(layout, cfg)))
+    built = [build_dp_dictionary(sub, float(r), cfg.grid, radio, dh=cfg.dh)
+             for sub, r in zip(layout.subarrays, _start_distances(layout, cfg))]
     for s, b in zip(start, built, strict=True):
         assert s.r_param == b.r_param
         assert np.array_equal(s.atoms, b.atoms) and np.array_equal(s.cosines, b.cosines)
@@ -814,6 +885,9 @@ def test_joint_loop_rejects_mismatched_layout(region, radio, half_wave):
     with pytest.raises(ValueError, match="start dictionaries"):
         run_omp_gcl(ms, lay3, radio, cfg,
                     start_dictionaries(lay3, radio, dataclasses.replace(cfg, mode="3d")))
+    with pytest.raises(ValueError, match="start dictionaries"):
+        run_omp_gcl(ms, lay3, radio, cfg,
+                    start_dictionaries(lay3, radio, dataclasses.replace(cfg, g_theta=512)))
 
 
 def test_joint_loop_trace_records_iterations(region, radio, half_wave):
@@ -821,6 +895,9 @@ def test_joint_loop_trace_records_iterations(region, radio, half_wave):
     trace = result.paths[0].trace
     assert len(trace) >= 1
     assert any("position" in t for t in trace)
+    for t in trace[:-1]:  # each iterate: the columns each subarray's match scored
+        assert len(t["columns_scored"]) == 3
+        assert all(129 <= c < 1024 for c in t["columns_scored"])  # S = 8: 129 coarse columns
 
 
 def test_joint_loop_3d_smoke(radio, half_wave):

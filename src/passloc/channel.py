@@ -160,9 +160,12 @@ def make_schedule(
 ) -> ActivationSchedule:
     """Draw a Bernoulli(density) activation schedule for the layout.
 
-    Slots a subarray actually observes are redrawn while all-off (an
-    all-off slot measures nothing); after 100 redraws a single random PA
-    is forced on, which keeps pathological densities terminating.
+    The observed (slot, subarray) rows come slot-major from one
+    ``rng.random((rows, n))`` draw. An all-off row measures nothing, so if
+    the draw holds one, the stream is replayed row by row from the saved
+    generator state with each all-off row redrawn (after 100 redraws a
+    single random PA is forced on, which keeps pathological densities
+    terminating); without one, both give the same bits.
     """
     m, n = layout.m, layout.pas_per_subarray
     # SW splits the slots into one block per subarray; in MW every subarray sees every slot.
@@ -172,7 +175,6 @@ def make_schedule(
     if not 0.0 < density <= 1.0:
         raise ValueError("activation density must be in (0, 1]")
     rng = np.random.default_rng(rng_seed)
-    act = np.zeros((total_slots, m, n), dtype=np.uint8)
 
     def live_row():
         for _ in range(100):
@@ -185,19 +187,20 @@ def make_schedule(
 
     if layout.structure is Structure.SW:
         base = total_slots // m
-        blocks = []
-        for k in range(m):
-            start = k * base
-            stop = (k + 1) * base if k < m - 1 else total_slots
-            blocks.append((start, stop))
-            for t in range(start, stop):
-                act[t, k] = live_row()
-        return ActivationSchedule(Structure.SW, total_slots, act, tuple(blocks))
-
-    for t in range(total_slots):
-        for k in range(m):
-            act[t, k] = live_row()
-    return ActivationSchedule(Structure.MW, total_slots, act, None)
+        blocks = tuple((k * base, (k + 1) * base if k < m - 1 else total_slots) for k in range(m))
+        slot = np.arange(total_slots)
+        sub = np.minimum(slot // base, m - 1)
+    else:
+        blocks = None
+        slot, sub = np.divmod(np.arange(total_slots * m), m)
+    state = rng.bit_generator.state
+    rows = rng.random((slot.size, n)) < density
+    if not rows.any(axis=1).all():
+        rng.bit_generator.state = state
+        rows = np.array([live_row() for _ in range(slot.size)])
+    act = np.zeros((total_slots, m, n), dtype=np.uint8)
+    act[slot, sub] = rows
+    return ActivationSchedule(layout.structure, total_slots, act, blocks)
 
 
 @dataclass(frozen=True)

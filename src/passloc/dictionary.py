@@ -70,7 +70,10 @@ class DpDictionary:
     atoms is (N, G) in the channel domain. dropped records the grid
     indices removed because their element ranges are geometrically
     impossible. ring_distances is populated only by the polar builder,
-    where columns enumerate (distance ring, angle) pairs.
+    where columns enumerate (distance ring, angle) pairs. guided is
+    populated only by estimator.polar_dictionary: the atoms as the
+    waveguide sees them, conj(g) * a_j for the in-guide phases g, stored
+    C-ordered so that guided.view(float) is a real (N, 2G) matrix.
     """
 
     r_param: float
@@ -78,6 +81,7 @@ class DpDictionary:
     atoms: np.ndarray
     dropped: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     ring_distances: np.ndarray | None = None
+    guided: np.ndarray | None = None
 
     @property
     def g(self) -> int:
@@ -91,30 +95,6 @@ def _squared_ranges(r, cosang, nd, dh: float):
     pairs; callers decide whether that raises or drops a column.
     """
     return r * r + nd * nd - 2.0 * nd * r * cosang + dh * dh
-
-
-def parameterized_distance(r, cosang, n, d: float, dh: float = 0.0):
-    """Element range from local polar coordinates via the law of cosines.
-
-    Parameters
-    ----------
-    r : anchor distance(s); horizontal in planar mode, slant in 3d mode.
-    cosang : direction cosine(s) of the target along the guide axis.
-    n : element index or indices (0 at the reference PA).
-    d : element spacing in meters.
-    dh : PA-to-target height gap, added under the root; 0 for a slant r,
-        which already holds it.
-
-    Broadcasting applies across r, cosang, and n.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("anchor distance must be positive")
-    nd = np.asarray(n, dtype=float) * d
-    radicand = _squared_ranges(r, np.asarray(cosang, dtype=float), nd, dh)
-    if np.any(radicand <= 0.0):
-        raise ValueError("non-positive squared range; grid point is geometrically invalid")
-    return np.sqrt(radicand)
 
 
 def build_dp_dictionary(
@@ -176,22 +156,28 @@ def build_polar_dictionary(
     """Joint (distance ring, angle) dictionary for single-array matching.
 
     Columns enumerate rings in order, each ring carrying the full angle
-    grid; ring_distances maps every column back to its ring.
+    grid; ring_distances maps every column back to its ring. Each ring's
+    build_dp_dictionary atoms are written into one preallocated
+    column-major array, so the build never holds a second copy of them.
     """
     rings = np.asarray(distance_grid, dtype=float).reshape(-1)
     if rings.size < 1 or np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
         raise ValueError("distance grid must be positive and strictly increasing")
-    blocks, cosines, ring_of = [], [], []
+    size = rings.size * angle_grid.g
+    atoms = np.empty((subarray.n_pas, size), dtype=complex, order="F")
+    cosines, ring_of = np.empty(size), np.empty(size)
+    end = 0
     for r in rings:
         d = build_dp_dictionary(subarray, r, angle_grid, radio, dh=dh)
-        blocks.append(d.atoms)
-        cosines.append(d.cosines)
-        ring_of.append(np.full(d.g, r))
+        start, end = end, end + d.g
+        atoms[:, start:end] = d.atoms
+        cosines[start:end] = d.cosines
+        ring_of[start:end] = r
     return DpDictionary(
         r_param=float(rings[0]),
-        cosines=np.concatenate(cosines),
-        atoms=np.hstack(blocks),
-        ring_distances=np.concatenate(ring_of),
+        cosines=cosines[:end],
+        atoms=atoms[:, :end],
+        ring_distances=ring_of[:end],
     )
 
 

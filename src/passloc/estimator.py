@@ -15,13 +15,13 @@ extracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .channel import MeasurementSet, RadioConfig, path_vector
+from .channel import MeasurementSet, RadioConfig, measurement_matrix, path_vector, waveguide_vector
 from .dictionary import (
     AngleGrid,
     DictionaryError,
@@ -905,14 +905,42 @@ def polar_dictionary(
     The atoms are scene-independent, so a caller running many trials
     builds them once; harness.scenario_atoms builds the nf scenario's. The
     baseline is planar even in a 3-D config, so they carry the planar
-    height gap h_pa - fixed_height rather than config.dh.
+    height gap h_pa - fixed_height rather than config.dh. The dictionary
+    also holds the guided atoms conj(g) * a_j that activation_energies
+    reads, built here once with the channel-domain atoms.
     """
     # Looked up at call time so that a wrapper installed on
     # passloc.dictionary (benchmarks/tracing.py) also sees this build.
     from .dictionary import build_polar_dictionary
 
-    return build_polar_dictionary(layout.subarrays[0], radio, config.grid, rings,
-                                  dh=config.region.h_pa - config.fixed_height)
+    dic = build_polar_dictionary(layout.subarrays[0], radio, config.grid, rings,
+                                 dh=config.region.h_pa - config.fixed_height)
+    g = waveguide_vector(layout.subarrays[0], radio)
+    return replace(dic, guided=np.multiply(g.conj()[:, None], dic.atoms, order="C"))
+
+
+def activation_energies(w: np.ndarray, dictionary: DpDictionary,
+                        subarray: SubarrayGeometry, radio: RadioConfig) -> np.ndarray:
+    """atom_energies of polar_dictionary's atoms, read through W's activation bits.
+
+    Pilot rows are W = conj(A * g) (channel.measurement_matrix) for 0/1
+    bits A and in-guide phases g, so W a_j = A (conj(g) * a_j): the real
+    product of A with the guided atoms, two real multiply-adds per entry
+    where W A needs four, formed one ring block at a time. A W that is not
+    conj(A * g) for A = (W != 0) raises ValueError.
+    """
+    bits = w != 0
+    if not np.array_equal(w, measurement_matrix(subarray, bits, radio)):
+        raise ValueError("measurement matrix is not conj(A * g) for 0/1 activation rows A "
+                         "and the subarray's waveguide phases g")
+    bits = bits.astype(float)
+    energy = np.empty(dictionary.g)
+    edges = [0, *(np.flatnonzero(np.diff(dictionary.ring_distances)) + 1), dictionary.g]
+    for start, stop in zip(edges, edges[1:]):
+        part = bits @ dictionary.guided[:, start:stop].view(float)  # (T, 2 G) of (re, im) pairs
+        sums = np.einsum("tk,tk->k", part, part)
+        energy[start:stop] = sums[0::2] + sums[1::2]
+    return energy
 
 
 def run_polar_baseline(
@@ -933,7 +961,9 @@ def run_polar_baseline(
     measurement manifold even when the surrogate position is off.
 
     ``dictionary`` comes from polar_dictionary and must match the layout's
-    single subarray.
+    single subarray. The column energies come once per trial from the
+    activation bits (activation_energies, which rejects a W that is not
+    conj(A * g)); scores, coefficients and channels use the channel-domain atoms.
     """
     if layout.m != 1:
         raise ValueError("polar baseline expects a single-subarray layout")
@@ -942,7 +972,9 @@ def run_polar_baseline(
     residual = y.copy()
     ref_xy = layout.reference_xy[0]
 
-    energy = atom_energies(w, dic)  # one projection serves every path
+    if dic.guided is None:
+        raise ValueError("polar baseline needs polar_dictionary's guided atoms")
+    energy = activation_energies(w, dic, layout.subarrays[0], radio)  # serves every path
     support: list[int] = []
     dir_ests: list[DirectionEstimate] = []
     ref_strength = None

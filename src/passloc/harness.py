@@ -295,9 +295,9 @@ def simulate_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_inde
 def scenario_atoms(cfg: ExperimentConfig, scenario: str) -> list[DpDictionary]:
     """The scene-independent atoms of a scenario's estimator, one dictionary per subarray.
 
-    nf gets its polar dictionary with cfg.nf_rings rings, every other
-    scenario the OMP-GCL start dictionaries. No scene or trial enters
-    them, so a sweep builds them once per scenario.
+    nf gets its polar dictionary with cfg.nf_rings rings and its guided
+    atoms, every other scenario the OMP-GCL start dictionaries. No scene
+    or trial enters them, so a sweep builds them once per scenario.
     """
     layout, _ = scenario_layout(cfg, scenario)
     if scenario == "nf":

@@ -216,6 +216,49 @@ def test_schedule_validation(region, half_wave):
         make_schedule(lay, total_slots=16, density=1.2)
 
 
+def _row_loop_schedule(layout, total_slots, density, rng_seed):
+    """make_schedule drawn one row per rng.random(n) call, each all-off row redrawn."""
+    m, n = layout.m, layout.pas_per_subarray
+    rng = np.random.default_rng(rng_seed)
+    act = np.zeros((total_slots, m, n), dtype=np.uint8)
+
+    def live_row():
+        for _ in range(100):
+            row = (rng.random(n) < density).astype(np.uint8)
+            if row.any():
+                return row
+        row = np.zeros(n, dtype=np.uint8)
+        row[rng.integers(n)] = 1
+        return row
+
+    if layout.structure.value == "sw":
+        base = total_slots // m
+        for k in range(m):
+            for t in range(k * base, (k + 1) * base if k < m - 1 else total_slots):
+                act[t, k] = live_row()
+    else:
+        for t in range(total_slots):
+            for k in range(m):
+                act[t, k] = live_row()
+    return act
+
+
+@pytest.mark.parametrize("density", [0.5, 0.02])
+@pytest.mark.parametrize("scenario", ["mw", "sw", "nf"])
+def test_schedule_equals_the_row_loop(scenario, density):
+    """One draw gives the row loop's bits; at density 0.02 some row of that draw
+    is all-off, and the replayed stream still gives them."""
+    from passloc.harness import ExperimentConfig, scenario_layout
+
+    layout, slots = scenario_layout(ExperimentConfig(scenarios=[scenario]), scenario)
+    rows = slots if layout.structure.value == "sw" else slots * layout.m
+    for seed in range(5):
+        sch = make_schedule(layout, slots, density, seed)
+        assert np.array_equal(sch.activation, _row_loop_schedule(layout, slots, density, seed))
+        draw = np.random.default_rng(seed).random((rows, layout.pas_per_subarray)) < density
+        assert draw.any(axis=1).all() == (density == 0.5)
+
+
 # --- measurement -------------------------------------------------------------
 
 

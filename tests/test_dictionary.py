@@ -6,11 +6,12 @@ import pytest
 from passloc.channel import FOUR_PI, measurement_matrix, path_vector
 from passloc.dictionary import (
     AngleGrid,
+    DictionaryError,
+    _squared_ranges,
     build_dp_dictionary,
     build_polar_dictionary,
     default_polar_rings,
     mutual_coherence,
-    parameterized_distance,
     project_dictionary,
 )
 from passloc.estimator import EstimatorConfig, omp_direction
@@ -52,17 +53,21 @@ def test_angle_grid_validation():
 # --- element ranges ----------------------------------------------------------
 
 
+def _ranges(r, cosang, n, d, dh=0.0):
+    """Element ranges as build_dp_dictionary computes them: the root of _squared_ranges."""
+    return np.sqrt(_squared_ranges(r, np.asarray(cosang, dtype=float),
+                                   np.asarray(n, dtype=float) * d, dh))
+
+
 def test_reference_element_range_is_anchor_distance():
-    assert parameterized_distance(5.0, 0.3, 0, d=0.01) == pytest.approx(5.0)
-    assert parameterized_distance(5.0, 0.3, 0, d=0.01, dh=2.0) == pytest.approx(
-        np.sqrt(29.0)
-    )
+    assert _ranges(5.0, 0.3, 0, d=0.01) == pytest.approx(5.0)
+    assert _ranges(5.0, 0.3, 0, d=0.01, dh=2.0) == pytest.approx(np.sqrt(29.0))
 
 
 def test_collinear_target_range_is_axis_difference():
-    assert parameterized_distance(5.0, 1.0, 3, d=1.0) == pytest.approx(2.0)
-    assert parameterized_distance(2.0, 1.0, 5, d=1.0) == pytest.approx(3.0)
-    assert parameterized_distance(5.0, -1.0, 3, d=1.0) == pytest.approx(8.0)
+    assert _ranges(5.0, 1.0, 3, d=1.0) == pytest.approx(2.0)
+    assert _ranges(2.0, 1.0, 5, d=1.0) == pytest.approx(3.0)
+    assert _ranges(5.0, -1.0, 3, d=1.0) == pytest.approx(8.0)
 
 
 def test_ranges_match_coordinate_geometry(rng):
@@ -75,16 +80,19 @@ def test_ranges_match_coordinate_geometry(rng):
         dh = rng.uniform(0.0, 3.0)
         target = np.array([r * c, r * np.sqrt(1 - c * c), -dh])
         pa = np.array([n * d, 0.0, 0.0])
-        assert parameterized_distance(r, c, n, d, dh=dh) == pytest.approx(
+        assert _ranges(r, c, n, d, dh=dh) == pytest.approx(
             np.linalg.norm(target - pa), rel=1e-12
         )
 
 
-def test_range_validation():
-    with pytest.raises(ValueError):
-        parameterized_distance(-1.0, 0.5, 2, d=0.01)
-    with pytest.raises(ValueError):
-        parameterized_distance(3.0, 1.0, 3, d=1.0)  # target exactly on element 3
+def test_range_validation(sub, radio):
+    with pytest.raises(ValueError, match="anchor distance must be positive"):
+        build_dp_dictionary(sub, -1.0, AngleGrid.uniform_cosine(8), radio)
+    # a target exactly on element 3 has a zero squared range: no usable column
+    assert _squared_ranges(3.0, 1.0, 3.0, 0.0) == 0.0
+    v = np.nextafter(1.0, 0.0)  # one ulp inside the grid's open interval
+    with pytest.raises(DictionaryError, match="geometrically invalid"):
+        build_dp_dictionary(sub, 5 * sub.spacing * (1 - 2e-16), np.array([v]), radio)
 
 
 # --- channel-domain atoms ----------------------------------------------------
@@ -93,9 +101,7 @@ def test_range_validation():
 def test_atom_amplitudes_follow_spherical_law(sub, radio):
     grid = AngleGrid.uniform_cosine(32)
     dic = build_dp_dictionary(sub, 6.0, grid, radio)
-    ranges = parameterized_distance(
-        6.0, grid.values[None, :], np.arange(16)[:, None], sub.spacing
-    )
+    ranges = _ranges(6.0, grid.values[None, :], np.arange(16)[:, None], sub.spacing)
     want = radio.wavelength / (4 * np.pi * ranges) / np.sqrt(16)
     assert np.allclose(np.abs(dic.atoms), want, rtol=1e-12)
     assert dic.g == 32 and dic.dropped.size == 0
@@ -118,7 +124,7 @@ def test_mirrored_targets_share_one_atom(sub, radio):
     b_up = path_vector(sub.pa_positions, up, radio)
     b_down = path_vector(sub.pa_positions, down, radio)
     assert np.array_equal(b_up, b_down)
-    ranges = parameterized_distance(r, c, np.arange(16), sub.spacing, dh=dh)
+    ranges = _ranges(r, c, np.arange(16), sub.spacing, dh=dh)
     atom = radio.wavelength / (4 * np.pi * ranges) * np.exp(-1j * radio.wavenumber * ranges)
     assert np.allclose(b_up, atom, rtol=1e-12)
 
@@ -137,8 +143,7 @@ def test_dictionary_rebuild_is_bitwise_deterministic(sub, radio):
 
 
 def _closed_form_atoms(sub, r, cosines, radio, dh):
-    ranges = parameterized_distance(r, cosines[None, :], np.arange(sub.n_pas)[:, None],
-                                    sub.spacing, dh=dh)
+    ranges = _ranges(r, cosines[None, :], np.arange(sub.n_pas)[:, None], sub.spacing, dh=dh)
     atoms = (radio.wavelength / (FOUR_PI * ranges)) * np.exp(-1j * radio.wavenumber * ranges)
     return atoms / np.sqrt(sub.n_pas)
 
@@ -259,6 +264,27 @@ def test_polar_enumerates_rings_ring_major(sub, radio):
     assert np.array_equal(polar.cosines, np.tile(grid.values, 3))
     with pytest.raises(ValueError):
         build_polar_dictionary(sub, radio, grid, [8.0, 4.0])
+
+
+def test_polar_build_in_place_equals_stacked_rings(sub, radio):
+    """Each ring written into one array gives the bits of stacking per-ring builds."""
+    grid = AngleGrid.uniform_cosine(64)
+    rings = np.geomspace(0.5, 40.0, 5)
+    polar = build_polar_dictionary(sub, radio, grid, rings, dh=2.0)
+    stacked = [build_dp_dictionary(sub, r, grid, radio, dh=2.0) for r in rings]
+    assert np.array_equal(polar.atoms, np.hstack([d.atoms for d in stacked]))
+    assert polar.atoms.flags.f_contiguous and polar.guided is None
+    # a ring that drops a column shortens its block and the dictionary
+    v = np.nextafter(1.0, 0.0)
+    edge = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
+    rings = [5 * sub.spacing * (1 - 2e-16), 3.0]
+    polar = build_polar_dictionary(sub, radio, edge, rings)
+    stacked = [build_dp_dictionary(sub, r, edge, radio) for r in rings]
+    assert [d.dropped.tolist() for d in stacked] == [[4], []]
+    assert np.array_equal(polar.atoms, np.hstack([d.atoms for d in stacked]))
+    assert np.array_equal(polar.cosines, np.concatenate([d.cosines for d in stacked]))
+    assert np.array_equal(polar.ring_distances, np.repeat(rings, [4, 5]))
+    assert polar.atoms.flags.f_contiguous
 
 
 def test_polar_dictionary_more_coherent_than_single_ring(sub, radio):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import passloc.estimator
+import passloc.harness
 from passloc.channel import (
+    RadioConfig,
     channel_vector,
     make_schedule,
     measure,
@@ -16,6 +18,7 @@ from passloc.channel import (
     path_vector,
     point_responses,
     synthesize_paths,
+    waveguide_vector,
 )
 from passloc.dictionary import (
     AngleGrid,
@@ -31,8 +34,10 @@ from passloc.estimator import (
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
+    activation_energies,
     anchor_columns,
     arbitrate,
+    atom_energies,
     coarse_columns,
     extract_directions,
     fuse,
@@ -1182,22 +1187,81 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
     assert 0 < wrong < 500
 
 
-def test_polar_baseline_projects_once_per_trial(monkeypatch):
-    """Every path of an nf trial reuses one W A projection of the polar dictionary."""
+def test_polar_baseline_computes_energies_once_per_trial(monkeypatch):
+    """Every path of an nf trial reuses one activation_energies result; nothing projects."""
     from passloc.harness import ExperimentConfig, run_sweep
 
-    calls = []
+    energies, shared, projected = [], [], []
 
-    def counting(dictionary, w):
-        calls.append(w.shape)
-        return project_dictionary(dictionary, w)
+    def counting(*args):
+        energies.append(activation_energies(*args))
+        return energies[-1]
 
-    monkeypatch.setattr(passloc.estimator, "project_dictionary", counting)
+    def matching(y_res, w, dictionary, energy=None):
+        shared.append(energy is energies[-1])
+        return omp_direction(y_res, w, dictionary, energy)
+
+    monkeypatch.setattr(passloc.estimator, "activation_energies", counting)
+    monkeypatch.setattr(passloc.estimator, "omp_direction", matching)
+    monkeypatch.setattr(passloc.estimator, "project_dictionary",
+                        lambda *a: projected.append(a) or project_dictionary(*a))
     cfg = ExperimentConfig(scenarios=["nf"], snr_db=[25.0], l=1, trials=3, seed=5, nf_n=32,
                            slots_per_subarray=16, g_theta=64, nf_rings=4)
     records = run_sweep(cfg).records
     assert [len(r.positions) for r in records] == [2] * cfg.trials
-    assert len(calls) == cfg.trials
+    assert len(energies) == cfg.trials
+    assert shared == [True] * (2 * cfg.trials) and not projected
+
+
+def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch):
+    from passloc.harness import ExperimentConfig, run_sweep
+
+    built, used = [], []
+
+    def building(*args):
+        built.append(polar_dictionary(*args))
+        return built[-1]
+
+    def baseline(ms, layout, radio, config, dictionary):
+        used.append(dictionary.guided)
+        return run_polar_baseline(ms, layout, radio, config, dictionary)
+
+    monkeypatch.setattr(passloc.harness, "polar_dictionary", building)
+    monkeypatch.setattr(passloc.harness, "run_polar_baseline", baseline)
+    cfg = ExperimentConfig(scenarios=["nf"], snr_db=[10.0, 25.0], trials=3, seed=5, nf_n=32,
+                           slots_per_subarray=16, g_theta=64, nf_rings=4)
+    run_sweep(cfg)
+    assert len(built) == 1 and len(used) == 6
+    assert all(guided is built[0].guided for guided in used)
+    dic, layout = built[0], passloc.harness.scenario_layout(cfg, "nf")[0]
+    g = waveguide_vector(layout.subarrays[0], cfg.radio)
+    assert dic.guided.flags.c_contiguous
+    assert np.array_equal(dic.guided, g.conj()[:, None] * dic.atoms)
+
+
+@pytest.mark.parametrize("slots", [16, 64], ids=["N>T", "N<T"])
+def test_activation_energies_equal_atom_energies(region, radio, half_wave, slots):
+    rings = np.geomspace(2.0, 40.0, 6)
+    lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings, slots=slots)
+    dic = polar_dictionary(lay, radio, cfg, rings)
+    got = activation_energies(ms.w[0], dic, lay.subarrays[0], radio)
+    want = atom_energies(ms.w[0], dic)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_polar_baseline_rejects_w_that_is_not_bits_times_guide(region, radio, half_wave):
+    rings = np.array([5.0, 8.0, 12.0])
+    lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings)
+    dic = polar_dictionary(lay, radio, cfg, rings)
+    w = ms.w[0]
+    for bad in (0.5 * w, w * np.exp(0.1j), np.where(w != 0, w + 1e-12, 0.0)):
+        with pytest.raises(ValueError, match="not conj"):
+            run_polar_baseline(dataclasses.replace(ms, w=(bad,)), lay, radio, cfg, dic)
+    with pytest.raises(ValueError, match="not conj"):  # another carrier's waveguide phases
+        activation_energies(w, dic, lay.subarrays[0], RadioConfig(frequency=30e9))
+    bare = dataclasses.replace(dic, guided=None)
+    with pytest.raises(ValueError, match="guided atoms"):
+        run_polar_baseline(ms, lay, radio, cfg, bare)
 
 
 def test_polar_baseline_requires_single_subarray(region, radio, half_wave):

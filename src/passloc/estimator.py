@@ -9,8 +9,8 @@ form, in full-3D mode by fitting the quadric that links squared height
 gap, lateral offset, and axial offset. The dictionary anchor distance is
 then refreshed from the fused position and the loop repeats. A converged
 path is rebuilt as a spherical-wave component, its complex gain refit by
-least squares, and peeled from the measurements before the next path is
-extracted.
+least squares, and peeled from the measurements (estimate_path) before
+run_omp_gcl extracts the next path.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .dictionary import (
     DictionaryError,
     DpDictionary,
     build_dp_dictionary,
-    project_dictionary,
+    project_dictionary,  # unused here; benchmarks/tracing.py rebinds it as an estimator name
 )
 from .geometry import ArrayLayout, ServiceRegion, SubarrayGeometry, pa_user_distance
 
@@ -131,32 +131,24 @@ class EstimationResult:
     channels: np.ndarray  # (M, N) reconstructed channel vectors
     flags: tuple[str, ...] = ()
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([p.position for p in self.paths])
 
-
-def measured_gram(w: np.ndarray) -> np.ndarray | None:
-    """W^H W when atom_energies takes the Gram form (N < T), else None: it projects."""
-    return w.conj().T @ w if w.shape[1] < w.shape[0] else None
+def measured_gram(w: np.ndarray) -> np.ndarray:
+    """W^H W, the N x N Gram matrix atom_energies reads."""
+    return w.conj().T @ w
 
 
 def atom_energies(w: np.ndarray, dictionary: DpDictionary, gram=None) -> np.ndarray:
     """The measured energies ||W a_g||^2 of a dictionary's N x G atoms under T x N W.
 
-    They come from the Gram form Re(a_g^H (W^H W) a_g) when N < T (N^2 G
-    multiply-adds), else from project_dictionary (T N G). ``gram`` is
-    measured_gram(w), formed here when not given; W is fixed per subarray
-    for a whole trial, so a caller matching many dictionaries forms it once.
+    They come from the Gram form Re(a_g^H (W^H W) a_g), N^2 G multiply-adds.
+    ``gram`` is measured_gram(w), formed here when not given; W is fixed per
+    subarray for a whole trial, so a caller matching many dictionaries forms it once.
     """
     gram = measured_gram(w) if gram is None else gram
-    if gram is not None:
-        at = np.ascontiguousarray(dictionary.atoms.T, dtype=complex)  # a view for built atoms
-        # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
-        # the dot product of the two rows as real (re, im) pairs is the energy.
-        return np.einsum("gk,gk->g", at.view(float), (at @ gram.T).view(float))
-    phi = project_dictionary(dictionary, w)
-    return sum(np.einsum("tg,tg->g", part, part) for part in (phi.real, phi.imag))
+    at = np.ascontiguousarray(dictionary.atoms.T, dtype=complex)  # a view for built atoms
+    # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
+    # the dot product of the two rows as real (re, im) pairs is the energy.
+    return np.einsum("gk,gk->g", at.view(float), (at @ gram.T).view(float))
 
 
 def _scores(y_res, w, dictionary: DpDictionary, energy=None, gram=None) -> tuple:
@@ -796,6 +788,71 @@ def peel(fits, residuals):
             np.array([c * b for b, _, c in fits], dtype=complex))
 
 
+def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start_columns,
+                  layout: ArrayLayout, radio: RadioConfig,
+                  config: EstimatorConfig) -> tuple[PathEstimateResult, float]:
+    """Path l of run_omp_gcl: refine, arbitrate and polish it, and peel it from ``residuals``.
+
+    extract_directions and fuse alternate for up to max_outer_iters steps,
+    stopping once the fix moves less than MOVE_TOL. Each match is
+    match_direction's against grams[m] = measured_gram(w_list[m]); the first
+    iteration takes its columns from ``start_columns``, later ones build
+    only the columns they score, at the fused anchor distances. arbitrate
+    and polish read one refit slope (refit_slope), and peel subtracts
+    rank_one_fit's fit of the same path model at the polished fix from
+    ``residuals`` in place; a path l > 0 is scattered towards ``user``.
+    Its strength is the arbitrated iterate's mean dictionary coefficient
+    magnitude, and below COEFF_FLOOR times ``ref_strength`` a path l > 0 is
+    absent: not polished, not peeled, and with zero gains and components.
+    Angles and signs are the arbitrated iterate's. The trace records every
+    iterate with the columns each subarray's match scored, then the polished
+    position with polish's moves, slope calls and whether it ran out of
+    calls. Returns the path and its strength.
+    """
+    iterates, trace = [], []
+    for it in range(config.max_outer_iters):
+        columns = start_columns if it == 0 else anchor_columns(layout, radio, config, r_anchor)
+        directions = extract_directions(w_list, residuals, columns, coarse, grams)
+        iterate, r_anchor = fuse(directions, layout, config)
+        moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
+        iterates.append(iterate)
+        trace.append({
+            "iteration": it,
+            "varphis": iterate.varphis.tolist(),
+            "signs": None if iterate.signs is None else iterate.signs.tolist(),
+            "position": iterate.position.tolist(),
+            "anchor_distances": r_anchor.tolist(),
+            "columns_scored": [d.columns_scored for d in directions],
+        })
+        if moved < MOVE_TOL:
+            break
+
+    model = dict(kind="los" if l == 0 else "nlos", user=user, layout=layout, radio=radio,
+                 w_list=w_list, residuals=residuals)
+    slope = partial(refit_slope, **model)
+    chosen, _ = arbitrate(iterates, slope)
+    strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
+    absent = l > 0 and strength < COEFF_FLOOR * ref_strength
+    position = chosen.position
+    if absent:
+        coeffs = np.zeros(layout.m, dtype=complex)
+        components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
+    else:
+        position, stats = polish(position, slope, chosen.box)
+        trace.append({"polish": True, "position": position.tolist(), **stats})
+        coeffs, components = peel(rank_one_fit(position, **model), residuals)
+    return PathEstimateResult(
+        path=l, position=position,
+        distances=_anchor_distances(layout, position, config.mode),
+        varphis=chosen.varphis.copy(),
+        signs=None if chosen.signs is None else chosen.signs.copy(),
+        coefficients=coeffs, components=components,
+        scatter_user_distance=None if l == 0 or absent else pa_user_distance(position, user),
+        flags=tuple(set(chosen.flags) | {"absent"}) if absent else chosen.flags,
+        directions=chosen.directions, trace=trace, absent=absent,
+    ), strength
+
+
 def run_omp_gcl(
     measurements: MeasurementSet,
     layout: ArrayLayout,
@@ -805,21 +862,10 @@ def run_omp_gcl(
 ) -> EstimationResult:
     """Joint multi-path localization and channel reconstruction.
 
-    Paths are extracted strongest-first. Each path alternates
-    extract_directions and fuse for up to max_outer_iters steps (stopping
-    once the fix moves less than MOVE_TOL), then runs arbitrate and polish
-    against one refit slope (refit_slope) and peels rank_one_fit's fit of
-    the same path model at the polished fix. Every match is
-    match_direction's two-stage one, against W^H W formed once per subarray
-    and trial: every path's first iteration takes its columns from
-    ``start``, the layout's start_dictionaries, and later iterations build
-    only the columns they score, at the fused anchor distances. Reported
-    angles and signs belong to the arbitrated iterate, and each path's
-    trace records every iterate with the columns each subarray's match
-    scored, and the polished position with polish's moves, slope calls and
-    whether it ran out of calls. A path whose mean dictionary
-    coefficient magnitude falls below COEFF_FLOOR times the first path's
-    is reported absent and extraction stops.
+    Paths are extracted strongest-first, one estimate_path call each,
+    against W^H W formed once per subarray and trial and the columns of
+    ``start``, the layout's start_dictionaries. Path 0 is the user and sets
+    the reference strength; extraction stops at the first absent path.
     """
     if measurements.m != layout.m:
         raise ValueError("measurement set does not match the layout")
@@ -827,71 +873,23 @@ def run_omp_gcl(
             or any(d.g != config.g_theta for d in start)):
         raise ValueError("start dictionaries do not match the layout and config; "
                          "build them with start_dictionaries")
-    w = measurements.w
     residuals = [y.astype(complex).copy() for y in measurements.y]
-    grams = [measured_gram(w_m) for w_m in w]
-    coarse = [coarse_columns(sub, radio, config.g_theta) for sub in layout.subarrays]
-    start_columns = [partial(_taken_columns, d) for d in start]
-
-    paths: list[PathEstimateResult] = []
-    user = None
-    ref_strength = None
-    global_flags: set[str] = set()
-
+    per_trial = dict(w_list=measurements.w, grams=[measured_gram(w_m) for w_m in measurements.w],
+                 coarse=[coarse_columns(sub, radio, config.g_theta) for sub in layout.subarrays],
+                 start_columns=[partial(_taken_columns, d) for d in start],
+                 layout=layout, radio=radio, config=config)
+    paths, user, ref_strength, global_flags = [], None, None, set()
     for l in range(config.num_paths):
-        kind = "los" if l == 0 else "nlos"
-        iterates, trace = [], []
-        for it in range(config.max_outer_iters):
-            columns = start_columns if it == 0 else anchor_columns(layout, radio, config, r_anchor)
-            directions = extract_directions(w, residuals, columns, coarse, grams)
-            iterate, r_anchor = fuse(directions, layout, config)
-            moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
-            iterates.append(iterate)
-            trace.append({
-                "iteration": it,
-                "varphis": iterate.varphis.tolist(),
-                "signs": None if iterate.signs is None else iterate.signs.tolist(),
-                "position": iterate.position.tolist(),
-                "anchor_distances": r_anchor.tolist(),
-                "columns_scored": [d.columns_scored for d in directions],
-            })
-            if moved < MOVE_TOL:
-                break
-
-        model = dict(kind=kind, user=user, layout=layout, radio=radio, w_list=w,
-                     residuals=residuals)
-        fit = partial(rank_one_fit, **model)
-        slope = partial(refit_slope, **model)
-        chosen, _ = arbitrate(iterates, slope)
-        strength = float(np.mean([abs(d.coefficient) for d in chosen.directions]))
-        absent = l > 0 and strength < COEFF_FLOOR * ref_strength
-        position = chosen.position
-        if absent:
-            coeffs = np.zeros(layout.m, dtype=complex)
-            components = np.zeros((layout.m, layout.pas_per_subarray), dtype=complex)
-        else:
-            position, stats = polish(position, slope, chosen.box)
-            trace.append({"polish": True, "position": position.tolist(), **stats})
-            coeffs, components = peel(fit(position), residuals)
-        paths.append(PathEstimateResult(
-            path=l, position=position,
-            distances=_anchor_distances(layout, position, config.mode),
-            varphis=chosen.varphis.copy(),
-            signs=None if chosen.signs is None else chosen.signs.copy(),
-            coefficients=coeffs, components=components,
-            scatter_user_distance=None if l == 0 or absent else pa_user_distance(position, user),
-            flags=tuple(set(chosen.flags) | {"absent"}) if absent else chosen.flags,
-            directions=chosen.directions, trace=trace, absent=absent,
-        ))
-        if absent:
+        path, strength = estimate_path(l, user, ref_strength, residuals, **per_trial)
+        paths.append(path)
+        if path.absent:
             global_flags.add("path-absent")
             break
-        global_flags.update(chosen.flags)
-        if any(d.low_confidence for d in chosen.directions):
+        global_flags.update(path.flags)
+        if any(d.low_confidence for d in path.directions):
             global_flags.add("low-confidence")
         if l == 0:
-            ref_strength, user = strength, position
-
+            ref_strength, user = strength, path.position
     channels = sum((p.components for p in paths if not p.absent),
                    np.zeros((layout.m, layout.pas_per_subarray), dtype=complex))
     return EstimationResult(paths=paths, channels=channels, flags=tuple(sorted(global_flags)))
@@ -977,14 +975,13 @@ def run_polar_baseline(
     energy = activation_energies(w, dic, layout.subarrays[0], radio)  # serves every path
     support: list[int] = []
     dir_ests: list[DirectionEstimate] = []
-    ref_strength = None
     flags = {"ambiguous", "under-determined"}
     for l in range(config.num_paths):
         de = omp_direction(residual, w, dic, energy=energy)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength
-        elif ref_strength is not None and strength < COEFF_FLOOR * ref_strength:
+        elif strength < COEFF_FLOOR * ref_strength:
             flags.add("path-absent")
             break
         support.append(de.grid_index)
@@ -1012,6 +1009,4 @@ def run_polar_baseline(
             scatter_user_distance=r_su, flags=tuple(sorted(flags)),
             directions=[de],
         ))
-    if not paths:
-        raise ValueError("baseline extracted no path")
     return EstimationResult(paths=paths, channels=channel[None, :], flags=tuple(sorted(flags)))

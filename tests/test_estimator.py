@@ -39,6 +39,7 @@ from passloc.estimator import (
     arbitrate,
     atom_energies,
     coarse_columns,
+    estimate_path,
     extract_directions,
     fuse,
     match_direction,
@@ -157,8 +158,8 @@ def _random_case(radio, half_wave, seed):
     return dic, w, y
 
 
-# _random_case seeds on each side of omp_direction's choice of energy form
-GRAM_SEEDS, PROJECTED_SEEDS = (1, 4), (2, 3)
+# _random_case seeds whose T x N W is tall (N < T), and wide or square (N >= T)
+TALL_SEEDS, WIDE_SEEDS = (1, 4), (2, 3)
 
 
 def _oracle(dic, w, y):
@@ -174,7 +175,7 @@ def _oracle(dic, w, y):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_gram_matching_agrees_with_projected_matching(radio, half_wave, seed):
-    """omp_direction, in either energy form, picks the oracle's column."""
+    """omp_direction picks the oracle's column, whether N < T or N >= T."""
     dic, w, y = _random_case(radio, half_wave, seed)
     g, score, coeff = _oracle(dic, w, y)
     got = omp_direction(y, w, dic)
@@ -185,7 +186,7 @@ def test_gram_matching_agrees_with_projected_matching(radio, half_wave, seed):
 
 
 def test_gram_matching_flags_a_residual_outside_the_range_of_w(radio, half_wave):
-    for seed in GRAM_SEEDS[:1] + PROJECTED_SEEDS[:1]:
+    for seed in TALL_SEEDS[:1] + WIDE_SEEDS[:1]:
         dic, w, _ = _random_case(radio, half_wave, seed)
         w[0] = 0.0
         y = np.zeros(w.shape[0], dtype=complex)
@@ -194,7 +195,7 @@ def test_gram_matching_flags_a_residual_outside_the_range_of_w(radio, half_wave)
 
 
 def test_gram_matching_ties_resolve_to_the_lower_index(radio, half_wave):
-    for seed in GRAM_SEEDS[1:] + PROJECTED_SEEDS[1:]:
+    for seed in TALL_SEEDS[1:] + WIDE_SEEDS[1:]:
         dic, w, _ = _random_case(radio, half_wave, seed)
         atoms = dic.atoms.copy()
         atoms[:, 9] = atoms[:, 5]
@@ -205,7 +206,7 @@ def test_gram_matching_ties_resolve_to_the_lower_index(radio, half_wave):
 
 
 def test_gram_matching_validation(radio, half_wave):
-    for seed in GRAM_SEEDS[:1] + PROJECTED_SEEDS[:1]:
+    for seed in TALL_SEEDS[:1] + WIDE_SEEDS[:1]:
         dic, w, y = _random_case(radio, half_wave, seed)
         with pytest.raises(DictionaryError, match="annihilated every atom"):
             omp_direction(y, np.zeros_like(w), dic)
@@ -213,29 +214,6 @@ def test_gram_matching_validation(radio, half_wave):
             omp_direction(y[:-1], w, dic)
         with pytest.raises(ValueError):
             omp_direction(y, w[:, :-1], dic)
-
-
-def test_matcher_projects_only_when_n_is_at_least_t(radio, half_wave, monkeypatch):
-    """The 24 random cases cover both energy forms, and only N >= T projects."""
-    calls = []
-
-    def counted(dictionary, w):
-        calls.append(dictionary)
-        return project_dictionary(dictionary, w)
-
-    # looked up as a passloc.estimator global, so a wrapper installed there sees it
-    monkeypatch.setattr(passloc.estimator, "project_dictionary", counted)
-    projected, called = [], []
-    for seed in range(24):
-        dic, w, y = _random_case(radio, half_wave, seed)
-        omp_direction(y, w, dic)
-        called += [seed] * len(calls)
-        calls.clear()
-        if w.shape[1] >= w.shape[0]:
-            projected.append(seed)
-    assert called == projected
-    assert 0 < len(projected) < 24
-    assert set(PROJECTED_SEEDS) <= set(projected) and not set(GRAM_SEEDS) & set(projected)
 
 
 def test_matcher_never_picks_an_annihilated_column(radio, half_wave):
@@ -260,7 +238,7 @@ def _columns_of(dic):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_two_stage_match_picks_the_full_grid_column(radio, half_wave, seed):
-    """match_direction at its subarray's stride (1 to 17 here), in either energy form."""
+    """match_direction at its subarray's stride (1 to 17 here), whether N < T or N >= T."""
     dic, w, y = _random_case(radio, half_wave, seed)
     sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), dic.atoms.shape[0], half_wave)
     full = omp_direction(y, w, dic)
@@ -874,6 +852,53 @@ def test_joint_loop_flags_absent_second_path(region, radio, half_wave):
     result = run_omp_gcl(ms, lay, radio, cfg, start_dictionaries(lay, radio, cfg))
     assert result.paths[1].absent
     assert "path-absent" in result.flags
+
+
+def _estimate_path_calls(region, radio, half_wave, monkeypatch):
+    """run_omp_gcl for three paths of a noiseless l=0 scene, and the arguments of each
+    estimate_path call, its residuals copied as they were on entry."""
+    lay = build_mw_layout(region, 3, 32, half_wave)
+    scene = sample_scene(region, l=0, rng_seed=1)
+    sch = make_schedule(lay, total_slots=64, rng_seed=1)
+    ms = measure(lay, sch, synthesize_paths(lay, scene, radio), radio, snr_db=None, rng_seed=1)
+    cfg = EstimatorConfig(region=region, num_paths=3)
+    real, calls = passloc.estimator.estimate_path, []
+
+    def counted(l, user, ref_strength, residuals, **setup):
+        calls.append((l, user, ref_strength, [r.copy() for r in residuals], setup))
+        return real(l, user, ref_strength, residuals, **setup)
+
+    monkeypatch.setattr(passloc.estimator, "estimate_path", counted)
+    return run_omp_gcl(ms, lay, radio, cfg, start_dictionaries(lay, radio, cfg)), calls
+
+
+def test_joint_loop_estimates_paths_up_to_the_first_absent_one(region, radio, half_wave,
+                                                               monkeypatch):
+    result, calls = _estimate_path_calls(region, radio, half_wave, monkeypatch)
+    assert [c[0] for c in calls] == [0, 1]
+    assert [p.absent for p in result.paths] == [False, True]
+
+
+def test_estimate_path_peels_a_present_path_from_the_residuals(region, radio, half_wave,
+                                                               monkeypatch):
+    _, calls = _estimate_path_calls(region, radio, half_wave, monkeypatch)
+    l, user, ref_strength, residuals, setup = calls[0]
+    before = [r.copy() for r in residuals]
+    path, strength = estimate_path(l, user, ref_strength, residuals, **setup)
+    assert not path.absent and strength > 0.0
+    for w_m, y, res, comp in zip(setup["w_list"], before, residuals, path.components):
+        np.testing.assert_allclose(y - res, w_m @ comp, rtol=1e-12)
+
+
+def test_estimate_path_leaves_the_residuals_alone_for_an_absent_path(region, radio, half_wave,
+                                                                     monkeypatch):
+    _, calls = _estimate_path_calls(region, radio, half_wave, monkeypatch)
+    l, user, ref_strength, residuals, setup = calls[1]
+    before = [r.copy() for r in residuals]
+    path, _ = estimate_path(l, user, ref_strength, residuals, **setup)
+    assert path.absent
+    assert [r.tobytes() for r in residuals] == [r.tobytes() for r in before]
+    assert not path.coefficients.any() and not path.components.any()
 
 
 def test_joint_loop_rejects_mismatched_layout(region, radio, half_wave):

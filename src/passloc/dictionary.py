@@ -19,6 +19,7 @@ the same one-parameter grid still applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +55,13 @@ class AngleGrid:
         return self.values.size
 
     @classmethod
+    @lru_cache(maxsize=64)
     def uniform_cosine(cls, g: int, clip: float = 1e-3) -> "AngleGrid":
-        """g cosines uniform over [-1+clip, 1-clip]; the clip keeps endfire finite."""
+        """g cosines uniform over [-1+clip, 1-clip]; the clip keeps endfire finite.
+
+        A grid is frozen and its values read-only, so each (g, clip) is built
+        once and then shared.
+        """
         if g < 2:
             raise ValueError("need at least two grid points")
         if not 0.0 < clip < 1.0:
@@ -69,16 +75,17 @@ class DpDictionary:
 
     atoms is (N, G) in the channel domain. dropped records the grid
     indices removed because their element ranges are geometrically
-    impossible. ring_distances is populated only by the polar builder,
-    where columns enumerate (distance ring, angle) pairs. guided is
-    populated only by estimator.polar_dictionary: the atoms as the
-    waveguide sees them, conj(g) * a_j for the in-guide phases g, stored
-    C-ordered so that guided.view(float) is a real (N, 2G) matrix.
+    impossible. ring_distances is populated only by the polar builds,
+    where columns enumerate (distance ring, angle) pairs.
+    estimator.polar_dictionary keeps no channel-domain atoms (atoms is
+    None) and only guided: the atoms as the waveguide sees them,
+    conj(g) * a_j for the in-guide phases g, each row's entries adjacent
+    so that a block of columns viewed as float is a real (N, 2G') matrix.
     """
 
     r_param: float
     cosines: np.ndarray
-    atoms: np.ndarray
+    atoms: np.ndarray | None
     dropped: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     ring_distances: np.ndarray | None = None
     guided: np.ndarray | None = None
@@ -146,6 +153,35 @@ def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> np.ndarray:
     return w @ dictionary.atoms
 
 
+def stack_rings(subarray: SubarrayGeometry, radio: RadioConfig, angle_grid: AngleGrid,
+                distance_grid, dh: float, build, phases=None) -> tuple:
+    """Every ring's build(subarray, r, angle_grid, radio, dh=dh) atoms in one preallocated array.
+
+    ``build`` is build_dp_dictionary, looked up by the caller. Columns
+    enumerate rings in order, each ring carrying its kept angles. The
+    array is the column-major atoms a_j, or with ``phases`` p the
+    row-major p * a_j, each ring scaled in its own build's buffer; either
+    way the build never holds a second full copy. Returns the (N, G)
+    array, and every column's cosine and ring distance.
+    """
+    rings = np.asarray(distance_grid, dtype=float).reshape(-1)
+    if rings.size < 1 or np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
+        raise ValueError("distance grid must be positive and strictly increasing")
+    size = rings.size * angle_grid.g
+    out = np.empty((subarray.n_pas, size), dtype=complex, order="F" if phases is None else "C")
+    cosines, ring_of = np.empty(size), np.empty(size)
+    end = 0
+    for r in rings:
+        d = build(subarray, r, angle_grid, radio, dh=dh)
+        start, end = end, end + d.g
+        if phases is not None:  # on the ring's own row-major (G', N) buffer: no temporary
+            np.multiply(phases, d.atoms.T, out=d.atoms.T)
+        out[:, start:end] = d.atoms
+        cosines[start:end] = d.cosines
+        ring_of[start:end] = r
+    return out[:, :end], cosines[:end], ring_of[:end]
+
+
 def build_polar_dictionary(
     subarray: SubarrayGeometry,
     radio: RadioConfig,
@@ -156,29 +192,13 @@ def build_polar_dictionary(
     """Joint (distance ring, angle) dictionary for single-array matching.
 
     Columns enumerate rings in order, each ring carrying the full angle
-    grid; ring_distances maps every column back to its ring. Each ring's
-    build_dp_dictionary atoms are written into one preallocated
-    column-major array, so the build never holds a second copy of them.
+    grid; ring_distances maps every column back to its ring. The atoms are
+    column-major, written in place by stack_rings.
     """
-    rings = np.asarray(distance_grid, dtype=float).reshape(-1)
-    if rings.size < 1 or np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
-        raise ValueError("distance grid must be positive and strictly increasing")
-    size = rings.size * angle_grid.g
-    atoms = np.empty((subarray.n_pas, size), dtype=complex, order="F")
-    cosines, ring_of = np.empty(size), np.empty(size)
-    end = 0
-    for r in rings:
-        d = build_dp_dictionary(subarray, r, angle_grid, radio, dh=dh)
-        start, end = end, end + d.g
-        atoms[:, start:end] = d.atoms
-        cosines[start:end] = d.cosines
-        ring_of[start:end] = r
-    return DpDictionary(
-        r_param=float(rings[0]),
-        cosines=cosines[:end],
-        atoms=atoms[:, :end],
-        ring_distances=ring_of[:end],
-    )
+    atoms, cosines, ring_of = stack_rings(subarray, radio, angle_grid, distance_grid, dh,
+                                          build_dp_dictionary)
+    return DpDictionary(r_param=float(ring_of[0]), cosines=cosines, atoms=atoms,
+                        ring_distances=ring_of)
 
 
 def default_polar_rings(region: ServiceRegion, count: int, r_min: float = 1.0) -> np.ndarray:

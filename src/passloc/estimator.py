@@ -15,7 +15,7 @@ run_omp_gcl extracts the next path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
@@ -28,6 +28,7 @@ from .dictionary import (
     DpDictionary,
     build_dp_dictionary,
     project_dictionary,  # unused here; benchmarks/tracing.py rebinds it as an estimator name
+    stack_rings,
 )
 from .geometry import ArrayLayout, ServiceRegion, SubarrayGeometry, pa_user_distance
 
@@ -151,23 +152,23 @@ def atom_energies(w: np.ndarray, dictionary: DpDictionary, gram=None) -> np.ndar
     return np.einsum("gk,gk->g", at.view(float), (at @ gram.T).view(float))
 
 
-def _scores(y_res, w, dictionary: DpDictionary, energy=None, gram=None) -> tuple:
-    """Per column: the score |<W a_g, y>| / ||W a_g||, the correlation a_g^H (W^H y) and the energy.
-
-    A column W annihilates (zero energy) scores -1, below every other.
-    """
+def _scores(y_res, w, dictionary: DpDictionary, gram=None) -> tuple:
+    """Per column: the score |<W a_g, y>| / ||W a_g||, the correlation a_g^H W^H y and the energy."""
     atoms = dictionary.atoms
     if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
         raise ValueError("measurement matrix width must match the element count")
     if w.shape[0] != y_res.shape[0]:
         raise ValueError("residual length does not match the measurement rows")
-    if energy is None:
-        energy = atom_energies(w, dictionary, gram)
+    energy = atom_energies(w, dictionary, gram)
     at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
     corr = (at @ (w.conj().T @ y_res).conj()).conj()  # a_g^H W^H y
+    return _score(corr, energy), corr, energy
+
+
+def _score(corr, energy) -> np.ndarray:
+    """|corr| / sqrt(energy) per column; a column W annihilates (zero energy) scores -1."""
     valid = energy > 0.0
-    score = np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, energy, 1.0)), -1.0)
-    return score, corr, energy
+    return np.where(valid, np.abs(corr) / np.sqrt(np.where(valid, energy, 1.0)), -1.0)
 
 
 def _pick(y_res, index, score, corr, energy, cosines) -> DirectionEstimate:
@@ -186,18 +187,16 @@ def _pick(y_res, index, score, corr, energy, cosines) -> DirectionEstimate:
     )
 
 
-def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
-                  energy: np.ndarray | None = None) -> DirectionEstimate:
+def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary) -> DirectionEstimate:
     """The atom a_g whose measured column W a_g best matches the residual y.
 
     Scores |<W a_g, y>| / ||W a_g|| with the correlation a_g^H (W^H y) and
     reports the single-column least-squares coefficient a_g^H W^H y / ||W a_g||^2.
-    The energies ||W a_g||^2 are atom_energies(w, dictionary); a caller that
-    matches several residuals against one W passes them as ``energy``.
+    The energies ||W a_g||^2 are atom_energies(w, dictionary).
     Zero-energy columns are never picked, ties go to the first maximum, and
     grid_index counts the built dictionary's columns.
     """
-    score, corr, energy = _scores(y_res, w, dictionary, energy)
+    score, corr, energy = _scores(y_res, w, dictionary)
     return _pick(y_res, range(dictionary.g), score, corr, energy, dictionary.cosines)
 
 
@@ -895,36 +894,42 @@ def run_omp_gcl(
     return EstimationResult(paths=paths, channels=channels, flags=tuple(sorted(global_flags)))
 
 
+def _polar_dh(config: EstimatorConfig) -> float:
+    """The polar baseline's height gap: it is planar even in a 3-D config, so not config.dh."""
+    return config.region.h_pa - config.fixed_height
+
+
 def polar_dictionary(
     layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, rings
 ) -> DpDictionary:
-    """Joint ring x angle atoms of a single-subarray layout at the config's grid.
+    """Guided joint ring x angle atoms of a single-subarray layout at the config's grid.
 
-    The atoms are scene-independent, so a caller running many trials
-    builds them once; harness.scenario_atoms builds the nf scenario's. The
-    baseline is planar even in a 3-D config, so they carry the planar
-    height gap h_pa - fixed_height rather than config.dh. The dictionary
-    also holds the guided atoms conj(g) * a_j that activation_energies
-    reads, built here once with the channel-domain atoms.
+    The columns are build_polar_dictionary's, built ring by ring through
+    build_dp_dictionary and kept only as the guided atoms conj(g) * a_j
+    (stack_rings), which activation_energies and bit_correlations read; its
+    atoms are None. run_polar_baseline rebuilds the channel-domain column
+    of each pick alone, with the same bits. The atoms are
+    scene-independent, so a caller running many trials builds them once;
+    harness.scenario_atoms builds the nf scenario's.
     """
-    # Looked up at call time so that a wrapper installed on
-    # passloc.dictionary (benchmarks/tracing.py) also sees this build.
-    from .dictionary import build_polar_dictionary
-
-    dic = build_polar_dictionary(layout.subarrays[0], radio, config.grid, rings,
-                                 dh=config.region.h_pa - config.fixed_height)
-    g = waveguide_vector(layout.subarrays[0], radio)
-    return replace(dic, guided=np.multiply(g.conj()[:, None], dic.atoms, order="C"))
+    sub = layout.subarrays[0]
+    phases = waveguide_vector(sub, radio).conj()
+    guided, cosines, ring_of = stack_rings(sub, radio, config.grid, rings, _polar_dh(config),
+                                           build_dp_dictionary, phases)
+    return DpDictionary(r_param=float(ring_of[0]), cosines=cosines, atoms=None,
+                        ring_distances=ring_of, guided=guided)
 
 
-def activation_energies(w: np.ndarray, dictionary: DpDictionary,
-                        subarray: SubarrayGeometry, radio: RadioConfig) -> np.ndarray:
-    """atom_energies of polar_dictionary's atoms, read through W's activation bits.
+def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: SubarrayGeometry,
+                        radio: RadioConfig, y: np.ndarray) -> tuple:
+    """The energies ||W a_j||^2 of polar_dictionary's columns and their correlations a_j^H W^H y.
 
     Pilot rows are W = conj(A * g) (channel.measurement_matrix) for 0/1
-    bits A and in-guide phases g, so W a_j = A (conj(g) * a_j): the real
-    product of A with the guided atoms, two real multiply-adds per entry
-    where W A needs four, formed one ring block at a time. A W that is not
+    bits A and in-guide phases g, so W a_j = A u_j for the guided atoms
+    u_j = conj(g) * a_j, and a_j^H W^H y = u_j^H (A^T y). Both come from
+    one real product of the guided atoms with the rows of A, two real
+    multiply-adds per entry where W a_j needs four, and two more rows, Re
+    and Im of A^T y, formed one ring block at a time. A W that is not
     conj(A * g) for A = (W != 0) raises ValueError.
     """
     bits = w != 0
@@ -932,13 +937,32 @@ def activation_energies(w: np.ndarray, dictionary: DpDictionary,
         raise ValueError("measurement matrix is not conj(A * g) for 0/1 activation rows A "
                          "and the subarray's waveguide phases g")
     bits = bits.astype(float)
-    energy = np.empty(dictionary.g)
+    v = bits.T @ y
+    rows, t = np.vstack([bits, v.real, v.imag]), len(bits)
+    energy, corr = np.empty(dictionary.g), np.empty(dictionary.g, dtype=complex)
     edges = [0, *(np.flatnonzero(np.diff(dictionary.ring_distances)) + 1), dictionary.g]
     for start, stop in zip(edges, edges[1:]):
-        part = bits @ dictionary.guided[:, start:stop].view(float)  # (T, 2 G) of (re, im) pairs
-        sums = np.einsum("tk,tk->k", part, part)
+        part = rows @ dictionary.guided[:, start:stop].view(float)  # (T + 2, 2 G) (re, im) pairs
+        sums = np.einsum("tk,tk->k", part[:t], part[:t])
         energy[start:stop] = sums[0::2] + sums[1::2]
-    return energy
+        corr[start:stop] = _paired_correlations(part[t:])
+    return energy, corr
+
+
+def _paired_correlations(part: np.ndarray) -> np.ndarray:
+    """u_j^H v from the product of the rows Re v, Im v with guided atoms as (re, im) pairs."""
+    re_v, im_v = part
+    return (re_v[0::2] + im_v[1::2]) + 1j * (im_v[0::2] - re_v[1::2])
+
+
+def bit_correlations(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary) -> np.ndarray:
+    """The correlations a_j^H W^H r of polar_dictionary's columns, read through W's activation bits.
+
+    They are u_j^H (A^T r) (activation_energies): one real product of the
+    guided atoms with the rows Re and Im of the N-vector A^T r.
+    """
+    v = (w != 0).T.astype(float) @ r
+    return _paired_correlations(np.vstack([v.real, v.imag]) @ dictionary.guided.view(float))
 
 
 def run_polar_baseline(
@@ -959,49 +983,55 @@ def run_polar_baseline(
     measurement manifold even when the surrogate position is off.
 
     ``dictionary`` comes from polar_dictionary and must match the layout's
-    single subarray. The column energies come once per trial from the
-    activation bits (activation_energies, which rejects a W that is not
-    conj(A * g)); scores, coefficients and channels use the channel-domain atoms.
+    single subarray. Every column's energy and correlation come from the
+    guided atoms and the activation bits: the energies and path 0's
+    correlations from one product per trial (activation_energies, which
+    rejects a W that is not conj(A * g)), a later path's correlations from
+    bit_correlations. Scores and the pick are _score's and _pick's. The
+    least-squares refit and the channels use each picked column in the
+    channel domain, rebuilt alone by build_dp_dictionary.
     """
     if layout.m != 1:
         raise ValueError("polar baseline expects a single-subarray layout")
-    dic, w = dictionary, measurements.w[0]
+    dic, w, sub = dictionary, measurements.w[0], layout.subarrays[0]
     y = measurements.y[0].astype(complex)
-    residual = y.copy()
+    residual = y
     ref_xy = layout.reference_xy[0]
 
     if dic.guided is None:
         raise ValueError("polar baseline needs polar_dictionary's guided atoms")
-    energy = activation_energies(w, dic, layout.subarrays[0], radio)  # serves every path
-    support: list[int] = []
+    energy, corr = activation_energies(w, dic, sub, radio, y)  # energies serve every path
+    picked = np.empty((sub.n_pas, config.num_paths), dtype=complex, order="F")
     dir_ests: list[DirectionEstimate] = []
     flags = {"ambiguous", "under-determined"}
     for l in range(config.num_paths):
-        de = omp_direction(residual, w, dic, energy=energy)
+        if l > 0:
+            corr = bit_correlations(w, residual, dic)
+        de = _pick(residual, range(dic.g), _score(corr, energy), corr, energy, dic.cosines)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength
         elif strength < COEFF_FLOOR * ref_strength:
             flags.add("path-absent")
             break
-        support.append(de.grid_index)
         dir_ests.append(de)
-        raw = w @ dic.atoms[:, support]
+        j = de.grid_index
+        picked[:, l] = build_dp_dictionary(sub, float(dic.ring_distances[j]), dic.cosines[[j]],
+                                           radio, dh=_polar_dh(config)).atoms[:, 0]
+        raw = w @ picked[:, :l + 1]
         coeffs, *_ = np.linalg.lstsq(raw, y, rcond=None)
         residual = y - raw @ coeffs
 
     paths = []
     channel = np.zeros(layout.pas_per_subarray, dtype=complex)
-    for l, (g, de) in enumerate(zip(support, dir_ests)):
-        r = float(dic.ring_distances[g])
-        cos = float(dic.cosines[g])
+    for l, de in enumerate(dir_ests):
+        r = float(dic.ring_distances[de.grid_index])
+        cos = de.varphi
         lat = np.sqrt(max(0.0, 1.0 - cos * cos))
         position = np.array([ref_xy[0] + r * cos, ref_xy[1] - r * lat, config.fixed_height])
-        comp = coeffs[l] * dic.atoms[:, g]
+        comp = coeffs[l] * picked[:, l]
         channel = channel + comp
-        r_su = None
-        if l > 0:
-            r_su = float(np.linalg.norm(position - paths[0].position))
+        r_su = pa_user_distance(position, paths[0].position) if l > 0 else None
         paths.append(PathEstimateResult(
             path=l, position=position, distances=np.array([r]),
             varphis=np.array([cos]), signs=np.array([-1.0]),

@@ -35,6 +35,14 @@ def test_uniform_cosine_grid_shape(half_wave):
     assert np.allclose(v + v[::-1], 0.0, atol=1e-12)
 
 
+def test_uniform_cosine_grid_is_built_once_and_read_only(region):
+    cfg = EstimatorConfig(region=region, g_theta=96)
+    assert cfg.grid is cfg.grid is AngleGrid.uniform_cosine(96)
+    assert np.array_equal(cfg.grid.values, np.linspace(-0.999, 0.999, 96))
+    with pytest.raises(ValueError):
+        cfg.grid.values[0] = 0.0
+
+
 def test_angle_grid_validation():
     with pytest.raises(ValueError):
         AngleGrid(np.array([0.5]))

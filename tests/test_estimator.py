@@ -25,7 +25,10 @@ from passloc.dictionary import (
     DictionaryError,
     DpDictionary,
     build_dp_dictionary,
+    build_polar_dictionary,
+    default_polar_rings,
     project_dictionary,
+    stack_rings,
 )
 from passloc.estimator import (
     POLISH_MAX_EVALS,
@@ -38,6 +41,7 @@ from passloc.estimator import (
     anchor_columns,
     arbitrate,
     atom_energies,
+    bit_correlations,
     coarse_columns,
     estimate_path,
     extract_directions,
@@ -1213,28 +1217,37 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
 
 
 def test_polar_baseline_computes_energies_once_per_trial(monkeypatch):
-    """Every path of an nf trial reuses one activation_energies result; nothing projects."""
+    """An nf trial forms its energies once and one bit correlation per path; nothing projects."""
     from passloc.harness import ExperimentConfig, run_sweep
 
-    energies, shared, projected = [], [], []
+    energies, correlations, shared, projected = [], [], [], []
+    pick = passloc.estimator._pick
 
     def counting(*args):
         energies.append(activation_energies(*args))
         return energies[-1]
 
-    def matching(y_res, w, dictionary, energy=None):
-        shared.append(energy is energies[-1])
-        return omp_direction(y_res, w, dictionary, energy)
+    def correlating(*args):
+        correlations.append(bit_correlations(*args))
+        return correlations[-1]
+
+    def picking(y_res, index, score, corr, energy, cosines):
+        # path 0's correlations ride in the energies' product, path 1's are bit_correlations'
+        first = len(shared) % 2 == 0
+        shared.append(energy is energies[-1][0]
+                      and corr is (energies[-1][1] if first else correlations[-1]))
+        return pick(y_res, index, score, corr, energy, cosines)
 
     monkeypatch.setattr(passloc.estimator, "activation_energies", counting)
-    monkeypatch.setattr(passloc.estimator, "omp_direction", matching)
-    monkeypatch.setattr(passloc.estimator, "project_dictionary",
-                        lambda *a: projected.append(a) or project_dictionary(*a))
+    monkeypatch.setattr(passloc.estimator, "bit_correlations", correlating)
+    monkeypatch.setattr(passloc.estimator, "_pick", picking)
+    for name in ("project_dictionary", "omp_direction", "atom_energies"):
+        monkeypatch.setattr(passloc.estimator, name, lambda *a, **k: projected.append(a))
     cfg = ExperimentConfig(scenarios=["nf"], snr_db=[25.0], l=1, trials=3, seed=5, nf_n=32,
                            slots_per_subarray=16, g_theta=64, nf_rings=4)
     records = run_sweep(cfg).records
     assert [len(r.positions) for r in records] == [2] * cfg.trials
-    assert len(energies) == cfg.trials
+    assert len(energies) == len(correlations) == cfg.trials
     assert shared == [True] * (2 * cfg.trials) and not projected
 
 
@@ -1259,9 +1272,46 @@ def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch):
     assert len(built) == 1 and len(used) == 6
     assert all(guided is built[0].guided for guided in used)
     dic, layout = built[0], passloc.harness.scenario_layout(cfg, "nf")[0]
+    assert dic.atoms is None and dic.guided.flags.c_contiguous
+    rings = default_polar_rings(cfg.region, cfg.nf_rings)
+    channel = build_polar_dictionary(layout.subarrays[0], cfg.radio, cfg.estimator_config().grid,
+                                     rings, dh=cfg.h_pa - cfg.fixed_height)
     g = waveguide_vector(layout.subarrays[0], cfg.radio)
-    assert dic.guided.flags.c_contiguous
-    assert np.array_equal(dic.guided, g.conj()[:, None] * dic.atoms)
+    assert np.array_equal(dic.guided, g.conj()[:, None] * channel.atoms)
+    assert np.array_equal(dic.cosines, channel.cosines)
+    assert np.array_equal(dic.ring_distances, channel.ring_distances)
+
+
+def test_guided_rings_equal_guided_channel_rings_with_a_dropped_column(radio, half_wave):
+    sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), 16, half_wave)
+    v = np.nextafter(1.0, 0.0)
+    edge = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
+    rings = [5 * sub.spacing * (1 - 2e-16), 3.0]  # the first ring drops its last column
+    phases = waveguide_vector(sub, radio).conj()
+    guided, cosines, ring_of = stack_rings(sub, radio, edge, rings, 0.0, build_dp_dictionary,
+                                           phases)
+    channel = build_polar_dictionary(sub, radio, edge, rings)
+    assert channel.g == 9
+    assert np.array_equal(guided, phases[:, None] * channel.atoms)
+    assert np.array_equal(cosines, channel.cosines)
+    assert np.array_equal(ring_of, channel.ring_distances)
+
+
+def test_polar_dictionary_allocates_no_channel_domain_copy(region, radio, half_wave):
+    import tracemalloc
+
+    lay = custom_layout(region, Structure.MW, [[0.0, 15.0]], 32, half_wave)
+    cfg = EstimatorConfig(region=region, g_theta=256)
+    rings = np.geomspace(1.0, 40.0, 32)  # one ring's build is a small share of the whole
+    cfg.grid  # noqa: B018 -- the cached grid is not part of the build
+    tracemalloc.start()
+    try:
+        dic = polar_dictionary(lay, radio, cfg, rings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dic.guided.shape == (32, 32 * 256)
+    assert peak < 1.25 * dic.guided.nbytes
 
 
 @pytest.mark.parametrize("slots", [16, 64], ids=["N>T", "N<T"])
@@ -1269,9 +1319,43 @@ def test_activation_energies_equal_atom_energies(region, radio, half_wave, slots
     rings = np.geomspace(2.0, 40.0, 6)
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings, slots=slots)
     dic = polar_dictionary(lay, radio, cfg, rings)
-    got = activation_energies(ms.w[0], dic, lay.subarrays[0], radio)
-    want = atom_energies(ms.w[0], dic)
+    channel = build_polar_dictionary(lay.subarrays[0], radio, cfg.grid, rings, dh=2.0)
+    got = activation_energies(ms.w[0], dic, lay.subarrays[0], radio, ms.y[0])[0]
+    want = atom_energies(ms.w[0], channel)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("slots", [16, 64], ids=["N>T", "N<T"])
+def test_bit_correlations_equal_channel_atom_correlations(region, radio, half_wave, slots):
+    """u_j^H (A^T r) is a_j^H W^H r, for the pilots and for the residual path 1 matches;
+    the pilots' ride along in activation_energies' product."""
+    rings = np.geomspace(2.0, 40.0, 6)
+    lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings, slots=slots)
+    w, y = ms.w[0], ms.y[0]
+    dic = polar_dictionary(lay, radio, cfg, rings)
+    channel = build_polar_dictionary(lay.subarrays[0], radio, cfg.grid, rings, dh=2.0)
+    score, _, _ = passloc.estimator._scores(y, w, channel)
+    t = w @ channel.atoms[:, int(np.argmax(score))]
+    residual = y - t * (np.vdot(t, y) / np.vdot(t, t))
+    for r, got in ((y, activation_energies(w, dic, lay.subarrays[0], radio, y)[1]),
+                   (y, bit_correlations(w, y, dic)),
+                   (residual, bit_correlations(w, residual, dic))):
+        want = passloc.estimator._scores(r, w, channel)[1]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_polar_baseline_rebuilds_each_picked_column_alone(region, radio, half_wave):
+    rings = np.geomspace(2.0, 40.0, 6)
+    lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings)
+    sub = lay.subarrays[0]
+    channel = build_polar_dictionary(sub, radio, cfg.grid, rings, dh=2.0)
+    for j in (0, 63, 64, 200, channel.g - 1):
+        alone = build_dp_dictionary(sub, float(channel.ring_distances[j]), channel.cosines[[j]],
+                                    radio, dh=2.0)
+        assert np.array_equal(alone.atoms[:, 0], channel.atoms[:, j])
+    path = run_polar_baseline(ms, lay, radio, cfg, polar_dictionary(lay, radio, cfg, rings)).paths[0]
+    j = path.directions[0].grid_index
+    assert np.array_equal(path.components[0], path.coefficients[0] * channel.atoms[:, j])
 
 
 def test_polar_baseline_rejects_w_that_is_not_bits_times_guide(region, radio, half_wave):
@@ -1283,7 +1367,7 @@ def test_polar_baseline_rejects_w_that_is_not_bits_times_guide(region, radio, ha
         with pytest.raises(ValueError, match="not conj"):
             run_polar_baseline(dataclasses.replace(ms, w=(bad,)), lay, radio, cfg, dic)
     with pytest.raises(ValueError, match="not conj"):  # another carrier's waveguide phases
-        activation_energies(w, dic, lay.subarrays[0], RadioConfig(frequency=30e9))
+        activation_energies(w, dic, lay.subarrays[0], RadioConfig(frequency=30e9), ms.y[0])
     bare = dataclasses.replace(dic, guided=None)
     with pytest.raises(ValueError, match="guided atoms"):
         run_polar_baseline(ms, lay, radio, cfg, bare)

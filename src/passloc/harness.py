@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import signal
 import time
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -369,6 +372,9 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
     )
 
 
+_RUN_TRIAL = run_trial  # the module's own, told apart from a wrapper by _cell_trials
+
+
 # --- saved runs -----------------------------------------------------------------
 
 RUN_SCHEMA_VERSION = 4
@@ -512,6 +518,100 @@ class SweepResult:
         (out / "meta.json").write_text(json.dumps(meta, indent=2))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the machine's count without one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _blas_thread_setters() -> list | None:
+    """The thread-count setter of every BLAS library this process has loaded.
+
+    A BLAS library is a loaded lib*.so whose name holds blas, blis or mkl;
+    Python extensions that call one (scipy's _fblas) are not. None when the libraries cannot be listed (no /proc/self/maps, as on
+    macOS), when none is loaded, or when one exports none of the OpenBLAS
+    setters (MKL, BLIS, an OpenBLAS built without them). A pool needs the
+    setters: a worker per usable CPU, each with its BLAS on its default
+    threads, spins those threads on the CPUs the other workers need, and an
+    nf sweep on two CPUs ran 4x slower than serially.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.rsplit(None, 1)[-1] for line in fh.read().splitlines()
+                     if "blas" in line or "blis" in line or "mkl" in line}
+        libs = [path for path in paths if os.path.basename(path).startswith("lib")]
+        setters = []
+        for path in sorted(libs):
+            lib = ctypes.CDLL(path)
+            setter = next((getattr(lib, n) for n in _BLAS_SETTERS if hasattr(lib, n)), None)
+            if setter is None:
+                return None
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setters.append(setter)
+    except OSError:
+        return None
+    return setters or None
+
+
+_worker_scenario = None  # (cfg, scenario, atoms) in a pool worker, set by _start_worker
+
+
+def _start_worker(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary],
+                  blas_setters: list) -> None:
+    global _worker_scenario
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    for setter in blas_setters:
+        setter(1)
+    _worker_scenario = cfg, scenario, atoms
+
+
+def _worker_trial(task: tuple) -> TrialRecord:
+    cfg, scenario, atoms = _worker_scenario
+    snr_db, snr_index, trial = task
+    return run_trial(cfg, scenario, snr_db, snr_index, trial, atoms)
+
+
+@contextmanager
+def _cell_trials(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary]):
+    """A function from (snr_db, snr_index) to that cell's trial records, in trial order.
+
+    The trials run on a fork pool of min(usable CPUs, cfg.trials) workers,
+    which inherit cfg and the atoms instead of receiving them pickled and
+    run their BLAS on one thread each. They run serially in this process
+    when that is one worker, when fork is unavailable, when the BLAS threads
+    cannot be capped (_blas_thread_setters), or when ``run_trial`` has been
+    rebound: a wrapper put on it, such as a tracer's, keeps what it records
+    in the process that calls it, and a worker's copy would be lost. The
+    pool is torn down on leaving the block, however it is left.
+    """
+    workers = min(_usable_cpus(), cfg.trials)
+    if workers > 1 and run_trial is _RUN_TRIAL:
+        import multiprocessing  # only here: a serial sweep never pays for its import
+
+        setters = ("fork" in multiprocessing.get_all_start_methods()
+                   and _blas_thread_setters())
+        if setters:
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, _start_worker, (cfg, scenario, atoms, setters))
+            try:
+                yield lambda snr_db, snr_index: pool.imap(
+                    _worker_trial, [(snr_db, snr_index, t) for t in range(cfg.trials)])
+            finally:
+                pool.terminate()
+                pool.join()
+            return
+    yield lambda snr_db, snr_index: (run_trial(cfg, scenario, snr_db, snr_index, t, atoms)
+                                     for t in range(cfg.trials))
+
+
 def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
     """Full sweep over scenarios, SNR grid, and paired trials.
 
@@ -519,34 +619,45 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
     error over non-failed trials, the flag rate (any flag or failure),
     linear-mean NMSE in dB, and the pilot slot count; the per-trial records
     are kept. Raises if more than half the trials of any cell fail.
+
+    Each scenario's atoms are built here, then its trials run on
+    min(usable CPUs, cfg.trials) forked worker processes, where the usable
+    CPUs are this process's affinity mask (``taskset -c 0`` runs a sweep
+    serially, as does a one-trial sweep). Pooling is Linux and OpenBLAS
+    only: it needs fork, /proc/self/maps and an OpenBLAS thread setter in
+    every loaded BLAS, and without them, or with ``run_trial`` rebound by a
+    tracer, the sweep runs serially (see _cell_trials). Records come back
+    and reach ``progress`` in trial order, so the aggregates, CSVs and
+    records equal a serial sweep's, wall times aside. A programming error
+    in a worker reaches the caller with its class.
     """
     result = SweepResult(config=cfg)
     for scenario in cfg.scenarios:
         _, total_slots = scenario_layout(cfg, scenario)
         atoms = scenario_atoms(cfg, scenario)
-        for snr_index, snr in enumerate(cfg.snr_db):
-            records = []
-            for trial in range(cfg.trials):
-                rec = run_trial(cfg, scenario, snr, snr_index, trial, atoms)
-                records.append(rec)
-                if progress is not None:
-                    progress(rec)
-            ok = [r for r in records if not r.failed]
-            if len(ok) < cfg.trials / 2:
-                raise RuntimeError(
-                    f"scenario {scenario} at {snr} dB: {cfg.trials - len(ok)} of "
-                    f"{cfg.trials} trials failed"
-                )
-            errors = np.array([r.position_error for r in ok])
-            flag_rate = float(np.mean([bool(r.flags) or r.failed for r in records]))
-            result.rmse_rows.append({
-                "scenario": scenario, "snr_db": snr, "rmse_m": rmse(errors),
-                "median_m": float(np.median(errors)), "flag_rate": flag_rate,
-                "total_slots": total_slots,
-            })
-            result.nmse_rows.append({
-                "scenario": scenario, "snr_db": snr,
-                "nmse_db": to_db(float(np.mean([r.nmse_linear for r in ok]))),
-            })
-            result.records.extend(records)
+        with _cell_trials(cfg, scenario, atoms) as trials:
+            for snr_index, snr in enumerate(cfg.snr_db):
+                records = []
+                for rec in trials(snr, snr_index):
+                    records.append(rec)
+                    if progress is not None:
+                        progress(rec)
+                ok = [r for r in records if not r.failed]
+                if len(ok) < cfg.trials / 2:
+                    raise RuntimeError(
+                        f"scenario {scenario} at {snr} dB: {cfg.trials - len(ok)} of "
+                        f"{cfg.trials} trials failed"
+                    )
+                errors = np.array([r.position_error for r in ok])
+                flag_rate = float(np.mean([bool(r.flags) or r.failed for r in records]))
+                result.rmse_rows.append({
+                    "scenario": scenario, "snr_db": snr, "rmse_m": rmse(errors),
+                    "median_m": float(np.median(errors)), "flag_rate": flag_rate,
+                    "total_slots": total_slots,
+                })
+                result.nmse_rows.append({
+                    "scenario": scenario, "snr_db": snr,
+                    "nmse_db": to_db(float(np.mean([r.nmse_linear for r in ok]))),
+                })
+                result.records.extend(records)
     return result

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import passloc.harness
 from passloc.channel import RadioConfig
 from passloc.geometry import ServiceRegion
 
@@ -29,3 +30,9 @@ def pytest_configure(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def one_process_sweep(monkeypatch):
+    """Runs the test's sweeps serially in this process, where its wrappers count the calls."""
+    monkeypatch.setattr(passloc.harness, "_usable_cpus", lambda: 1)

@@ -1216,7 +1216,7 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
     assert 0 < wrong < 500
 
 
-def test_polar_baseline_computes_energies_once_per_trial(monkeypatch):
+def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_process_sweep):
     """An nf trial forms its energies once and one bit correlation per path; nothing projects."""
     from passloc.harness import ExperimentConfig, run_sweep
 
@@ -1251,7 +1251,8 @@ def test_polar_baseline_computes_energies_once_per_trial(monkeypatch):
     assert shared == [True] * (2 * cfg.trials) and not projected
 
 
-def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch):
+def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch,
+                                                                 one_process_sweep):
     from passloc.harness import ExperimentConfig, run_sweep
 
     built, used = [], []

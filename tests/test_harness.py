@@ -4,6 +4,11 @@ import dataclasses
 import inspect
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,7 +267,7 @@ def test_trial_alone_matches_its_sweep_record(overrides):
     assert alone == swept
 
 
-def test_a_sweep_builds_each_start_dictionary_once(monkeypatch):
+def test_a_sweep_builds_each_start_dictionary_once(monkeypatch, one_process_sweep):
     # mw m=8 has 4 distinct anchor distances to the region center: corners, edge midpoints
     cfg = ExperimentConfig(scenarios=("mw",), m=8, l=1, trials=3, snr_db=(25.0,), seed=5,
                            g_theta=256)
@@ -324,7 +329,7 @@ def test_trial_failure_is_recorded_not_raised(monkeypatch):
         assert np.isnan(rec.position_error)
 
 
-def test_sweep_meta_counts_failures_by_error_class(monkeypatch, tmp_path):
+def test_sweep_meta_counts_failures_by_error_class(monkeypatch, tmp_path, one_process_sweep):
     real = harness_mod.run_omp_gcl
     errors = iter([DictionaryError, np.linalg.LinAlgError, DictionaryError])
 
@@ -443,7 +448,7 @@ def test_sweep_csv_bitwise_reproducible(tmp_path):
 
 
 def test_sweep_aborts_when_most_trials_fail(monkeypatch):
-    def always_fail(cfg, scenario, snr_db, snr_index, trial, polar_cache=None):
+    def always_fail(cfg, scenario, snr_db, snr_index, trial, atoms=None):
         return TrialRecord(
             scenario=scenario, snr_db=snr_db, trial=trial, scene_points=[],
             positions=[], position_error=float("nan"), path_errors=[],
@@ -455,6 +460,125 @@ def test_sweep_aborts_when_most_trials_fail(monkeypatch):
     cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,))
     with pytest.raises(RuntimeError, match="failed"):
         run_sweep(cfg)
+
+
+# --- pooled sweeps --------------------------------------------------------------
+
+needs_pool = pytest.mark.skipif(harness_mod._blas_thread_setters() is None,
+                                reason="no OpenBLAS thread setter here: sweeps run serially")
+
+_POOLED_CASES = {
+    "nf l=1": dict(scenarios=["nf"], l=1, nf_n=32, slots_per_subarray=16, nf_rings=4),
+    "mw l=1": dict(scenarios=["mw"], l=1),
+    "sw2": dict(scenarios=["sw2"]),
+    "mw m=4 3-D": dict(scenarios=["mw"], m=4, mode="3d", h_pa=6.0, h_range=(0.0, 3.0)),
+}
+
+
+def _sweep_outputs(monkeypatch, out, workers, **fields) -> tuple:
+    """rmse.csv, nmse.csv, meta.json and the records (wall time aside) of a sweep run on
+    ``workers`` processes, and the number of live pool workers each progress call saw."""
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: workers)
+    cfg = ExperimentConfig(trials=5, snr_db=(10.0, 25.0), seed=11, g_theta=256, **fields)
+    children = []
+    result = run_sweep(cfg, progress=lambda rec: children.append(
+        len(multiprocessing.active_children())))
+    result.write_csv(out)
+    files = {name: (out / name).read_bytes() for name in ("rmse.csv", "nmse.csv", "meta.json")}
+    records = json.dumps([dict(r.to_dict(), wall_time_s=None) for r in result.records])
+    return (files, records), children
+
+
+@needs_pool
+@pytest.mark.parametrize("case", list(_POOLED_CASES))
+def test_a_pooled_sweep_equals_the_serial_one(case, monkeypatch, tmp_path):
+    serial, children = _sweep_outputs(monkeypatch, tmp_path / "1", 1, **_POOLED_CASES[case])
+    assert children == [0] * 10
+    for workers in (2, 3):
+        pooled, children = _sweep_outputs(monkeypatch, tmp_path / str(workers), workers,
+                                          **_POOLED_CASES[case])
+        assert children == [workers] * 10
+        assert pooled == serial
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_pooled_sweep_reports_progress_in_trial_order(monkeypatch):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(scenarios=("mw", "sw"), trials=5, snr_db=(15.0, 25.0), g_theta=64)
+    seen = []
+    result = run_sweep(cfg, progress=lambda rec: seen.append((rec.scenario, rec.snr_db, rec.trial)))
+    assert seen == [(s, snr, t) for s in cfg.scenarios for snr in cfg.snr_db for t in range(5)]
+    assert seen == [(r.scenario, r.snr_db, r.trial) for r in result.records]
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_worker_s_programming_error_reaches_the_caller_and_stops_the_pool(monkeypatch):
+    def typo(layout, scene, radio):
+        return scene.user_position  # Scene has user
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "synthesize_paths", typo)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
+    with pytest.raises(AttributeError, match="user_position") as raised:
+        run_sweep(cfg)
+    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_pooled_sweep_aborts_when_most_trials_fail_and_stops_the_pool(monkeypatch):
+    def singular(cfg, scenario, ms, layout, atoms):
+        raise np.linalg.LinAlgError("synthetic")
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "estimate", singular)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=5, snr_db=(20.0, 25.0), g_theta=64)
+    live = []
+    with pytest.raises(RuntimeError, match="at 20.0 dB: 5 of 5 trials failed"):
+        run_sweep(cfg, progress=lambda rec: live.append(len(multiprocessing.active_children())))
+    assert live == [2] * 5
+    assert not multiprocessing.active_children()
+
+
+def test_a_sweep_with_run_trial_rebound_runs_its_trials_in_this_process(monkeypatch):
+    real = harness_mod.run_trial
+    calls = []
+
+    def counted(*args):
+        calls.append(os.getpid())
+        return real(*args)
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "run_trial", counted)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=3, snr_db=(25.0,), g_theta=64)
+    live = []
+    run_sweep(cfg, progress=lambda rec: live.append(len(multiprocessing.active_children())))
+    assert calls == [os.getpid()] * 3 and live == [0] * 3
+
+
+def test_a_sweep_runs_serially_when_the_blas_threads_cannot_be_capped(monkeypatch):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_blas_thread_setters", lambda: None)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=3, snr_db=(25.0,), g_theta=64)
+    live = []
+    run_sweep(cfg, progress=lambda rec: live.append(len(multiprocessing.active_children())))
+    assert live == [0] * 3
+
+
+def test_a_one_trial_sweep_runs_without_the_pool_module():
+    code = ("import sys\n"
+            "from passloc.harness import ExperimentConfig, run_sweep\n"
+            "run_sweep(ExperimentConfig(trials=1, snr_db=(25.0,), g_theta=64))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
+    env = dict(os.environ)
+    src = str(Path(harness_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rmse_improves_from_low_to_high_snr():

@@ -26,7 +26,7 @@ radio = RadioConfig(28e9)
 layout = build_mw_layout(region, 3, 32, radio.wavelength / 2.0)
 sub = layout.subarrays[0]
 
-grid = AngleGrid.uniform_cosine(64, clip=1e-3)
+grid = AngleGrid.uniform_cosine(64)
 print(f"angle grid: {grid.values.size} cosines in "
       f"[{grid.values[0]:.3f}, {grid.values[-1]:.3f}]")
 

@@ -119,15 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--scenario", choices=["sw", "mw", "nf", "sw2"])
         p.add_argument("--snr", type=float, nargs="+", help="SNR grid override (dB)")
         p.add_argument("--trials", type=int)
         p.add_argument("--mode", choices=["2d", "3d"])
-        if needs_out:
-            p.add_argument("--out", required=True, help="output file or directory")
+        p.add_argument("--out", required=True, help="output file or directory")
 
     p = sub.add_parser("simulate", help="synthesize one trial's pilot measurements")
     common(p)
@@ -160,17 +159,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code) if exc.code is not None else 0
-
-    try:
-        cfg_path = getattr(args, "config", None)
-        if cfg_path and not Path(cfg_path).exists():
-            raise FileNotFoundError(f"config file not found: {cfg_path}")
-        data_path = getattr(args, "data", None)
-        if data_path and not Path(data_path).exists():
-            raise FileNotFoundError(f"data directory not found: {data_path}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     try:
         return args.func(args)

@@ -41,7 +41,6 @@ class CrlbReport:
     crlb_exact: np.ndarray
     crlb_paper: np.ndarray
     lambda_min: float
-    worst_axis: np.ndarray
     representative_range: float
     unbounded: bool = False
     null_direction: np.ndarray | None = None
@@ -91,22 +90,19 @@ def crlb_bound(target_xy, refs_xy, sigma2: float, mode: str = "exact") -> CrlbRe
 
     if lam_min < SINGULAR_EIG_TOL:
         inf_mat = np.full((2, 2), np.inf)
-        null = evecs[:, 0]
         return CrlbReport(
             target=q, sigma2=sigma2, mode=mode, fim=fim,
             crlb=inf_mat, crlb_exact=inf_mat, crlb_paper=inf_mat,
-            lambda_min=lam_min, worst_axis=null, representative_range=rep_range,
-            unbounded=True, null_direction=null,
+            lambda_min=lam_min, representative_range=rep_range,
+            unbounded=True, null_direction=evecs[:, 0],
         )
 
     crlb_exact = np.linalg.inv(fim)
     crlb_paper = sigma2 * rep_range**2 * np.linalg.inv(psum)
-    chosen = crlb_exact if mode == "exact" else crlb_paper
-    w, v = np.linalg.eigh(chosen)
     return CrlbReport(
         target=q, sigma2=sigma2, mode=mode, fim=fim,
-        crlb=chosen, crlb_exact=crlb_exact, crlb_paper=crlb_paper,
-        lambda_min=lam_min, worst_axis=v[:, -1], representative_range=rep_range,
+        crlb=crlb_exact if mode == "exact" else crlb_paper, crlb_exact=crlb_exact,
+        crlb_paper=crlb_paper, lambda_min=lam_min, representative_range=rep_range,
     )
 
 
@@ -117,16 +113,16 @@ def diversity_score(target_xy, refs_xy) -> float:
 
 
 def crlb_heatmap(region: ServiceRegion, refs_xy, sigma2: float, grid_n: int = 60,
-                 mode: str = "exact", margin: float = 0.5) -> np.ndarray:
+                 mode: str = "exact") -> np.ndarray:
     """Rows (x, y, trace_crlb, lambda_min) over an interior evaluation grid.
 
-    The margin keeps grid points off the references themselves; points
-    with singular geometry report an infinite trace.
+    A 0.5 m margin keeps grid points off the references themselves;
+    points with singular geometry report an infinite trace.
     """
     if grid_n < 1:
         raise ValueError(f"heatmap grid needs at least one point per axis, got {grid_n}")
-    xs = np.linspace(margin, region.size_x - margin, grid_n)
-    ys = np.linspace(margin, region.size_y - margin, grid_n)
+    xs = np.linspace(0.5, region.size_x - 0.5, grid_n)
+    ys = np.linspace(0.5, region.size_y - 0.5, grid_n)
     rows = []
     for x in xs:
         for y in ys:

@@ -13,21 +13,27 @@ project_dictionary gives the measured columns W A themselves.
 Planar mode keeps the horizontal anchor distance as the parameter and
 carries the fixed PA-to-target height gap dh explicitly; full-3D mode folds
 the unknown height gap into a slant distance and builds with dh = 0, so
-the same one-parameter grid still applies.
+the same one-parameter grid still applies. A geometrically impossible
+column (the target on an element) raises DictionaryError, and a
+uniform_cosine grid has none (GRID_CLIP).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import RadioConfig, FOUR_PI
-from .geometry import ServiceRegion, SubarrayGeometry
+from .geometry import DomainError, ServiceRegion, SubarrayGeometry
+
+# |c| <= 1 - GRID_CLIP keeps a column's squared element range (r - nd c)^2 + (nd)^2 (1 - c^2)
+# + dh^2 at least GRID_CLIP (r^2 + (nd)^2), far above rounding: no uniform_cosine column is invalid.
+GRID_CLIP = 1e-3
 
 
-class DictionaryError(ValueError):
+class DictionaryError(DomainError):
     """A dictionary build or match found no usable column."""
 
 
@@ -56,29 +62,25 @@ class AngleGrid:
 
     @classmethod
     @lru_cache(maxsize=64)
-    def uniform_cosine(cls, g: int, clip: float = 1e-3) -> "AngleGrid":
-        """g cosines uniform over [-1+clip, 1-clip]; the clip keeps endfire finite.
+    def uniform_cosine(cls, g: int) -> "AngleGrid":
+        """g cosines uniform over [-1 + GRID_CLIP, 1 - GRID_CLIP].
 
-        A grid is frozen and its values read-only, so each (g, clip) is built
-        once and then shared.
+        A grid is frozen and its values read-only, so each g is built once
+        and then shared.
         """
         if g < 2:
             raise ValueError("need at least two grid points")
-        if not 0.0 < clip < 1.0:
-            raise ValueError("clip must be in (0, 1)")
-        return cls(np.linspace(-1.0 + clip, 1.0 - clip, g))
+        return cls(np.linspace(-1.0 + GRID_CLIP, 1.0 - GRID_CLIP, g))
 
 
 @dataclass(frozen=True)
 class DpDictionary:
     """Atoms of one subarray at a common anchor distance.
 
-    atoms is (N, G) in the channel domain. dropped records the grid
-    indices removed because their element ranges are geometrically
-    impossible. ring_distances is populated only by the polar builds,
-    where columns enumerate (distance ring, angle) pairs.
-    estimator.polar_dictionary keeps no channel-domain atoms (atoms is
-    None) and only guided: the atoms as the waveguide sees them,
+    atoms is (N, G) in the channel domain. ring_distances is populated
+    only by the polar builds, where columns enumerate (distance ring,
+    angle) pairs. estimator.polar_dictionary keeps no channel-domain atoms
+    (atoms is None) and only guided: the atoms as the waveguide sees them,
     conj(g) * a_j for the in-guide phases g, each row's entries adjacent
     so that a block of columns viewed as float is a real (N, 2G') matrix.
     """
@@ -86,7 +88,6 @@ class DpDictionary:
     r_param: float
     cosines: np.ndarray
     atoms: np.ndarray | None
-    dropped: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     ring_distances: np.ndarray | None = None
     guided: np.ndarray | None = None
 
@@ -98,8 +99,7 @@ class DpDictionary:
 def _squared_ranges(r, cosang, nd, dh: float):
     """Law of cosines r^2 + (n*d)^2 - 2*(n*d)*r*cos, plus dh^2.
 
-    Non-positive entries mark geometrically impossible (distance, angle)
-    pairs; callers decide whether that raises or drops a column.
+    Non-positive entries mark geometrically impossible (distance, angle) pairs.
     """
     return r * r + nd * nd - 2.0 * nd * r * cosang + dh * dh
 
@@ -116,12 +116,11 @@ def build_dp_dictionary(
     ``grid`` is an AngleGrid or any strictly increasing 1-D array of
     cosines in (-1, 1), such as a subset of a grid's values. Every element
     is computed on its own, so a column's bits do not depend on which
-    other columns are built with it. Columns whose element ranges are
-    geometrically impossible are dropped and recorded (as positions in
-    ``grid``) instead of raising, so a sweep over distances degrades
-    gracefully. The atoms are column-major (F-contiguous): the ranges are
-    laid out one grid column per row and transposed, and every later step
-    of the build runs in place on two buffers.
+    other columns are built with it. A column whose element ranges are
+    geometrically impossible raises DictionaryError. The atoms are
+    column-major (F-contiguous): the ranges are laid out one grid column
+    per row and transposed, and every later step of the build runs in
+    place on two buffers.
     """
     if r_param <= 0.0:
         raise ValueError("anchor distance must be positive")
@@ -130,12 +129,8 @@ def build_dp_dictionary(
         raise ValueError("cosines must be strictly increasing and lie strictly inside (-1, 1)")
     nd = np.arange(subarray.n_pas, dtype=float)[None, :] * subarray.spacing
     ranges = _squared_ranges(r_param, cosines[:, None], nd, dh)  # (G, N)
-    ok = np.all(ranges > 0.0, axis=1)
-    dropped = np.nonzero(~ok)[0]
-    if not ok.any():
-        raise DictionaryError("every grid column is geometrically invalid")
-    if dropped.size:
-        ranges, cosines = ranges[ok], cosines[ok]
+    if not np.all(ranges > 0.0):
+        raise DictionaryError(f"a grid column is geometrically invalid at {r_param!r} m")
     np.sqrt(ranges, out=ranges)
     atoms = np.multiply(-1j * radio.wavenumber, ranges, dtype=complex)
     np.exp(atoms, out=atoms)
@@ -143,7 +138,7 @@ def build_dp_dictionary(
     np.divide(radio.wavelength, ranges, out=ranges)
     np.multiply(ranges, atoms, out=atoms)
     np.divide(atoms, np.sqrt(subarray.n_pas), out=atoms)
-    return DpDictionary(r_param=float(r_param), cosines=cosines, atoms=atoms.T, dropped=dropped)
+    return DpDictionary(r_param=float(r_param), cosines=cosines, atoms=atoms.T)
 
 
 def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> np.ndarray:
@@ -158,7 +153,7 @@ def stack_rings(subarray: SubarrayGeometry, radio: RadioConfig, angle_grid: Angl
     """Every ring's build(subarray, r, angle_grid, radio, dh=dh) atoms in one preallocated array.
 
     ``build`` is build_dp_dictionary, looked up by the caller. Columns
-    enumerate rings in order, each ring carrying its kept angles. The
+    enumerate rings in order, each ring carrying every angle. The
     array is the column-major atoms a_j, or with ``phases`` p the
     row-major p * a_j, each ring scaled in its own build's buffer; either
     way the build never holds a second full copy. Returns the (N, G)
@@ -167,19 +162,14 @@ def stack_rings(subarray: SubarrayGeometry, radio: RadioConfig, angle_grid: Angl
     rings = np.asarray(distance_grid, dtype=float).reshape(-1)
     if rings.size < 1 or np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
         raise ValueError("distance grid must be positive and strictly increasing")
-    size = rings.size * angle_grid.g
-    out = np.empty((subarray.n_pas, size), dtype=complex, order="F" if phases is None else "C")
-    cosines, ring_of = np.empty(size), np.empty(size)
-    end = 0
-    for r in rings:
+    g = angle_grid.g
+    out = np.empty((subarray.n_pas, rings.size * g), complex, order="F" if phases is None else "C")
+    for k, r in enumerate(rings):
         d = build(subarray, r, angle_grid, radio, dh=dh)
-        start, end = end, end + d.g
-        if phases is not None:  # on the ring's own row-major (G', N) buffer: no temporary
+        if phases is not None:  # on the ring's own row-major (G, N) buffer: no temporary
             np.multiply(phases, d.atoms.T, out=d.atoms.T)
-        out[:, start:end] = d.atoms
-        cosines[start:end] = d.cosines
-        ring_of[start:end] = r
-    return out[:, :end], cosines[:end], ring_of[:end]
+        out[:, k * g:(k + 1) * g] = d.atoms
+    return out, np.tile(angle_grid.values, rings.size), np.repeat(rings, g)
 
 
 def build_polar_dictionary(
@@ -201,11 +191,11 @@ def build_polar_dictionary(
                         ring_distances=ring_of)
 
 
-def default_polar_rings(region: ServiceRegion, count: int, r_min: float = 1.0) -> np.ndarray:
-    """Geometric ring ladder from r_min out to the region diagonal."""
+def default_polar_rings(region: ServiceRegion, count: int) -> np.ndarray:
+    """Geometric ring ladder from 1 m out to the region diagonal."""
     if count < 1:
         raise ValueError("need at least one ring")
-    return np.geomspace(r_min, region.diagonal, count)
+    return np.geomspace(1.0, region.diagonal, count)
 
 
 def mutual_coherence(columns: np.ndarray) -> float:

@@ -212,14 +212,16 @@ def coarse_columns(subarray: SubarrayGeometry, radio: RadioConfig, g: int) -> np
     is 8 for N = 32 at half-wave spacing and g = 1024; S = 1 is the full grid.
     """
     stride = max(1, int(g * radio.wavelength / (8.0 * subarray.n_pas * subarray.spacing)))
-    return np.unique(np.append(np.arange(0, g, stride), g - 1))
+    idx = np.unique(np.append(np.arange(0, g, stride), g - 1))
+    idx.setflags(write=False)  # _scored hands it back as the scored columns' indices
+    return idx
 
 
 def _scored(y_res, w, columns, idx, gram) -> tuple:
-    """The columns of idx that columns(idx) keeps, and their scores, correlations, energies, cosines."""
+    """The columns idx, and their scores, correlations, energies and cosines under columns(idx)."""
     dictionary = columns(idx)
     score, corr, energy = _scores(y_res, w, dictionary, gram=gram)
-    return np.delete(idx, dictionary.dropped), score, corr, energy, dictionary.cosines
+    return idx, score, corr, energy, dictionary.cosines
 
 
 def match_direction(y_res: np.ndarray, w: np.ndarray, columns, coarse: np.ndarray,
@@ -227,16 +229,16 @@ def match_direction(y_res: np.ndarray, w: np.ndarray, columns, coarse: np.ndarra
     """omp_direction on a grid, scoring the columns near its best coarse scores only.
 
     ``columns(idx)`` is the DpDictionary of grid columns idx, as
-    build_dp_dictionary gives them (dropped ones recorded). The first stage
-    scores the ``coarse`` columns (coarse_columns: increasing, from 0 to the
-    grid's last column). The second scores every column strictly between
-    two neighbouring coarse columns of which one scores at least
-    REFINE_FRACTION of the best coarse score, or all of them when no coarse
-    score is positive. The pick is the first maximum over the scored
-    columns in grid order: omp_direction's pick on the full grid whenever
-    that lies in a refined interval, as a main lobe's peak does. Its
-    grid_index counts the grid's columns and columns_scored the columns
-    both stages scored. ``gram`` is measured_gram(w), formed when not given.
+    build_dp_dictionary gives them. The first stage scores the ``coarse``
+    columns (coarse_columns: increasing, from 0 to the grid's last column).
+    The second scores every column strictly between two neighbouring
+    coarse columns of which one scores at least REFINE_FRACTION of the
+    best coarse score, or all of them when no coarse score is positive.
+    The pick is the first maximum over the scored columns in grid order:
+    omp_direction's pick on the full grid whenever that lies in a refined
+    interval, as a main lobe's peak does. Its grid_index counts the grid's
+    columns and columns_scored the columns both stages scored. ``gram`` is
+    measured_gram(w), formed when not given.
     """
     gram = measured_gram(w) if gram is None else gram
     scored = _scored(y_res, w, columns, coarse, gram)
@@ -522,7 +524,7 @@ def anchor_columns(layout: ArrayLayout, radio: RadioConfig, config: EstimatorCon
 
 
 def _taken_columns(dictionary: DpDictionary, idx) -> DpDictionary:
-    """The columns idx of a dictionary that dropped none of its grid's columns."""
+    """The columns idx of a dictionary built on a whole grid."""
     return DpDictionary(r_param=dictionary.r_param, cosines=dictionary.cosines[idx],
                         atoms=dictionary.atoms[:, idx])
 

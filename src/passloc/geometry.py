@@ -32,7 +32,11 @@ class LayoutError(ValueError):
     """Requested PA layout cannot be realized inside the service region."""
 
 
-class SingularGeometryError(ValueError):
+class DomainError(ValueError):
+    """An input the model cannot serve; a sweep records it as a failed trial."""
+
+
+class SingularGeometryError(DomainError):
     """Points (nearly) coincide, so spherical amplitudes 1/r diverge."""
 
 
@@ -177,8 +181,6 @@ def build_sw_layout(region: ServiceRegion, m: int, n: int, d: float) -> ArrayLay
         raise LayoutError("single-waveguide layout needs m >= 2 (anchor pitch undefined)")
     if n < 2:
         raise LayoutError("need n >= 2 PAs per subarray")
-    if d <= 0.0:
-        raise LayoutError("PA spacing must be positive")
     dx = region.size_x / (m - 1)
     aperture = (n - 1) * d
     if aperture >= dx:
@@ -216,10 +218,6 @@ def build_mw_layout(region: ServiceRegion, m: int, n: int, d: float) -> ArrayLay
     """
     if not 1 <= m <= 8:
         raise LayoutError("multi-waveguide layout supports 1 <= m <= 8 boundary anchors")
-    if n < 1:
-        raise LayoutError("need at least one PA per subarray")
-    if d <= 0.0:
-        raise LayoutError("PA spacing must be positive")
     aperture = (n - 1) * d
     subs = []
     for x, y in _mw_anchor_sequence(region)[:m]:
@@ -243,18 +241,12 @@ def custom_layout(
     """Layout with explicitly placed anchors (all at height h_pa).
 
     Used for one-off deployments such as a single long reference array;
-    no shifting or overlap checks are applied beyond basic validation.
+    no shifting or overlap checks are applied beyond SubarrayGeometry's and ArrayLayout's.
     """
-    if n < 1:
-        raise LayoutError("need at least one PA per subarray")
-    if d <= 0.0:
-        raise LayoutError("PA spacing must be positive")
     subs = [
         SubarrayGeometry(np.array([float(x), float(y), region.h_pa]), n, d)
         for x, y in reference_xy
     ]
-    if not subs:
-        raise LayoutError("need at least one subarray")
     return ArrayLayout(Structure(structure), tuple(subs), d, n)
 
 

@@ -36,6 +36,7 @@ from .estimator import (EstimationResult, EstimatorConfig, polar_dictionary, run
                         run_polar_baseline, start_dictionaries)
 from .geometry import (
     ArrayLayout,
+    DomainError,
     Scene,
     ServiceRegion,
     Structure,
@@ -210,10 +211,10 @@ def nmse(h_true, h_est) -> float:
     return float(np.vdot(diff, diff).real) / denom
 
 
-def to_db(value: float, floor_db: float = -120.0) -> float:
-    """10*log10 with a reporting floor for exact zeros / tiny values."""
-    if value <= 10.0 ** (floor_db / 10.0):
-        return floor_db
+def to_db(value: float) -> float:
+    """10*log10, floored at -120 dB for exact zeros and tiny values."""
+    if value <= 1e-12:  # 10 ** (-120 / 10), the same double
+        return -120.0
     return float(10.0 * np.log10(value))
 
 
@@ -324,8 +325,9 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
               trial: int, atoms: list[DpDictionary] | None = None) -> TrialRecord:
     """One end-to-end trial; the estimator's domain failures come back as flagged records.
 
-    Domain failures are ValueErrors (singular geometry, an empty dictionary)
-    and singular solves; any other exception propagates. ``atoms`` are
+    Domain failures are geometry.DomainErrors (singular geometry, an
+    invalid or annihilated dictionary) and singular solves (LinAlgError);
+    any other exception, a plain ValueError too, propagates. ``atoms`` are
     scenario_atoms(cfg, scenario), built here when not given.
     """
     if atoms is None:
@@ -334,7 +336,7 @@ def run_trial(cfg: ExperimentConfig, scenario: str, snr_db: float, snr_index: in
     t0 = time.perf_counter()
     try:
         result = estimate(cfg, scenario, ms, layout, atoms)
-    except (ValueError, np.linalg.LinAlgError) as exc:  # record, do not abort the sweep
+    except (DomainError, np.linalg.LinAlgError) as exc:  # record, do not abort the sweep
         return TrialRecord(
             scenario=scenario, snr_db=snr_db, trial=trial,
             scene_points=scene.points.tolist(), positions=[],

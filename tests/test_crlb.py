@@ -140,7 +140,7 @@ def test_bound_consistent_with_monte_carlo():
 
 
 def test_heatmap_grid_and_margins(region):
-    rows = crlb_heatmap(region, CORNERS, 1e-4, grid_n=8, margin=0.5)
+    rows = crlb_heatmap(region, CORNERS, 1e-4, grid_n=8)
     assert rows.shape == (64, 4)
     assert rows[:, 0].min() == 0.5 and rows[:, 0].max() == 29.5
     assert np.all(np.isfinite(rows[:, 2]))
@@ -152,7 +152,7 @@ def test_heatmap_marks_singular_rows_infinite(region):
     # two references on the mid line: every grid point on that line sees
     # parallel bearings
     refs = np.array([[0.0, 15.0], [30.0, 15.0]])
-    rows = crlb_heatmap(region, refs, 1e-4, grid_n=9, margin=0.5)
+    rows = crlb_heatmap(region, refs, 1e-4, grid_n=9)
     on_line = rows[np.abs(rows[:, 1] - 15.0) < 1e-12]
     assert len(on_line) > 0
     assert np.all(np.isinf(on_line[:, 2]))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passloc.channel import FOUR_PI, measurement_matrix, path_vector
+from passloc.channel import FOUR_PI, RadioConfig, measurement_matrix, path_vector
 from passloc.dictionary import (
     AngleGrid,
     DictionaryError,
@@ -27,7 +29,7 @@ def sub(half_wave):
 
 
 def test_uniform_cosine_grid_shape(half_wave):
-    g = AngleGrid.uniform_cosine(64, clip=1e-3)
+    g = AngleGrid.uniform_cosine(64)
     v = g.values
     assert g.g == 64
     assert v[0] == -0.999 and v[-1] == 0.999
@@ -54,8 +56,6 @@ def test_angle_grid_validation():
         AngleGrid(np.array([-0.5, 0.0, 0.7]))  # asymmetric
     with pytest.raises(ValueError):
         AngleGrid.uniform_cosine(1)
-    with pytest.raises(ValueError):
-        AngleGrid.uniform_cosine(16, clip=1.5)
 
 
 # --- element ranges ----------------------------------------------------------
@@ -112,7 +112,7 @@ def test_atom_amplitudes_follow_spherical_law(sub, radio):
     ranges = _ranges(6.0, grid.values[None, :], np.arange(16)[:, None], sub.spacing)
     want = radio.wavelength / (4 * np.pi * ranges) / np.sqrt(16)
     assert np.allclose(np.abs(dic.atoms), want, rtol=1e-12)
-    assert dic.g == 32 and dic.dropped.size == 0
+    assert dic.g == 32
 
 
 def test_single_element_atom(radio, half_wave):
@@ -163,21 +163,31 @@ def test_atoms_equal_the_closed_form_bit_for_bit(sub, radio, r, dh):
     grid = AngleGrid.uniform_cosine(256)
     dic = build_dp_dictionary(sub, r, grid, radio, dh=dh)
     assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values, radio, dh))
-    assert np.array_equal(dic.cosines, grid.values) and dic.dropped.size == 0
+    assert np.array_equal(dic.cosines, grid.values)
     assert dic.atoms.flags.f_contiguous
 
 
-def test_dropped_columns_leave_the_closed_form_of_the_rest(sub, radio):
+def test_a_geometrically_invalid_column_raises_in_channel_builds(sub, radio):
     # At an anchor distance of exactly 5 element spacings, an endfire cosine
     # one ulp below 1 puts element 5 on the target: its squared range rounds to 0.
     v = np.nextafter(1.0, 0.0)
     grid = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
     r = 5 * sub.spacing * (1 - 2e-16)
-    dic = build_dp_dictionary(sub, r, grid, radio)
-    assert dic.dropped.tolist() == [4]
-    assert np.array_equal(dic.cosines, grid.values[:4])
-    assert np.array_equal(dic.atoms, _closed_form_atoms(sub, r, grid.values[:4], radio, 0.0))
-    assert dic.atoms.flags.f_contiguous
+    assert _squared_ranges(r, v, 5 * sub.spacing, 0.0) <= 0.0
+    with pytest.raises(DictionaryError, match="geometrically invalid"):
+        build_dp_dictionary(sub, r, grid, radio)
+    with pytest.raises(DictionaryError, match="geometrically invalid"):
+        build_polar_dictionary(sub, radio, grid, [r, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(2, 2048), r=st.floats(1e-3, 1e3), n_pas=st.integers(1, 128),
+       spacing=st.floats(1e-4, 0.1), dh=st.floats(0.0, 10.0))
+def test_every_uniform_cosine_column_is_geometrically_valid(g, r, n_pas, spacing, dh):
+    """The GRID_CLIP bound: no uniform_cosine grid has a column on an element."""
+    sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), n_pas, spacing)
+    grid = AngleGrid.uniform_cosine(g)
+    assert build_dp_dictionary(sub, r, grid, RadioConfig(frequency=28e9), dh).g == g
 
 
 def test_polar_atoms_are_column_major(sub, radio):
@@ -282,30 +292,19 @@ def test_polar_build_in_place_equals_stacked_rings(sub, radio):
     stacked = [build_dp_dictionary(sub, r, grid, radio, dh=2.0) for r in rings]
     assert np.array_equal(polar.atoms, np.hstack([d.atoms for d in stacked]))
     assert polar.atoms.flags.f_contiguous and polar.guided is None
-    # a ring that drops a column shortens its block and the dictionary
-    v = np.nextafter(1.0, 0.0)
-    edge = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
-    rings = [5 * sub.spacing * (1 - 2e-16), 3.0]
-    polar = build_polar_dictionary(sub, radio, edge, rings)
-    stacked = [build_dp_dictionary(sub, r, edge, radio) for r in rings]
-    assert [d.dropped.tolist() for d in stacked] == [[4], []]
-    assert np.array_equal(polar.atoms, np.hstack([d.atoms for d in stacked]))
-    assert np.array_equal(polar.cosines, np.concatenate([d.cosines for d in stacked]))
-    assert np.array_equal(polar.ring_distances, np.repeat(rings, [4, 5]))
-    assert polar.atoms.flags.f_contiguous
 
 
 def test_polar_dictionary_more_coherent_than_single_ring(sub, radio):
     """Adding distance rings can only tighten the worst column pair."""
     grid = AngleGrid.uniform_cosine(64)
-    rings = default_polar_rings(ServiceRegion(30.0, 30.0, 2.0), count=8, r_min=2.0)
+    rings = default_polar_rings(ServiceRegion(30.0, 30.0, 2.0), count=8)
     dp = build_dp_dictionary(sub, float(rings[0]), grid, radio)
     polar = build_polar_dictionary(sub, radio, grid, rings)
     assert mutual_coherence(polar.atoms) > mutual_coherence(dp.atoms)
 
 
 def test_default_polar_rings(region):
-    rings = default_polar_rings(region, count=16, r_min=1.0)
+    rings = default_polar_rings(region, count=16)
     assert rings.size == 16
     assert rings[0] == 1.0
     assert rings[-1] == pytest.approx(region.diagonal)

@@ -1283,19 +1283,14 @@ def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch,
     assert np.array_equal(dic.ring_distances, channel.ring_distances)
 
 
-def test_guided_rings_equal_guided_channel_rings_with_a_dropped_column(radio, half_wave):
+def test_guided_rings_raise_on_a_geometrically_invalid_column(radio, half_wave):
     sub = SubarrayGeometry(np.array([0.0, 0.0, 2.0]), 16, half_wave)
     v = np.nextafter(1.0, 0.0)
     edge = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
-    rings = [5 * sub.spacing * (1 - 2e-16), 3.0]  # the first ring drops its last column
+    rings = [5 * sub.spacing * (1 - 2e-16), 3.0]  # the first ring's last column is on element 5
     phases = waveguide_vector(sub, radio).conj()
-    guided, cosines, ring_of = stack_rings(sub, radio, edge, rings, 0.0, build_dp_dictionary,
-                                           phases)
-    channel = build_polar_dictionary(sub, radio, edge, rings)
-    assert channel.g == 9
-    assert np.array_equal(guided, phases[:, None] * channel.atoms)
-    assert np.array_equal(cosines, channel.cosines)
-    assert np.array_equal(ring_of, channel.ring_distances)
+    with pytest.raises(DictionaryError, match="geometrically invalid"):
+        stack_rings(sub, radio, edge, rings, 0.0, build_dp_dictionary, phases)
 
 
 def test_polar_dictionary_allocates_no_channel_domain_copy(region, radio, half_wave):

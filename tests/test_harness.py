@@ -18,8 +18,8 @@ import passloc.estimator
 from passloc.channel import RadioConfig
 from passloc.dictionary import DictionaryError, default_polar_rings
 from passloc.estimator import (EstimatorConfig, _start_distances, polar_dictionary,
-                               run_polar_baseline)
-from passloc.geometry import ServiceRegion, SingularGeometryError
+                               run_omp_gcl, run_polar_baseline, start_dictionaries)
+from passloc.geometry import DomainError, ServiceRegion, SingularGeometryError, custom_layout
 from passloc.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -29,6 +29,7 @@ from passloc.harness import (
     run_sweep,
     run_trial,
     scenario_layout,
+    simulate_trial,
     to_db,
 )
 import passloc.harness as harness_mod
@@ -69,7 +70,7 @@ def test_to_db_floor():
     assert to_db(0.0) == -120.0
     assert to_db(1e-13) == -120.0
     assert to_db(0.25) == pytest.approx(-6.0206, abs=1e-3)
-    assert to_db(1e-5, floor_db=-40.0) == -40.0
+    assert to_db(1e-12) == -120.0 < to_db(1.0000001e-12)
 
 
 # --- config ------------------------------------------------------------------
@@ -412,6 +413,48 @@ def test_programming_error_stops_the_sweep(monkeypatch):
         run_sweep(cfg)
 
 
+def _broken_polish(position, slope, box):
+    return np.ones(3) + np.ones(2)  # a programming error that numpy reports as a ValueError
+
+
+def test_a_value_error_that_is_no_domain_error_stops_the_sweep(monkeypatch, one_process_sweep):
+    assert issubclass(DictionaryError, DomainError) and issubclass(SingularGeometryError, DomainError)
+    monkeypatch.setattr(passloc.estimator, "polish", _broken_polish)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_sweep(cfg)
+    assert not multiprocessing.active_children()
+
+
+_PERMUTED_CASES = {
+    "mw m=3": dict(),
+    "mw m=3 l=1": dict(l=1),
+    "mw m=4 3-D": dict(m=4, mode="3d", h_pa=6.0, h_range=(0.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PERMUTED_CASES))
+def test_permuting_the_subarrays_moves_no_fix(case):
+    """The same pilots from the same PAs, listed in another subarray order, give the same fixes."""
+    cfg = ExperimentConfig(seed=11, trials=10, snr_db=(25.0,), **_PERMUTED_CASES[case])
+    est = cfg.estimator_config()
+    for trial in range(cfg.trials):
+        _, layout, _, _, ms = simulate_trial(cfg, "mw", 25.0, 0, trial)
+        order = np.roll(np.arange(layout.m), 1)
+        rolled = custom_layout(cfg.region, layout.structure, layout.reference_xy[order],
+                               layout.pas_per_subarray, layout.pa_spacing)
+        rolled_ms = dataclasses.replace(ms, **{name: tuple(getattr(ms, name)[k] for k in order)
+                                               for name in ("y", "w", "slot_ids")})
+        a = run_omp_gcl(ms, layout, cfg.radio, est, start_dictionaries(layout, cfg.radio, est))
+        b = run_omp_gcl(rolled_ms, rolled, cfg.radio, est,
+                        start_dictionaries(rolled, cfg.radio, est))
+        assert np.linalg.norm(a.paths[0].position - b.paths[0].position) <= 1e-6, trial
+        assert [p.absent for p in a.paths] == [p.absent for p in b.paths], trial
+        for p, q in zip(a.paths[1:], b.paths[1:]):
+            if not p.absent:
+                assert np.linalg.norm(p.position - q.position) <= 0.01, trial
+
+
 # --- sweeps ---------------------------------------------------------------------
 
 
@@ -522,6 +565,17 @@ def test_a_worker_s_programming_error_reaches_the_caller_and_stops_the_pool(monk
     monkeypatch.setattr(harness_mod, "synthesize_paths", typo)
     cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
     with pytest.raises(AttributeError, match="user_position") as raised:
+        run_sweep(cfg)
+    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_value_error_that_is_no_domain_error_stops_the_pooled_sweep(monkeypatch):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(passloc.estimator, "polish", _broken_polish)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
+    with pytest.raises(ValueError, match="broadcast") as raised:
         run_sweep(cfg)
     assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
     assert not multiprocessing.active_children()

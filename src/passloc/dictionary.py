@@ -66,10 +66,8 @@ class AngleGrid:
         """g cosines uniform over [-1 + GRID_CLIP, 1 - GRID_CLIP].
 
         A grid is frozen and its values read-only, so each g is built once
-        and then shared.
+        and then shared. A g below 2 raises in __post_init__.
         """
-        if g < 2:
-            raise ValueError("need at least two grid points")
         return cls(np.linspace(-1.0 + GRID_CLIP, 1.0 - GRID_CLIP, g))
 
 
@@ -81,8 +79,10 @@ class DpDictionary:
     only by the polar builds, where columns enumerate (distance ring,
     angle) pairs. estimator.polar_dictionary keeps no channel-domain atoms
     (atoms is None) and only guided: the atoms as the waveguide sees them,
-    conj(g) * a_j for the in-guide phases g, each row's entries adjacent
-    so that a block of columns viewed as float is a real (N, 2G') matrix.
+    conj(g) * a_j for the in-guide phases g, rounded to complex64, each
+    row's entries adjacent so that a block of columns viewed as float32 is
+    a real (N, 2G') matrix. The estimator screens every column with them in
+    float32 and certifies its pick in float64 (estimator.certified_pick).
     """
 
     r_param: float
@@ -155,18 +155,20 @@ def stack_rings(subarray: SubarrayGeometry, radio: RadioConfig, angle_grid: Angl
     ``build`` is build_dp_dictionary, looked up by the caller. Columns
     enumerate rings in order, each ring carrying every angle. The
     array is the column-major atoms a_j, or with ``phases`` p the
-    row-major p * a_j, each ring scaled in its own build's buffer; either
-    way the build never holds a second full copy. Returns the (N, G)
-    array, and every column's cosine and ring distance.
+    row-major p * a_j rounded to complex64, each ring scaled in its own
+    build's buffer; either way the build never holds a second full copy.
+    Returns the (N, G) array, and every column's cosine and ring distance.
     """
     rings = np.asarray(distance_grid, dtype=float).reshape(-1)
     if rings.size < 1 or np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
         raise ValueError("distance grid must be positive and strictly increasing")
     g = angle_grid.g
-    out = np.empty((subarray.n_pas, rings.size * g), complex, order="F" if phases is None else "C")
+    guided = phases is not None
+    out = np.empty((subarray.n_pas, rings.size * g), np.complex64 if guided else complex,
+                   order="C" if guided else "F")
     for k, r in enumerate(rings):
         d = build(subarray, r, angle_grid, radio, dh=dh)
-        if phases is not None:  # on the ring's own row-major (G, N) buffer: no temporary
+        if guided:  # on the ring's own row-major (G, N) buffer: no temporary
             np.multiply(phases, d.atoms.T, out=d.atoms.T)
         out[:, k * g:(k + 1) * g] = d.atoms
     return out, np.tile(angle_grid.values, rings.size), np.repeat(rings, g)

@@ -15,7 +15,7 @@ run_omp_gcl extracts the next path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 
@@ -76,7 +76,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class DirectionEstimate:
-    """Best dictionary column for one subarray against one residual, and how many were scored."""
+    """Best dictionary column for one subarray against one residual, and how many were scored.
+
+    columns_redone counts the columns the polar baseline's certificate
+    scored again in float64 (certified_pick); OMP-GCL leaves it 0.
+    """
 
     varphi: float
     grid_index: int
@@ -84,6 +88,7 @@ class DirectionEstimate:
     correlation: float
     low_confidence: bool = False
     columns_scored: int = 0
+    columns_redone: int = 0
 
 
 @dataclass(frozen=True)
@@ -908,9 +913,11 @@ def polar_dictionary(
 
     The columns are build_polar_dictionary's, built ring by ring through
     build_dp_dictionary and kept only as the guided atoms conj(g) * a_j
-    (stack_rings), which activation_energies and bit_correlations read; its
-    atoms are None. run_polar_baseline rebuilds the channel-domain column
-    of each pick alone, with the same bits. The atoms are
+    rounded to complex64 (stack_rings), which the float32 screen
+    (activation_energies, bit_correlations) reads; its atoms are None.
+    certified_pick rebuilds the columns it redoes in float64, and
+    run_polar_baseline the channel-domain column of each pick, alone and
+    with the bits of the ring build's column. The atoms are
     scene-independent, so a caller running many trials builds them once;
     harness.scenario_atoms builds the nf scenario's.
     """
@@ -924,31 +931,50 @@ def polar_dictionary(
 
 def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: SubarrayGeometry,
                         radio: RadioConfig, y: np.ndarray) -> tuple:
-    """The energies ||W a_j||^2 of polar_dictionary's columns and their correlations a_j^H W^H y.
+    """The float32 screen's energies ||W a_j||^2 and correlations a_j^H W^H y of polar_dictionary.
 
     Pilot rows are W = conj(A * g) (channel.measurement_matrix) for 0/1
     bits A and in-guide phases g, so W a_j = A u_j for the guided atoms
     u_j = conj(g) * a_j, and a_j^H W^H y = u_j^H (A^T y). Both come from
-    one real product of the guided atoms with the rows of A, two real
-    multiply-adds per entry where W a_j needs four, and two more rows, Re
-    and Im of A^T y, formed one ring block at a time. A W that is not
-    conj(A * g) for A = (W != 0) raises ValueError.
+    one real product of the complex64 guided atoms with the rows of A, two
+    real multiply-adds per entry where W a_j needs four, and two more rows,
+    Re and Im of A^T y, formed in float64 and rounded to float32; the
+    product runs in float32, one ring block at a time. certified_pick
+    turns the screen into the float64 pick. A W that is not conj(A * g)
+    for A = (W != 0) raises ValueError.
     """
     bits = w != 0
     if not np.array_equal(w, measurement_matrix(subarray, bits, radio)):
         raise ValueError("measurement matrix is not conj(A * g) for 0/1 activation rows A "
                          "and the subarray's waveguide phases g")
-    bits = bits.astype(float)
-    v = bits.T @ y
-    rows, t = np.vstack([bits, v.real, v.imag]), len(bits)
-    energy, corr = np.empty(dictionary.g), np.empty(dictionary.g, dtype=complex)
+    rows = _activation_rows(bits, y).astype(dictionary.guided.real.dtype)
+    energy = np.empty(dictionary.g, rows.dtype)
+    corr = np.empty(dictionary.g, dictionary.guided.dtype)
     edges = [0, *(np.flatnonzero(np.diff(dictionary.ring_distances)) + 1), dictionary.g]
     for start, stop in zip(edges, edges[1:]):
-        part = rows @ dictionary.guided[:, start:stop].view(float)  # (T + 2, 2 G) (re, im) pairs
-        sums = np.einsum("tk,tk->k", part[:t], part[:t])
-        energy[start:stop] = sums[0::2] + sums[1::2]
-        corr[start:stop] = _paired_correlations(part[t:])
+        energy[start:stop], corr[start:stop] = _bit_products(rows, dictionary.guided[:, start:stop])
     return energy, corr
+
+
+def _activation_rows(bits: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (T + 2, N) float64 rows: W's 0/1 activation bits A, then Re and Im of A^T r."""
+    bits = bits.astype(float)
+    v = bits.T @ r
+    return np.vstack([bits, v.real, v.imag])
+
+
+def _real_product(rows: np.ndarray, guided: np.ndarray) -> np.ndarray:
+    """rows times the guided atoms as (re, im) pairs, in the atoms' real precision."""
+    real = guided.real.dtype
+    return rows.astype(real, copy=False) @ guided.view(real)
+
+
+def _bit_products(rows: np.ndarray, guided: np.ndarray) -> tuple:
+    """Per guided atom u_j: ||A u_j||^2 and u_j^H v, from one product with rows [A; Re v; Im v]."""
+    part = _real_product(rows, guided)  # (T + 2, 2 G) (re, im) pairs
+    t = len(rows) - 2
+    sums = np.einsum("tk,tk->k", part[:t], part[:t])
+    return sums[0::2] + sums[1::2], _paired_correlations(part[t:])
 
 
 def _paired_correlations(part: np.ndarray) -> np.ndarray:
@@ -958,13 +984,68 @@ def _paired_correlations(part: np.ndarray) -> np.ndarray:
 
 
 def bit_correlations(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary) -> np.ndarray:
-    """The correlations a_j^H W^H r of polar_dictionary's columns, read through W's activation bits.
+    """The float32 screen's correlations a_j^H W^H r of polar_dictionary, through W's bits.
 
-    They are u_j^H (A^T r) (activation_energies): one real product of the
-    guided atoms with the rows Re and Im of the N-vector A^T r.
+    They are u_j^H (A^T r) (activation_energies): one float32 product of
+    the complex64 guided atoms with the rows Re and Im of the N-vector A^T r.
     """
     v = (w != 0).T.astype(float) @ r
-    return _paired_correlations(np.vstack([v.real, v.imag]) @ dictionary.guided.view(float))
+    return _paired_correlations(_real_product(np.vstack([v.real, v.imag]), dictionary.guided))
+
+
+# A float32 screen score is within SCREEN_ERROR times the best float64 score of the column's
+# float64 score, when the activation bits A have rank 2 or more (with rank 1, one slot or every
+# slot the same bits, every column scores ||r||: a tie at any precision). The observed worst is
+# 7e-7, near sqrt(N) 2^-24 = 5.8e-7 for N = 96 (a float32 dot product's random-walk rounding);
+# N 2^-24, the worst case of one length-N dot product, is 5.7e-6. tests/test_estimator.py
+# checks the bound at the nf sweep's size and on random small configs.
+SCREEN_ERROR = 1e-5
+CERTIFY_TAU = 1e-4  # a column screening this close to the winner's float64 score is redone
+
+
+def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
+                  subarray: SubarrayGeometry, radio: RadioConfig, dh: float, idx) -> tuple:
+    """float64 scores, correlations a_j^H W^H r and energies ||W a_j||^2 of polar columns idx.
+
+    Each column is rebuilt by build_dp_dictionary, one call per ring, with
+    the bits of its ring build's column, and guided by conj(g) in
+    complex128; its energy and correlation then come from the same product
+    with the activation rows as activation_energies', in float64.
+    """
+    idx = np.asarray(idx)
+    ring_of = dictionary.ring_distances[idx]
+    u = np.empty((subarray.n_pas, idx.size), dtype=complex)
+    for ring in np.unique(ring_of):
+        on = ring_of == ring
+        u[:, on] = build_dp_dictionary(subarray, float(ring), dictionary.cosines[idx[on]], radio,
+                                       dh=dh).atoms
+    np.multiply(waveguide_vector(subarray, radio).conj()[:, None], u, out=u)
+    energy, corr = _bit_products(_activation_rows(w != 0, r), u)
+    return _score(corr, energy), corr, energy
+
+
+def certified_pick(residual: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
+                   subarray: SubarrayGeometry, radio: RadioConfig, dh: float, corr,
+                   energy) -> DirectionEstimate:
+    """_pick's float64 choice over every column of polar_dictionary, from the float32 screen.
+
+    ``corr`` and ``energy`` are the screen's (activation_energies,
+    bit_correlations). The screen winner is redone in float64
+    (redone_scores), giving s*, and so is every column whose screen score
+    is at least (1 - CERTIFY_TAU) s*; _pick chooses among the redone
+    columns, the first maximum in grid order. The float64 best column
+    scores S >= s*, and the screen scores it at least (1 - SCREEN_ERROR) S,
+    so with SCREEN_ERROR < CERTIFY_TAU it is redone and picked. The pick's
+    coefficient, correlation and low_confidence are float64 values;
+    columns_scored counts the screened columns, columns_redone the redone.
+    """
+    score = _score(corr, energy)
+    redo = partial(redone_scores, w, residual, dictionary, subarray, radio, dh)
+    top = int(np.argmax(score))
+    s_top = redo([top])[0][0]  # a float64 scalar, so the comparison below runs in float64
+    idx = np.union1d(np.flatnonzero(score >= (1.0 - CERTIFY_TAU) * s_top), top)
+    de = _pick(residual, idx, *redo(idx), dictionary.cosines[idx])
+    return replace(de, columns_scored=dictionary.g, columns_redone=idx.size)
 
 
 def run_polar_baseline(
@@ -985,17 +1066,18 @@ def run_polar_baseline(
     measurement manifold even when the surrogate position is off.
 
     ``dictionary`` comes from polar_dictionary and must match the layout's
-    single subarray. Every column's energy and correlation come from the
-    guided atoms and the activation bits: the energies and path 0's
-    correlations from one product per trial (activation_energies, which
-    rejects a W that is not conj(A * g)), a later path's correlations from
-    bit_correlations. Scores and the pick are _score's and _pick's. The
-    least-squares refit and the channels use each picked column in the
-    channel domain, rebuilt alone by build_dp_dictionary.
+    single subarray. Every column is screened in float32 from the guided
+    atoms and the activation bits: the energies and path 0's correlations
+    from one product per trial (activation_energies, which rejects a W
+    that is not conj(A * g)), a later path's correlations from
+    bit_correlations. certified_pick turns each screen into the pick of
+    _score and _pick on float64 scores, and records how many columns it
+    redid. The least-squares refit and the channels use each picked column
+    in the channel domain, rebuilt alone by build_dp_dictionary.
     """
     if layout.m != 1:
         raise ValueError("polar baseline expects a single-subarray layout")
-    dic, w, sub = dictionary, measurements.w[0], layout.subarrays[0]
+    dic, w, sub, dh = dictionary, measurements.w[0], layout.subarrays[0], _polar_dh(config)
     y = measurements.y[0].astype(complex)
     residual = y
     ref_xy = layout.reference_xy[0]
@@ -1009,7 +1091,7 @@ def run_polar_baseline(
     for l in range(config.num_paths):
         if l > 0:
             corr = bit_correlations(w, residual, dic)
-        de = _pick(residual, range(dic.g), _score(corr, energy), corr, energy, dic.cosines)
+        de = certified_pick(residual, w, dic, sub, radio, dh, corr, energy)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength
@@ -1019,7 +1101,7 @@ def run_polar_baseline(
         dir_ests.append(de)
         j = de.grid_index
         picked[:, l] = build_dp_dictionary(sub, float(dic.ring_distances[j]), dic.cosines[[j]],
-                                           radio, dh=_polar_dh(config)).atoms[:, 0]
+                                           radio, dh=dh).atoms[:, 0]
         raw = w @ picked[:, :l + 1]
         coeffs, *_ = np.linalg.lstsq(raw, y, rcond=None)
         residual = y - raw @ coeffs

@@ -54,8 +54,8 @@ def test_angle_grid_validation():
         AngleGrid(np.array([-1.0, 0.0, 1.0]))  # touches the endfire poles
     with pytest.raises(ValueError):
         AngleGrid(np.array([-0.5, 0.0, 0.7]))  # asymmetric
-    with pytest.raises(ValueError):
-        AngleGrid.uniform_cosine(1)
+    with pytest.raises(ValueError, match="angle grid needs at least two points"):
+        AngleGrid.uniform_cosine(1)  # __post_init__'s check, the only one
 
 
 # --- element ranges ----------------------------------------------------------

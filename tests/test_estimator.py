@@ -31,9 +31,11 @@ from passloc.dictionary import (
     stack_rings,
 )
 from passloc.estimator import (
+    CERTIFY_TAU,
     POLISH_MAX_EVALS,
     POLISH_STEP,
     POLISH_TOL,
+    SCREEN_ERROR,
     DirectionEstimate,
     EstimatorConfig,
     _start_distances,
@@ -42,6 +44,7 @@ from passloc.estimator import (
     arbitrate,
     atom_energies,
     bit_correlations,
+    certified_pick,
     coarse_columns,
     estimate_path,
     extract_directions,
@@ -53,6 +56,7 @@ from passloc.estimator import (
     polish,
     projection_matrix,
     rank_one_fit,
+    redone_scores,
     refit_slope,
     resolve_signs,
     run_omp_gcl,
@@ -1217,11 +1221,11 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
 
 
 def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_process_sweep):
-    """An nf trial forms its energies once and one bit correlation per path; nothing projects."""
+    """An nf trial screens its energies once and one bit correlation per path, and the screen's
+    arrays reach the certificate once per path; nothing projects."""
     from passloc.harness import ExperimentConfig, run_sweep
 
     energies, correlations, shared, projected = [], [], [], []
-    pick = passloc.estimator._pick
 
     def counting(*args):
         energies.append(activation_energies(*args))
@@ -1231,16 +1235,16 @@ def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_proces
         correlations.append(bit_correlations(*args))
         return correlations[-1]
 
-    def picking(y_res, index, score, corr, energy, cosines):
+    def certifying(residual, w, dictionary, subarray, radio, dh, corr, energy):
         # path 0's correlations ride in the energies' product, path 1's are bit_correlations'
         first = len(shared) % 2 == 0
         shared.append(energy is energies[-1][0]
                       and corr is (energies[-1][1] if first else correlations[-1]))
-        return pick(y_res, index, score, corr, energy, cosines)
+        return certified_pick(residual, w, dictionary, subarray, radio, dh, corr, energy)
 
     monkeypatch.setattr(passloc.estimator, "activation_energies", counting)
     monkeypatch.setattr(passloc.estimator, "bit_correlations", correlating)
-    monkeypatch.setattr(passloc.estimator, "_pick", picking)
+    monkeypatch.setattr(passloc.estimator, "certified_pick", certifying)
     for name in ("project_dictionary", "omp_direction", "atom_energies"):
         monkeypatch.setattr(passloc.estimator, name, lambda *a, **k: projected.append(a))
     cfg = ExperimentConfig(scenarios=["nf"], snr_db=[25.0], l=1, trials=3, seed=5, nf_n=32,
@@ -1278,7 +1282,7 @@ def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch,
     channel = build_polar_dictionary(layout.subarrays[0], cfg.radio, cfg.estimator_config().grid,
                                      rings, dh=cfg.h_pa - cfg.fixed_height)
     g = waveguide_vector(layout.subarrays[0], cfg.radio)
-    assert np.array_equal(dic.guided, g.conj()[:, None] * channel.atoms)
+    assert np.array_equal(dic.guided, (g.conj()[:, None] * channel.atoms).astype(np.complex64))
     assert np.array_equal(dic.cosines, channel.cosines)
     assert np.array_equal(dic.ring_distances, channel.ring_distances)
 
@@ -1312,19 +1316,20 @@ def test_polar_dictionary_allocates_no_channel_domain_copy(region, radio, half_w
 
 @pytest.mark.parametrize("slots", [16, 64], ids=["N>T", "N<T"])
 def test_activation_energies_equal_atom_energies(region, radio, half_wave, slots):
+    """The certificate's float64 redo of every column reads ||W a_j||^2 through the bits."""
     rings = np.geomspace(2.0, 40.0, 6)
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings, slots=slots)
     dic = polar_dictionary(lay, radio, cfg, rings)
     channel = build_polar_dictionary(lay.subarrays[0], radio, cfg.grid, rings, dh=2.0)
-    got = activation_energies(ms.w[0], dic, lay.subarrays[0], radio, ms.y[0])[0]
+    got = redone_scores(ms.w[0], ms.y[0], dic, lay.subarrays[0], radio, 2.0, np.arange(dic.g))[2]
     want = atom_energies(ms.w[0], channel)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("slots", [16, 64], ids=["N>T", "N<T"])
 def test_bit_correlations_equal_channel_atom_correlations(region, radio, half_wave, slots):
-    """u_j^H (A^T r) is a_j^H W^H r, for the pilots and for the residual path 1 matches;
-    the pilots' ride along in activation_energies' product."""
+    """u_j^H (A^T r) in the certificate's float64 redo of every column is a_j^H W^H r, for the
+    pilots and for the residual path 1 matches."""
     rings = np.geomspace(2.0, 40.0, 6)
     lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings, slots=slots)
     w, y = ms.w[0], ms.y[0]
@@ -1333,11 +1338,141 @@ def test_bit_correlations_equal_channel_atom_correlations(region, radio, half_wa
     score, _, _ = passloc.estimator._scores(y, w, channel)
     t = w @ channel.atoms[:, int(np.argmax(score))]
     residual = y - t * (np.vdot(t, y) / np.vdot(t, t))
-    for r, got in ((y, activation_energies(w, dic, lay.subarrays[0], radio, y)[1]),
-                   (y, bit_correlations(w, y, dic)),
-                   (residual, bit_correlations(w, residual, dic))):
+    for r in (y, residual):
+        got = redone_scores(w, r, dic, lay.subarrays[0], radio, 2.0, np.arange(dic.g))[1]
         want = passloc.estimator._scores(r, w, channel)[1]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _screen_errors(dic, sub, radio, dh, w, y) -> list:
+    """The float32 screen's largest score error over every column, as a share of the best float64
+    score, for the pilots and for the residual of their best column's refit."""
+    energy, corr = activation_energies(w, dic, sub, radio, y)
+    assert dic.guided.dtype == corr.dtype == np.complex64 and energy.dtype == np.float32
+    exact = redone_scores(w, y, dic, sub, radio, dh, np.arange(dic.g))[0]
+    j = int(np.argmax(exact))
+    t = w @ build_dp_dictionary(sub, float(dic.ring_distances[j]), dic.cosines[[j]], radio,
+                                dh=dh).atoms[:, 0]
+    residual = y - t * (np.vdot(t, y) / np.vdot(t, t))
+    errors = []
+    for r, c, s64 in ((y, corr, exact),
+                      (residual, bit_correlations(w, residual, dic),
+                       redone_scores(w, residual, dic, sub, radio, dh, np.arange(dic.g))[0])):
+        screen = passloc.estimator._score(c, energy)
+        errors.append(float(np.max(np.abs(screen - s64)) / s64.max()))
+    return errors
+
+
+def test_float32_screen_stays_within_its_error_bound_at_the_nf_sweep_size():
+    """N = 96, T = 64 and 16 rings of 1,024 angles, the nf sweep's defaults, from 0 to 30 dB."""
+    assert SCREEN_ERROR < CERTIFY_TAU
+    cfg = passloc.harness.ExperimentConfig(scenarios=["nf"], seed=11, trials=3, l=1,
+                                           snr_db=(0.0, 30.0))
+    dic = passloc.harness.scenario_atoms(cfg, "nf")[0]
+    for si, snr in enumerate(cfg.snr_db):
+        for trial in range(cfg.trials):
+            _, layout, _, _, ms = passloc.harness.simulate_trial(cfg, "nf", snr, si, trial)
+            errors = _screen_errors(dic, layout.subarrays[0], cfg.radio,
+                                    cfg.h_pa - cfg.fixed_height, ms.w[0], ms.y[0])
+            assert max(errors) <= SCREEN_ERROR, (snr, trial, errors)
+
+
+_small_nf = dict(n=st.integers(2, 64), slots=st.integers(1, 64), g=st.integers(2, 256),
+                 rings=st.integers(1, 6), l=st.integers(0, 1), snr=st.floats(0.0, 30.0),
+                 seed=st.integers(0, 2**16))
+
+
+def _small_nf_trial(n, slots, g, rings, l, snr, seed):
+    """A one-trial nf config's trial and polar dictionary. Activation bits of rank 1 (one slot,
+    or every slot the same bits) score every column alike, a tie at any precision: not drawn."""
+    cfg = passloc.harness.ExperimentConfig(scenarios=["nf"], nf_n=n, slots_per_subarray=slots,
+                                           g_theta=g, nf_rings=rings, l=l, snr_db=(snr,),
+                                           seed=seed, trials=1)
+    _, layout, _, _, ms = passloc.harness.simulate_trial(cfg, "nf", snr, 0, 0)
+    assume(np.linalg.matrix_rank((ms.w[0] != 0).astype(float)) >= 2)
+    return cfg, layout, ms, passloc.harness.scenario_atoms(cfg, "nf")[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_small_nf)
+def test_float32_screen_stays_within_its_error_bound(n, slots, g, rings, l, snr, seed):
+    cfg, layout, ms, dic = _small_nf_trial(n, slots, g, rings, l, snr, seed)
+    errors = _screen_errors(dic, layout.subarrays[0], cfg.radio, cfg.h_pa - cfg.fixed_height,
+                            ms.w[0], ms.y[0])
+    assert max(errors) <= SCREEN_ERROR, errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_small_nf)
+def test_certified_polar_picks_equal_the_float64_full_grid_picks(n, slots, g, rings, l, snr, seed):
+    """Every pick, and an absent path, as the float64 channel-domain grid scores them (_scores)."""
+    cfg, layout, ms, dic = _small_nf_trial(n, slots, g, rings, l, snr, seed)
+    result = passloc.harness.estimate(cfg, "nf", ms, layout, [dic])
+    w, y = ms.w[0], ms.y[0].astype(complex)
+    channel = build_polar_dictionary(layout.subarrays[0], cfg.radio, cfg.estimator_config().grid,
+                                     default_polar_rings(cfg.region, rings),
+                                     dh=cfg.h_pa - cfg.fixed_height)
+
+    def float64_pick(r):
+        score, corr, energy = passloc.estimator._scores(r, w, channel)
+        return passloc.estimator._pick(r, range(channel.g), score, corr, energy, channel.cosines)
+
+    residual, picked = y, []
+    for path in result.paths:
+        de, want = path.directions[0], float64_pick(residual)
+        assert de.grid_index == want.grid_index
+        assert de.coefficient == pytest.approx(want.coefficient, rel=1e-9)
+        assert de.columns_scored == channel.g and de.columns_redone >= 1
+        picked.append(channel.atoms[:, de.grid_index])
+        raw = w @ np.column_stack(picked)
+        residual = y - raw @ np.linalg.lstsq(raw, y, rcond=None)[0]
+    if len(result.paths) < cfg.l + 1:  # path-absent
+        ref = abs(result.paths[0].directions[0].coefficient)
+        assert abs(float64_pick(residual).coefficient) < passloc.estimator.COEFF_FLOOR * ref
+
+
+def test_certificate_breaks_a_forced_near_tie_as_float64_does(region, radio, half_wave):
+    """Two columns within CERTIFY_TAU, ranked one way by the screen and the other in float64."""
+    rings = np.geomspace(2.0, 40.0, 6)
+    lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings)
+    sub, w = lay.subarrays[0], ms.w[0]
+    dic = polar_dictionary(lay, radio, cfg, rings)
+    channel = build_polar_dictionary(sub, radio, cfg.grid, rings, dh=2.0)
+    t = w @ channel.atoms[:, [70, 289]]  # the top two of r, 1.5 % coherent
+    t /= np.linalg.norm(t, axis=0)
+    r = t[:, 0] + (1.0 - CERTIFY_TAU / 10.0) * t[:, 1]
+    s64 = redone_scores(w, r, dic, sub, radio, 2.0, np.arange(dic.g))[0]
+    win, lose = np.argsort(-s64)[:2]
+    assert {win, lose} == {70, 289} and s64[lose] >= (1.0 - CERTIFY_TAU) * s64[win]
+    energy, corr = activation_energies(w, dic, sub, radio, r)
+    screen = passloc.estimator._score(corr, energy)
+    corr[lose] *= float(screen[win]) / float(screen[lose]) * (1.0 + CERTIFY_TAU / 10.0)
+    assert np.argmax(passloc.estimator._score(corr, energy)) == lose
+    de = certified_pick(r, w, dic, sub, radio, 2.0, corr, energy)
+    want = passloc.estimator._pick(r, range(channel.g), *passloc.estimator._scores(r, w, channel),
+                                   channel.cosines)
+    assert de.grid_index == want.grid_index == win
+    assert de.coefficient == pytest.approx(want.coefficient, rel=1e-12)
+    assert de.correlation == pytest.approx(want.correlation, rel=1e-12)
+    assert de.columns_redone >= 2 and de.columns_scored == dic.g
+
+
+def test_certificate_lets_an_inflated_low_energy_column_win_only_if_float64_picks_it(
+        region, radio, half_wave):
+    rings = np.geomspace(2.0, 40.0, 6)
+    lay, scene, ms, cfg = _polar_setup(region, radio, half_wave, [3.0, 9.0], rings)
+    sub, w, y = lay.subarrays[0], ms.w[0], ms.y[0]
+    dic = polar_dictionary(lay, radio, cfg, rings)
+    channel = build_polar_dictionary(sub, radio, cfg.grid, rings, dh=2.0)
+    want = passloc.estimator._pick(y, range(channel.g), *passloc.estimator._scores(y, w, channel),
+                                   channel.cosines).grid_index
+    weakest = int(np.argmin(redone_scores(w, y, dic, sub, radio, 2.0, np.arange(dic.g))[2]))
+    for k in (weakest, want):
+        energy, corr = activation_energies(w, dic, sub, radio, y)
+        energy[k] *= np.float32(1e-12)  # its screen score rises a million-fold
+        assert np.argmax(passloc.estimator._score(corr, energy)) == k
+        de = certified_pick(y, w, dic, sub, radio, 2.0, corr, energy)
+        assert de.grid_index == want != weakest
 
 
 def test_polar_baseline_rebuilds_each_picked_column_alone(region, radio, half_wave):

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import passloc.estimator
-from passloc.channel import RadioConfig
+from passloc.channel import RadioConfig, make_schedule, measure, synthesize_paths
 from passloc.dictionary import DictionaryError, default_polar_rings
 from passloc.estimator import (EstimatorConfig, _start_distances, polar_dictionary,
                                run_omp_gcl, run_polar_baseline, start_dictionaries)
-from passloc.geometry import DomainError, ServiceRegion, SingularGeometryError, custom_layout
+from passloc.geometry import (DomainError, Scene, ServiceRegion, SingularGeometryError, Structure,
+                              custom_layout, sample_scene)
 from passloc.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -453,6 +454,31 @@ def test_permuting_the_subarrays_moves_no_fix(case):
         for p, q in zip(a.paths[1:], b.paths[1:]):
             if not p.absent:
                 assert np.linalg.norm(p.position - q.position) <= 0.01, trial
+
+
+@pytest.mark.parametrize("l", [0, 1], ids=["l=0", "l=1"])
+def test_reflecting_the_layout_and_scene_reflects_the_user_fix(l):
+    """A custom mw layout and its scene reflected across y = size_y / 2 measure the same pilots
+    and give the reflected user fix. No tie rule applies: the anchors lie on three lines."""
+    cfg = ExperimentConfig(seed=11, l=l)
+    region, radio, est = cfg.region, cfg.radio, cfg.estimator_config()
+    flip, shift = np.array([1.0, -1.0, 1.0]), np.array([0.0, cfg.size_y, 0.0])
+    refs = np.array([[1.0, 2.0], [24.0, 9.5], [6.0, 23.0]])
+    layout, mirrored = (custom_layout(region, Structure.MW, xy, cfg.n, radio.wavelength / 2.0)
+                        for xy in (refs, refs * flip[:2] + shift[:2]))
+    for trial in range(10):
+        scene = sample_scene(region, l, derive_seed(cfg.seed, trial, 0))
+        reflected = Scene(scene.user * flip + shift, scene.scatterers * flip + shift)
+        paths = synthesize_paths(layout, scene, radio)
+        assert np.allclose(synthesize_paths(mirrored, reflected, radio), paths,
+                           rtol=0.0, atol=1e-9 * np.abs(paths).max())  # phases k r, r rounded
+        ms = measure(layout, make_schedule(layout, 64, rng_seed=trial), paths, radio, 25.0,
+                     rng_seed=trial)
+        a = run_omp_gcl(ms, layout, radio, est, start_dictionaries(layout, radio, est))
+        b = run_omp_gcl(ms, mirrored, radio, est, start_dictionaries(mirrored, radio, est))
+        moved = np.linalg.norm(b.paths[0].position - (a.paths[0].position * flip + shift))
+        assert moved <= 1e-6, trial
+        assert [p.absent for p in a.paths] == [p.absent for p in b.paths], trial
 
 
 # --- sweeps ---------------------------------------------------------------------

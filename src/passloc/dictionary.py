@@ -16,6 +16,15 @@ the unknown height gap into a slant distance and builds with dh = 0, so
 the same one-parameter grid still applies. A geometrically impossible
 column (the target on an element) raises DictionaryError, and a
 uniform_cosine grid has none (GRID_CLIP).
+
+Two builds share the one law-of-cosines implementation (_squared_ranges).
+build_dp_dictionary is the float64 reference. phase_atoms is the build
+kernel of every column the estimators score: complex64 atoms from float32
+cos and sin of phases reduced to turns in float64, within
+PHASE_ATOMS_ERROR of the reference, optionally with the in-guide phase
+folded in. Scores from them only choose columns; the estimator's one
+certificate (estimator.certified_pick) redoes in float64, from
+build_dp_dictionary, every column a choice could turn on.
 """
 
 from __future__ import annotations
@@ -75,13 +84,14 @@ class AngleGrid:
 class DpDictionary:
     """Atoms of one subarray at a common anchor distance.
 
-    atoms is (N, G) in the channel domain. ring_distances is populated
-    only by the polar builds, where columns enumerate (distance ring,
-    angle) pairs. estimator.polar_dictionary keeps no channel-domain atoms
-    (atoms is None) and only guided: the atoms as the waveguide sees them,
-    conj(g) * a_j for the in-guide phases g, rounded to complex64, each
-    row's entries adjacent so that a block of columns viewed as float32 is
-    a real (N, 2G') matrix. The estimator screens every column with them in
+    atoms is (N, G) in the channel domain: complex128 from
+    build_dp_dictionary, complex64 for the estimator's screens from
+    phase_atoms. ring_distances is populated only by the polar builds,
+    where columns enumerate (distance ring, angle) pairs.
+    estimator.polar_dictionary keeps no channel-domain atoms (atoms is
+    None) and only guided: the atoms as the waveguide sees them,
+    conj(g) * a_j for the in-guide phases g, phase_atoms' complex64 (N, G)
+    row-major array. The estimator screens every column with them in
     float32 and certifies its pick in float64 (estimator.certified_pick).
     """
 
@@ -104,6 +114,22 @@ def _squared_ranges(r, cosang, nd, dh: float):
     return r * r + nd * nd - 2.0 * nd * r * cosang + dh * dh
 
 
+def _grid_cosines(grid) -> np.ndarray:
+    """An AngleGrid's values, or a 1-D array of strictly increasing cosines in (-1, 1)."""
+    cosines = grid.values if isinstance(grid, AngleGrid) else np.asarray(grid, dtype=float)
+    if not (cosines.ndim == 1 and cosines.size and -1.0 < cosines[0] and cosines[-1] < 1.0
+            and np.all(cosines[1:] > cosines[:-1])):
+        raise ValueError("cosines must be strictly increasing and lie strictly inside (-1, 1)")
+    return cosines
+
+
+def _checked(squared: np.ndarray, r_param: float) -> np.ndarray:
+    """_squared_ranges' output, or DictionaryError if a column is geometrically invalid."""
+    if not squared.min() > 0.0:  # NaN fails too
+        raise DictionaryError(f"a grid column is geometrically invalid at {r_param!r} m")
+    return squared
+
+
 def build_dp_dictionary(
     subarray: SubarrayGeometry,
     r_param: float,
@@ -124,13 +150,9 @@ def build_dp_dictionary(
     """
     if r_param <= 0.0:
         raise ValueError("anchor distance must be positive")
-    cosines = grid.values if isinstance(grid, AngleGrid) else np.asarray(grid, dtype=float)
-    if cosines.ndim != 1 or np.any(np.diff(cosines) <= 0.0) or np.any(np.abs(cosines) >= 1.0):
-        raise ValueError("cosines must be strictly increasing and lie strictly inside (-1, 1)")
+    cosines = _grid_cosines(grid)
     nd = np.arange(subarray.n_pas, dtype=float)[None, :] * subarray.spacing
-    ranges = _squared_ranges(r_param, cosines[:, None], nd, dh)  # (G, N)
-    if not np.all(ranges > 0.0):
-        raise DictionaryError(f"a grid column is geometrically invalid at {r_param!r} m")
+    ranges = _checked(_squared_ranges(r_param, cosines[:, None], nd, dh), r_param)  # (G, N)
     np.sqrt(ranges, out=ranges)
     atoms = np.multiply(-1j * radio.wavenumber, ranges, dtype=complex)
     np.exp(atoms, out=atoms)
@@ -148,30 +170,56 @@ def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> np.ndarray:
     return w @ dictionary.atoms
 
 
-def stack_rings(subarray: SubarrayGeometry, radio: RadioConfig, angle_grid: AngleGrid,
-                distance_grid, dh: float, build, phases=None) -> tuple:
-    """Every ring's build(subarray, r, angle_grid, radio, dh=dh) atoms in one preallocated array.
-
-    ``build`` is build_dp_dictionary, looked up by the caller. Columns
-    enumerate rings in order, each ring carrying every angle. The
-    array is the column-major atoms a_j, or with ``phases`` p the
-    row-major p * a_j rounded to complex64, each ring scaled in its own
-    build's buffer; either way the build never holds a second full copy.
-    Returns the (N, G) array, and every column's cosine and ring distance.
-    """
+def _ring_ladder(distance_grid) -> np.ndarray:
     rings = np.asarray(distance_grid, dtype=float).reshape(-1)
-    if rings.size < 1 or np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
+    if not (rings.size and rings[0] > 0.0 and np.all(rings[1:] > rings[:-1])):
         raise ValueError("distance grid must be positive and strictly increasing")
-    g = angle_grid.g
-    guided = phases is not None
-    out = np.empty((subarray.n_pas, rings.size * g), np.complex64 if guided else complex,
-                   order="C" if guided else "F")
+    return rings
+
+
+# A phase_atoms element is within PHASE_ATOMS_ERROR, relative, of build_dp_dictionary's float64
+# element times exp(-j k path): its float32 turn angle is within 2 pi 2^-25 of the float64 one
+# (|angle| <= pi, the turns reduced exactly in float64), its float32 cos, sin and amplitude each
+# within about 2^-24, so about 4e-7 in all. tests/test_dictionary.py checks the bound.
+PHASE_ATOMS_ERROR = 1e-6
+
+
+def phase_atoms(subarray: SubarrayGeometry, radio: RadioConfig, grid, distance_grid,
+                dh: float = 0.0, path=None) -> np.ndarray:
+    """complex64 atoms of every ring in ``distance_grid`` at every cosine of ``grid``: (N, R G).
+
+    Columns enumerate rings in order, each ring carrying every cosine, and
+    the array is row-major, so a block of columns viewed as float32 is a
+    real (N, 2G') matrix. Element n of a column at ring r has the range
+    r_n from _squared_ranges, in float64, and is
+    wavelength / (4 pi r_n sqrt(N)) exp(-2 pi j t_n), t_n = (r_n + p_n) /
+    wavelength turns with p = ``path``, an extra path length per element
+    (0 when None): p = n_eff x_n gives the guided atoms conj(g) a_j, as the
+    waveguide sees them. Each t_n is reduced to t_n - rint(t_n) in float64,
+    then cos, sin and the amplitude are formed in float32, the only forms
+    numpy vectorises, written one ring at a time. Every element is within
+    PHASE_ATOMS_ERROR of its float64 value. A geometrically invalid column
+    raises DictionaryError, as build_dp_dictionary's does.
+    """
+    cosines, rings = _grid_cosines(grid), _ring_ladder(distance_grid)
+    n, g = subarray.n_pas, cosines.size
+    nd = np.arange(n, dtype=float)[:, None] * subarray.spacing
+    scale = radio.wavelength / (FOUR_PI * np.sqrt(n))
+    out = np.empty((n, rings.size * g), np.complex64)
+    amp = np.empty((n, g), np.float32)
     for k, r in enumerate(rings):
-        d = build(subarray, r, angle_grid, radio, dh=dh)
-        if guided:  # on the ring's own row-major (G, N) buffer: no temporary
-            np.multiply(phases, d.atoms.T, out=d.atoms.T)
-        out[:, k * g:(k + 1) * g] = d.atoms
-    return out, np.tile(angle_grid.values, rings.size), np.repeat(rings, g)
+        ranges = _checked(_squared_ranges(r, cosines[None, :], nd, dh), r)  # (N, G)
+        np.sqrt(ranges, out=ranges)
+        np.divide(scale, ranges, out=amp, casting="same_kind")
+        if path is not None:
+            np.add(ranges, path[:, None], out=ranges)
+        np.multiply(ranges, 1.0 / radio.wavelength, out=ranges)  # turns
+        ranges -= np.rint(ranges)
+        angle = np.multiply(ranges, -2.0 * np.pi, dtype=np.float32, casting="same_kind")
+        block = out[:, k * g:(k + 1) * g]
+        np.multiply(np.cos(angle), amp, out=block.real)
+        np.multiply(np.sin(angle), amp, out=block.imag)
+    return out
 
 
 def build_polar_dictionary(
@@ -181,16 +229,20 @@ def build_polar_dictionary(
     distance_grid,
     dh: float = 0.0,
 ) -> DpDictionary:
-    """Joint (distance ring, angle) dictionary for single-array matching.
+    """Joint (distance ring, angle) dictionary for single-array matching, in float64.
 
     Columns enumerate rings in order, each ring carrying the full angle
     grid; ring_distances maps every column back to its ring. The atoms are
-    column-major, written in place by stack_rings.
+    column-major, each ring's build_dp_dictionary atoms written into one
+    preallocated array.
     """
-    atoms, cosines, ring_of = stack_rings(subarray, radio, angle_grid, distance_grid, dh,
-                                          build_dp_dictionary)
-    return DpDictionary(r_param=float(ring_of[0]), cosines=cosines, atoms=atoms,
-                        ring_distances=ring_of)
+    rings, g = _ring_ladder(distance_grid), angle_grid.g
+    atoms = np.empty((subarray.n_pas, rings.size * g), complex, order="F")
+    for k, r in enumerate(rings):
+        atoms[:, k * g:(k + 1) * g] = build_dp_dictionary(subarray, r, angle_grid, radio,
+                                                          dh=dh).atoms
+    return DpDictionary(r_param=float(rings[0]), cosines=np.tile(angle_grid.values, rings.size),
+                        atoms=atoms, ring_distances=np.repeat(rings, g))
 
 
 def default_polar_rings(region: ServiceRegion, count: int) -> np.ndarray:

@@ -27,8 +27,8 @@ from .dictionary import (
     DictionaryError,
     DpDictionary,
     build_dp_dictionary,
+    phase_atoms,
     project_dictionary,  # unused here; benchmarks/tracing.py rebinds it as an estimator name
-    stack_rings,
 )
 from .geometry import ArrayLayout, ServiceRegion, SubarrayGeometry, pa_user_distance
 
@@ -78,8 +78,9 @@ class EstimatorConfig:
 class DirectionEstimate:
     """Best dictionary column for one subarray against one residual, and how many were scored.
 
-    columns_redone counts the columns the polar baseline's certificate
-    scored again in float64 (certified_pick); OMP-GCL leaves it 0.
+    columns_redone counts the columns the certificate scored again in
+    float64 (certified_pick, and match_direction's refine cut); a match
+    whose columns' own float64 scores decide leaves it 0.
     """
 
     varphi: float
@@ -151,22 +152,49 @@ def atom_energies(w: np.ndarray, dictionary: DpDictionary, gram=None) -> np.ndar
     subarray for a whole trial, so a caller matching many dictionaries forms it once.
     """
     gram = measured_gram(w) if gram is None else gram
-    at = np.ascontiguousarray(dictionary.atoms.T, dtype=complex)  # a view for built atoms
+    return _gram_energies(_atom_rows(dictionary), gram)
+
+
+def _atom_rows(dictionary: DpDictionary) -> np.ndarray:
+    """The atoms as complex128 rows a_g^T: a view of built float64 atoms, a copy of a screen's."""
+    return np.ascontiguousarray(dictionary.atoms.T, dtype=complex)
+
+
+def _gram_energies(at: np.ndarray, gram: np.ndarray) -> np.ndarray:
     # Row g of at is a_g^T and row g of at @ (W^H W)^T is (W^H W a_g)^T, so
     # the dot product of the two rows as real (re, im) pairs is the energy.
     return np.einsum("gk,gk->g", at.view(float), (at @ gram.T).view(float))
 
 
 def _scores(y_res, w, dictionary: DpDictionary, gram=None) -> tuple:
-    """Per column: the score |<W a_g, y>| / ||W a_g||, the correlation a_g^H W^H y and the energy."""
-    atoms = dictionary.atoms
-    if w.ndim != 2 or w.shape[1] != atoms.shape[0]:
+    """Per column: the score |<W a_g, y>| / ||W a_g||, the correlation a_g^H W^H y and the energy.
+
+    They are float64 whatever the atoms' precision: a screen's complex64
+    atoms are widened first.
+    """
+    _check_match(y_res, w, dictionary.atoms.shape[0])
+    energy = atom_energies(w, dictionary, gram)
+    corr = (_atom_rows(dictionary) @ _steering(y_res, w)).conj()  # a_g^H W^H y
+    return _score(corr, energy), corr, energy
+
+
+def _check_match(y_res, w, n: int) -> None:
+    if w.ndim != 2 or w.shape[1] != n:
         raise ValueError("measurement matrix width must match the element count")
     if w.shape[0] != y_res.shape[0]:
         raise ValueError("residual length does not match the measurement rows")
-    energy = atom_energies(w, dictionary, gram)
-    at = np.ascontiguousarray(atoms.T, dtype=complex)  # a view for built atoms
-    corr = (at @ (w.conj().T @ y_res).conj()).conj()  # a_g^H W^H y
+
+
+def _steering(y_res, w) -> np.ndarray:
+    """conj(W^H y), which every column's correlation a_g^H W^H y reads."""
+    return (w.conj().T @ y_res).conj()
+
+
+def _matched(dictionary: DpDictionary, gram, steering) -> tuple:
+    """_scores of a dictionary from W^H W and _steering(y_res, w)."""
+    at = _atom_rows(dictionary)
+    energy = _gram_energies(at, gram)
+    corr = (at @ steering).conj()  # a_g^H W^H y
     return _score(corr, energy), corr, energy
 
 
@@ -205,6 +233,68 @@ def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary) ->
     return _pick(y_res, range(dictionary.g), score, corr, energy, dictionary.cosines)
 
 
+# A screen score is within SCREEN_ERROR, times the best float64 score among the columns screened
+# with it, of the column's float64 score, when the activation bits A have rank 2 or more. With
+# rank 1 (one slot, or every slot the same bits; _tied_pilots) every column scores the same, a
+# tie at any precision, and a refit's residual scores rounding noise: flagged "tied-pilots".
+# Two screens read this bound:
+# - the nf polar screen, float32 products of complex64 guided atoms (activation_energies,
+#   bit_correlations). Its observed worst is 7e-7, near sqrt(N) 2^-24 = 5.8e-7 for N = 96 (a
+#   float32 dot product's random-walk rounding); N 2^-24, the worst case of one length-N dot
+#   product, is 5.7e-6.
+# - OMP-GCL's screen, phase_atoms' complex64 columns scored in float64 (match_direction). Its
+#   only error is the atoms': a score s_j moves by at most dictionary.PHASE_ATOMS_ERROR kappa_j
+#   (||r|| + s_j), kappa_j = ||W|| ||a_j|| / ||W a_j||, which is below SCREEN_ERROR times the best
+#   score S wherever kappa_j (1 + ||r|| / S) <= 10. Its observed worst at the sweep sizes is 3.8e-7;
+#   a degenerate grid can exceed the bound (N = 2, G = 2, a column its own refit zeroed: 2e-5).
+# tests/test_estimator.py checks the bound at both screens' sweep sizes, the nf screen's on random
+# small configs, and the OMP-GCL screen's perturbation bound on any config.
+SCREEN_ERROR = 1e-5
+CERTIFY_TAU = 1e-4  # a column screening this close to a float64 decision's boundary is redone
+
+
+def _certified_best(screen: np.ndarray, redo) -> tuple:
+    """Positions k of every column that can score the float64 best, redo(k), and the redone count.
+
+    ``redo(k)`` gives the float64 (score, corr, energy) of the screened
+    columns at positions k. k holds every column screening at least
+    (1 - CERTIFY_TAU) times the best screen score; when the best float64
+    score among them, s*, is lower, it grows to every column screening at
+    least (1 - CERTIFY_TAU) s* (a screen score far above its float64 one,
+    outside the bound, only costs redone columns). The float64 best column
+    scores S >= s*, and the screen scores it at least (1 - SCREEN_ERROR) S,
+    so with SCREEN_ERROR < CERTIFY_TAU it is in k, and so is every column
+    that ties it. The thresholds are float64 and hold for s* <= 0 too.
+    """
+    top = np.float64(screen.max())
+    k = np.flatnonzero(screen >= top - CERTIFY_TAU * abs(top))
+    redone, count = redo(k), k.size
+    s_star = redone[0].max()
+    if s_star < top:
+        wider = np.flatnonzero(screen >= s_star - CERTIFY_TAU * abs(s_star))
+        if wider.size > k.size:
+            k, redone, count = wider, redo(wider), count + wider.size
+    return k, redone, count
+
+
+def certified_pick(residual: np.ndarray, screen: np.ndarray, redo, index,
+                   cosines) -> DirectionEstimate:
+    """_pick's float64 choice over screened columns: the first float64 maximum in grid order.
+
+    ``screen`` holds the screen scores of the columns at the increasing
+    grid indices ``index`` (an array) with ``cosines``, and ``redo(k)`` the
+    float64 (score, corr, energy) of the columns at positions k. _pick
+    chooses among the columns _certified_best redoes, so the pick and its
+    coefficient, correlation and low_confidence are float64 values.
+    columns_scored counts the screened columns, columns_redone the redone
+    ones. Both estimators use it: run_polar_baseline's redo is
+    redone_scores, match_direction's the float64 build of its columns.
+    """
+    k, redone, count = _certified_best(screen, redo)
+    de = _pick(residual, index[k], *redone, cosines[k])
+    return replace(de, columns_scored=len(screen), columns_redone=count)
+
+
 REFINE_FRACTION = 0.5  # a coarse interval is refined when an end scores this share of the best
 
 
@@ -222,33 +312,68 @@ def coarse_columns(subarray: SubarrayGeometry, radio: RadioConfig, g: int) -> np
     return idx
 
 
-def _scored(y_res, w, columns, idx, gram) -> tuple:
+def _scored(columns, idx, gram, steering) -> tuple:
     """The columns idx, and their scores, correlations, energies and cosines under columns(idx)."""
     dictionary = columns(idx)
-    score, corr, energy = _scores(y_res, w, dictionary, gram=gram)
-    return idx, score, corr, energy, dictionary.cosines
+    return (idx, *_matched(dictionary, gram, steering), dictionary.cosines)
+
+
+def _redone(exact, gram, steering, idx, k) -> tuple:
+    """float64 (score, corr, energy) of the grid columns idx[k], built by exact(idx[k])."""
+    return _matched(exact(idx[k]), gram, steering)
+
+
+def _near_cut(score: np.ndarray, best) -> np.ndarray:
+    """The coarse columns screening within CERTIFY_TAU best of the cut REFINE_FRACTION best."""
+    return np.abs(score - REFINE_FRACTION * best) <= CERTIFY_TAU * abs(best)
 
 
 def match_direction(y_res: np.ndarray, w: np.ndarray, columns, coarse: np.ndarray,
-                    gram=None) -> DirectionEstimate:
+                    gram=None, exact=None) -> DirectionEstimate:
     """omp_direction on a grid, scoring the columns near its best coarse scores only.
 
-    ``columns(idx)`` is the DpDictionary of grid columns idx, as
-    build_dp_dictionary gives them. The first stage scores the ``coarse``
-    columns (coarse_columns: increasing, from 0 to the grid's last column).
-    The second scores every column strictly between two neighbouring
-    coarse columns of which one scores at least REFINE_FRACTION of the
-    best coarse score, or all of them when no coarse score is positive.
-    The pick is the first maximum over the scored columns in grid order:
-    omp_direction's pick on the full grid whenever that lies in a refined
-    interval, as a main lobe's peak does. Its grid_index counts the grid's
-    columns and columns_scored the columns both stages scored. ``gram`` is
-    measured_gram(w), formed when not given.
+    ``columns(idx)`` is the DpDictionary of grid columns idx. The first
+    stage scores the ``coarse`` columns (coarse_columns: increasing, from 0
+    to the grid's last column). The second scores every column strictly
+    between two neighbouring coarse columns of which one scores at least
+    REFINE_FRACTION of the best coarse score, or all of them when no coarse
+    score is positive. The pick is the first maximum over the scored
+    columns in grid order: omp_direction's pick on the full grid whenever
+    that lies in a refined interval, as a main lobe's peak does. Its
+    grid_index counts the grid's columns and columns_scored the columns
+    both stages scored. ``gram`` is measured_gram(w), formed when not given.
+
+    Without ``exact`` the columns' own scores decide. With it, ``columns``
+    is a screen (phase_atoms' complex64 columns) and ``exact(idx)`` the
+    float64 build of the same columns (build_dp_dictionary), and both
+    decisions are the float64 ones:
+    - The refine cut. When no coarse column screens within CERTIFY_TAU of
+      the cut at the best screen score (_near_cut), the screen decides:
+      the cut moves by at most REFINE_FRACTION SCREEN_ERROR of the best
+      score, a column by SCREEN_ERROR, and together they stay below
+      CERTIFY_TAU. Otherwise the best coarse score B is redone
+      (_certified_best), then every coarse column screening near the cut
+      at B, and the screen decides only the columns farther from it.
+    - The pick: certified_pick, so its values are float64's too.
+    columns_redone counts both stages' redone columns.
     """
     gram = measured_gram(w) if gram is None else gram
-    scored = _scored(y_res, w, columns, coarse, gram)
+    _check_match(y_res, w, len(gram))
+    steering = _steering(y_res, w)
+    scored = _scored(columns, coarse, gram, steering)
     idx, score = scored[:2]
-    best = score.max()
+    best, redone = score.max(), 0
+    if exact is not None and (best <= 0.0 or _near_cut(score, best).any()):
+        redo = partial(_redone, exact, gram, steering, idx)
+        k, (exact_score, _, _), redone = _certified_best(score, redo)
+        best = exact_score.max()
+        near = _near_cut(score, best)
+        near[k] = False
+        score = score.copy()
+        score[k] = exact_score
+        if near.any():
+            score[near] = redo(np.flatnonzero(near))[0]
+            redone += int(near.sum())
     hot = np.concatenate(([False], (score >= REFINE_FRACTION * best) | (best <= 0.0), [False]))
     rest = np.ones(coarse[-1] + 1, dtype=bool)
     rest[coarse] = False
@@ -256,10 +381,15 @@ def match_direction(y_res: np.ndarray, w: np.ndarray, columns, coarse: np.ndarra
     above = np.searchsorted(idx, rest)  # a column's coarse neighbours are idx[above - 1], idx[above]
     fine = rest[hot[above] | hot[above + 1]]
     if fine.size:
-        merged = [np.concatenate(pair) for pair in zip(scored, _scored(y_res, w, columns, fine, gram))]
+        refined = _scored(columns, fine, gram, steering)
+        merged = [np.concatenate(pair) for pair in zip(scored, refined)]
         order = np.argsort(merged[0])
         scored = [a[order] for a in merged]
-    return _pick(y_res, *scored)
+    if exact is None:
+        return _pick(y_res, *scored)
+    idx, screen, _, _, cosines = scored
+    de = certified_pick(y_res, screen, partial(_redone, exact, gram, steering, idx), idx, cosines)
+    return replace(de, columns_redone=de.columns_redone + redone)
 
 
 def projection_matrix(varphi: float, sign: float) -> np.ndarray:
@@ -518,14 +648,24 @@ def _built_columns(subarray, r_param: float, cosines, radio: RadioConfig, dh: fl
     return build_dp_dictionary(subarray, r_param, cosines[idx], radio, dh=dh)
 
 
-def anchor_columns(layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, r_anchor):
-    """Per subarray m, the match_direction columns of config.grid at anchor distance r_anchor[m].
+def _screen_columns(subarray, r_param: float, cosines, radio: RadioConfig, dh: float, idx):
+    """_built_columns' columns as phase_atoms' complex64 screen."""
+    cosines = cosines[idx]
+    return DpDictionary(r_param=r_param, cosines=cosines,
+                        atoms=phase_atoms(subarray, radio, cosines, [r_param], dh))
 
-    Each match builds only the columns it scores.
+
+def anchor_columns(layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, r_anchor):
+    """Per subarray m, match_direction's (columns, exact) of config.grid at distance r_anchor[m].
+
+    Each match builds only the columns it scores: phase_atoms' complex64
+    screen of them, and build_dp_dictionary's float64 columns of those its
+    certificate redoes.
     """
     values = config.grid.values
-    return [partial(_built_columns, sub, float(r), values, radio, config.dh)
-            for sub, r in zip(layout.subarrays, r_anchor)]
+    return [(partial(_screen_columns, *column), partial(_built_columns, *column))
+            for column in ((sub, float(r), values, radio, config.dh)
+                           for sub, r in zip(layout.subarrays, r_anchor))]
 
 
 def _taken_columns(dictionary: DpDictionary, idx) -> DpDictionary:
@@ -567,13 +707,15 @@ def start_dictionaries(layout: ArrayLayout, radio: RadioConfig,
 def extract_directions(w_list, residuals, columns, coarse, grams=None) -> list:
     """Stage 1: per subarray, the grid column that best matches its residual.
 
-    Subarray m's grid columns ``columns[m]`` are matched through its
-    measurement matrix w_list[m] by match_direction, coarse[m] first
-    (coarse_columns); grams[m], when given, is measured_gram(w_list[m]).
+    Subarray m's grid columns are matched through its measurement matrix
+    w_list[m] by match_direction, coarse[m] first (coarse_columns), with
+    columns[m] its pair (columns, exact): a float64 dictionary's columns
+    and None, or anchor_columns' screen and float64 build. grams[m], when
+    given, is measured_gram(w_list[m]).
     """
     grams = [None] * len(w_list) if grams is None else grams
-    return [match_direction(y, w_m, col, c, gram=g)
-            for y, w_m, col, c, g in zip(residuals, w_list, columns, coarse, grams)]
+    return [match_direction(y, w_m, col, c, gram=g, exact=exact)
+            for y, w_m, (col, exact), c, g in zip(residuals, w_list, columns, coarse, grams)]
 
 
 def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iterate, np.ndarray]:
@@ -802,8 +944,9 @@ def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start
     extract_directions and fuse alternate for up to max_outer_iters steps,
     stopping once the fix moves less than MOVE_TOL. Each match is
     match_direction's against grams[m] = measured_gram(w_list[m]); the first
-    iteration takes its columns from ``start_columns``, later ones build
-    only the columns they score, at the fused anchor distances. arbitrate
+    iteration takes its columns from ``start_columns``, whose float64
+    scores decide, later ones build only the columns they score, at the
+    fused anchor distances, as a certified screen (anchor_columns). arbitrate
     and polish read one refit slope (refit_slope), and peel subtracts
     rank_one_fit's fit of the same path model at the polished fix from
     ``residuals`` in place; a path l > 0 is scattered towards ``user``.
@@ -811,7 +954,7 @@ def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start
     magnitude, and below COEFF_FLOOR times ``ref_strength`` a path l > 0 is
     absent: not polished, not peeled, and with zero gains and components.
     Angles and signs are the arbitrated iterate's. The trace records every
-    iterate with the columns each subarray's match scored, then the polished
+    iterate with the columns each subarray's match scored and redid, then the polished
     position with polish's moves, slope calls and whether it ran out of
     calls. Returns the path and its strength.
     """
@@ -829,6 +972,7 @@ def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start
             "position": iterate.position.tolist(),
             "anchor_distances": r_anchor.tolist(),
             "columns_scored": [d.columns_scored for d in directions],
+            "columns_redone": [d.columns_redone for d in directions],
         })
         if moved < MOVE_TOL:
             break
@@ -871,7 +1015,8 @@ def run_omp_gcl(
     Paths are extracted strongest-first, one estimate_path call each,
     against W^H W formed once per subarray and trial and the columns of
     ``start``, the layout's start_dictionaries. Path 0 is the user and sets
-    the reference strength; extraction stops at the first absent path.
+    the reference strength; extraction stops at the first absent path. A
+    subarray with tied pilots (_tied_pilots) flags the result "tied-pilots".
     """
     if measurements.m != layout.m:
         raise ValueError("measurement set does not match the layout")
@@ -882,9 +1027,11 @@ def run_omp_gcl(
     residuals = [y.astype(complex).copy() for y in measurements.y]
     per_trial = dict(w_list=measurements.w, grams=[measured_gram(w_m) for w_m in measurements.w],
                  coarse=[coarse_columns(sub, radio, config.g_theta) for sub in layout.subarrays],
-                 start_columns=[partial(_taken_columns, d) for d in start],
+                 start_columns=[(partial(_taken_columns, d), None) for d in start],
                  layout=layout, radio=radio, config=config)
     paths, user, ref_strength, global_flags = [], None, None, set()
+    if any(_tied_pilots(w_m) for w_m in measurements.w):
+        global_flags.add("tied-pilots")
     for l in range(config.num_paths):
         path, strength = estimate_path(l, user, ref_strength, residuals, **per_trial)
         paths.append(path)
@@ -901,6 +1048,17 @@ def run_omp_gcl(
     return EstimationResult(paths=paths, channels=channels, flags=tuple(sorted(global_flags)))
 
 
+def _tied_pilots(w: np.ndarray) -> bool:
+    """Whether W's observed activation rows (W != 0) are all one row, as with one slot.
+
+    Such bits have rank 1 (two distinct nonzero 0/1 rows are independent),
+    and every column then scores |sum_t y_t| / sqrt(T): a tie at any
+    precision, broken by rounding.
+    """
+    bits = w != 0
+    return bool((bits == bits[0]).all())
+
+
 def _polar_dh(config: EstimatorConfig) -> float:
     """The polar baseline's height gap: it is planar even in a 3-D config, so not config.dh."""
     return config.region.h_pa - config.fixed_height
@@ -911,22 +1069,23 @@ def polar_dictionary(
 ) -> DpDictionary:
     """Guided joint ring x angle atoms of a single-subarray layout at the config's grid.
 
-    The columns are build_polar_dictionary's, built ring by ring through
-    build_dp_dictionary and kept only as the guided atoms conj(g) * a_j
-    rounded to complex64 (stack_rings), which the float32 screen
-    (activation_energies, bit_correlations) reads; its atoms are None.
-    certified_pick rebuilds the columns it redoes in float64, and
-    run_polar_baseline the channel-domain column of each pick, alone and
-    with the bits of the ring build's column. The atoms are
-    scene-independent, so a caller running many trials builds them once;
-    harness.scenario_atoms builds the nf scenario's.
+    The columns are build_polar_dictionary's, kept only as the guided
+    atoms conj(g) * a_j, g = waveguide_vector's in-guide phases
+    exp(j k n_eff x_n): phase_atoms writes them in complex64 directly,
+    with the extra path length n_eff x_n per element. The float32 screen
+    (activation_energies, bit_correlations) reads them; atoms is None.
+    certified_pick's redo rebuilds the columns it redoes in float64, and
+    run_polar_baseline the channel-domain column of each pick, alone,
+    with build_dp_dictionary. The atoms are scene-independent, so a caller
+    running many trials builds them once; harness.scenario_atoms builds
+    the nf scenario's.
     """
-    sub = layout.subarrays[0]
-    phases = waveguide_vector(sub, radio).conj()
-    guided, cosines, ring_of = stack_rings(sub, radio, config.grid, rings, _polar_dh(config),
-                                           build_dp_dictionary, phases)
-    return DpDictionary(r_param=float(ring_of[0]), cosines=cosines, atoms=None,
-                        ring_distances=ring_of, guided=guided)
+    sub, grid = layout.subarrays[0], config.grid
+    guided = phase_atoms(sub, radio, grid, rings, _polar_dh(config),
+                         radio.n_eff * sub.pa_positions[:, 0])
+    rings = np.asarray(rings, dtype=float).reshape(-1)
+    return DpDictionary(r_param=float(rings[0]), cosines=np.tile(grid.values, rings.size),
+                        atoms=None, ring_distances=np.repeat(rings, grid.g), guided=guided)
 
 
 def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: SubarrayGeometry,
@@ -993,24 +1152,14 @@ def bit_correlations(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary) -> 
     return _paired_correlations(_real_product(np.vstack([v.real, v.imag]), dictionary.guided))
 
 
-# A float32 screen score is within SCREEN_ERROR times the best float64 score of the column's
-# float64 score, when the activation bits A have rank 2 or more (with rank 1, one slot or every
-# slot the same bits, every column scores ||r||: a tie at any precision). The observed worst is
-# 7e-7, near sqrt(N) 2^-24 = 5.8e-7 for N = 96 (a float32 dot product's random-walk rounding);
-# N 2^-24, the worst case of one length-N dot product, is 5.7e-6. tests/test_estimator.py
-# checks the bound at the nf sweep's size and on random small configs.
-SCREEN_ERROR = 1e-5
-CERTIFY_TAU = 1e-4  # a column screening this close to the winner's float64 score is redone
-
-
 def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
                   subarray: SubarrayGeometry, radio: RadioConfig, dh: float, idx) -> tuple:
     """float64 scores, correlations a_j^H W^H r and energies ||W a_j||^2 of polar columns idx.
 
-    Each column is rebuilt by build_dp_dictionary, one call per ring, with
-    the bits of its ring build's column, and guided by conj(g) in
-    complex128; its energy and correlation then come from the same product
-    with the activation rows as activation_energies', in float64.
+    Each column is rebuilt in float64 by build_dp_dictionary, one call per
+    ring, and guided by conj(g) in complex128; its energy and correlation
+    then come from the same product with the activation rows as
+    activation_energies', in float64.
     """
     idx = np.asarray(idx)
     ring_of = dictionary.ring_distances[idx]
@@ -1022,30 +1171,6 @@ def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
     np.multiply(waveguide_vector(subarray, radio).conj()[:, None], u, out=u)
     energy, corr = _bit_products(_activation_rows(w != 0, r), u)
     return _score(corr, energy), corr, energy
-
-
-def certified_pick(residual: np.ndarray, w: np.ndarray, dictionary: DpDictionary,
-                   subarray: SubarrayGeometry, radio: RadioConfig, dh: float, corr,
-                   energy) -> DirectionEstimate:
-    """_pick's float64 choice over every column of polar_dictionary, from the float32 screen.
-
-    ``corr`` and ``energy`` are the screen's (activation_energies,
-    bit_correlations). The screen winner is redone in float64
-    (redone_scores), giving s*, and so is every column whose screen score
-    is at least (1 - CERTIFY_TAU) s*; _pick chooses among the redone
-    columns, the first maximum in grid order. The float64 best column
-    scores S >= s*, and the screen scores it at least (1 - SCREEN_ERROR) S,
-    so with SCREEN_ERROR < CERTIFY_TAU it is redone and picked. The pick's
-    coefficient, correlation and low_confidence are float64 values;
-    columns_scored counts the screened columns, columns_redone the redone.
-    """
-    score = _score(corr, energy)
-    redo = partial(redone_scores, w, residual, dictionary, subarray, radio, dh)
-    top = int(np.argmax(score))
-    s_top = redo([top])[0][0]  # a float64 scalar, so the comparison below runs in float64
-    idx = np.union1d(np.flatnonzero(score >= (1.0 - CERTIFY_TAU) * s_top), top)
-    de = _pick(residual, idx, *redo(idx), dictionary.cosines[idx])
-    return replace(de, columns_scored=dictionary.g, columns_redone=idx.size)
 
 
 def run_polar_baseline(
@@ -1070,10 +1195,11 @@ def run_polar_baseline(
     atoms and the activation bits: the energies and path 0's correlations
     from one product per trial (activation_energies, which rejects a W
     that is not conj(A * g)), a later path's correlations from
-    bit_correlations. certified_pick turns each screen into the pick of
-    _score and _pick on float64 scores, and records how many columns it
-    redid. The least-squares refit and the channels use each picked column
-    in the channel domain, rebuilt alone by build_dp_dictionary.
+    bit_correlations. certified_pick, redoing columns with redone_scores,
+    turns each screen into the pick of _score and _pick on float64 scores,
+    and records how many columns it redid. The least-squares refit and the
+    channels use each picked column in the channel domain, rebuilt alone by
+    build_dp_dictionary. Tied pilots (_tied_pilots) flag "tied-pilots".
     """
     if layout.m != 1:
         raise ValueError("polar baseline expects a single-subarray layout")
@@ -1087,11 +1213,13 @@ def run_polar_baseline(
     energy, corr = activation_energies(w, dic, sub, radio, y)  # energies serve every path
     picked = np.empty((sub.n_pas, config.num_paths), dtype=complex, order="F")
     dir_ests: list[DirectionEstimate] = []
-    flags = {"ambiguous", "under-determined"}
+    flags = {"ambiguous", "under-determined"} | ({"tied-pilots"} if _tied_pilots(w) else set())
     for l in range(config.num_paths):
         if l > 0:
             corr = bit_correlations(w, residual, dic)
-        de = certified_pick(residual, w, dic, sub, radio, dh, corr, energy)
+        de = certified_pick(residual, _score(corr, energy),
+                            partial(redone_scores, w, residual, dic, sub, radio, dh),
+                            np.arange(dic.g), dic.cosines)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from passloc.channel import FOUR_PI, RadioConfig, measurement_matrix, path_vector
 from passloc.dictionary import (
+    PHASE_ATOMS_ERROR,
     AngleGrid,
     DictionaryError,
     _squared_ranges,
@@ -14,6 +15,7 @@ from passloc.dictionary import (
     build_polar_dictionary,
     default_polar_rings,
     mutual_coherence,
+    phase_atoms,
     project_dictionary,
 )
 from passloc.estimator import EstimatorConfig, omp_direction
@@ -193,6 +195,62 @@ def test_every_uniform_cosine_column_is_geometrically_valid(g, r, n_pas, spacing
 def test_polar_atoms_are_column_major(sub, radio):
     polar = build_polar_dictionary(sub, radio, AngleGrid.uniform_cosine(32), [3.0, 9.0])
     assert polar.atoms.flags.f_contiguous
+
+
+def _phase_atoms_error(sub, radio, grid, rings, dh, path) -> float:
+    """phase_atoms' largest relative element error against float64 builds times exp(-j k path)."""
+    got = phase_atoms(sub, radio, grid, rings, dh, path)
+    assert got.dtype == np.complex64 and got.flags.c_contiguous
+    ramp = np.ones(sub.n_pas) if path is None else np.exp(-1j * radio.wavenumber * path)
+    want = np.hstack([ramp[:, None] * build_dp_dictionary(sub, r, grid, radio, dh=dh).atoms
+                      for r in rings])
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(1e-3, 1e3), n_pas=st.integers(1, 128), spacing=st.floats(1e-3, 0.1),
+       dh=st.floats(0.0, 10.0), g=st.integers(2, 64), x0=st.floats(0.0, 30.0),
+       guided=st.booleans())
+def test_phase_atoms_stay_within_their_error_bound(r, n_pas, spacing, dh, g, x0, guided):
+    """k r reaches 5.9e5 rad at 28 GHz and 1 km; the phases are reduced to turns in float64."""
+    radio = RadioConfig(frequency=28e9)
+    sub = SubarrayGeometry(np.array([x0, 0.0, 2.0]), n_pas, spacing)
+    path = radio.n_eff * sub.pa_positions[:, 0] if guided else None
+    rings = [r, 1.5 * r]
+    assert _phase_atoms_error(sub, radio, AngleGrid.uniform_cosine(g), rings, dh, path) \
+        <= PHASE_ATOMS_ERROR
+
+
+def test_phase_atoms_at_the_nf_sweep_size(radio, region):
+    """N = 96 guided atoms, 16 rings of 1,024 cosines: polar_dictionary's build."""
+    sub = SubarrayGeometry(np.array([0.0, 15.0, 2.0]), 96, radio.wavelength / 2.0)
+    rings = default_polar_rings(region, 16)
+    error = _phase_atoms_error(sub, radio, AngleGrid.uniform_cosine(1024), rings, 2.0,
+                               radio.n_eff * sub.pa_positions[:, 0])
+    assert error <= PHASE_ATOMS_ERROR
+
+
+def test_phase_atoms_enumerate_rings_like_the_polar_build(sub, radio):
+    grid, rings = AngleGrid.uniform_cosine(16), [2.0, 5.0, 9.0]
+    stacked = phase_atoms(sub, radio, grid, rings)
+    for k, r in enumerate(rings):
+        assert np.array_equal(stacked[:, 16 * k:16 * (k + 1)], phase_atoms(sub, radio, grid, [r]))
+    subset = grid.values[[1, 4, 5]]  # a column's values do not depend on its neighbours
+    assert np.array_equal(phase_atoms(sub, radio, subset, [5.0]),
+                          stacked[:, 16 + np.array([1, 4, 5])])
+
+
+def test_phase_atoms_validation(sub, radio):
+    grid = AngleGrid.uniform_cosine(8)
+    for rings in ([0.0], [3.0, 2.0], [], [2.0, 2.0]):
+        with pytest.raises(ValueError, match="distance grid"):
+            phase_atoms(sub, radio, grid, rings)
+    for cosines in ([0.1, 0.1], [0.5, 1.0], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            phase_atoms(sub, radio, np.array(cosines), [3.0])
+    v = np.nextafter(1.0, 0.0)
+    with pytest.raises(DictionaryError, match="geometrically invalid"):
+        phase_atoms(sub, radio, np.array([-0.5, v]), [5 * sub.spacing * (1 - 2e-16), 3.0])
 
 
 def test_3d_atoms_with_zero_height_gap_match_planar(sub, radio):

@@ -1,6 +1,7 @@
 """Direction matching, sign-resolved position fusion, and the joint loop."""
 
 import dataclasses
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -21,14 +22,15 @@ from passloc.channel import (
     waveguide_vector,
 )
 from passloc.dictionary import (
+    PHASE_ATOMS_ERROR,
     AngleGrid,
     DictionaryError,
     DpDictionary,
     build_dp_dictionary,
     build_polar_dictionary,
     default_polar_rings,
+    phase_atoms,
     project_dictionary,
-    stack_rings,
 )
 from passloc.estimator import (
     CERTIFY_TAU,
@@ -316,6 +318,279 @@ def test_extract_directions_gives_one_estimate_per_subarray(region, radio, half_
         g, _, _ = _oracle(dic, ms.w[m], ms.y[m])
         assert (d.grid_index, d.varphi) == (g, dic.cosines[g])
         assert d.columns_scored < cfg.g_theta  # S = 128 / (4 * 16) = 2
+
+
+# --- the OMP-GCL screen and its certificate ----------------------------------------
+
+
+def _float64_match(y, w, build, coarse) -> tuple:
+    """The two-stage match from its definition, in float64: (grid_index, columns_scored,
+    coefficient). build(idx) is build_dp_dictionary of grid columns idx; the energies and
+    correlations are the measured columns' own, so the oracle shares no code with the matcher."""
+    def scored(idx):
+        phi = w @ build(idx).atoms
+        energy = np.sum(np.abs(phi) ** 2, axis=0)
+        corr = phi.conj().T @ y
+        live = energy > 0.0
+        return (np.where(live, np.abs(corr) / np.sqrt(np.where(live, energy, 1.0)), -1.0),
+                corr / np.where(live, energy, 1.0))
+
+    score, _ = scored(coarse)
+    best = score.max()
+    hot = (score >= passloc.estimator.REFINE_FRACTION * best) | (best <= 0.0)
+    fine = []
+    for j in sorted(set(range(coarse[-1] + 1)) - set(coarse.tolist())):
+        i = int(np.searchsorted(coarse, j))
+        if hot[i - 1] or hot[i]:
+            fine.append(j)
+    idx = np.array(sorted(coarse.tolist() + fine))
+    score, coefficient = scored(idx)
+    g = int(np.argmax(score))
+    return int(idx[g]), idx.size, complex(coefficient[g])
+
+
+def _omp_case(region, radio, half_wave, r=9.7):
+    """One N = 32, T = 64 subarray's W, its anchor_columns (screen, exact) at r, and its coarse
+    columns (S = 8 on the 1,024-column grid)."""
+    lay = build_mw_layout(region, 3, 32, half_wave)
+    ms = measure(lay, make_schedule(lay, 64, 0.5, rng_seed=3),
+                 synthesize_paths(lay, sample_scene(region, l=0, rng_seed=3), radio), radio,
+                 snr_db=20.0, rng_seed=4)
+    cfg = EstimatorConfig(region=region)
+    screen, exact = anchor_columns(lay, radio, cfg, np.full(lay.m, r))[0]
+    return ms.w[0], screen, exact, coarse_columns(lay.subarrays[0], radio, cfg.g_theta)
+
+
+def _unit_templates(w, exact, columns):
+    t = w @ exact(np.array(columns)).atoms
+    return t / np.linalg.norm(t, axis=0)
+
+
+def _rigged(screen, column, atom):
+    """screen's columns, with the given column's atom replaced by ``atom`` wherever it is built."""
+    def columns(idx):
+        d = screen(idx)
+        atoms = d.atoms.copy()
+        atoms[:, idx == column] = atom[:, None]
+        return dataclasses.replace(d, atoms=atoms)
+    return columns
+
+
+def _bisect(f, lo, hi, target, steps=60):
+    """x in [lo, hi] with f(x) = target for an f increasing there."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_omp_certificate_breaks_a_forced_near_tie_as_float64_does(region, radio, half_wave):
+    """The peaks of two lobes within CERTIFY_TAU / 10 in float64; the screen, given an atom
+    slightly closer to y for the lower one, ranks it first. The certificate picks float64's."""
+    w, screen, exact, coarse = _omp_case(region, radio, half_wave)
+    idx = np.arange(coarse[-1] + 1)
+    t = _unit_templates(w, exact, [296, 704])
+    lobes = (slice(276, 317), slice(684, 725))
+
+    def peaks(beta):  # each lobe's best float64 score for y = t_704 + beta t_296
+        s = passloc.estimator._scores(t[:, 1] + beta * t[:, 0], w, exact(idx))[0]
+        return [lobe.start + int(np.argmax(s[lobe])) for lobe in lobes], s
+
+    def ratio(beta):
+        (lose, win), s = peaks(beta)
+        return s[lose] / s[win]
+
+    beta = _bisect(ratio, 0.5, 1.5, 1.0 - CERTIFY_TAU / 10.0)
+    y = t[:, 1] + beta * t[:, 0]
+    (lose, win), s64 = peaks(beta)
+    want = _float64_match(y, w, exact, coarse)
+    assert want[0] == win and (1.0 - CERTIFY_TAU) * s64[win] <= s64[lose] < s64[win]
+    atom_win = exact(np.array([win])).atoms[:, 0]
+    atom_star = np.linalg.lstsq(w, y, rcond=None)[0]  # the best-scoring atom of all
+    screen_win = passloc.estimator._scores(y, w, screen(np.array([win])))[0][0]
+
+    def boosted(eps):  # the score of an atom eps of the way from the winner's to atom_star
+        d = DpDictionary(r_param=9.7, cosines=np.zeros(1),
+                         atoms=(atom_win + eps * (atom_star - atom_win))[:, None])
+        return passloc.estimator._scores(y, w, d)[0][0] / screen_win
+
+    eps = _bisect(boosted, 0.0, 1.0, 1.0 + CERTIFY_TAU / 10.0)
+    rigged = _rigged(screen, lose, (atom_win + eps * (atom_star - atom_win)).astype(np.complex64))
+    assert match_direction(y, w, rigged, coarse).grid_index == lose  # the screen alone
+    got = match_direction(y, w, rigged, coarse, exact=exact)
+    assert (got.grid_index, got.columns_scored) == want[:2]
+    assert got.coefficient == pytest.approx(want[2], rel=1e-9)
+    assert got.columns_redone >= 2
+
+
+def test_omp_certificate_refines_a_coarse_column_at_the_cut_as_float64_does(region, radio,
+                                                                           half_wave):
+    """A coarse column scoring REFINE_FRACTION (1 + CERTIFY_TAU / 5) of the best in float64,
+    screened just below the cut: the certificate refines its intervals, as float64 does."""
+    w, screen, exact, coarse = _omp_case(region, radio, half_wave)
+    a, b = 304, 704
+    t = _unit_templates(w, exact, [a, b])
+    cut = passloc.estimator.REFINE_FRACTION
+
+    def ratio(beta):  # b's float64 score over a's for y = t_a + beta t_b
+        s = passloc.estimator._scores(t[:, 0] + beta * t[:, 1], w, exact(np.array([a, b])))[0]
+        return s[1] / s[0]
+
+    y = t[:, 0] + _bisect(ratio, 0.2, 0.8, cut * (1.0 + CERTIFY_TAU / 5.0)) * t[:, 1]
+    want = _float64_match(y, w, exact, coarse)
+    exact_coarse = passloc.estimator._scores(y, w, exact(coarse))[0]
+    assert np.argmax(exact_coarse) == np.searchsorted(coarse, a)
+
+    atom_a, atom_b = exact(np.array([a, b])).atoms.T
+
+    def screened(eps):  # b's score with its atom moved away from a's, over the best float64 score
+        d = DpDictionary(r_param=9.7, cosines=np.zeros(1), atoms=(atom_b - eps * atom_a)[:, None])
+        return -passloc.estimator._scores(y, w, d)[0][0] / exact_coarse.max()
+
+    eps = _bisect(screened, -0.05, 0.05, -cut * (1.0 - CERTIFY_TAU / 5.0))
+    rigged = _rigged(screen, b, (atom_b - eps * atom_a).astype(np.complex64))
+    alone = match_direction(y, w, rigged, coarse)  # the screen alone leaves b's intervals out
+    assert alone.columns_scored == want[1] - 14
+    got = match_direction(y, w, rigged, coarse, exact=exact)
+    assert (got.grid_index, got.columns_scored) == want[:2]
+    assert got.coefficient == pytest.approx(want[2], rel=1e-9)
+    assert got.columns_redone >= 2
+
+
+def test_omp_certificate_picks_against_a_far_too_high_screen_score(region, radio, half_wave):
+    """A screen score far outside the bound only costs redone columns: _certified_best widens
+    its set to the float64 best and the pick is still float64's."""
+    w, screen, exact, coarse = _omp_case(region, radio, half_wave)
+    y = _unit_templates(w, exact, [704])[:, 0]
+    want = _float64_match(y, w, exact, coarse)
+    idx = np.arange(coarse[-1] + 1)
+    redo = partial(passloc.estimator._redone, exact, passloc.estimator.measured_gram(w),
+                   passloc.estimator._steering(y, w), idx)
+    score = redo(idx)[0]
+    score[100] = 10.0 * score.max()
+    de = certified_pick(y, score, redo, idx, exact(idx).cosines)
+    assert de.grid_index == want[0] == 704 and de.columns_redone >= 2
+
+
+def _omp_screen_errors(w, y, screen, exact, coarse) -> list:
+    """The screen's largest score error, as a share of the best float64 score among the columns
+    screened with it: the coarse stage's and the full grid's, for y and for the residual of its
+    best full-grid column's refit."""
+    idx = np.arange(coarse[-1] + 1)
+    errors = []
+    for r in (y, None):
+        if r is None:
+            t = w @ exact(np.array([np.argmax(s64)])).atoms[:, 0]
+            r = y - t * (np.vdot(t, y) / np.vdot(t, t))
+        s64 = passloc.estimator._scores(r, w, exact(idx))[0]
+        s32 = passloc.estimator._scores(r, w, screen(idx))[0]
+        for cols in (coarse, idx):  # a zero residual scores 0 everywhere, in both
+            error = float(np.max(np.abs(s32[cols] - s64[cols])))
+            errors.append(error / s64[cols].max() if error else 0.0)
+    return errors
+
+
+@pytest.mark.parametrize("m, mode", [(3, "2d"), (8, "2d"), (4, "3d")])
+def test_omp_screen_stays_within_its_error_bound_at_the_sweep_size(m, mode):
+    """N = 32, T = 64 and 1,024 cosines, the mw sweeps' defaults, at the start distances and
+    at random anchor distances, from 0 to 30 dB."""
+    assert SCREEN_ERROR < CERTIFY_TAU
+    tall = dict(h_pa=6.0, h_range=(0.0, 3.0)) if mode == "3d" else {}
+    cfg = passloc.harness.ExperimentConfig(scenarios=["mw"], m=m, mode=mode, seed=11, trials=2,
+                                           snr_db=(0.0, 30.0), **tall)
+    est, rng = cfg.estimator_config(), np.random.default_rng(m)
+    for si, snr in enumerate(cfg.snr_db):
+        for trial in range(cfg.trials):
+            _, layout, _, _, ms = passloc.harness.simulate_trial(cfg, "mw", snr, si, trial)
+            coarse = coarse_columns(layout.subarrays[0], cfg.radio, est.g_theta)
+            for r in (_start_distances(layout, est), rng.uniform(0.5, 45.0, layout.m)):
+                columns = anchor_columns(layout, cfg.radio, est, r)
+                for w, y, (screen, exact) in zip(ms.w, ms.y, columns):
+                    errors = _omp_screen_errors(w, y, screen, exact, coarse)
+                    assert max(errors) <= SCREEN_ERROR, (snr, trial, errors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 64), slots=st.integers(1, 64), g=st.integers(2, 256),
+       r=st.floats(0.05, 60.0), dh=st.floats(0.0, 6.0), snr=st.floats(0.0, 30.0),
+       seed=st.integers(0, 2**16))
+def test_omp_screen_error_is_the_atoms_error(region, radio, half_wave, n, slots, g, r, dh, snr,
+                                            seed):
+    """A screen score moves by at most PHASE_ATOMS_ERROR kappa_j (||r|| + s_j) from its float64
+    score s_j, kappa_j = ||W|| ||a_j|| / ||W a_j||: the perturbation of W a_j by the atoms' error,
+    for the pilots and the residual of the best column's refit, on any config."""
+    lay = build_mw_layout(region, 1, n, half_wave)
+    ms = measure(lay, make_schedule(lay, slots, 0.5, rng_seed=seed),
+                 synthesize_paths(lay, sample_scene(region, l=1, rng_seed=seed), radio), radio,
+                 snr_db=snr, rng_seed=seed + 1)
+    cfg = EstimatorConfig(region=dataclasses.replace(region, h_pa=2.0 + dh), g_theta=g)
+    screen, exact = anchor_columns(lay, radio, cfg, [r])[0]
+    w, y, idx = ms.w[0], ms.y[0], np.arange(g)
+    atoms = exact(idx).atoms
+    kappa = np.linalg.norm(w, 2) * np.linalg.norm(atoms, axis=0) / np.linalg.norm(w @ atoms, axis=0)
+    t = w @ atoms[:, np.argmax(passloc.estimator._scores(y, w, exact(idx))[0])]
+    for res in (y, y - t * (np.vdot(t, y) / np.vdot(t, t))):
+        s64 = passloc.estimator._scores(res, w, exact(idx))[0]
+        s32 = passloc.estimator._scores(res, w, screen(idx))[0]
+        norm = np.linalg.norm(res)
+        bound = 1.01 * PHASE_ATOMS_ERROR * kappa * (norm + s64) + 1e-12 * norm
+        assert np.all(np.abs(s32 - s64) <= bound)
+
+
+_small_omp = dict(scenario=st.sampled_from(["mw", "sw", "sw2", "3d"]), m=st.integers(3, 5),
+                  n=st.integers(2, 48), slots=st.integers(1, 48), g=st.integers(2, 256),
+                  l=st.integers(0, 1), snr=st.floats(0.0, 30.0), seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_small_omp)
+def test_certified_omp_matches_equal_the_float64_matches(scenario, m, n, slots, g, l, snr, seed):
+    """Every certified match of a run_omp_gcl trial, against _float64_match on its residual.
+    Tied pilots score every column alike, a tie at any precision: not drawn."""
+    tall = dict(mode="3d", h_pa=6.0, h_range=(0.0, 3.0)) if scenario == "3d" else {}
+    cfg = passloc.harness.ExperimentConfig(
+        scenarios=["mw" if scenario == "3d" else scenario], m=m, n=n, slots_per_subarray=slots,
+        g_theta=g, l=l, snr_db=(snr,), seed=seed, trials=1, **tall)
+    name = cfg.scenarios[0]
+    _, layout, _, _, ms = passloc.harness.simulate_trial(cfg, name, snr, 0, 0)
+    assume(not any(passloc.estimator._tied_pilots(w) for w in ms.w))
+    real, matches = passloc.estimator.match_direction, []
+
+    def recording(y, w, columns, coarse, gram=None, exact=None):
+        de = real(y, w, columns, coarse, gram=gram, exact=exact)
+        matches.append((y.copy(), w, coarse, exact, de))
+        return de
+
+    with mock.patch.object(passloc.estimator, "match_direction", recording):
+        try:
+            passloc.harness.estimate(cfg, name, ms, layout,
+                                     passloc.harness.scenario_atoms(cfg, name))
+        except DictionaryError:
+            assume(False)
+    assert any(exact is not None for *_, exact, _ in matches)  # the second iteration's
+    for y, w, coarse, exact, de in matches:
+        if exact is not None:
+            want = _float64_match(y, w, exact, coarse)
+            assert (de.grid_index, de.columns_scored) == want[:2]
+            assert de.coefficient == pytest.approx(want[2], rel=1e-9, abs=1e-300)
+            assert de.columns_redone >= 1
+
+
+@pytest.mark.parametrize("scenario", ["nf", "mw", "sw"])
+def test_tied_pilots_are_flagged_on_every_such_trial(scenario):
+    """One slot per subarray, or every PA on in every slot: bits of rank 1."""
+    for tie in (dict(slots_per_subarray=1), dict(density=1.0)):
+        cfg = passloc.harness.ExperimentConfig(scenarios=[scenario], trials=3, snr_db=(25.0,),
+                                               seed=3, g_theta=64, nf_n=16, nf_rings=2, **tie)
+        records = passloc.harness.run_sweep(cfg).records
+        assert all("tied-pilots" in r.flags for r in records), (tie, [r.flags for r in records])
+
+
+def test_tied_pilots_flag_stays_off_at_the_default_configs():
+    for scenario in ("mw", "sw", "sw2", "nf"):
+        cfg = passloc.harness.ExperimentConfig(scenarios=[scenario], trials=4, snr_db=(25.0,),
+                                               seed=11)
+        assert not any("tied-pilots" in r.flags for r in passloc.harness.run_sweep(cfg).records)
 
 
 @pytest.mark.parametrize("m, mode", [(8, "2d"), (3, "2d"), (4, "3d")])
@@ -1235,12 +1510,12 @@ def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_proces
         correlations.append(bit_correlations(*args))
         return correlations[-1]
 
-    def certifying(residual, w, dictionary, subarray, radio, dh, corr, energy):
+    def certifying(residual, screen, redo, index, cosines):
         # path 0's correlations ride in the energies' product, path 1's are bit_correlations'
         first = len(shared) % 2 == 0
-        shared.append(energy is energies[-1][0]
-                      and corr is (energies[-1][1] if first else correlations[-1]))
-        return certified_pick(residual, w, dictionary, subarray, radio, dh, corr, energy)
+        corr = energies[-1][1] if first else correlations[-1]
+        shared.append(np.array_equal(screen, passloc.estimator._score(corr, energies[-1][0])))
+        return certified_pick(residual, screen, redo, index, cosines)
 
     monkeypatch.setattr(passloc.estimator, "activation_energies", counting)
     monkeypatch.setattr(passloc.estimator, "bit_correlations", correlating)
@@ -1279,10 +1554,13 @@ def test_polar_dictionary_holds_guided_atoms_built_once_per_sweep(monkeypatch,
     dic, layout = built[0], passloc.harness.scenario_layout(cfg, "nf")[0]
     assert dic.atoms is None and dic.guided.flags.c_contiguous
     rings = default_polar_rings(cfg.region, cfg.nf_rings)
-    channel = build_polar_dictionary(layout.subarrays[0], cfg.radio, cfg.estimator_config().grid,
-                                     rings, dh=cfg.h_pa - cfg.fixed_height)
-    g = waveguide_vector(layout.subarrays[0], cfg.radio)
-    assert np.array_equal(dic.guided, (g.conj()[:, None] * channel.atoms).astype(np.complex64))
+    sub, grid, dh = layout.subarrays[0], cfg.estimator_config().grid, cfg.h_pa - cfg.fixed_height
+    kernel = phase_atoms(sub, cfg.radio, grid, rings, dh, cfg.radio.n_eff * sub.pa_positions[:, 0])
+    assert np.array_equal(dic.guided, kernel)
+    channel = build_polar_dictionary(sub, cfg.radio, grid, rings, dh=dh)
+    g = waveguide_vector(sub, cfg.radio)
+    assert np.allclose(dic.guided, g.conj()[:, None] * channel.atoms, atol=0.0,
+                       rtol=PHASE_ATOMS_ERROR)
     assert np.array_equal(dic.cosines, channel.cosines)
     assert np.array_equal(dic.ring_distances, channel.ring_distances)
 
@@ -1292,9 +1570,8 @@ def test_guided_rings_raise_on_a_geometrically_invalid_column(radio, half_wave):
     v = np.nextafter(1.0, 0.0)
     edge = AngleGrid(np.array([-v, -0.5, 0.0, 0.5, v]))
     rings = [5 * sub.spacing * (1 - 2e-16), 3.0]  # the first ring's last column is on element 5
-    phases = waveguide_vector(sub, radio).conj()
     with pytest.raises(DictionaryError, match="geometrically invalid"):
-        stack_rings(sub, radio, edge, rings, 0.0, build_dp_dictionary, phases)
+        phase_atoms(sub, radio, edge, rings, 0.0, radio.n_eff * sub.pa_positions[:, 0])
 
 
 def test_polar_dictionary_allocates_no_channel_domain_copy(region, radio, half_wave):
@@ -1431,6 +1708,13 @@ def test_certified_polar_picks_equal_the_float64_full_grid_picks(n, slots, g, ri
         assert abs(float64_pick(residual).coefficient) < passloc.estimator.COEFF_FLOOR * ref
 
 
+def _polar_certified(r, w, dic, sub, radio, dh, corr, energy):
+    """run_polar_baseline's certified_pick of a path from its screen correlations and energies."""
+    return certified_pick(r, passloc.estimator._score(corr, energy),
+                          partial(redone_scores, w, r, dic, sub, radio, dh), np.arange(dic.g),
+                          dic.cosines)
+
+
 def test_certificate_breaks_a_forced_near_tie_as_float64_does(region, radio, half_wave):
     """Two columns within CERTIFY_TAU, ranked one way by the screen and the other in float64."""
     rings = np.geomspace(2.0, 40.0, 6)
@@ -1448,7 +1732,7 @@ def test_certificate_breaks_a_forced_near_tie_as_float64_does(region, radio, hal
     screen = passloc.estimator._score(corr, energy)
     corr[lose] *= float(screen[win]) / float(screen[lose]) * (1.0 + CERTIFY_TAU / 10.0)
     assert np.argmax(passloc.estimator._score(corr, energy)) == lose
-    de = certified_pick(r, w, dic, sub, radio, 2.0, corr, energy)
+    de = _polar_certified(r, w, dic, sub, radio, 2.0, corr, energy)
     want = passloc.estimator._pick(r, range(channel.g), *passloc.estimator._scores(r, w, channel),
                                    channel.cosines)
     assert de.grid_index == want.grid_index == win
@@ -1471,7 +1755,7 @@ def test_certificate_lets_an_inflated_low_energy_column_win_only_if_float64_pick
         energy, corr = activation_energies(w, dic, sub, radio, y)
         energy[k] *= np.float32(1e-12)  # its screen score rises a million-fold
         assert np.argmax(passloc.estimator._score(corr, energy)) == k
-        de = certified_pick(y, w, dic, sub, radio, 2.0, corr, energy)
+        de = _polar_certified(y, w, dic, sub, radio, 2.0, corr, energy)
         assert de.grid_index == want != weakest
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import _anchor_distances, anchor_columns, coarse_columns, extract_directions
+from .estimator import _anchor_distances, coarse_columns, extract_directions, measured_gram
 from .geometry import ServiceRegion, SingularGeometryError, pa_user_distance
 from .harness import ExperimentConfig, simulate_trial
 
@@ -155,9 +155,10 @@ def calibrate_bearing_sigma(cfg: ExperimentConfig, scenario: str, snr_db,
     for t in range(trials):
         scene, layout, _, _, ms = simulate_trial(single, scenario, snr_db, 0, t)
         ranges = _anchor_distances(layout, scene.user, "2d")
-        coarse = [coarse_columns(sub, cfg.radio, est_cfg.g_theta) for sub in layout.subarrays]
-        ests = extract_directions(ms.w, ms.y, anchor_columns(layout, cfg.radio, est_cfg, ranges),
-                                  coarse)
+        sub = layout.subarrays[0]
+        ests = extract_directions(ms.w, ms.y, np.stack([measured_gram(w) for w in ms.w]),
+                                  coarse_columns(sub, cfg.radio, est_cfg.g_theta), sub, cfg.radio,
+                                  est_cfg, r_anchor=ranges)
         deltas = scene.user[:2] - layout.reference_xy
         for delta, r_true, est in zip(deltas, ranges, ests):
             u_true = delta / r_true

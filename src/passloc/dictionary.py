@@ -22,9 +22,11 @@ build_dp_dictionary is the float64 reference. phase_atoms is the build
 kernel of every column the estimators score: complex64 atoms from float32
 cos and sin of phases reduced to turns in float64, within
 PHASE_ATOMS_ERROR of the reference, optionally with the in-guide phase
-folded in. Scores from them only choose columns; the estimator's one
-certificate (estimator.certified_pick) redoes in float64, from
-build_dp_dictionary, every column a choice could turn on.
+folded in. Both take one anchor distance per column as well as one for a
+whole grid, so a caller builds many subarrays' or rings' columns in one
+call. Scores from phase_atoms only choose columns; the estimator's
+certificates redo in float64, from build_dp_dictionary, every column a
+choice could turn on.
 """
 
 from __future__ import annotations
@@ -82,20 +84,20 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class DpDictionary:
-    """Atoms of one subarray at a common anchor distance.
+    """Atoms of one subarray at a common anchor distance, or at one per column.
 
-    atoms is (N, G) in the channel domain: complex128 from
-    build_dp_dictionary, complex64 for the estimator's screens from
-    phase_atoms. ring_distances is populated only by the polar builds,
+    atoms is (N, G) in the channel domain, complex128 from
+    build_dp_dictionary; r_param is an array when it was built with one
+    distance per column. ring_distances is populated only by the polar builds,
     where columns enumerate (distance ring, angle) pairs.
     estimator.polar_dictionary keeps no channel-domain atoms (atoms is
     None) and only guided: the atoms as the waveguide sees them,
     conj(g) * a_j for the in-guide phases g, phase_atoms' complex64 (N, G)
     row-major array. The estimator screens every column with them in
-    float32 and certifies its pick in float64 (estimator.certified_pick).
+    float32 and certifies its pick in float64 (estimator.certified_picks).
     """
 
-    r_param: float
+    r_param: float | np.ndarray
     cosines: np.ndarray
     atoms: np.ndarray | None
     ring_distances: np.ndarray | None = None
@@ -106,12 +108,31 @@ class DpDictionary:
         return self.cosines.size
 
 
-def _squared_ranges(r, cosang, nd, dh: float):
-    """Law of cosines r^2 + (n*d)^2 - 2*(n*d)*r*cos, plus dh^2.
+def _squared_ranges(r, cosang, nd, dh: float, out=None):
+    """Law of cosines r^2 + (n*d)^2 - 2*(n*d)*r*cos, plus dh^2, in that order of operations.
 
-    Non-positive entries mark geometrically impossible (distance, angle) pairs.
+    Non-positive entries mark geometrically impossible (distance, angle)
+    pairs. ``out`` is two float64 arrays of the broadcast shape, the result
+    and a scratch term, allocated when not given.
     """
-    return r * r + nd * nd - 2.0 * nd * r * cosang + dh * dh
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(r), np.shape(cosang), np.shape(nd))
+        out = np.empty(shape), np.empty(shape)
+    total, term = out
+    np.add(r * r, nd * nd, out=total)
+    np.multiply(2.0 * nd, r, out=term)
+    term *= cosang
+    total -= term
+    total += dh * dh
+    return total
+
+
+def _cosines(values) -> np.ndarray:
+    """A 1-D array of cosines in (-1, 1): one per column, in any order."""
+    cosines = values.values if isinstance(values, AngleGrid) else np.asarray(values, dtype=float)
+    if not (cosines.ndim == 1 and cosines.size and np.all(np.abs(cosines) < 1.0)):
+        raise ValueError("cosines must lie strictly inside (-1, 1)")
+    return cosines
 
 
 def _grid_cosines(grid) -> np.ndarray:
@@ -123,36 +144,49 @@ def _grid_cosines(grid) -> np.ndarray:
     return cosines
 
 
-def _checked(squared: np.ndarray, r_param: float) -> np.ndarray:
-    """_squared_ranges' output, or DictionaryError if a column is geometrically invalid."""
+def _column_distances(distances, cosines: np.ndarray) -> np.ndarray:
+    """One positive anchor distance per column: a scalar for every cosine, or one each."""
+    r = np.asarray(distances, dtype=float)
+    if not np.all(r > 0.0):
+        raise ValueError("anchor distance must be positive")
+    if r.ndim and r.shape != cosines.shape:
+        raise ValueError("need one anchor distance, or one per cosine")
+    return np.broadcast_to(r, cosines.shape)
+
+
+def _checked(squared: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """_squared_ranges' output, or DictionaryError if a column (distance r) is invalid."""
     if not squared.min() > 0.0:  # NaN fails too
-        raise DictionaryError(f"a grid column is geometrically invalid at {r_param!r} m")
+        at = float(np.broadcast_to(r, squared.shape).flat[np.argmin(squared)])
+        raise DictionaryError(f"a grid column is geometrically invalid at {at!r} m")
     return squared
 
 
 def build_dp_dictionary(
     subarray: SubarrayGeometry,
-    r_param: float,
+    r_param,
     grid: AngleGrid | np.ndarray,
     radio: RadioConfig,
     dh: float = 0.0,
 ) -> DpDictionary:
-    """Channel-domain atoms for one subarray at a fixed anchor distance.
+    """Channel-domain atoms for one subarray at a fixed anchor distance, or at one per column.
 
-    ``grid`` is an AngleGrid or any strictly increasing 1-D array of
-    cosines in (-1, 1), such as a subset of a grid's values. Every element
-    is computed on its own, so a column's bits do not depend on which
-    other columns are built with it. A column whose element ranges are
-    geometrically impossible raises DictionaryError. The atoms are
-    column-major (F-contiguous): the ranges are laid out one grid column
-    per row and transposed, and every later step of the build runs in
-    place on two buffers.
+    With a scalar ``r_param``, ``grid`` is an AngleGrid or any strictly
+    increasing 1-D array of cosines in (-1, 1), such as a subset of a
+    grid's values. With one distance per cosine the columns are the pairs
+    (r_param[j], cosines[j]), in any order, and r_param is kept as that
+    array. Every element is computed on its own, so a column's bits do not
+    depend on which other columns are built with it. A column whose element
+    ranges are geometrically impossible raises DictionaryError. The atoms
+    are column-major (F-contiguous): the ranges are laid out one grid
+    column per row and transposed, and every later step of the build runs
+    in place on two buffers.
     """
-    if r_param <= 0.0:
-        raise ValueError("anchor distance must be positive")
-    cosines = _grid_cosines(grid)
+    per_column = np.ndim(r_param) > 0
+    cosines = _cosines(grid) if per_column else _grid_cosines(grid)
+    r = _column_distances(r_param, cosines)[:, None]
     nd = np.arange(subarray.n_pas, dtype=float)[None, :] * subarray.spacing
-    ranges = _checked(_squared_ranges(r_param, cosines[:, None], nd, dh), r_param)  # (G, N)
+    ranges = _checked(_squared_ranges(r, cosines[:, None], nd, dh), r)  # (G, N)
     np.sqrt(ranges, out=ranges)
     atoms = np.multiply(-1j * radio.wavenumber, ranges, dtype=complex)
     np.exp(atoms, out=atoms)
@@ -160,7 +194,8 @@ def build_dp_dictionary(
     np.divide(radio.wavelength, ranges, out=ranges)
     np.multiply(ranges, atoms, out=atoms)
     np.divide(atoms, np.sqrt(subarray.n_pas), out=atoms)
-    return DpDictionary(r_param=float(r_param), cosines=cosines, atoms=atoms.T)
+    return DpDictionary(r_param=np.asarray(r_param, dtype=float) if per_column else float(r_param),
+                        cosines=cosines, atoms=atoms.T)
 
 
 def project_dictionary(dictionary: DpDictionary, w: np.ndarray) -> np.ndarray:
@@ -177,6 +212,17 @@ def _ring_ladder(distance_grid) -> np.ndarray:
     return rings
 
 
+def polar_columns(grid, distance_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The (cosines, ring distances) of a joint ring x angle grid's columns.
+
+    Columns enumerate rings in order, each ring carrying every cosine of
+    ``grid`` (strictly increasing); the rings are positive and strictly
+    increasing.
+    """
+    cosines, rings = _grid_cosines(grid), _ring_ladder(distance_grid)
+    return np.tile(cosines, rings.size), np.repeat(rings, cosines.size)
+
+
 # A phase_atoms element is within PHASE_ATOMS_ERROR, relative, of build_dp_dictionary's float64
 # element times exp(-j k path): its float32 turn angle is within 2 pi 2^-25 of the float64 one
 # (|angle| <= pi, the turns reduced exactly in float64), its float32 cos, sin and amplitude each
@@ -184,41 +230,57 @@ def _ring_ladder(distance_grid) -> np.ndarray:
 PHASE_ATOMS_ERROR = 1e-6
 
 
-def phase_atoms(subarray: SubarrayGeometry, radio: RadioConfig, grid, distance_grid,
-                dh: float = 0.0, path=None) -> np.ndarray:
-    """complex64 atoms of every ring in ``distance_grid`` at every cosine of ``grid``: (N, R G).
+# phase_atoms works on blocks of at most _BLOCK columns, in five buffers of 28 bytes an element
+# in all (230 KB for N = 32): a build leaves no large freed blocks for the allocator to return to
+# the system and fault in again on the next one, and a polar build needs little beyond its atoms.
+_BLOCK = 256
 
-    Columns enumerate rings in order, each ring carrying every cosine, and
-    the array is row-major, so a block of columns viewed as float32 is a
-    real (N, 2G') matrix. Element n of a column at ring r has the range
-    r_n from _squared_ranges, in float64, and is
-    wavelength / (4 pi r_n sqrt(N)) exp(-2 pi j t_n), t_n = (r_n + p_n) /
-    wavelength turns with p = ``path``, an extra path length per element
-    (0 when None): p = n_eff x_n gives the guided atoms conj(g) a_j, as the
-    waveguide sees them. Each t_n is reduced to t_n - rint(t_n) in float64,
-    then cos, sin and the amplitude are formed in float32, the only forms
-    numpy vectorises, written one ring at a time. Every element is within
-    PHASE_ATOMS_ERROR of its float64 value. A geometrically invalid column
-    raises DictionaryError, as build_dp_dictionary's does.
+
+def phase_atoms(subarray: SubarrayGeometry, radio: RadioConfig, cosines, distances,
+                dh: float = 0.0, path=None) -> np.ndarray:
+    """complex64 atoms of the columns (cosines[j], distances[j]): (N, G), row-major.
+
+    ``distances`` is one anchor distance for every cosine, or one per
+    cosine; the cosines lie in (-1, 1), in any order (polar_columns
+    enumerates a ring x angle grid). The array is row-major, so a block of
+    columns viewed as float32 is a real (N, 2G') matrix. Element n of a
+    column at distance r has the range r_n from _squared_ranges, in
+    float64, and is wavelength / (4 pi r_n sqrt(N)) exp(-2 pi j t_n),
+    t_n = (r_n + p_n) / wavelength turns with p = ``path``, an extra path
+    length per element (0 when None): p = n_eff x_n gives the guided atoms
+    conj(g) a_j, as the waveguide sees them. Each t_n is reduced to
+    t_n - rint(t_n) in float64, then cos, sin and the amplitude are formed
+    in float32, the only forms numpy vectorises, written a block of
+    columns at a time so the temporaries stay small. Every element is
+    computed on its own, within PHASE_ATOMS_ERROR of its float64 value. A
+    geometrically invalid column raises DictionaryError, as
+    build_dp_dictionary's does.
     """
-    cosines, rings = _grid_cosines(grid), _ring_ladder(distance_grid)
-    n, g = subarray.n_pas, cosines.size
+    cosines = _cosines(cosines)
+    r = _column_distances(distances, cosines)
+    n = subarray.n_pas
     nd = np.arange(n, dtype=float)[:, None] * subarray.spacing
     scale = radio.wavelength / (FOUR_PI * np.sqrt(n))
-    out = np.empty((n, rings.size * g), np.complex64)
-    amp = np.empty((n, g), np.float32)
-    for k, r in enumerate(rings):
-        ranges = _checked(_squared_ranges(r, cosines[None, :], nd, dh), r)  # (N, G)
+    out = np.empty((n, cosines.size), np.complex64)
+    blocks = -(-cosines.size // _BLOCK)  # ceil division: equal blocks of at most _BLOCK columns
+    step = -(-cosines.size // blocks)
+    f64, f32 = np.empty((2, n * step)), np.empty((3, n * step), np.float32)
+    for start in range(0, cosines.size, step):
+        cols = slice(start, start + step)
+        width = len(cosines[cols])
+        ranges, scratch, amp, angle, trig = (a[:n * width].reshape(n, width) for a in (*f64, *f32))
+        _checked(_squared_ranges(r[None, cols], cosines[None, cols], nd, dh, (ranges, scratch)),
+                 r[None, cols])
         np.sqrt(ranges, out=ranges)
         np.divide(scale, ranges, out=amp, casting="same_kind")
         if path is not None:
             np.add(ranges, path[:, None], out=ranges)
         np.multiply(ranges, 1.0 / radio.wavelength, out=ranges)  # turns
-        ranges -= np.rint(ranges)
-        angle = np.multiply(ranges, -2.0 * np.pi, dtype=np.float32, casting="same_kind")
-        block = out[:, k * g:(k + 1) * g]
-        np.multiply(np.cos(angle), amp, out=block.real)
-        np.multiply(np.sin(angle), amp, out=block.imag)
+        ranges -= np.rint(ranges, out=scratch)
+        np.multiply(ranges, -2.0 * np.pi, out=angle, dtype=np.float32, casting="same_kind")
+        block = out[:, cols]
+        np.multiply(np.cos(angle, out=trig), amp, out=block.real)
+        np.multiply(np.sin(angle, out=trig), amp, out=block.imag)
     return out
 
 
@@ -232,17 +294,14 @@ def build_polar_dictionary(
     """Joint (distance ring, angle) dictionary for single-array matching, in float64.
 
     Columns enumerate rings in order, each ring carrying the full angle
-    grid; ring_distances maps every column back to its ring. The atoms are
-    column-major, each ring's build_dp_dictionary atoms written into one
-    preallocated array.
+    grid (polar_columns); ring_distances maps every column back to its
+    ring. The atoms are one column-major build_dp_dictionary of every
+    column at its ring's distance.
     """
-    rings, g = _ring_ladder(distance_grid), angle_grid.g
-    atoms = np.empty((subarray.n_pas, rings.size * g), complex, order="F")
-    for k, r in enumerate(rings):
-        atoms[:, k * g:(k + 1) * g] = build_dp_dictionary(subarray, r, angle_grid, radio,
-                                                          dh=dh).atoms
-    return DpDictionary(r_param=float(rings[0]), cosines=np.tile(angle_grid.values, rings.size),
-                        atoms=atoms, ring_distances=np.repeat(rings, g))
+    cosines, ring_distances = polar_columns(angle_grid, distance_grid)
+    atoms = build_dp_dictionary(subarray, ring_distances, cosines, radio, dh=dh).atoms
+    return DpDictionary(r_param=float(ring_distances[0]), cosines=cosines, atoms=atoms,
+                        ring_distances=ring_distances)
 
 
 def default_polar_rings(region: ServiceRegion, count: int) -> np.ndarray:

@@ -23,11 +23,13 @@ import numpy as np
 
 from .channel import MeasurementSet, RadioConfig, measurement_matrix, path_vector, waveguide_vector
 from .dictionary import (
+    PHASE_ATOMS_ERROR,
     AngleGrid,
     DictionaryError,
     DpDictionary,
     build_dp_dictionary,
     phase_atoms,
+    polar_columns,
     project_dictionary,  # unused here; benchmarks/tracing.py rebinds it as an estimator name
 )
 from .geometry import ArrayLayout, ServiceRegion, SubarrayGeometry, pa_user_distance
@@ -79,7 +81,7 @@ class DirectionEstimate:
     """Best dictionary column for one subarray against one residual, and how many were scored.
 
     columns_redone counts the columns the certificate scored again in
-    float64 (certified_pick, and match_direction's refine cut); a match
+    float64 (certified_picks, and extract_directions' refine cut); a match
     whose columns' own float64 scores decide leaves it 0.
     """
 
@@ -190,14 +192,6 @@ def _steering(y_res, w) -> np.ndarray:
     return (w.conj().T @ y_res).conj()
 
 
-def _matched(dictionary: DpDictionary, gram, steering) -> tuple:
-    """_scores of a dictionary from W^H W and _steering(y_res, w)."""
-    at = _atom_rows(dictionary)
-    energy = _gram_energies(at, gram)
-    corr = (at @ steering).conj()  # a_g^H W^H y
-    return _score(corr, energy), corr, energy
-
-
 def _score(corr, energy) -> np.ndarray:
     """|corr| / sqrt(energy) per column; a column W annihilates (zero energy) scores -1."""
     valid = energy > 0.0
@@ -242,85 +236,122 @@ def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary) ->
 #   bit_correlations). Its observed worst is 7e-7, near sqrt(N) 2^-24 = 5.8e-7 for N = 96 (a
 #   float32 dot product's random-walk rounding); N 2^-24, the worst case of one length-N dot
 #   product, is 5.7e-6.
-# - OMP-GCL's screen, phase_atoms' complex64 columns scored in float64 (match_direction). Its
+# - OMP-GCL's screen, phase_atoms' complex64 columns scored in float64 (extract_directions). Its
 #   only error is the atoms': a score s_j moves by at most dictionary.PHASE_ATOMS_ERROR kappa_j
 #   (||r|| + s_j), kappa_j = ||W|| ||a_j|| / ||W a_j||, which is below SCREEN_ERROR times the best
 #   score S wherever kappa_j (1 + ||r|| / S) <= 10. Its observed worst at the sweep sizes is 3.8e-7;
-#   a degenerate grid can exceed the bound (N = 2, G = 2, a column its own refit zeroed: 2e-5).
+#   a degenerate grid can exceed the bound (N = 2, G = 2, a column its own refit zeroed: 2e-5),
+#   so its certificate also reads a rigorous bound per column (_screen_error).
 # tests/test_estimator.py checks the bound at both screens' sweep sizes, the nf screen's on random
 # small configs, and the OMP-GCL screen's perturbation bound on any config.
 SCREEN_ERROR = 1e-5
 CERTIFY_TAU = 1e-4  # a column screening this close to a float64 decision's boundary is redone
 
 
-def _certified_best(screen: np.ndarray, redo) -> tuple:
-    """Positions k of every column that can score the float64 best, redo(k), and the redone count.
+def _screen_error(norm2, energy, score, w_norm, r_norm) -> np.ndarray:
+    """A bound e_j on |s~_j - s_j| for the screen scores s~_j of phase_atoms' columns a~_j.
 
-    ``redo(k)`` gives the float64 (score, corr, energy) of the screened
-    columns at positions k. k holds every column screening at least
-    (1 - CERTIFY_TAU) times the best screen score; when the best float64
-    score among them, s*, is lower, it grows to every column screening at
-    least (1 - CERTIFY_TAU) s* (a screen score far above its float64 one,
-    outside the bound, only costs redone columns). The float64 best column
-    scores S >= s*, and the screen scores it at least (1 - SCREEN_ERROR) S,
-    so with SCREEN_ERROR < CERTIFY_TAU it is in k, and so is every column
-    that ties it. The thresholds are float64 and hold for s* <= 0 too.
+    ``norm2`` holds ||a~_j||^2 and ``energy`` ||W a~_j||^2;
+    w_norm is ||W||_F and r_norm ||r||. Every element of a~_j is within
+    e = PHASE_ATOMS_ERROR of the float64 atom a_j's, so ||W (a~_j - a_j)||
+    <= e ||W||_2 ||a_j||, with ||a_j|| <= ||a~_j|| / (1 - e) and ||W||_2 <=
+    ||W||_F. The score of W a~_j, perturbed by that much, gives
+    e_j = e k_j (||r|| + s~_j) / (1 - e (1 + k_j)),
+    k_j = ||W||_F ||a~_j|| / ||W a~_j||, on both sides. A column with no
+    bound (zero energy, or e (1 + k_j) >= 1) gets inf. Float64 rounding of
+    the scores is some 1e-16 ||r||, far inside e_j >= e ||r||.
     """
-    top = np.float64(screen.max())
-    k = np.flatnonzero(screen >= top - CERTIFY_TAU * abs(top))
-    redone, count = redo(k), k.size
-    s_star = redone[0].max()
-    if s_star < top:
-        wider = np.flatnonzero(screen >= s_star - CERTIFY_TAU * abs(s_star))
-        if wider.size > k.size:
-            k, redone, count = wider, redo(wider), count + wider.size
-    return k, redone, count
+    live = energy > 0.0
+    kappa = w_norm * np.sqrt(norm2 / np.where(live, energy, 1.0))
+    den = 1.0 - PHASE_ATOMS_ERROR * (1.0 + kappa)
+    bounded = live & (den > 0.0)
+    return np.where(bounded, PHASE_ATOMS_ERROR * kappa * (r_norm + score)
+                    / np.where(bounded, den, 1.0), np.inf)
 
 
-def certified_pick(residual: np.ndarray, screen: np.ndarray, redo, index,
-                   cosines) -> DirectionEstimate:
-    """_pick's float64 choice over screened columns: the first float64 maximum in grid order.
+def _certified_best(screen: np.ndarray, error, bounds, redo) -> tuple:
+    """Per segment of screened columns, every column that can score its float64 best, redone.
 
-    ``screen`` holds the screen scores of the columns at the increasing
-    grid indices ``index`` (an array) with ``cosines``, and ``redo(k)`` the
-    float64 (score, corr, energy) of the columns at positions k. _pick
-    chooses among the columns _certified_best redoes, so the pick and its
-    coefficient, correlation and low_confidence are float64 values.
-    columns_scored counts the screened columns, columns_redone the redone
-    ones. Both estimators use it: run_polar_baseline's redo is
-    redone_scores, match_direction's the float64 build of its columns.
+    The flat arrays hold segments bounds[i]:bounds[i + 1], none empty, and
+    ``redo(k)`` gives the float64 (score, corr, energy) of the columns at
+    flat positions k. A segment's column is redone when it screens at least
+    (1 - CERTIFY_TAU) times the segment's best screen score, or when its
+    screen score plus its error bound (_screen_error; 0 for a screen that
+    has none) reaches the segment's largest screen score minus its bound.
+    When the best float64 score among them, s*, is below the best screen
+    score, the segment's set grows by every column screening at least
+    (1 - CERTIFY_TAU) s* (a screen score far above its float64 one,
+    outside its bound, only costs redone columns). The float64 best column
+    scores S >= s*. The screen scores it at least (1 - SCREEN_ERROR) S, so
+    with SCREEN_ERROR < CERTIFY_TAU it is redone, and so is every column
+    that ties it; and under an error bound, its screen score plus its bound
+    is at least S, which is at least every column's screen score minus its
+    bound. The thresholds are float64 and hold for s* <= 0 too. Returns the
+    flat positions k, in order, redo(k), per segment the number of them
+    and the redone count.
     """
-    k, redone, count = _certified_best(screen, redo)
-    de = _pick(residual, index[k], *redone, cosines[k])
-    return replace(de, columns_scored=len(screen), columns_redone=count)
+    lengths = np.diff(bounds)
+    top = np.maximum.reduceat(screen, bounds[:-1]).astype(float)
+    floor = np.maximum.reduceat(screen - error, bounds[:-1])
+    near = ((screen >= np.repeat(top - CERTIFY_TAU * np.abs(top), lengths))
+            | (screen + error >= np.repeat(floor, lengths)))
+    k = np.flatnonzero(near)
+    redone = redo(k)
+    sizes = np.bincount(np.searchsorted(bounds, k, "right") - 1, minlength=lengths.size)
+    counts = sizes.copy()
+    s_star = np.maximum.reduceat(redone[0], np.cumsum(sizes) - sizes)
+    for i in np.flatnonzero(s_star < top)[::-1]:  # rare; from the last, so k's bounds hold
+        seg = slice(bounds[i], bounds[i + 1])
+        wider = near[seg] | (screen[seg] >= s_star[i] - CERTIFY_TAU * abs(s_star[i]))
+        if wider.sum() > sizes[i]:
+            at = np.searchsorted(k, bounds[i:i + 2])
+            wide = bounds[i] + np.flatnonzero(wider)
+            k = np.concatenate((k[:at[0]], wide, k[at[1]:]))
+            redone = [np.concatenate((r[:at[0]], w, r[at[1]:]))
+                      for r, w in zip(redone, redo(wide))]
+            sizes[i], counts[i] = wide.size, counts[i] + wide.size  # both redos count
+    return k, redone, sizes, counts
+
+
+def certified_picks(residuals, screen: np.ndarray, error, bounds, redo, index,
+                    cosines) -> list[DirectionEstimate]:
+    """Per segment of screened columns, _pick's float64 choice: its first float64 maximum.
+
+    Segment i holds the screen scores ``screen`` of the columns at flat
+    positions bounds[i]:bounds[i + 1], at increasing grid indices ``index``
+    with ``cosines``, matched against residuals[i]; ``error`` bounds each
+    screen score's error (0 where the screen's own bound, SCREEN_ERROR,
+    holds), and ``redo(k)`` gives the float64 (score, corr, energy) of the
+    columns at flat positions k. _pick chooses among the columns
+    _certified_best redoes, so each pick and its coefficient, correlation
+    and low_confidence are float64 values. columns_scored counts a
+    segment's screened columns, columns_redone its redone ones. Both
+    estimators use it: run_polar_baseline with one segment and its redo
+    redone_scores, extract_directions with one per subarray.
+    """
+    k, redone, sizes, counts = _certified_best(screen, error, bounds, redo)
+    ends = np.cumsum(sizes)
+    return [replace(_pick(y, index[k[a:b]], *(r[a:b] for r in redone), cosines[k[a:b]]),
+                    columns_scored=int(n), columns_redone=int(c))
+            for y, a, b, n, c in zip(residuals, ends - sizes, ends, np.diff(bounds), counts)]
 
 
 REFINE_FRACTION = 0.5  # a coarse interval is refined when an end scores this share of the best
 
 
 def coarse_columns(subarray: SubarrayGeometry, radio: RadioConfig, g: int) -> np.ndarray:
-    """The columns match_direction scores first on a g-column grid: every S-th, and the last.
+    """The columns extract_directions scores first on a g-column grid: every S-th, and the last.
 
     S = max(1, floor(g lambda / (8 N d))) is an eighth of the main lobe's
     null-to-null width 2 lambda / (N d) counted in steps of a uniform cosine
     grid, so a lobe's peak lies within S / 2 columns of a coarse column. It
     is 8 for N = 32 at half-wave spacing and g = 1024; S = 1 is the full grid.
+    Every subarray of a layout shares N and d, so they share one array.
     """
     stride = max(1, int(g * radio.wavelength / (8.0 * subarray.n_pas * subarray.spacing)))
     idx = np.unique(np.append(np.arange(0, g, stride), g - 1))
-    idx.setflags(write=False)  # _scored hands it back as the scored columns' indices
+    idx.setflags(write=False)  # one array serves every subarray and stage of a trial
     return idx
-
-
-def _scored(columns, idx, gram, steering) -> tuple:
-    """The columns idx, and their scores, correlations, energies and cosines under columns(idx)."""
-    dictionary = columns(idx)
-    return (idx, *_matched(dictionary, gram, steering), dictionary.cosines)
-
-
-def _redone(exact, gram, steering, idx, k) -> tuple:
-    """float64 (score, corr, energy) of the grid columns idx[k], built by exact(idx[k])."""
-    return _matched(exact(idx[k]), gram, steering)
 
 
 def _near_cut(score: np.ndarray, best) -> np.ndarray:
@@ -328,68 +359,39 @@ def _near_cut(score: np.ndarray, best) -> np.ndarray:
     return np.abs(score - REFINE_FRACTION * best) <= CERTIFY_TAU * abs(best)
 
 
-def match_direction(y_res: np.ndarray, w: np.ndarray, columns, coarse: np.ndarray,
-                    gram=None, exact=None) -> DirectionEstimate:
-    """omp_direction on a grid, scoring the columns near its best coarse scores only.
+def _cut_in_doubt(score: np.ndarray, error: np.ndarray) -> np.ndarray:
+    """Per row of coarse screen scores, whether the screen may not decide the refine cut.
 
-    ``columns(idx)`` is the DpDictionary of grid columns idx. The first
-    stage scores the ``coarse`` columns (coarse_columns: increasing, from 0
-    to the grid's last column). The second scores every column strictly
-    between two neighbouring coarse columns of which one scores at least
-    REFINE_FRACTION of the best coarse score, or all of them when no coarse
-    score is positive. The pick is the first maximum over the scored
-    columns in grid order: omp_direction's pick on the full grid whenever
-    that lies in a refined interval, as a main lobe's peak does. Its
-    grid_index counts the grid's columns and columns_scored the columns
-    both stages scored. ``gram`` is measured_gram(w), formed when not given.
-
-    Without ``exact`` the columns' own scores decide. With it, ``columns``
-    is a screen (phase_atoms' complex64 columns) and ``exact(idx)`` the
-    float64 build of the same columns (build_dp_dictionary), and both
-    decisions are the float64 ones:
-    - The refine cut. When no coarse column screens within CERTIFY_TAU of
-      the cut at the best screen score (_near_cut), the screen decides:
-      the cut moves by at most REFINE_FRACTION SCREEN_ERROR of the best
-      score, a column by SCREEN_ERROR, and together they stay below
-      CERTIFY_TAU. Otherwise the best coarse score B is redone
-      (_certified_best), then every coarse column screening near the cut
-      at B, and the screen decides only the columns farther from it.
-    - The pick: certified_pick, so its values are float64's too.
-    columns_redone counts both stages' redone columns.
+    It decides unless no score is positive, a column screens near the cut
+    (_near_cut), or a column's error bound reaches across the cut's own
+    range, REFINE_FRACTION times the best score's, from the largest score
+    minus its bound to the largest plus its bound.
     """
-    gram = measured_gram(w) if gram is None else gram
-    _check_match(y_res, w, len(gram))
-    steering = _steering(y_res, w)
-    scored = _scored(columns, coarse, gram, steering)
-    idx, score = scored[:2]
-    best, redone = score.max(), 0
-    if exact is not None and (best <= 0.0 or _near_cut(score, best).any()):
-        redo = partial(_redone, exact, gram, steering, idx)
-        k, (exact_score, _, _), redone = _certified_best(score, redo)
-        best = exact_score.max()
-        near = _near_cut(score, best)
-        near[k] = False
-        score = score.copy()
-        score[k] = exact_score
-        if near.any():
-            score[near] = redo(np.flatnonzero(near))[0]
-            redone += int(near.sum())
-    hot = np.concatenate(([False], (score >= REFINE_FRACTION * best) | (best <= 0.0), [False]))
-    rest = np.ones(coarse[-1] + 1, dtype=bool)
-    rest[coarse] = False
-    rest = np.flatnonzero(rest)
-    above = np.searchsorted(idx, rest)  # a column's coarse neighbours are idx[above - 1], idx[above]
-    fine = rest[hot[above] | hot[above + 1]]
-    if fine.size:
-        refined = _scored(columns, fine, gram, steering)
-        merged = [np.concatenate(pair) for pair in zip(scored, refined)]
-        order = np.argsort(merged[0])
-        scored = [a[order] for a in merged]
-    if exact is None:
-        return _pick(y_res, *scored)
-    idx, screen, _, _, cosines = scored
-    de = certified_pick(y_res, screen, partial(_redone, exact, gram, steering, idx), idx, cosines)
-    return replace(de, columns_redone=de.columns_redone + redone)
+    best = score.max(axis=-1, keepdims=True)
+    lo, hi = (REFINE_FRACTION * (score + sign * error).max(axis=-1, keepdims=True)
+              for sign in (-1.0, 1.0))
+    across = (score + error >= lo) & (score - error < hi)
+    return (best[..., 0] <= 0.0) | (_near_cut(score, best) | across).any(axis=-1)
+
+
+def _certified_cut(score: np.ndarray, error: np.ndarray, redo) -> tuple:
+    """The coarse scores the refine cut reads, their best and the number of columns redone.
+
+    The best coarse score B is float64's (_certified_best), and so is every
+    score near the cut at B: within CERTIFY_TAU B of it (_near_cut) or
+    within the column's error bound. The screen decides only the columns
+    farther from the cut: a column moves by at most its bound, and under
+    the SCREEN_ERROR bound by less than CERTIFY_TAU B.
+    """
+    k, (exact, _, _), _, (count,) = _certified_best(score, error, np.array([0, score.size]), redo)
+    best = exact.max()
+    cut = _near_cut(score, best) | (np.abs(score - REFINE_FRACTION * best) <= error)
+    cut[k] = False
+    score = score.copy()
+    score[k] = exact
+    if cut.any():
+        score[cut] = redo(np.flatnonzero(cut))[0]
+    return score, best, count + int(cut.sum())
 
 
 def projection_matrix(varphi: float, sign: float) -> np.ndarray:
@@ -643,37 +645,6 @@ def _anchor_distances(layout: ArrayLayout, point, mode: str, floor: float = MIN_
     return np.maximum(r, floor)
 
 
-def _built_columns(subarray, r_param: float, cosines, radio: RadioConfig, dh: float, idx):
-    """build_dp_dictionary of the grid columns idx of ``cosines`` at anchor distance r_param."""
-    return build_dp_dictionary(subarray, r_param, cosines[idx], radio, dh=dh)
-
-
-def _screen_columns(subarray, r_param: float, cosines, radio: RadioConfig, dh: float, idx):
-    """_built_columns' columns as phase_atoms' complex64 screen."""
-    cosines = cosines[idx]
-    return DpDictionary(r_param=r_param, cosines=cosines,
-                        atoms=phase_atoms(subarray, radio, cosines, [r_param], dh))
-
-
-def anchor_columns(layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, r_anchor):
-    """Per subarray m, match_direction's (columns, exact) of config.grid at distance r_anchor[m].
-
-    Each match builds only the columns it scores: phase_atoms' complex64
-    screen of them, and build_dp_dictionary's float64 columns of those its
-    certificate redoes.
-    """
-    values = config.grid.values
-    return [(partial(_screen_columns, *column), partial(_built_columns, *column))
-            for column in ((sub, float(r), values, radio, config.dh)
-                           for sub, r in zip(layout.subarrays, r_anchor))]
-
-
-def _taken_columns(dictionary: DpDictionary, idx) -> DpDictionary:
-    """The columns idx of a dictionary built on a whole grid."""
-    return DpDictionary(r_param=dictionary.r_param, cosines=dictionary.cosines[idx],
-                        atoms=dictionary.atoms[:, idx])
-
-
 def _start_distances(layout: ArrayLayout, config: EstimatorConfig) -> np.ndarray:
     """Anchor distances of every path's first iteration: to the region center.
 
@@ -704,18 +675,111 @@ def start_dictionaries(layout: ArrayLayout, radio: RadioConfig,
     return start
 
 
-def extract_directions(w_list, residuals, columns, coarse, grams=None) -> list:
-    """Stage 1: per subarray, the grid column that best matches its residual.
+def extract_directions(w_list, residuals, grams, coarse, subarray: SubarrayGeometry,
+                       radio: RadioConfig, config: EstimatorConfig, start=None,
+                       r_anchor=None) -> list:
+    """Stage 1: for every subarray at once, the grid column that best matches its residual.
 
-    Subarray m's grid columns are matched through its measurement matrix
-    w_list[m] by match_direction, coarse[m] first (coarse_columns), with
-    columns[m] its pair (columns, exact): a float64 dictionary's columns
-    and None, or anchor_columns' screen and float64 build. grams[m], when
-    given, is measured_gram(w_list[m]).
+    Subarray m matches residuals[m] through w_list[m], with Gram matrix
+    grams[m] (measured_gram; grams is (M, N, N)), on config.grid, and
+    every subarray shares ``subarray``'s N and spacing. Its columns are
+    start[m]'s (start_dictionaries), whose float64 scores decide, or, at
+    the anchor distance r_anchor[m], phase_atoms' complex64 screen with a
+    float64 certificate. Each stage builds every subarray's columns in one
+    phase_atoms call, then widens and scores subarray m's slice with W_m's
+    own products, of the shapes a one-subarray match has, so each score has
+    the bits it has alone; the slices are widened one at a time, which keeps
+    the stage's temporaries small. The stages:
+    - coarse: the ``coarse`` columns (coarse_columns: increasing, from 0 to
+      the grid's last column), the same for every subarray;
+    - refine: every column strictly between two neighbouring coarse
+      columns of which one scores at least REFINE_FRACTION of the best
+      coarse score, or every column when no coarse score is positive.
+    The pick is the first maximum over the scored columns in grid order:
+    omp_direction's pick on the full grid whenever that lies in a refined
+    interval, as a main lobe's peak does. Its grid_index counts the grid's
+    columns and columns_scored the columns both stages scored.
+
+    With r_anchor both decisions are the float64 ones:
+    - the refine cut: the screen decides unless _cut_in_doubt, and then
+      _certified_cut redoes every coarse column the cut could turn on;
+    - the pick: certified_picks, every subarray's redone columns built in
+      one build_dp_dictionary call with one distance per column.
+    columns_redone counts both stages' redone columns.
     """
-    grams = [None] * len(w_list) if grams is None else grams
-    return [match_direction(y, w_m, col, c, gram=g, exact=exact)
-            for y, w_m, (col, exact), c, g in zip(residuals, w_list, columns, coarse, grams)]
+    m, values, dh = len(residuals), config.grid.values, config.dh
+    for y, w in zip(residuals, w_list):
+        _check_match(y, w, subarray.n_pas)
+    steering = np.stack([_steering(y, w) for y, w in zip(residuals, w_list)])  # (M, N)
+
+    def matched(sub, rows):
+        """Flat (score, corr, energy) of columns grouped by subarray, sub[j] being column j's:
+        rows(i, a, b) are the atom rows of subarray i's columns a:b, scored by its products."""
+        sizes = np.bincount(sub, minlength=m)
+        ends = np.cumsum(sizes)
+        energy, corr = np.empty(sub.size), np.empty(sub.size, dtype=complex)
+        for i in np.flatnonzero(sizes):
+            a, b = ends[i] - sizes[i], ends[i]
+            at = rows(i, a, b)
+            energy[a:b] = _gram_energies(at, grams[i])
+            np.matmul(at, steering[i], out=corr[a:b])
+        np.conjugate(corr, out=corr)  # a_g^H W^H y
+        return [_score(corr, energy), corr, energy]
+
+    def scored(sub, idx):
+        """matched of the grid columns idx[j] of subarrays sub[j]: start's float64 columns, or
+        phase_atoms' screen of all of them, built in one call, with its error bounds."""
+        if start is not None:
+            return matched(sub, lambda i, a, b: start[i].atoms.T[idx[a:b]])
+        if not idx.size:
+            return [np.empty(0), np.empty(0, dtype=complex), np.empty(0), np.empty(0)]
+        built = phase_atoms(subarray, radio, values[idx], r_anchor[sub], dh)
+        columns = matched(sub, lambda i, a, b: np.ascontiguousarray(built[:, a:b].T, dtype=complex))
+        parts = built.view(np.float32)  # ||a~_j||^2, each (re, im) squared exactly in float64
+        norm2 = np.einsum("nk,nk->k", parts, parts, dtype=float).reshape(-1, 2).sum(axis=1)
+        return columns + [_screen_error(norm2, columns[2], columns[0], w_norm[sub], r_norm[sub])]
+
+    def exact(sub, idx):
+        """matched of the grid columns idx[j] of subarrays sub[j], built in float64 in one call."""
+        rows = build_dp_dictionary(subarray, r_anchor[sub], values[idx], radio, dh=dh).atoms.T
+        return matched(sub, lambda i, a, b: rows[a:b])
+
+    if start is None:
+        w_norm = np.sqrt(np.trace(grams, axis1=1, axis2=2).real)  # ||W||_F
+        r_norm = np.array([np.linalg.norm(y) for y in residuals])
+    sub, idx = np.repeat(np.arange(m), coarse.size), np.tile(coarse, m)
+    columns = scored(sub, idx)
+    score = columns[0].reshape(m, -1)
+    best, redone = score.max(axis=1), np.zeros(m, dtype=int)
+    if start is None:
+        error = columns[3].reshape(m, -1)
+        doubt = np.flatnonzero(_cut_in_doubt(score, error))
+        screen, score = score, score.copy() if doubt.size else score
+        for i in doubt:
+            score[i], best[i], redone[i] = _certified_cut(
+                screen[i], error[i], lambda k, i=i: exact(np.full(k.size, i), coarse[k]))
+
+    hot = np.zeros((m, coarse.size + 2), dtype=bool)
+    hot[:, 1:-1] = (score >= REFINE_FRACTION * best[:, None]) | (best <= 0.0)[:, None]
+    rest = np.ones(coarse[-1] + 1, dtype=bool)
+    rest[coarse] = False
+    rest = np.flatnonzero(rest)
+    above = np.searchsorted(coarse, rest)  # a column's coarse neighbours are above - 1, above
+    fine = [rest[h[above] | h[above + 1]] for h in hot]
+    fine_sub, fine_idx = np.repeat(np.arange(m), [f.size for f in fine]), np.concatenate(fine)
+    refined = scored(fine_sub, fine_idx)
+    sub, idx = np.concatenate((sub, fine_sub)), np.concatenate((idx, fine_idx))
+    order = np.lexsort((idx, sub))  # by subarray, then in grid order
+    sub, idx = sub[order], idx[order]
+    columns = [np.concatenate(pair)[order] for pair in zip(columns, refined)]
+    bounds = np.append(0, np.cumsum(np.bincount(sub, minlength=m)))
+    if start is not None:
+        return [_pick(y, idx[a:b], *(c[a:b] for c in columns), values[idx[a:b]])
+                for y, a, b in zip(residuals, bounds[:-1], bounds[1:])]
+    estimates = certified_picks(residuals, columns[0], columns[3], bounds,
+                                lambda k: exact(sub[k], idx[k]), idx, values[idx])
+    return [replace(de, columns_redone=de.columns_redone + int(n))
+            for de, n in zip(estimates, redone)]
 
 
 def fuse(directions, layout: ArrayLayout, config: EstimatorConfig) -> tuple[Iterate, np.ndarray]:
@@ -936,17 +1000,18 @@ def peel(fits, residuals):
             np.array([c * b for b, _, c in fits], dtype=complex))
 
 
-def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start_columns,
+def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start,
                   layout: ArrayLayout, radio: RadioConfig,
                   config: EstimatorConfig) -> tuple[PathEstimateResult, float]:
     """Path l of run_omp_gcl: refine, arbitrate and polish it, and peel it from ``residuals``.
 
     extract_directions and fuse alternate for up to max_outer_iters steps,
-    stopping once the fix moves less than MOVE_TOL. Each match is
-    match_direction's against grams[m] = measured_gram(w_list[m]); the first
-    iteration takes its columns from ``start_columns``, whose float64
-    scores decide, later ones build only the columns they score, at the
-    fused anchor distances, as a certified screen (anchor_columns). arbitrate
+    stopping once the fix moves less than MOVE_TOL. Each iteration matches
+    every subarray in one extract_directions call, against the stacked
+    grams = measured_gram(w_list[m]) and the ``coarse`` columns; the first
+    takes its columns from ``start``, whose float64 scores decide, later
+    ones build only the columns they score, at the fused anchor distances,
+    as a certified screen. arbitrate
     and polish read one refit slope (refit_slope), and peel subtracts
     rank_one_fit's fit of the same path model at the polished fix from
     ``residuals`` in place; a path l > 0 is scattered towards ``user``.
@@ -954,14 +1019,17 @@ def estimate_path(l, user, ref_strength, residuals, w_list, grams, coarse, start
     magnitude, and below COEFF_FLOOR times ``ref_strength`` a path l > 0 is
     absent: not polished, not peeled, and with zero gains and components.
     Angles and signs are the arbitrated iterate's. The trace records every
-    iterate with the columns each subarray's match scored and redid, then the polished
-    position with polish's moves, slope calls and whether it ran out of
-    calls. Returns the path and its strength.
+    iterate with the columns each subarray's match scored and redid, then
+    the polished position with polish's moves, slope calls and whether it
+    ran out of calls. Returns the path and its strength.
     """
     iterates, trace = [], []
     for it in range(config.max_outer_iters):
-        columns = start_columns if it == 0 else anchor_columns(layout, radio, config, r_anchor)
-        directions = extract_directions(w_list, residuals, columns, coarse, grams)
+        stage = (w_list, residuals, grams, coarse, layout.subarrays[0], radio, config)
+        if it == 0:
+            directions = extract_directions(*stage, start=start)
+        else:
+            directions = extract_directions(*stage, r_anchor=r_anchor)
         iterate, r_anchor = fuse(directions, layout, config)
         moved = np.linalg.norm(iterate.position - iterates[-1].position) if iterates else np.inf
         iterates.append(iterate)
@@ -1013,8 +1081,11 @@ def run_omp_gcl(
     """Joint multi-path localization and channel reconstruction.
 
     Paths are extracted strongest-first, one estimate_path call each,
-    against W^H W formed once per subarray and trial and the columns of
-    ``start``, the layout's start_dictionaries. Path 0 is the user and sets
+    against W^H W formed once per subarray and trial and stacked, the one
+    coarse_columns array every subarray shares (a layout's subarrays share
+    N and spacing) and the columns of ``start``, the layout's
+    start_dictionaries. Each outer iteration matches all M subarrays in one
+    extract_directions stage. Path 0 is the user and sets
     the reference strength; extraction stops at the first absent path. A
     subarray with tied pilots (_tied_pilots) flags the result "tied-pilots".
     """
@@ -1025,10 +1096,10 @@ def run_omp_gcl(
         raise ValueError("start dictionaries do not match the layout and config; "
                          "build them with start_dictionaries")
     residuals = [y.astype(complex).copy() for y in measurements.y]
-    per_trial = dict(w_list=measurements.w, grams=[measured_gram(w_m) for w_m in measurements.w],
-                 coarse=[coarse_columns(sub, radio, config.g_theta) for sub in layout.subarrays],
-                 start_columns=[(partial(_taken_columns, d), None) for d in start],
-                 layout=layout, radio=radio, config=config)
+    per_trial = dict(w_list=measurements.w,
+                     grams=np.stack([measured_gram(w_m) for w_m in measurements.w]),
+                     coarse=coarse_columns(layout.subarrays[0], radio, config.g_theta),
+                     start=start, layout=layout, radio=radio, config=config)
     paths, user, ref_strength, global_flags = [], None, None, set()
     if any(_tied_pilots(w_m) for w_m in measurements.w):
         global_flags.add("tied-pilots")
@@ -1074,18 +1145,18 @@ def polar_dictionary(
     exp(j k n_eff x_n): phase_atoms writes them in complex64 directly,
     with the extra path length n_eff x_n per element. The float32 screen
     (activation_energies, bit_correlations) reads them; atoms is None.
-    certified_pick's redo rebuilds the columns it redoes in float64, and
+    certified_picks' redo rebuilds the columns it redoes in float64, and
     run_polar_baseline the channel-domain column of each pick, alone,
     with build_dp_dictionary. The atoms are scene-independent, so a caller
     running many trials builds them once; harness.scenario_atoms builds
     the nf scenario's.
     """
-    sub, grid = layout.subarrays[0], config.grid
-    guided = phase_atoms(sub, radio, grid, rings, _polar_dh(config),
+    sub = layout.subarrays[0]
+    cosines, ring_distances = polar_columns(config.grid, rings)
+    guided = phase_atoms(sub, radio, cosines, ring_distances, _polar_dh(config),
                          radio.n_eff * sub.pa_positions[:, 0])
-    rings = np.asarray(rings, dtype=float).reshape(-1)
-    return DpDictionary(r_param=float(rings[0]), cosines=np.tile(grid.values, rings.size),
-                        atoms=None, ring_distances=np.repeat(rings, grid.g), guided=guided)
+    return DpDictionary(r_param=float(ring_distances[0]), cosines=cosines, atoms=None,
+                        ring_distances=ring_distances, guided=guided)
 
 
 def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: SubarrayGeometry,
@@ -1098,7 +1169,7 @@ def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: Subar
     one real product of the complex64 guided atoms with the rows of A, two
     real multiply-adds per entry where W a_j needs four, and two more rows,
     Re and Im of A^T y, formed in float64 and rounded to float32; the
-    product runs in float32, one ring block at a time. certified_pick
+    product runs in float32, one ring block at a time. certified_picks
     turns the screen into the float64 pick. A W that is not conj(A * g)
     for A = (W != 0) raises ValueError.
     """
@@ -1156,18 +1227,13 @@ def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
                   subarray: SubarrayGeometry, radio: RadioConfig, dh: float, idx) -> tuple:
     """float64 scores, correlations a_j^H W^H r and energies ||W a_j||^2 of polar columns idx.
 
-    Each column is rebuilt in float64 by build_dp_dictionary, one call per
-    ring, and guided by conj(g) in complex128; its energy and correlation
-    then come from the same product with the activation rows as
-    activation_energies', in float64.
+    The columns are rebuilt in float64 by one build_dp_dictionary call,
+    each at its ring's distance, and guided by conj(g) in complex128; their
+    energies and correlations then come from the same product with the
+    activation rows as activation_energies', in float64.
     """
-    idx = np.asarray(idx)
-    ring_of = dictionary.ring_distances[idx]
-    u = np.empty((subarray.n_pas, idx.size), dtype=complex)
-    for ring in np.unique(ring_of):
-        on = ring_of == ring
-        u[:, on] = build_dp_dictionary(subarray, float(ring), dictionary.cosines[idx[on]], radio,
-                                       dh=dh).atoms
+    u = np.ascontiguousarray(build_dp_dictionary(subarray, dictionary.ring_distances[idx],
+                                                 dictionary.cosines[idx], radio, dh=dh).atoms)
     np.multiply(waveguide_vector(subarray, radio).conj()[:, None], u, out=u)
     energy, corr = _bit_products(_activation_rows(w != 0, r), u)
     return _score(corr, energy), corr, energy
@@ -1195,7 +1261,7 @@ def run_polar_baseline(
     atoms and the activation bits: the energies and path 0's correlations
     from one product per trial (activation_energies, which rejects a W
     that is not conj(A * g)), a later path's correlations from
-    bit_correlations. certified_pick, redoing columns with redone_scores,
+    bit_correlations. certified_picks, redoing columns with redone_scores,
     turns each screen into the pick of _score and _pick on float64 scores,
     and records how many columns it redid. The least-squares refit and the
     channels use each picked column in the channel domain, rebuilt alone by
@@ -1217,9 +1283,9 @@ def run_polar_baseline(
     for l in range(config.num_paths):
         if l > 0:
             corr = bit_correlations(w, residual, dic)
-        de = certified_pick(residual, _score(corr, energy),
-                            partial(redone_scores, w, residual, dic, sub, radio, dh),
-                            np.arange(dic.g), dic.cosines)
+        de, = certified_picks([residual], _score(corr, energy), 0.0, np.array([0, dic.g]),
+                              partial(redone_scores, w, residual, dic, sub, radio, dh),
+                              np.arange(dic.g), dic.cosines)
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength

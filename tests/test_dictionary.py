@@ -16,6 +16,7 @@ from passloc.dictionary import (
     default_polar_rings,
     mutual_coherence,
     phase_atoms,
+    polar_columns,
     project_dictionary,
 )
 from passloc.estimator import EstimatorConfig, omp_direction
@@ -98,6 +99,10 @@ def test_ranges_match_coordinate_geometry(rng):
 def test_range_validation(sub, radio):
     with pytest.raises(ValueError, match="anchor distance must be positive"):
         build_dp_dictionary(sub, -1.0, AngleGrid.uniform_cosine(8), radio)
+    with pytest.raises(ValueError, match="anchor distance must be positive"):
+        build_dp_dictionary(sub, np.array([3.0, 0.0]), np.array([0.2, -0.3]), radio)
+    with pytest.raises(ValueError, match="one per cosine"):
+        build_dp_dictionary(sub, np.array([3.0, 4.0]), AngleGrid.uniform_cosine(8), radio)
     # a target exactly on element 3 has a zero squared range: no usable column
     assert _squared_ranges(3.0, 1.0, 3.0, 0.0) == 0.0
     v = np.nextafter(1.0, 0.0)  # one ulp inside the grid's open interval
@@ -199,7 +204,7 @@ def test_polar_atoms_are_column_major(sub, radio):
 
 def _phase_atoms_error(sub, radio, grid, rings, dh, path) -> float:
     """phase_atoms' largest relative element error against float64 builds times exp(-j k path)."""
-    got = phase_atoms(sub, radio, grid, rings, dh, path)
+    got = phase_atoms(sub, radio, *polar_columns(grid, rings), dh, path)
     assert got.dtype == np.complex64 and got.flags.c_contiguous
     ramp = np.ones(sub.n_pas) if path is None else np.exp(-1j * radio.wavenumber * path)
     want = np.hstack([ramp[:, None] * build_dp_dictionary(sub, r, grid, radio, dh=dh).atoms
@@ -232,25 +237,52 @@ def test_phase_atoms_at_the_nf_sweep_size(radio, region):
 
 def test_phase_atoms_enumerate_rings_like_the_polar_build(sub, radio):
     grid, rings = AngleGrid.uniform_cosine(16), [2.0, 5.0, 9.0]
-    stacked = phase_atoms(sub, radio, grid, rings)
+    cosines, ring_distances = polar_columns(grid, rings)
+    assert np.array_equal(cosines, np.tile(grid.values, 3))
+    assert np.array_equal(ring_distances, np.repeat(rings, 16))
+    stacked = phase_atoms(sub, radio, cosines, ring_distances)
     for k, r in enumerate(rings):
-        assert np.array_equal(stacked[:, 16 * k:16 * (k + 1)], phase_atoms(sub, radio, grid, [r]))
+        assert np.array_equal(stacked[:, 16 * k:16 * (k + 1)], phase_atoms(sub, radio, grid, r))
     subset = grid.values[[1, 4, 5]]  # a column's values do not depend on its neighbours
-    assert np.array_equal(phase_atoms(sub, radio, subset, [5.0]),
+    assert np.array_equal(phase_atoms(sub, radio, subset, 5.0),
                           stacked[:, 16 + np.array([1, 4, 5])])
+
+
+def test_one_distance_per_column_builds_each_column_as_its_own_distance_does(sub, radio):
+    """Columns at many distances, in any order, in one call: every column's bits are those of a
+    build at its own distance alone, in both builds, across phase_atoms' blocks."""
+    rng = np.random.default_rng(4)
+    cosines = rng.uniform(-0.99, 0.99, 5000)
+    r = rng.choice([0.7, 3.0, 12.5, 40.0], cosines.size)
+    screen = phase_atoms(sub, radio, cosines, r, 1.5)
+    exact = build_dp_dictionary(sub, r, cosines, radio, dh=1.5)
+    assert exact.atoms.flags.f_contiguous and np.array_equal(exact.r_param, r)
+    for d in np.unique(r):
+        on = np.flatnonzero(r == d)
+        order = on[np.argsort(cosines[on])]
+        assert np.array_equal(screen[:, order], phase_atoms(sub, radio, cosines[order], d, 1.5))
+        alone = build_dp_dictionary(sub, d, cosines[order], radio, dh=1.5)
+        assert np.array_equal(exact.atoms[:, order], alone.atoms)
 
 
 def test_phase_atoms_validation(sub, radio):
     grid = AngleGrid.uniform_cosine(8)
     for rings in ([0.0], [3.0, 2.0], [], [2.0, 2.0]):
         with pytest.raises(ValueError, match="distance grid"):
-            phase_atoms(sub, radio, grid, rings)
+            polar_columns(grid, rings)
     for cosines in ([0.1, 0.1], [0.5, 1.0], [[0.1, 0.2]]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            phase_atoms(sub, radio, np.array(cosines), [3.0])
+            polar_columns(np.array(cosines), [3.0])
+    for cosines in ([0.5, 1.0], [[0.1, 0.2]], []):  # one column per cosine, in any order
+        with pytest.raises(ValueError, match="strictly inside"):
+            phase_atoms(sub, radio, np.array(cosines), 3.0)
+    for distances in (0.0, [3.0, -1.0], [3.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="anchor distance"):
+            phase_atoms(sub, radio, np.array([0.1, 0.1]), distances)
     v = np.nextafter(1.0, 0.0)
     with pytest.raises(DictionaryError, match="geometrically invalid"):
-        phase_atoms(sub, radio, np.array([-0.5, v]), [5 * sub.spacing * (1 - 2e-16), 3.0])
+        phase_atoms(sub, radio, *polar_columns(np.array([-0.5, v]),
+                                               [5 * sub.spacing * (1 - 2e-16), 3.0]))
 
 
 def test_3d_atoms_with_zero_height_gap_match_planar(sub, radio):

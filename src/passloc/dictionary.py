@@ -92,9 +92,11 @@ class DpDictionary:
     where columns enumerate (distance ring, angle) pairs.
     estimator.polar_dictionary keeps no channel-domain atoms (atoms is
     None) and only guided: the atoms as the waveguide sees them,
-    conj(g) * a_j for the in-guide phases g, phase_atoms' complex64 (N, G)
-    row-major array. The estimator screens every column with them in
-    float32 and certifies its pick in float64 (estimator.certified_picks).
+    u_j = conj(g) * a_j for the in-guide phases g, phase_atoms' values
+    stored atoms-major as a read-only (G, 2, N) float32 array, row pair j
+    being [Re u_j, Im u_j], with their norms ||u_j|| in guided_norms. The
+    estimator screens every column with them in float32 and certifies its
+    pick in float64 (estimator.certified_picks).
     """
 
     r_param: float | np.ndarray
@@ -102,6 +104,7 @@ class DpDictionary:
     atoms: np.ndarray | None
     ring_distances: np.ndarray | None = None
     guided: np.ndarray | None = None
+    guided_norms: np.ndarray | None = None
 
     @property
     def g(self) -> int:

@@ -232,18 +232,19 @@ def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary) ->
 # rank 1 (one slot, or every slot the same bits; _tied_pilots) every column scores the same, a
 # tie at any precision, and a refit's residual scores rounding noise: flagged "tied-pilots".
 # Two screens read this bound:
-# - the nf polar screen, float32 products of complex64 guided atoms (activation_energies,
-#   bit_correlations). Its observed worst is 7e-7, near sqrt(N) 2^-24 = 5.8e-7 for N = 96 (a
-#   float32 dot product's random-walk rounding); N 2^-24, the worst case of one length-N dot
-#   product, is 5.7e-6.
+# - the nf polar screen, float32 products of float32 guided atoms (activation_energies,
+#   bit_correlations). Its observed worst at the sweep size is 7e-7, near sqrt(N) 2^-24 = 5.8e-7
+#   for N = 96 (a float32 dot product's random-walk rounding); small configs exceed the bound
+#   (1.3e-5 at N = 4, T = 2), so its certificate also reads a rigorous bound per column
+#   (_polar_screen_error).
 # - OMP-GCL's screen, phase_atoms' complex64 columns scored in float64 (extract_directions). Its
 #   only error is the atoms': a score s_j moves by at most dictionary.PHASE_ATOMS_ERROR kappa_j
 #   (||r|| + s_j), kappa_j = ||W|| ||a_j|| / ||W a_j||, which is below SCREEN_ERROR times the best
 #   score S wherever kappa_j (1 + ||r|| / S) <= 10. Its observed worst at the sweep sizes is 3.8e-7;
 #   a degenerate grid can exceed the bound (N = 2, G = 2, a column its own refit zeroed: 2e-5),
 #   so its certificate also reads a rigorous bound per column (_screen_error).
-# tests/test_estimator.py checks the bound at both screens' sweep sizes, the nf screen's on random
-# small configs, and the OMP-GCL screen's perturbation bound on any config.
+# tests/test_estimator.py checks the bound at both screens' sweep sizes and each per-column bound
+# on random configs.
 SCREEN_ERROR = 1e-5
 CERTIFY_TAU = 1e-4  # a column screening this close to a float64 decision's boundary is redone
 
@@ -276,8 +277,9 @@ def _certified_best(screen: np.ndarray, error, bounds, redo) -> tuple:
     ``redo(k)`` gives the float64 (score, corr, energy) of the columns at
     flat positions k. A segment's column is redone when it screens at least
     (1 - CERTIFY_TAU) times the segment's best screen score, or when its
-    screen score plus its error bound (_screen_error; 0 for a screen that
-    has none) reaches the segment's largest screen score minus its bound.
+    screen score plus its error bound (_screen_error, _polar_screen_error;
+    0 for a screen that has none) reaches the segment's largest screen
+    score minus its bound.
     When the best float64 score among them, s*, is below the best screen
     score, the segment's set grows by every column screening at least
     (1 - CERTIFY_TAU) s* (a screen score far above its float64 one,
@@ -1135,28 +1137,51 @@ def _polar_dh(config: EstimatorConfig) -> float:
     return config.region.h_pa - config.fixed_height
 
 
+# polar_dictionary writes the guided atoms _GUIDED_BLOCK columns at a time, so phase_atoms' block
+# and buffers stay a small share of the atoms (a tenth at N = 32 and G = 8,192). The screen
+# multiplies, and the certificate's float64 redo rebuilds, _COLUMN_BLOCK columns at a time: the
+# screen's product, 0.5 MB at the nf sweep's size, stays in cache, and a redo of every column (tied
+# pilots) builds 1.5 MB at a time, not the 25 MB float64 grid.
+_GUIDED_BLOCK = 128
+_COLUMN_BLOCK = 1024
+
+
 def polar_dictionary(
     layout: ArrayLayout, radio: RadioConfig, config: EstimatorConfig, rings
 ) -> DpDictionary:
     """Guided joint ring x angle atoms of a single-subarray layout at the config's grid.
 
     The columns are build_polar_dictionary's, kept only as the guided
-    atoms conj(g) * a_j, g = waveguide_vector's in-guide phases
-    exp(j k n_eff x_n): phase_atoms writes them in complex64 directly,
-    with the extra path length n_eff x_n per element. The float32 screen
-    (activation_energies, bit_correlations) reads them; atoms is None.
-    certified_picks' redo rebuilds the columns it redoes in float64, and
-    run_polar_baseline the channel-domain column of each pick, alone,
-    with build_dp_dictionary. The atoms are scene-independent, so a caller
-    running many trials builds them once; harness.scenario_atoms builds
-    the nf scenario's.
+    atoms u_j = conj(g) * a_j, g = waveguide_vector's in-guide phases
+    exp(j k n_eff x_n): phase_atoms writes them in complex64, with the
+    extra path length n_eff x_n per element, _GUIDED_BLOCK columns at a
+    time, into a (G, 2, N) float32 array of row pairs [Re u_j, Im u_j], so
+    no copy of the whole grid is made. Stored atoms-major, a block of
+    columns is one contiguous (2 G', N) matrix, the operand the float32
+    screen (activation_energies, bit_correlations) multiplies fastest.
+    guided_norms holds ||u_j||, which the screen's error bound reads
+    (_polar_screen_error); atoms is None. certified_picks' redo rebuilds
+    the columns it redoes in float64, and run_polar_baseline the
+    channel-domain column of each pick, alone, with build_dp_dictionary.
+    The atoms are scene-independent and every array is read-only, so one
+    build serves every trial of a config; harness.scenario_atoms keeps the
+    nf scenario's for the process.
     """
     sub = layout.subarrays[0]
     cosines, ring_distances = polar_columns(config.grid, rings)
-    guided = phase_atoms(sub, radio, cosines, ring_distances, _polar_dh(config),
-                         radio.n_eff * sub.pa_positions[:, 0])
+    path = radio.n_eff * sub.pa_positions[:, 0]
+    guided = np.empty((cosines.size, 2, sub.n_pas), np.float32)
+    norms = np.empty(cosines.size)
+    for start in range(0, cosines.size, _GUIDED_BLOCK):
+        cols = slice(start, start + _GUIDED_BLOCK)
+        atoms = phase_atoms(sub, radio, cosines[cols], ring_distances[cols], _polar_dh(config), path)
+        guided[cols, 0], guided[cols, 1] = atoms.real.T, atoms.imag.T
+        norms[cols] = np.einsum("gkn,gkn->g", guided[cols], guided[cols], dtype=float)
+    np.sqrt(norms, out=norms)
+    for array in (cosines, ring_distances, guided, norms):
+        array.setflags(write=False)
     return DpDictionary(r_param=float(ring_distances[0]), cosines=cosines, atoms=None,
-                        ring_distances=ring_distances, guided=guided)
+                        ring_distances=ring_distances, guided=guided, guided_norms=norms)
 
 
 def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: SubarrayGeometry,
@@ -1166,23 +1191,23 @@ def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: Subar
     Pilot rows are W = conj(A * g) (channel.measurement_matrix) for 0/1
     bits A and in-guide phases g, so W a_j = A u_j for the guided atoms
     u_j = conj(g) * a_j, and a_j^H W^H y = u_j^H (A^T y). Both come from
-    one real product of the complex64 guided atoms with the rows of A, two
-    real multiply-adds per entry where W a_j needs four, and two more rows,
-    Re and Im of A^T y, formed in float64 and rounded to float32; the
-    product runs in float32, one ring block at a time. certified_picks
-    turns the screen into the float64 pick. A W that is not conj(A * g)
-    for A = (W != 0) raises ValueError.
+    one real product of the guided atoms with the rows of A, two real
+    multiply-adds per entry where W a_j needs four, and two more rows, Re
+    and Im of A^T y, formed in float64 and rounded to float32; the product
+    runs in float32, one (2 G', N) block of _COLUMN_BLOCK atoms at a time
+    (_bit_products). certified_picks turns the screen into the float64
+    pick. A W that is not conj(A * g) for A = (W != 0) raises ValueError.
     """
     bits = w != 0
     if not np.array_equal(w, measurement_matrix(subarray, bits, radio)):
         raise ValueError("measurement matrix is not conj(A * g) for 0/1 activation rows A "
                          "and the subarray's waveguide phases g")
-    rows = _activation_rows(bits, y).astype(dictionary.guided.real.dtype)
+    rows = _activation_rows(bits, y).astype(dictionary.guided.dtype)
     energy = np.empty(dictionary.g, rows.dtype)
-    corr = np.empty(dictionary.g, dictionary.guided.dtype)
-    edges = [0, *(np.flatnonzero(np.diff(dictionary.ring_distances)) + 1), dictionary.g]
-    for start, stop in zip(edges, edges[1:]):
-        energy[start:stop], corr[start:stop] = _bit_products(rows, dictionary.guided[:, start:stop])
+    corr = np.empty(dictionary.g, np.result_type(rows.dtype, np.complex64))
+    for start in range(0, dictionary.g, _COLUMN_BLOCK):
+        cols = slice(start, start + _COLUMN_BLOCK)
+        energy[cols], corr[cols] = _bit_products(rows, dictionary.guided[cols])
     return energy, corr
 
 
@@ -1193,49 +1218,107 @@ def _activation_rows(bits: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.vstack([bits, v.real, v.imag])
 
 
-def _real_product(rows: np.ndarray, guided: np.ndarray) -> np.ndarray:
-    """rows times the guided atoms as (re, im) pairs, in the atoms' real precision."""
-    real = guided.real.dtype
-    return rows.astype(real, copy=False) @ guided.view(real)
+def _atom_products(rows: np.ndarray, guided: np.ndarray) -> np.ndarray:
+    """(G, 2, R): the rows Re u_j, Im u_j of atoms stored as polar_dictionary's guided, (G, 2, N),
+    times each of the R ``rows``, in the atoms' precision."""
+    product = guided.reshape(-1, guided.shape[-1]) @ rows.T.astype(guided.dtype, copy=False)
+    return product.reshape(len(guided), 2, len(rows))
 
 
 def _bit_products(rows: np.ndarray, guided: np.ndarray) -> tuple:
     """Per guided atom u_j: ||A u_j||^2 and u_j^H v, from one product with rows [A; Re v; Im v]."""
-    part = _real_product(rows, guided)  # (T + 2, 2 G) (re, im) pairs
+    part = _atom_products(rows, guided)
     t = len(rows) - 2
-    sums = np.einsum("tk,tk->k", part[:t], part[:t])
-    return sums[0::2] + sums[1::2], _paired_correlations(part[t:])
+    return np.einsum("gkt,gkt->g", part[..., :t], part[..., :t]), _paired_correlations(part[..., t:])
 
 
 def _paired_correlations(part: np.ndarray) -> np.ndarray:
-    """u_j^H v from the product of the rows Re v, Im v with guided atoms as (re, im) pairs."""
-    re_v, im_v = part
-    return (re_v[0::2] + im_v[1::2]) + 1j * (im_v[0::2] - re_v[1::2])
+    """u_j^H v from the (G, 2, 2) products of the rows Re u_j, Im u_j with Re v, Im v."""
+    return (part[:, 0, 0] + part[:, 1, 1]) + 1j * (part[:, 0, 1] - part[:, 1, 0])
 
 
 def bit_correlations(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary) -> np.ndarray:
     """The float32 screen's correlations a_j^H W^H r of polar_dictionary, through W's bits.
 
     They are u_j^H (A^T r) (activation_energies): one float32 product of
-    the complex64 guided atoms with the rows Re and Im of the N-vector A^T r.
+    the guided atoms with the rows Re and Im of the N-vector A^T r.
     """
     v = (w != 0).T.astype(float) @ r
-    return _paired_correlations(_real_product(np.vstack([v.real, v.imag]), dictionary.guided))
+    return _paired_correlations(_atom_products(np.vstack([v.real, v.imag]), dictionary.guided))
+
+
+_U32 = 2.0 ** -24  # float32's unit roundoff
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): a float32 dot product of length k, summed in any order, errs by
+    at most gamma_k times the sum of its terms' magnitudes."""
+    return k * _U32 / (1.0 - k * _U32)
+
+
+def _polar_screen_error(bits: np.ndarray, r: np.ndarray, score: np.ndarray, energy: np.ndarray,
+                        norms: np.ndarray) -> np.ndarray:
+    """A bound e_j on |s~_j - s_j| for the nf screen's scores s~_j = _score(c~_j, E~_j).
+
+    E~_j and c~_j are the float32 energies and correlations of the guided
+    atoms u~_j (activation_energies, bit_correlations), whose norms are
+    ``norms`` (polar_dictionary's guided_norms), for T x N activation bits
+    A = ``bits`` and residual r; s_j is the score of the float64 atom u_j.
+    With u = 2^-24, e = PHASE_ATOMS_ERROR, v = A^T r and ||A||_2 <= ||A||_F
+    = sqrt(nnz A):
+    - the atoms: ||u~_j - u_j|| <= e ||u_j|| <= e ||u~_j|| / (1 - e);
+    - the energy product, x~_j = A u~_j from dot products of length N, is
+      within gamma_N ||A||_2 ||u~_j|| of A u~_j, so ||x~_j|| is within
+      d_j = ||A||_F ||u~_j|| (gamma_N + e / (1 - e)) of ||A u_j||;
+    - its sum of 2T squares: E~_j = ||x~_j||^2 (1 + t), |t| <= gamma_2T;
+    - the correlation: the rows Re v, Im v rounded to float32 (u ||v||),
+      each of its parts the sum of two dot products of length N (gamma_{N+1}
+      each, sqrt(2) gamma_{N+1} ||v~|| ||u~_j|| in all) and the atoms'
+      error give |c~_j - c_j| <= q_j = ||u~_j|| ||v|| ((1 + u) (sqrt(2)
+      gamma_{N+1} + e / (1 - e)) + u / (1 - e));
+    - _score's float32 abs (2u), sqrt (u) and division (u) leave a factor
+      within phi of 1.
+    With X_j = sqrt(E~_j / (1 + gamma_2T)) <= ||x~_j||, k_j = d_j / X_j,
+    p_j = q_j / X_j and s'_j = s~_j / (1 - phi) >= |c~_j| / ||x~_j||:
+    e_j = phi s'_j + (p_j + k_j s'_j) / (1 - k_j), on both sides. A column
+    with no bound (zero screen energy, or k_j >= 1) gets inf. Float64
+    rounding, some N 2^-53 relative, lies far inside these terms; float32
+    underflow, some 30 orders of magnitude below the pilots, is not
+    covered.
+    """
+    t, n = bits.shape
+    e, u = PHASE_ATOMS_ERROR, _U32
+    atoms = e / (1.0 - e)
+    c_k = np.sqrt(np.count_nonzero(bits)) * (_gamma(n) + atoms)  # k_j = c_k ||u~_j|| / X_j
+    c_p = (np.linalg.norm(bits.T.astype(float) @ r)  # p_j = c_p ||u~_j|| / X_j
+           * ((1.0 + u) * (np.sqrt(2.0) * _gamma(n + 1) + atoms) + u / (1.0 - e)))
+    phi = (1.0 + 2.0 * u) * (1.0 + u) / ((1.0 - u) * np.sqrt(1.0 - _gamma(2 * t))) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero energy: inf, then k_j >= 1
+        ratio = norms / np.sqrt(energy, dtype=float) * np.sqrt(1.0 + _gamma(2 * t))
+        k = c_k * ratio
+        s = np.divide(score, 1.0 - phi, dtype=float)
+        bound = phi * s + ratio * (c_p + c_k * s) / (1.0 - k)
+    return np.where(k < 1.0, bound, np.inf)
 
 
 def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
                   subarray: SubarrayGeometry, radio: RadioConfig, dh: float, idx) -> tuple:
     """float64 scores, correlations a_j^H W^H r and energies ||W a_j||^2 of polar columns idx.
 
-    The columns are rebuilt in float64 by one build_dp_dictionary call,
-    each at its ring's distance, and guided by conj(g) in complex128; their
+    The columns are rebuilt in float64 by build_dp_dictionary, each at its
+    ring's distance, _COLUMN_BLOCK columns per call, guided by conj(g) in
+    complex128 and laid out as polar_dictionary's guided atoms are; their
     energies and correlations then come from the same product with the
     activation rows as activation_energies', in float64.
     """
-    u = np.ascontiguousarray(build_dp_dictionary(subarray, dictionary.ring_distances[idx],
-                                                 dictionary.cosines[idx], radio, dh=dh).atoms)
-    np.multiply(waveguide_vector(subarray, radio).conj()[:, None], u, out=u)
-    energy, corr = _bit_products(_activation_rows(w != 0, r), u)
+    rows, guide = _activation_rows(w != 0, r), waveguide_vector(subarray, radio).conj()
+    energy, corr = np.empty(len(idx)), np.empty(len(idx), dtype=complex)
+    for a in range(0, len(idx), _COLUMN_BLOCK):
+        k = idx[a:a + _COLUMN_BLOCK]
+        u = np.multiply(guide, build_dp_dictionary(subarray, dictionary.ring_distances[k],
+                                                   dictionary.cosines[k], radio, dh=dh).atoms.T)
+        block = slice(a, a + len(k))
+        energy[block], corr[block] = _bit_products(rows, np.stack((u.real, u.imag), axis=1))
     return _score(corr, energy), corr, energy
 
 
@@ -1261,9 +1344,10 @@ def run_polar_baseline(
     atoms and the activation bits: the energies and path 0's correlations
     from one product per trial (activation_energies, which rejects a W
     that is not conj(A * g)), a later path's correlations from
-    bit_correlations. certified_picks, redoing columns with redone_scores,
-    turns each screen into the pick of _score and _pick on float64 scores,
-    and records how many columns it redid. The least-squares refit and the
+    bit_correlations. certified_picks, reading each column's error bound
+    (_polar_screen_error) and redoing columns with redone_scores, turns
+    each screen into the pick of _score and _pick on float64 scores, and
+    records how many columns it redid. The least-squares refit and the
     channels use each picked column in the channel domain, rebuilt alone by
     build_dp_dictionary. Tied pilots (_tied_pilots) flag "tied-pilots".
     """
@@ -1283,7 +1367,9 @@ def run_polar_baseline(
     for l in range(config.num_paths):
         if l > 0:
             corr = bit_correlations(w, residual, dic)
-        de, = certified_picks([residual], _score(corr, energy), 0.0, np.array([0, dic.g]),
+        screen = _score(corr, energy)
+        error = _polar_screen_error(w != 0, residual, screen, energy, dic.guided_norms)
+        de, = certified_picks([residual], screen, error, np.array([0, dic.g]),
                               partial(redone_scores, w, residual, dic, sub, radio, dh),
                               np.arange(dic.g), dic.cosines)
         strength = abs(de.coefficient)

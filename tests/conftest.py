@@ -36,3 +36,10 @@ def rng():
 def one_process_sweep(monkeypatch):
     """Runs the test's sweeps serially in this process, where its wrappers count the calls."""
     monkeypatch.setattr(passloc.harness, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture(autouse=True)
+def fresh_scenario_atoms():
+    """Each test starts with no atoms kept by harness.scenario_atoms, so a test that counts or
+    breaks the builds sees them happen."""
+    passloc.harness._ATOMS.clear()

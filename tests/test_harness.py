@@ -262,6 +262,7 @@ def test_trial_alone_matches_its_sweep_record(overrides):
     # over from the first
     cfg = ExperimentConfig(trials=2, snr_db=(25.0,), seed=3, **overrides)
     swept = run_sweep(cfg).records[1].to_dict()
+    harness_mod._ATOMS.clear()  # so that run_trial builds its own atoms
     alone = run_trial(cfg, cfg.scenarios[0], 25.0, 0, trial=1).to_dict()
     assert not alone["failed"]
     for rec in (swept, alone):
@@ -297,6 +298,94 @@ def test_a_sweep_builds_each_start_dictionary_once(monkeypatch, one_process_swee
     assert sorted(r for r in scalars if r in r_start) == sorted(r_start)
     assert set(built[:4]) == r_start  # before the first trial
     assert len(directions) >= 2 * cfg.trials  # every trial ran both paths
+
+
+_ATOMS_BASE = dict(scenarios=("mw", "nf"), trials=2, snr_db=(20.0,), g_theta=64, n=8, nf_n=16,
+                   nf_rings=2, h_range=(0.0, 1.0))
+
+
+def _same_objects(a, b) -> bool:
+    """Whether two scenario_atoms lists hold the same dictionary objects."""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _same_atoms(a, b) -> bool:
+    """Whether two scenario_atoms lists hold equal arrays."""
+    def arrays(dic):
+        return [x for x in (dic.cosines, dic.atoms, dic.ring_distances, dic.guided,
+                            dic.guided_norms) if x is not None]
+    return len(a) == len(b) and all(
+        dx.r_param == dy.r_param and all(np.array_equal(x, y) for x, y in zip(arrays(dx), arrays(dy)))
+        for dx, dy in zip(a, b))
+
+
+def test_scenario_atoms_are_kept_across_seeds_trials_and_snrs(monkeypatch, one_process_sweep):
+    cfg = ExperimentConfig(**_ATOMS_BASE)
+    kept = {s: harness_mod.scenario_atoms(cfg, s) for s in cfg.scenarios}
+    for change in (dict(seed=9), dict(trials=3), dict(snr_db=(5.0, 25.0))):
+        other = dataclasses.replace(cfg, **change)
+        assert all(_same_objects(harness_mod.scenario_atoms(other, s), kept[s])
+                   for s in cfg.scenarios)
+    used = []
+    real = harness_mod.estimate
+
+    def estimate(cfg, scenario, ms, layout, atoms):
+        used.append((scenario, atoms))
+        return real(cfg, scenario, ms, layout, atoms)
+
+    monkeypatch.setattr(harness_mod, "estimate", estimate)
+    run_sweep(dataclasses.replace(cfg, seed=4, trials=3))
+    run_trial(dataclasses.replace(cfg, snr_db=(30.0,)), "nf", 30.0, 0, trial=1)
+    assert len(used) == 7 and all(_same_objects(atoms, kept[s]) for s, atoms in used)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g_theta", 32), ("nf_rings", 3), ("nf_n", 12), ("n", 12), ("m", 4), ("d", 0.004),
+    ("frequency", 30e9), ("n_eff", 1.5), ("size_x", 40.0), ("size_y", 40.0), ("h_pa", 3.0),
+    ("h_range", (0.0, 1.5)), ("fixed_height", 0.5), ("mode", "3d"),
+])
+def test_scenario_atoms_are_rebuilt_when_a_field_they_read_changes(field, value):
+    base = ExperimentConfig(**_ATOMS_BASE)
+    changed = dataclasses.replace(base, **{field: value})
+    for scenario in base.scenarios:
+        kept = harness_mod.scenario_atoms(base, scenario)
+        rebuilt = harness_mod.scenario_atoms(changed, scenario)
+        assert not any(a is b for a, b in zip(rebuilt, kept))
+        assert _same_objects(harness_mod.scenario_atoms(changed, scenario), rebuilt)
+        again = harness_mod.scenario_atoms(base, scenario)  # one entry per scenario: rebuilt
+        assert not any(a is b for a, b in zip(again, kept))
+        harness_mod._ATOMS.clear()
+        assert _same_atoms(rebuilt, harness_mod.scenario_atoms(changed, scenario))
+
+
+def test_cold_and_warm_sweeps_write_identical_outputs(tmp_path):
+    cfg = ExperimentConfig(**dict(_ATOMS_BASE, scenarios=("mw", "nf", "sw"), trials=3, l=1))
+    results = []
+    for name in ("cold", "warm"):
+        result = run_sweep(cfg)
+        result.write_csv(tmp_path / name)
+        results.append([dict(r.to_dict(), wall_time_s=None) for r in result.records])
+    for name in ("rmse.csv", "nmse.csv", "meta.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+    assert results[0] == results[1]
+
+
+def test_a_failed_atoms_build_keeps_nothing(monkeypatch):
+    cfg = ExperimentConfig(**_ATOMS_BASE)
+    calls = []
+
+    def invalid(*args):
+        calls.append(args)
+        raise DictionaryError("a grid column is geometrically invalid")
+
+    monkeypatch.setattr(harness_mod, "polar_dictionary", invalid)
+    for _ in range(2):
+        with pytest.raises(DictionaryError):
+            harness_mod.scenario_atoms(cfg, "nf")
+    assert len(calls) == 2 and "nf" not in harness_mod._ATOMS
+    monkeypatch.undo()
+    atoms = harness_mod.scenario_atoms(cfg, "nf")
+    assert _same_objects(harness_mod.scenario_atoms(cfg, "nf"), atoms)
 
 
 def test_polish_keeps_a_single_guide_fix_on_its_side_of_the_line():

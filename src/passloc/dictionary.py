@@ -22,7 +22,8 @@ build_dp_dictionary is the float64 reference. phase_atoms is the build
 kernel of every column the estimators score: complex64 atoms from float32
 cos and sin of phases reduced to turns in float64, within
 PHASE_ATOMS_ERROR of the reference, optionally with the in-guide phase
-folded in. Both take one anchor distance per column as well as one for a
+folded in, and optionally written atoms-major as float32 (Re, Im) row
+pairs. Both take one anchor distance per column as well as one for a
 whole grid, so a caller builds many subarrays' or rings' columns in one
 call. Scores from phase_atoms only choose columns; the estimator's
 certificates redo in float64, from build_dp_dictionary, every column a
@@ -240,50 +241,61 @@ _BLOCK = 256
 
 
 def phase_atoms(subarray: SubarrayGeometry, radio: RadioConfig, cosines, distances,
-                dh: float = 0.0, path=None) -> np.ndarray:
+                dh: float = 0.0, path=None, out=None) -> np.ndarray:
     """complex64 atoms of the columns (cosines[j], distances[j]): (N, G), row-major.
 
     ``distances`` is one anchor distance for every cosine, or one per
     cosine; the cosines lie in (-1, 1), in any order (polar_columns
     enumerates a ring x angle grid). The array is row-major, so a block of
-    columns viewed as float32 is a real (N, 2G') matrix. Element n of a
-    column at distance r has the range r_n from _squared_ranges, in
-    float64, and is wavelength / (4 pi r_n sqrt(N)) exp(-2 pi j t_n),
-    t_n = (r_n + p_n) / wavelength turns with p = ``path``, an extra path
-    length per element (0 when None): p = n_eff x_n gives the guided atoms
-    conj(g) a_j, as the waveguide sees them. Each t_n is reduced to
-    t_n - rint(t_n) in float64, then cos, sin and the amplitude are formed
-    in float32, the only forms numpy vectorises, written a block of
-    columns at a time so the temporaries stay small. Every element is
-    computed on its own, within PHASE_ATOMS_ERROR of its float64 value. A
-    geometrically invalid column raises DictionaryError, as
-    build_dp_dictionary's does.
+    columns viewed as float32 is a real (N, 2G') matrix. Given ``out``, a
+    (G, 2, N) float32 array, the atoms are written there atoms-major
+    instead, row pair j being [Re a_j, Im a_j], and ``out`` is returned.
+    Element n of a column at distance r has the range r_n from
+    _squared_ranges, in float64, and is wavelength / (4 pi r_n sqrt(N))
+    exp(-2 pi j t_n), t_n = (r_n + p_n) / wavelength turns with p =
+    ``path``, an extra path length per element (0 when None): p = n_eff
+    x_n gives the guided atoms conj(g) a_j, as the waveguide sees them.
+    Each t_n is reduced to t_n - rint(t_n) in float64, then cos, sin and
+    the amplitude are formed in float32, the only forms numpy vectorises,
+    written a block of columns at a time, laid out as the output is, so
+    the temporaries stay small. Every element is computed on its own,
+    within PHASE_ATOMS_ERROR of its float64 value, with the same bits in
+    either layout. A geometrically invalid column raises DictionaryError,
+    as build_dp_dictionary's does.
     """
     cosines = _cosines(cosines)
     r = _column_distances(distances, cosines)
     n = subarray.n_pas
-    nd = np.arange(n, dtype=float)[:, None] * subarray.spacing
+    nd = np.arange(n, dtype=float) * subarray.spacing
     scale = radio.wavelength / (FOUR_PI * np.sqrt(n))
-    out = np.empty((n, cosines.size), np.complex64)
+    pairs = out is not None
+    column, element = np.s_[:, None], np.s_[None, :]  # per-column and per-element operands
+    if not pairs:
+        out = np.empty((n, cosines.size), np.complex64)
+        column, element = element, column
+    elif out.shape != (cosines.size, 2, n) or out.dtype != np.float32:
+        raise ValueError(f"out must be a ({cosines.size}, 2, {n}) float32 array")
     blocks = -(-cosines.size // _BLOCK)  # ceil division: equal blocks of at most _BLOCK columns
     step = -(-cosines.size // blocks)
     f64, f32 = np.empty((2, n * step)), np.empty((3, n * step), np.float32)
     for start in range(0, cosines.size, step):
         cols = slice(start, start + step)
         width = len(cosines[cols])
-        ranges, scratch, amp, angle, trig = (a[:n * width].reshape(n, width) for a in (*f64, *f32))
-        _checked(_squared_ranges(r[None, cols], cosines[None, cols], nd, dh, (ranges, scratch)),
-                 r[None, cols])
+        shape = (width, n) if pairs else (n, width)
+        ranges, scratch, amp, angle, trig = (a[:n * width].reshape(shape) for a in (*f64, *f32))
+        _checked(_squared_ranges(r[cols][column], cosines[cols][column], nd[element], dh,
+                                 (ranges, scratch)), r[cols][column])
         np.sqrt(ranges, out=ranges)
         np.divide(scale, ranges, out=amp, casting="same_kind")
         if path is not None:
-            np.add(ranges, path[:, None], out=ranges)
+            np.add(ranges, path[element], out=ranges)
         np.multiply(ranges, 1.0 / radio.wavelength, out=ranges)  # turns
         ranges -= np.rint(ranges, out=scratch)
         np.multiply(ranges, -2.0 * np.pi, out=angle, dtype=np.float32, casting="same_kind")
-        block = out[:, cols]
-        np.multiply(np.cos(angle, out=trig), amp, out=block.real)
-        np.multiply(np.sin(angle, out=trig), amp, out=block.imag)
+        block = out[cols] if pairs else out[:, cols]
+        real, imag = (block[:, 0], block[:, 1]) if pairs else (block.real, block.imag)
+        np.multiply(np.cos(angle, out=trig), amp, out=real)
+        np.multiply(np.sin(angle, out=trig), amp, out=imag)
     return out
 
 

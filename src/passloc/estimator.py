@@ -1137,12 +1137,9 @@ def _polar_dh(config: EstimatorConfig) -> float:
     return config.region.h_pa - config.fixed_height
 
 
-# polar_dictionary writes the guided atoms _GUIDED_BLOCK columns at a time, so phase_atoms' block
-# and buffers stay a small share of the atoms (a tenth at N = 32 and G = 8,192). The screen
-# multiplies, and the certificate's float64 redo rebuilds, _COLUMN_BLOCK columns at a time: the
-# screen's product, 0.5 MB at the nf sweep's size, stays in cache, and a redo of every column (tied
-# pilots) builds 1.5 MB at a time, not the 25 MB float64 grid.
-_GUIDED_BLOCK = 128
+# The screen multiplies, and the certificate's float64 redo rebuilds, _COLUMN_BLOCK columns at a
+# time: the screen's product, 0.5 MB at the nf sweep's size, stays in cache, and a redo of every
+# column (tied pilots) builds 1.5 MB at a time, not the 25 MB float64 grid.
 _COLUMN_BLOCK = 1024
 
 
@@ -1153,30 +1150,25 @@ def polar_dictionary(
 
     The columns are build_polar_dictionary's, kept only as the guided
     atoms u_j = conj(g) * a_j, g = waveguide_vector's in-guide phases
-    exp(j k n_eff x_n): phase_atoms writes them in complex64, with the
-    extra path length n_eff x_n per element, _GUIDED_BLOCK columns at a
-    time, into a (G, 2, N) float32 array of row pairs [Re u_j, Im u_j], so
-    no copy of the whole grid is made. Stored atoms-major, a block of
-    columns is one contiguous (2 G', N) matrix, the operand the float32
-    screen (activation_energies, bit_correlations) multiplies fastest.
-    guided_norms holds ||u_j||, which the screen's error bound reads
-    (_polar_screen_error); atoms is None. certified_picks' redo rebuilds
-    the columns it redoes in float64, and run_polar_baseline the
-    channel-domain column of each pick, alone, with build_dp_dictionary.
-    The atoms are scene-independent and every array is read-only, so one
-    build serves every trial of a config; harness.scenario_atoms keeps the
-    nf scenario's for the process.
+    exp(j k n_eff x_n): phase_atoms writes them, with the extra path
+    length n_eff x_n per element, straight into a (G, 2, N) float32 array
+    of row pairs [Re u_j, Im u_j], so no copy of the whole grid is made.
+    Stored atoms-major, a block of columns is one contiguous (2 G', N)
+    matrix, the operand of the float32 screen (activation_energies,
+    bit_correlations). guided_norms holds ||u_j||,
+    which the screen's error bound reads (_polar_screen_error); atoms is
+    None. certified_picks' redo rebuilds the columns it redoes in float64,
+    and run_polar_baseline the channel-domain column of each pick, alone,
+    with build_dp_dictionary. The atoms are scene-independent and every
+    array is read-only, so one build serves every trial of a config;
+    harness.scenario_atoms keeps the nf scenario's for the process.
     """
     sub = layout.subarrays[0]
     cosines, ring_distances = polar_columns(config.grid, rings)
     path = radio.n_eff * sub.pa_positions[:, 0]
-    guided = np.empty((cosines.size, 2, sub.n_pas), np.float32)
-    norms = np.empty(cosines.size)
-    for start in range(0, cosines.size, _GUIDED_BLOCK):
-        cols = slice(start, start + _GUIDED_BLOCK)
-        atoms = phase_atoms(sub, radio, cosines[cols], ring_distances[cols], _polar_dh(config), path)
-        guided[cols, 0], guided[cols, 1] = atoms.real.T, atoms.imag.T
-        norms[cols] = np.einsum("gkn,gkn->g", guided[cols], guided[cols], dtype=float)
+    guided = phase_atoms(sub, radio, cosines, ring_distances, _polar_dh(config), path,
+                         out=np.empty((cosines.size, 2, sub.n_pas), np.float32))
+    norms = np.einsum("gkn,gkn->g", guided, guided, dtype=float)
     np.sqrt(norms, out=norms)
     for array in (cosines, ring_distances, guided, norms):
         array.setflags(write=False)

@@ -309,7 +309,9 @@ def scenario_atoms(cfg: ExperimentConfig, scenario: str) -> list[DpDictionary]:
     for each scenario and returns those same dictionaries, in a new list,
     while the config, with seed, trials and snr_db normalised away, is
     unchanged: run_sweep, run_trial and the CLI's estimate build them once
-    per process and config. A build that raises keeps nothing.
+    per process and config. That saves the build (some 25 ms for nf's
+    polar atoms) only where one process runs several sweeps or standalone
+    run_trial calls of one config. A build that raises keeps nothing.
     """
     key = replace(cfg, seed=0, trials=1, snr_db=(0.0,))
     cached = _ATOMS.get(scenario)

@@ -255,6 +255,9 @@ def test_one_distance_per_column_builds_each_column_as_its_own_distance_does(sub
     cosines = rng.uniform(-0.99, 0.99, 5000)
     r = rng.choice([0.7, 3.0, 12.5, 40.0], cosines.size)
     screen = phase_atoms(sub, radio, cosines, r, 1.5)
+    pairs = phase_atoms(sub, radio, cosines, r, 1.5, out=np.empty((cosines.size, 2, sub.n_pas),
+                                                                  np.float32))
+    assert np.array_equal(pairs, np.stack((screen.real.T, screen.imag.T), axis=1))
     exact = build_dp_dictionary(sub, r, cosines, radio, dh=1.5)
     assert exact.atoms.flags.f_contiguous and np.array_equal(exact.r_param, r)
     for d in np.unique(r):
@@ -283,6 +286,10 @@ def test_phase_atoms_validation(sub, radio):
     with pytest.raises(DictionaryError, match="geometrically invalid"):
         phase_atoms(sub, radio, *polar_columns(np.array([-0.5, v]),
                                                [5 * sub.spacing * (1 - 2e-16), 3.0]))
+    for out in (np.empty((8, 2, sub.n_pas)), np.empty((8, 2, sub.n_pas + 1), np.float32),
+                np.empty((sub.n_pas, 8), np.complex64)):
+        with pytest.raises(ValueError, match="out must be"):
+            phase_atoms(sub, radio, grid, 3.0, out=out)
 
 
 def test_3d_atoms_with_zero_height_gap_match_planar(sub, radio):

@@ -80,9 +80,12 @@ class EstimatorConfig:
 class DirectionEstimate:
     """Best dictionary column for one subarray against one residual, and how many were scored.
 
-    columns_redone counts the columns the certificate scored again in
-    float64 (certified_picks, and extract_directions' refine cut); a match
-    whose columns' own float64 scores decide leaves it 0.
+    columns_scored counts the columns the match's screen scored: OMP-GCL's
+    coarse and refined columns (extract_directions), and the nf match's
+    survivors of its bound pass, the columns that got the full T-row screen
+    (run_polar_baseline). columns_redone counts the columns the certificate
+    scored again in float64 (certified_picks, and extract_directions'
+    refine cut); a match whose columns' own float64 scores decide leaves it 0.
     """
 
     varphi: float
@@ -232,11 +235,11 @@ def omp_direction(y_res: np.ndarray, w: np.ndarray, dictionary: DpDictionary) ->
 # rank 1 (one slot, or every slot the same bits; _tied_pilots) every column scores the same, a
 # tie at any precision, and a refit's residual scores rounding noise: flagged "tied-pilots".
 # Two screens read this bound:
-# - the nf polar screen, float32 products of float32 guided atoms (activation_energies,
-#   bit_correlations). Its observed worst at the sweep size is 7e-7, near sqrt(N) 2^-24 = 5.8e-7
-#   for N = 96 (a float32 dot product's random-walk rounding); small configs exceed the bound
-#   (1.3e-5 at N = 4, T = 2), so its certificate also reads a rigorous bound per column
-#   (_polar_screen_error).
+# - the nf polar screen, float32 products of float32 guided atoms (_screen_energies over all T
+#   rows, the correlations of activation_energies and bit_correlations). Its observed worst at
+#   the sweep size is 7e-7, near sqrt(N) 2^-24 = 5.8e-7 for N = 96 (a float32 dot product's
+#   random-walk rounding); small configs exceed the bound (1.3e-5 at N = 4, T = 2), so its
+#   certificate also reads a rigorous bound per column (_polar_screen_error).
 # - OMP-GCL's screen, phase_atoms' complex64 columns scored in float64 (extract_directions). Its
 #   only error is the atoms': a score s_j moves by at most dictionary.PHASE_ATOMS_ERROR kappa_j
 #   (||r|| + s_j), kappa_j = ||W|| ||a_j|| / ||W a_j||, which is below SCREEN_ERROR times the best
@@ -1137,10 +1140,20 @@ def _polar_dh(config: EstimatorConfig) -> float:
     return config.region.h_pa - config.fixed_height
 
 
-# The screen multiplies, and the certificate's float64 redo rebuilds, _COLUMN_BLOCK columns at a
-# time: the screen's product, 0.5 MB at the nf sweep's size, stays in cache, and a redo of every
-# column (tied pilots) builds 1.5 MB at a time, not the 25 MB float64 grid.
+# The bound pass multiplies, the full screen gathers and the certificate's float64 redo rebuilds
+# _COLUMN_BLOCK columns at a time. At the nf sweep's size the bound pass's product is 150 kB, and
+# screening or redoing every column (tied pilots) holds 1.3 and 1.5 MB at a time, not a 12.6 MB
+# gather of the float32 atoms or the 25 MB float64 grid.
 _COLUMN_BLOCK = 1024
+# The nf bound pass reads the first _BOUND_ROWS activation rows (activation_energies), and the full
+# screen of the _SEED_COLUMNS columns of largest bound sets the survivors' floor (_survivors).
+# K = 16, measured at the nf sweep's size (T = 64, G = 16,384) on seed-11 trials at 10 and 25 dB,
+# one BLAS thread on a 2-core x86-64 box, CPU ms per estimate for K = 4, 8 and 16 (medians of 10
+# alternating rounds): 5.3, 4.1 and 4.2 on nf, 15.7, 12.2 and 10.4 on nf l=1, whose scatterer
+# pick keeps fewer columns as K grows (p90 of all picks 13,418, 9,477 and 4,400). K = 8 and 16 ran
+# the nf benchmark equally fast. 2 or 32 seeds instead of 8 moved neither.
+_BOUND_ROWS = 16
+_SEED_COLUMNS = 8
 
 
 def polar_dictionary(
@@ -1178,23 +1191,28 @@ def polar_dictionary(
 
 def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: SubarrayGeometry,
                         radio: RadioConfig, y: np.ndarray) -> tuple:
-    """The float32 screen's energies ||W a_j||^2 and correlations a_j^H W^H y of polar_dictionary.
+    """The nf bound pass: every polar column's partial energy ||A_K u_j||^2 and its correlation
+    a_j^H W^H y, in float32.
 
     Pilot rows are W = conj(A * g) (channel.measurement_matrix) for 0/1
     bits A and in-guide phases g, so W a_j = A u_j for the guided atoms
     u_j = conj(g) * a_j, and a_j^H W^H y = u_j^H (A^T y). Both come from
-    one real product of the guided atoms with the rows of A, two real
-    multiply-adds per entry where W a_j needs four, and two more rows, Re
-    and Im of A^T y, formed in float64 and rounded to float32; the product
-    runs in float32, one (2 G', N) block of _COLUMN_BLOCK atoms at a time
-    (_bit_products). certified_picks turns the screen into the float64
-    pick. A W that is not conj(A * g) for A = (W != 0) raises ValueError.
+    one real product of polar_dictionary's guided atoms with A_K, the first
+    K = _BOUND_ROWS rows of A (all of them when T <= K), and two more rows,
+    Re and Im of A^T y over all T rows, formed in float64 and rounded to
+    float32; the product runs in float32, one (2 G', N) block of
+    _COLUMN_BLOCK atoms at a time (_bit_products). The partial energy is at
+    most the full one, so _score of the two bounds the column's score from
+    above; run_polar_baseline gives the full T-row screen only to the
+    columns whose bound can reach the best score (_survivors). A W that is
+    not conj(A * g) for A = (W != 0) raises ValueError.
     """
     bits = w != 0
     if not np.array_equal(w, measurement_matrix(subarray, bits, radio)):
         raise ValueError("measurement matrix is not conj(A * g) for 0/1 activation rows A "
                          "and the subarray's waveguide phases g")
-    rows = _activation_rows(bits, y).astype(dictionary.guided.dtype)
+    rows = _activation_rows(bits[:_BOUND_ROWS], _bit_steering(bits, y))
+    rows = rows.astype(dictionary.guided.dtype)
     energy = np.empty(dictionary.g, rows.dtype)
     corr = np.empty(dictionary.g, np.result_type(rows.dtype, np.complex64))
     for start in range(0, dictionary.g, _COLUMN_BLOCK):
@@ -1203,11 +1221,14 @@ def activation_energies(w: np.ndarray, dictionary: DpDictionary, subarray: Subar
     return energy, corr
 
 
-def _activation_rows(bits: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The (T + 2, N) float64 rows: W's 0/1 activation bits A, then Re and Im of A^T r."""
-    bits = bits.astype(float)
-    v = bits.T @ r
-    return np.vstack([bits, v.real, v.imag])
+def _bit_steering(bits: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A^T r for the 0/1 activation rows A = ``bits``: a column's a_j^H W^H r is u_j^H (A^T r)."""
+    return bits.T.astype(float) @ r
+
+
+def _activation_rows(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (K + 2, N) float64 rows: the K 0/1 activation rows ``bits``, then Re v and Im v."""
+    return np.vstack([bits.astype(float), v.real, v.imag])
 
 
 def _atom_products(rows: np.ndarray, guided: np.ndarray) -> np.ndarray:
@@ -1235,8 +1256,19 @@ def bit_correlations(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary) -> 
     They are u_j^H (A^T r) (activation_energies): one float32 product of
     the guided atoms with the rows Re and Im of the N-vector A^T r.
     """
-    v = (w != 0).T.astype(float) @ r
+    v = _bit_steering(w != 0, r)
     return _paired_correlations(_atom_products(np.vstack([v.real, v.imag]), dictionary.guided))
+
+
+def _screen_energies(bits: np.ndarray, guided: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The full screen's float32 energies ||A u_j||^2 over all T activation rows A = ``bits``, of
+    the guided atoms at positions idx, gathered _COLUMN_BLOCK atoms at a time."""
+    rows = bits.astype(guided.dtype)
+    energy = np.empty(len(idx), guided.dtype)
+    for a in range(0, len(idx), _COLUMN_BLOCK):
+        part = _atom_products(rows, guided[idx[a:a + _COLUMN_BLOCK]])
+        energy[a:a + len(part)] = np.einsum("gkt,gkt->g", part, part)
+    return energy
 
 
 _U32 = 2.0 ** -24  # float32's unit roundoff
@@ -1248,21 +1280,25 @@ def _gamma(k: int) -> float:
     return k * _U32 / (1.0 - k * _U32)
 
 
-def _polar_screen_error(bits: np.ndarray, r: np.ndarray, score: np.ndarray, energy: np.ndarray,
+def _polar_screen_error(bits: np.ndarray, v: np.ndarray, score: np.ndarray, energy: np.ndarray,
                         norms: np.ndarray) -> np.ndarray:
-    """A bound e_j on |s~_j - s_j| for the nf screen's scores s~_j = _score(c~_j, E~_j).
+    """A bound e_j on |s~_j - s_j| for an nf screen's scores s~_j = _score(c~_j, E~_j).
 
-    E~_j and c~_j are the float32 energies and correlations of the guided
-    atoms u~_j (activation_energies, bit_correlations), whose norms are
-    ``norms`` (polar_dictionary's guided_norms), for T x N activation bits
-    A = ``bits`` and residual r; s_j is the score of the float64 atom u_j.
-    With u = 2^-24, e = PHASE_ATOMS_ERROR, v = A^T r and ||A||_2 <= ||A||_F
-    = sqrt(nnz A):
+    E~_j are the float32 energies ||B u~_j||^2 of the guided atoms u~_j,
+    whose norms are ``norms`` (polar_dictionary's guided_norms), over the
+    K x N 0/1 rows B = ``bits``: the first _BOUND_ROWS rows of the
+    activation bits A in the bound pass (activation_energies), all T of
+    them in the full screen (_screen_energies). c~_j are the float32
+    correlations u~_j^H v for v = A^T r over all T rows (activation_energies,
+    bit_correlations). s_j = |c_j| / ||B u_j|| is the score of the float64
+    atom u_j: its float64 score when B = A, and at least that (||B u_j|| <=
+    ||A u_j||) when B holds some of A's rows. With u = 2^-24, e =
+    PHASE_ATOMS_ERROR and ||B||_2 <= ||B||_F = sqrt(nnz B):
     - the atoms: ||u~_j - u_j|| <= e ||u_j|| <= e ||u~_j|| / (1 - e);
-    - the energy product, x~_j = A u~_j from dot products of length N, is
-      within gamma_N ||A||_2 ||u~_j|| of A u~_j, so ||x~_j|| is within
-      d_j = ||A||_F ||u~_j|| (gamma_N + e / (1 - e)) of ||A u_j||;
-    - its sum of 2T squares: E~_j = ||x~_j||^2 (1 + t), |t| <= gamma_2T;
+    - the energy product, x~_j = B u~_j from dot products of length N, is
+      within gamma_N ||B||_2 ||u~_j|| of B u~_j, so ||x~_j|| is within
+      d_j = ||B||_F ||u~_j|| (gamma_N + e / (1 - e)) of ||B u_j||;
+    - its sum of 2K squares: E~_j = ||x~_j||^2 (1 + t), |t| <= gamma_2K;
     - the correlation: the rows Re v, Im v rounded to float32 (u ||v||),
       each of its parts the sum of two dot products of length N (gamma_{N+1}
       each, sqrt(2) gamma_{N+1} ||v~|| ||u~_j|| in all) and the atoms'
@@ -1270,7 +1306,7 @@ def _polar_screen_error(bits: np.ndarray, r: np.ndarray, score: np.ndarray, ener
       gamma_{N+1} + e / (1 - e)) + u / (1 - e));
     - _score's float32 abs (2u), sqrt (u) and division (u) leave a factor
       within phi of 1.
-    With X_j = sqrt(E~_j / (1 + gamma_2T)) <= ||x~_j||, k_j = d_j / X_j,
+    With X_j = sqrt(E~_j / (1 + gamma_2K)) <= ||x~_j||, k_j = d_j / X_j,
     p_j = q_j / X_j and s'_j = s~_j / (1 - phi) >= |c~_j| / ||x~_j||:
     e_j = phi s'_j + (p_j + k_j s'_j) / (1 - k_j), on both sides. A column
     with no bound (zero screen energy, or k_j >= 1) gets inf. Float64
@@ -1278,19 +1314,51 @@ def _polar_screen_error(bits: np.ndarray, r: np.ndarray, score: np.ndarray, ener
     underflow, some 30 orders of magnitude below the pilots, is not
     covered.
     """
-    t, n = bits.shape
+    k_rows, n = bits.shape
     e, u = PHASE_ATOMS_ERROR, _U32
     atoms = e / (1.0 - e)
     c_k = np.sqrt(np.count_nonzero(bits)) * (_gamma(n) + atoms)  # k_j = c_k ||u~_j|| / X_j
-    c_p = (np.linalg.norm(bits.T.astype(float) @ r)  # p_j = c_p ||u~_j|| / X_j
+    c_p = (np.linalg.norm(v)  # p_j = c_p ||u~_j|| / X_j
            * ((1.0 + u) * (np.sqrt(2.0) * _gamma(n + 1) + atoms) + u / (1.0 - e)))
-    phi = (1.0 + 2.0 * u) * (1.0 + u) / ((1.0 - u) * np.sqrt(1.0 - _gamma(2 * t))) - 1.0
+    phi = (1.0 + 2.0 * u) * (1.0 + u) / ((1.0 - u) * np.sqrt(1.0 - _gamma(2 * k_rows))) - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # zero energy: inf, then k_j >= 1
-        ratio = norms / np.sqrt(energy, dtype=float) * np.sqrt(1.0 + _gamma(2 * t))
+        ratio = norms / np.sqrt(energy, dtype=float) * np.sqrt(1.0 + _gamma(2 * k_rows))
         k = c_k * ratio
         s = np.divide(score, 1.0 - phi, dtype=float)
         bound = phi * s + ratio * (c_p + c_k * s) / (1.0 - k)
     return np.where(k < 1.0, bound, np.inf)
+
+
+def _polar_screen(bits: np.ndarray, v: np.ndarray, corr: np.ndarray, dictionary: DpDictionary,
+                  idx: np.ndarray) -> tuple:
+    """The full screen of the polar columns idx: their scores _score(c~_j, E~_j) over all T
+    activation rows (_screen_energies) and each score's error bound (_polar_screen_error).
+    ``corr`` holds every column's screen correlation c~_j, and v = A^T r."""
+    energy = _screen_energies(bits, dictionary.guided, idx)
+    score = _score(corr[idx], energy)
+    return score, _polar_screen_error(bits, v, score, energy, dictionary.guided_norms[idx])
+
+
+def _survivors(bits: np.ndarray, v: np.ndarray, corr: np.ndarray, bound_energy: np.ndarray,
+               dictionary: DpDictionary) -> np.ndarray:
+    """The polar columns, in grid order, whose bound can reach the best float64 score.
+
+    A column's bound b~_j = _score(c~_j, P~_j), from its correlation and
+    its partial energy over A_K (activation_energies), plus its error bound
+    e_j (_polar_screen_error over A_K), is at least its float64 partial
+    bound b_j = |c_j| / ||A_K u_j||, itself at least its float64 score s_j.
+    The full screen (_polar_screen) of the _SEED_COLUMNS columns with the
+    largest b~_j + e_j gives L, the largest s~_j - e_j among them, at most
+    the best float64 score S. A column with b~_j + e_j < L scores s_j < S,
+    so it is never _pick's first float64 maximum; the others survive: every
+    column under tied pilots, where all scores tie.
+    """
+    bound = _score(corr, bound_energy)
+    reach = bound + _polar_screen_error(bits[:_BOUND_ROWS], v, bound, bound_energy,
+                                        dictionary.guided_norms)
+    seeds = np.argpartition(reach, -min(_SEED_COLUMNS, reach.size))[-_SEED_COLUMNS:]
+    score, error = _polar_screen(bits, v, corr, dictionary, seeds)
+    return np.flatnonzero(~(reach < np.max(score - error)))  # a NaN keeps its column
 
 
 def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
@@ -1300,10 +1368,12 @@ def redone_scores(w: np.ndarray, r: np.ndarray, dictionary: DpDictionary,
     The columns are rebuilt in float64 by build_dp_dictionary, each at its
     ring's distance, _COLUMN_BLOCK columns per call, guided by conj(g) in
     complex128 and laid out as polar_dictionary's guided atoms are; their
-    energies and correlations then come from the same product with the
-    activation rows as activation_energies', in float64.
+    energies and correlations then come from one product with all T
+    activation rows and Re and Im of A^T r, in float64.
     """
-    rows, guide = _activation_rows(w != 0, r), waveguide_vector(subarray, radio).conj()
+    bits = w != 0
+    rows = _activation_rows(bits, _bit_steering(bits, r))
+    guide = waveguide_vector(subarray, radio).conj()
     energy, corr = np.empty(len(idx)), np.empty(len(idx), dtype=complex)
     for a in range(0, len(idx), _COLUMN_BLOCK):
         k = idx[a:a + _COLUMN_BLOCK]
@@ -1333,15 +1403,19 @@ def run_polar_baseline(
 
     ``dictionary`` comes from polar_dictionary and must match the layout's
     single subarray. Every column is screened in float32 from the guided
-    atoms and the activation bits: the energies and path 0's correlations
-    from one product per trial (activation_energies, which rejects a W
-    that is not conj(A * g)), a later path's correlations from
-    bit_correlations. certified_picks, reading each column's error bound
-    (_polar_screen_error) and redoing columns with redone_scores, turns
-    each screen into the pick of _score and _pick on float64 scores, and
-    records how many columns it redid. The least-squares refit and the
-    channels use each picked column in the channel domain, rebuilt alone by
-    build_dp_dictionary. Tied pilots (_tied_pilots) flag "tied-pilots".
+    atoms and the activation bits, in two passes. The bound pass
+    (activation_energies, which rejects a W that is not conj(A * g)) is one
+    product per trial with _BOUND_ROWS of the T activation rows and path
+    0's correlations; a later path's correlations come from
+    bit_correlations. Each path's columns whose bound can reach the best
+    score (_survivors) get the full T-row screen (_polar_screen), and
+    certified_picks, reading each score's error bound (_polar_screen_error)
+    and redoing columns with redone_scores, turns it into the pick of
+    _score and _pick on float64 scores of every column, and records how
+    many columns survived and how many it redid. The least-squares refit
+    and the channels use each picked column in the channel domain, rebuilt
+    alone by build_dp_dictionary. Tied pilots (_tied_pilots) flag
+    "tied-pilots".
     """
     if layout.m != 1:
         raise ValueError("polar baseline expects a single-subarray layout")
@@ -1352,18 +1426,20 @@ def run_polar_baseline(
 
     if dic.guided is None:
         raise ValueError("polar baseline needs polar_dictionary's guided atoms")
-    energy, corr = activation_energies(w, dic, sub, radio, y)  # energies serve every path
+    bits = w != 0
+    bound_energy, corr = activation_energies(w, dic, sub, radio, y)  # they serve every path
     picked = np.empty((sub.n_pas, config.num_paths), dtype=complex, order="F")
     dir_ests: list[DirectionEstimate] = []
     flags = {"ambiguous", "under-determined"} | ({"tied-pilots"} if _tied_pilots(w) else set())
     for l in range(config.num_paths):
         if l > 0:
             corr = bit_correlations(w, residual, dic)
-        screen = _score(corr, energy)
-        error = _polar_screen_error(w != 0, residual, screen, energy, dic.guided_norms)
-        de, = certified_picks([residual], screen, error, np.array([0, dic.g]),
-                              partial(redone_scores, w, residual, dic, sub, radio, dh),
-                              np.arange(dic.g), dic.cosines)
+        v = _bit_steering(bits, residual)
+        idx = _survivors(bits, v, corr, bound_energy, dic)
+        de, = certified_picks([residual], *_polar_screen(bits, v, corr, dic, idx),
+                              np.array([0, idx.size]),
+                              lambda k: redone_scores(w, residual, dic, sub, radio, dh, idx[k]),
+                              idx, dic.cosines[idx])
         strength = abs(de.coefficient)
         if l == 0:
             ref_strength = strength

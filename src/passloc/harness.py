@@ -503,6 +503,8 @@ class SweepResult:
     records: list = field(default_factory=list)
 
     def write_csv(self, outdir) -> None:
+        """rmse.csv, nmse.csv and meta.json, and records.jsonl: one TrialRecord per line, in
+        trial order."""
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         lines = [f"# passloc sweep v{SWEEP_SCHEMA_VERSION}",
@@ -534,6 +536,8 @@ class SweepResult:
                                 for (scen, snr), e in resolved.items()],
         }
         (out / "meta.json").write_text(json.dumps(meta, indent=2))
+        (out / "records.jsonl").write_text("".join(json.dumps(r.to_dict()) + "\n"
+                                                   for r in self.records))
 
 
 def _usable_cpus() -> int:

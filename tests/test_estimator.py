@@ -1660,11 +1660,13 @@ def test_polar_baseline_misselects_under_noise(region, radio, half_wave):
 
 
 def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_process_sweep):
-    """An nf trial screens its energies once and one bit correlation per path, and the screen's
-    arrays reach the certificate once per path; nothing projects."""
+    """An nf trial runs its bound pass once and one bit correlation per later path, and each
+    path's survivors reach the certificate with those correlations and their full-screen
+    energies; nothing projects."""
     from passloc.harness import ExperimentConfig, run_sweep
 
-    energies, correlations, shared, projected = [], [], [], []
+    energies, correlations, screened, shared, projected = [], [], [], [], []
+    full_screen = passloc.estimator._screen_energies
 
     def counting(*args):
         energies.append(activation_energies(*args))
@@ -1674,15 +1676,20 @@ def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_proces
         correlations.append(bit_correlations(*args))
         return correlations[-1]
 
+    def screening(*args):
+        screened.append(full_screen(*args))
+        return screened[-1]
+
     def certifying(residuals, screen, error, bounds, redo, index, cosines):
-        # path 0's correlations ride in the energies' product, path 1's are bit_correlations'
+        # path 0's correlations ride in the bound pass's product, path 1's are bit_correlations'
         first = len(shared) % 2 == 0
         corr = energies[-1][1] if first else correlations[-1]
-        shared.append(np.array_equal(screen, passloc.estimator._score(corr, energies[-1][0])))
+        shared.append(np.array_equal(screen, passloc.estimator._score(corr[index], screened[-1])))
         return certified_picks(residuals, screen, error, bounds, redo, index, cosines)
 
     monkeypatch.setattr(passloc.estimator, "activation_energies", counting)
     monkeypatch.setattr(passloc.estimator, "bit_correlations", correlating)
+    monkeypatch.setattr(passloc.estimator, "_screen_energies", screening)
     monkeypatch.setattr(passloc.estimator, "certified_picks", certifying)
     for name in ("project_dictionary", "omp_direction", "atom_energies"):
         monkeypatch.setattr(passloc.estimator, name, lambda *a, **k: projected.append(a))
@@ -1691,6 +1698,7 @@ def test_polar_baseline_computes_energies_once_per_trial(monkeypatch, one_proces
     records = run_sweep(cfg).records
     assert [len(r.positions) for r in records] == [2] * cfg.trials
     assert len(energies) == len(correlations) == cfg.trials
+    assert len(screened) == 2 * len(shared)  # the seeds' full screen, then the survivors'
     assert shared == [True] * (2 * cfg.trials) and not projected
 
 
@@ -1803,6 +1811,41 @@ def test_redone_scores_rebuild_a_block_of_columns_at_a_time(region, radio, half_
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def test_polar_screen_gathers_a_block_of_survivors_at_a_time(region, radio, half_wave,
+                                                            monkeypatch):
+    """Tied pilots keep every column after the bound pass: the full screen gathers _COLUMN_BLOCK
+    of them per product, never all of them, with the values of one product of all of them."""
+    rings = np.geomspace(2.0, 40.0, 6)
+    lay = custom_layout(region, Structure.MW, [[0.0, 15.0]], 32, half_wave)
+    scene = Scene(np.array([3.0, 9.0, 0.0]), np.empty((0, 3)))
+    sch = make_schedule(lay, total_slots=48, density=1.0, rng_seed=0)
+    ms = measure(lay, sch, synthesize_paths(lay, scene, radio), radio, snr_db=10.0, rng_seed=0)
+    cfg = EstimatorConfig(region=region, g_theta=64)
+    dic = polar_dictionary(lay, radio, cfg, rings)
+    gathered, screens = [], []
+    products, certify = passloc.estimator._atom_products, passloc.estimator.certified_picks
+
+    def product(rows, guided):
+        gathered.append((len(rows), len(guided)))
+        return products(rows, guided)
+
+    def certifying(residuals, screen, *rest):
+        screens.append(screen)
+        return certify(residuals, screen, *rest)
+
+    monkeypatch.setattr(passloc.estimator, "_atom_products", product)
+    monkeypatch.setattr(passloc.estimator, "certified_picks", certifying)
+    whole = run_polar_baseline(ms, lay, radio, cfg, dic)
+    gathered.clear()
+    monkeypatch.setattr(passloc.estimator, "_COLUMN_BLOCK", 100)
+    blocked = run_polar_baseline(ms, lay, radio, cfg, dic)
+    screened = [size for rows, size in gathered if rows == 48]  # the full screen's products
+    assert screened == [passloc.estimator._SEED_COLUMNS, 100, 100, 100, dic.g - 300]
+    assert "tied-pilots" in blocked.flags and "tied-pilots" in whole.flags
+    assert [r.paths[0].directions[0].columns_scored for r in (whole, blocked)] == [dic.g] * 2
+    assert np.allclose(screens[1], screens[0], rtol=1e-6, atol=0.0)
+
+
 @pytest.mark.parametrize("slots", [16, 64], ids=["N>T", "N<T"])
 def test_bit_correlations_equal_channel_atom_correlations(region, radio, half_wave, slots):
     """u_j^H (A^T r) in the certificate's float64 redo of every column is a_j^H W^H r, for the
@@ -1821,10 +1864,17 @@ def test_bit_correlations_equal_channel_atom_correlations(region, radio, half_wa
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _full_screen(dic, sub, radio, w, r) -> tuple:
+    """The full float32 screen of every polar column: its energies over all T activation rows,
+    and its correlations with r from the bound pass's product."""
+    _, corr = activation_energies(w, dic, sub, radio, r)
+    return passloc.estimator._screen_energies(w != 0, dic.guided, np.arange(dic.g)), corr
+
+
 def _nf_screens(dic, sub, radio, dh, w, y) -> tuple:
-    """The float32 screen's energies, and (residual, screen scores, float64 scores) for the
+    """The full float32 screen's energies, and (residual, screen scores, float64 scores) for the
     pilots and for the residual of their best column's refit."""
-    energy, corr = activation_energies(w, dic, sub, radio, y)
+    energy, corr = _full_screen(dic, sub, radio, w, y)
     assert dic.guided.dtype == energy.dtype == np.float32 and corr.dtype == np.complex64
     exact = redone_scores(w, y, dic, sub, radio, dh, np.arange(dic.g))[0]
     j = int(np.argmax(exact))
@@ -1865,14 +1915,15 @@ _small_nf = dict(n=st.integers(2, 64), slots=st.integers(1, 64), g=st.integers(2
                  seed=st.integers(0, 2**16))
 
 
-def _small_nf_trial(n, slots, g, rings, l, snr, seed):
+def _small_nf_trial(n, slots, g, rings, l, snr, seed, density=0.5, tied=False):
     """A one-trial nf config's trial and polar dictionary. Activation bits of rank 1 (one slot,
-    or every slot the same bits) score every column alike, a tie at any precision: not drawn."""
+    or every slot the same bits) score every column alike, a tie at any precision: drawn only
+    with ``tied``."""
     cfg = passloc.harness.ExperimentConfig(scenarios=["nf"], nf_n=n, slots_per_subarray=slots,
                                            g_theta=g, nf_rings=rings, l=l, snr_db=(snr,),
-                                           seed=seed, trials=1)
+                                           seed=seed, trials=1, density=density)
     _, layout, _, _, ms = passloc.harness.simulate_trial(cfg, "nf", snr, 0, 0)
-    assume(np.linalg.matrix_rank((ms.w[0] != 0).astype(float)) >= 2)
+    assume(tied or np.linalg.matrix_rank((ms.w[0] != 0).astype(float)) >= 2)
     return cfg, layout, ms, passloc.harness.scenario_atoms(cfg, "nf")[0]
 
 
@@ -1927,13 +1978,67 @@ def test_certified_polar_picks_equal_the_float64_full_grid_picks(n, slots, g, ri
         de, want = path.directions[0], float64_pick(residual)
         assert de.grid_index == want.grid_index
         assert de.coefficient == pytest.approx(want.coefficient, rel=1e-9)
-        assert de.columns_scored == channel.g and de.columns_redone >= 1
+        assert 1 <= de.columns_scored <= channel.g and de.columns_redone >= 1
         picked.append(channel.atoms[:, de.grid_index])
         raw = w @ np.column_stack(picked)
         residual = y - raw @ np.linalg.lstsq(raw, y, rcond=None)[0]
     if len(result.paths) < cfg.l + 1:  # path-absent
         ref = abs(result.paths[0].directions[0].coefficient)
         assert abs(float64_pick(residual).coefficient) < passloc.estimator.COEFF_FLOOR * ref
+
+
+# T <= _BOUND_ROWS, rank-1 bits (tied pilots: one slot, or density 1.0) and two scatterers drawn too
+_bound_nf = dict(_small_nf, l=st.integers(0, 2), density=st.sampled_from([0.5, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_bound_nf)
+def test_bound_pass_bounds_every_column_score(n, slots, g, rings, l, snr, seed, density):
+    """s_j <= b_j <= b~_j + e_j for every column, for the pilots and the residual of their best
+    column's refit: the float64 score, the float64 partial bound |c_j| / ||A_K u_j|| over the
+    first _BOUND_ROWS activation rows, and the bound pass's float32 bound plus its error bound."""
+    cfg, layout, ms, dic = _small_nf_trial(n, slots, g, rings, l, snr, seed, density, tied=True)
+    w, sub, dh = ms.w[0], layout.subarrays[0], cfg.h_pa - cfg.fixed_height
+    _, screens = _nf_screens(dic, sub, cfg.radio, dh, w, ms.y[0])
+    rows = passloc.estimator._BOUND_ROWS
+    for r, _, s64 in screens:
+        c64 = redone_scores(w, r, dic, sub, cfg.radio, dh, np.arange(dic.g))[1]
+        p64 = redone_scores(w[:rows], r[:rows], dic, sub, cfg.radio, dh, np.arange(dic.g))[2]
+        with np.errstate(divide="ignore"):
+            b64 = np.abs(c64) / np.sqrt(p64)
+        bound_energy, corr = activation_energies(w, dic, sub, cfg.radio, r)
+        bound = passloc.estimator._score(corr, bound_energy)
+        v = (w != 0).T.astype(float) @ r
+        error = passloc.estimator._polar_screen_error((w != 0)[:rows], v, bound, bound_energy,
+                                                      dic.guided_norms)
+        assert np.all(s64 <= b64 * (1.0 + 1e-12))  # float64 rounding of the two energies
+        assert np.all(b64 <= bound + error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_bound_nf)
+def test_polar_picks_equal_the_first_maximum_of_every_redone_column(n, slots, g, rings, l, snr,
+                                                                   seed, density):
+    """Each path's pick is _pick's on the float64 redone_scores of all G columns, though only the
+    bound pass's survivors get the full screen (columns_scored)."""
+    cfg, layout, ms, dic = _small_nf_trial(n, slots, g, rings, l, snr, seed, density, tied=True)
+    result = passloc.harness.estimate(cfg, "nf", ms, layout, [dic])
+    w, y, sub = ms.w[0], ms.y[0].astype(complex), layout.subarrays[0]
+    dh = cfg.h_pa - cfg.fixed_height
+    residual, picked = y, []
+    for path in result.paths:
+        de = path.directions[0]
+        want = passloc.estimator._pick(
+            residual, range(dic.g),
+            *redone_scores(w, residual, dic, sub, cfg.radio, dh, np.arange(dic.g)), dic.cosines)
+        assert de.grid_index == want.grid_index
+        assert de.coefficient == pytest.approx(want.coefficient, rel=1e-12)
+        assert 1 <= de.columns_scored <= dic.g
+        j = de.grid_index
+        picked.append(build_dp_dictionary(sub, float(dic.ring_distances[j]), dic.cosines[[j]],
+                                          cfg.radio, dh=dh).atoms[:, 0])
+        raw = w @ np.column_stack(picked)
+        residual = y - raw @ np.linalg.lstsq(raw, y, rcond=None)[0]
 
 
 def _polar_certified(r, w, dic, sub, radio, dh, corr, energy):
@@ -1956,7 +2061,7 @@ def test_certificate_breaks_a_forced_near_tie_as_float64_does(region, radio, hal
     s64 = redone_scores(w, r, dic, sub, radio, 2.0, np.arange(dic.g))[0]
     win, lose = np.argsort(-s64)[:2]
     assert {win, lose} == {70, 289} and s64[lose] >= (1.0 - CERTIFY_TAU) * s64[win]
-    energy, corr = activation_energies(w, dic, sub, radio, r)
+    energy, corr = _full_screen(dic, sub, radio, w, r)
     screen = passloc.estimator._score(corr, energy)
     corr[lose] *= float(screen[win]) / float(screen[lose]) * (1.0 + CERTIFY_TAU / 10.0)
     assert np.argmax(passloc.estimator._score(corr, energy)) == lose
@@ -1980,7 +2085,7 @@ def test_certificate_lets_an_inflated_low_energy_column_win_only_if_float64_pick
                                    channel.cosines).grid_index
     weakest = int(np.argmin(redone_scores(w, y, dic, sub, radio, 2.0, np.arange(dic.g))[2]))
     for k in (weakest, want):
-        energy, corr = activation_energies(w, dic, sub, radio, y)
+        energy, corr = _full_screen(dic, sub, radio, w, y)
         energy[k] *= np.float32(1e-12)  # its screen score rises a million-fold
         assert np.argmax(passloc.estimator._score(corr, energy)) == k
         de = _polar_certified(y, w, dic, sub, radio, 2.0, corr, energy)

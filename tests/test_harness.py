@@ -444,6 +444,32 @@ def test_sweep_meta_counts_failures_by_error_class(monkeypatch, tmp_path, one_pr
     assert failing["failed_by_error"] == {"DictionaryError": 2, "LinAlgError": 1}
 
 
+def test_write_csv_round_trips_the_records_in_trial_order(monkeypatch, tmp_path,
+                                                         one_process_sweep):
+    """records.jsonl reads back as the sweep's TrialRecords, in its order: a failed trial's NaN
+    errors and an ambiguous trial's mirror error included."""
+    real, calls = harness_mod.run_omp_gcl, iter(range(100))
+
+    def fail_second(*args, **kwargs):
+        if next(calls) == 1:
+            raise DictionaryError("synthetic estimator failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "run_omp_gcl", fail_second)
+    cfg = ExperimentConfig(scenarios=("sw2", "mw"), trials=3, snr_db=(10.0, 25.0), g_theta=256,
+                           seed=2)
+    result = run_sweep(cfg)
+    result.write_csv(tmp_path)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    loaded = [TrialRecord(**{**d, "flags": tuple(d["flags"])}) for d in map(json.loads, lines)]
+    assert [(r.scenario, r.snr_db, r.trial) for r in loaded] == [
+        (s, snr, t) for s in cfg.scenarios for snr in cfg.snr_db for t in range(cfg.trials)]
+    assert sum(r.failed for r in loaded) == 1 and np.isnan(loaded[1].position_error)
+    assert any(r.mirror_error is not None for r in loaded)
+    for got, want in zip(loaded, result.records, strict=True):
+        np.testing.assert_equal(got.to_dict(), want.to_dict())  # NaN equals NaN here
+
+
 _SCENARIO_MODES = [(s, m) for s in ("mw", "sw", "sw2", "nf") for m in ("2d", "3d")
                    if (s, m) not in {("nf", "3d"), ("sw2", "3d")}]  # sw2 3-D is rejected
 

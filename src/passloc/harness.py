@@ -18,6 +18,7 @@ import time
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -548,20 +549,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 def _blas_thread_setters() -> list | None:
-    """The thread-count setter of every BLAS library this process has loaded.
+    """The thread-count getter and setter, as a (get, set) pair, of every loaded BLAS library.
 
     A BLAS library is a loaded lib*.so whose name holds blas, blis or mkl;
-    Python extensions that call one (scipy's _fblas) are not. None when the libraries cannot be listed (no /proc/self/maps, as on
-    macOS), when none is loaded, or when one exports none of the OpenBLAS
-    setters (MKL, BLIS, an OpenBLAS built without them). A pool needs the
-    setters: a worker per usable CPU, each with its BLAS on its default
-    threads, spins those threads on the CPUs the other workers need, and an
-    nf sweep on two CPUs ran 4x slower than serially.
+    Python extensions that call one (scipy's _fblas) are not. None when the
+    libraries cannot be listed (no /proc/self/maps, as on macOS), when none
+    is loaded, or when one exports no OpenBLAS getter and setter pair (MKL,
+    BLIS, an OpenBLAS built without them). A pooled sweep needs them: it
+    runs a process per usable CPU, and each BLAS on its default threads
+    spins them on the CPUs the other processes need (an nf sweep on two
+    CPUs ran 4x slower than serially), so the caller caps its BLAS at one
+    thread for the cell, which the children inherit, and restores it after.
     """
     import ctypes
 
@@ -570,68 +575,165 @@ def _blas_thread_setters() -> list | None:
             paths = {line.rsplit(None, 1)[-1] for line in fh.read().splitlines()
                      if "blas" in line or "blis" in line or "mkl" in line}
         libs = [path for path in paths if os.path.basename(path).startswith("lib")]
-        setters = []
+        pairs = []
         for path in sorted(libs):
             lib = ctypes.CDLL(path)
-            setter = next((getattr(lib, n) for n in _BLAS_SETTERS if hasattr(lib, n)), None)
-            if setter is None:
+            names = next((pair for pair in _BLAS_THREADS
+                          if all(hasattr(lib, name) for name in pair)), None)
+            if names is None:
                 return None
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setters.append(setter)
+            get, set_ = (getattr(lib, name) for name in names)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pairs.append((get, set_))
     except OSError:
         return None
-    return setters or None
+    return pairs or None
 
 
-_worker_scenario = None  # (cfg, scenario, atoms) in a pool worker, set by _start_worker
+def _trial(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary], k: int) -> TrialRecord:
+    """Task k of a cell: trial k % cfg.trials at SNR index k // cfg.trials."""
+    snr_index, trial = divmod(k, cfg.trials)
+    return run_trial(cfg, scenario, cfg.snr_db[snr_index], snr_index, trial, atoms)
 
 
-def _start_worker(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary],
-                  blas_setters: list) -> None:
-    global _worker_scenario
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-    for setter in blas_setters:
-        setter(1)
-    _worker_scenario = cfg, scenario, atoms
+def _claims(counter, tasks: int):
+    """The task indices this process claims from the shared counter, until it passes ``tasks``."""
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= tasks:
+            return
+        yield k
 
 
-def _worker_trial(task: tuple) -> TrialRecord:
-    cfg, scenario, atoms = _worker_scenario
-    snr_db, snr_index, trial = task
-    return run_trial(cfg, scenario, snr_db, snr_index, trial, atoms)
+def _outcome(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary], k: int):
+    """Task k's record, or the exception it raised."""
+    try:
+        return _trial(cfg, scenario, atoms, k)
+    except Exception as exc:
+        return exc
+
+
+def _run_child(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary], counter, conn,
+               release, held) -> None:
+    """A sweep child: sends (k, outcome) down ``conn`` for every task k it claims, then waits.
+
+    A trial's exception travels as ExceptionWithTraceback, so the caller
+    re-raises it with this process's traceback as ``__cause__``. The child
+    stays alive until the caller closes ``held``, the write end of
+    ``release``, or exits: so a pipe that reaches EOF while the caller reads
+    it always means a child died, with the record it claimed lost.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    held.close()
+    for k in _claims(counter, len(cfg.snr_db) * cfg.trials):
+        outcome = _outcome(cfg, scenario, atoms, k)
+        if isinstance(outcome, Exception):
+            from multiprocessing.pool import ExceptionWithTraceback
+
+            outcome = ExceptionWithTraceback(outcome, outcome.__traceback__)
+        conn.send((k, outcome))
+    release.poll(None)
+
+
+def _receive(conns: list, outcomes: dict, block: bool) -> None:
+    """Reads into ``outcomes`` every (k, outcome) the children have sent, first waiting for one
+    when ``block``. Raises if a child has died."""
+    from multiprocessing.connection import wait
+
+    ready = wait(conns, None if block else 0)
+    while ready:
+        for conn in ready:
+            try:
+                k, outcome = conn.recv()
+            except EOFError:
+                raise RuntimeError("a sweep child exited before its cell was done; "
+                                   "the trial it claimed is lost") from None
+            outcomes[k] = outcome
+        ready = wait(conns, 0)
+
+
+def _claimed_trials(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary], counter,
+                    conns: list):
+    """The cell's records in task order, from the trials this process claims and runs itself and
+    those the children send; a task's exception is raised when its turn comes."""
+    tasks = len(cfg.snr_db) * cfg.trials
+    mine = _claims(counter, tasks)
+    outcomes = {}
+    for k in range(tasks):
+        _receive(conns, outcomes, block=False)
+        while k not in outcomes:
+            own = next(mine, None)
+            if own is None:  # every task is claimed: wait for the one needed next
+                _receive(conns, outcomes, block=True)
+            else:
+                outcomes[own] = _outcome(cfg, scenario, atoms, own)
+                _receive(conns, outcomes, block=False)
+        outcome = outcomes.pop(k)
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
 
 
 @contextmanager
 def _cell_trials(cfg: ExperimentConfig, scenario: str, atoms: list[DpDictionary]):
-    """A function from (snr_db, snr_index) to that cell's trial records, in trial order.
+    """An iterator over a cell's trial records, in (SNR index, trial) order.
 
-    The trials run on a fork pool of min(usable CPUs, cfg.trials) workers,
-    which inherit cfg and the atoms instead of receiving them pickled and
-    run their BLAS on one thread each. They run serially in this process
-    when that is one worker, when fork is unavailable, when the BLAS threads
-    cannot be capped (_blas_thread_setters), or when ``run_trial`` has been
-    rebound: a wrapper put on it, such as a tracer's, keeps what it records
-    in the process that calls it, and a worker's copy would be lost. The
-    pool is torn down on leaving the block, however it is left.
+    The tasks k of the cell, trial k % cfg.trials at SNR index k //
+    cfg.trials, run on W = min(usable CPUs, cfg.trials) processes: this one
+    and W - 1 forked children, which inherit cfg and the atoms instead of
+    receiving them pickled. Each process claims the next k from a shared
+    counter whenever it is free, so no process idles while a task is left.
+    A child sends each record down its own pipe; this process, between
+    trials of its own, collects what has arrived and hands on every record
+    next in order, and once the counter is used up waits for the one it
+    needs. For the cell its BLAS runs on one thread, which the children
+    inherit, and gets its own count back afterwards. The trials run serially
+    in this process when W is one, when fork is unavailable, when the BLAS
+    threads cannot be read and capped (_blas_thread_setters), or when
+    ``run_trial`` has been rebound: a wrapper put on it, such as a tracer's,
+    keeps what it records in the process that calls it, and a child's copy
+    would be lost. The children are terminated and joined on leaving the
+    block, however it is left.
     """
     workers = min(_usable_cpus(), cfg.trials)
     if workers > 1 and run_trial is _RUN_TRIAL:
         import multiprocessing  # only here: a serial sweep never pays for its import
 
-        setters = ("fork" in multiprocessing.get_all_start_methods()
+        threads = ("fork" in multiprocessing.get_all_start_methods()
                    and _blas_thread_setters())
-        if setters:
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, _start_worker, (cfg, scenario, atoms, setters))
+        if threads:
+            ctx = multiprocessing.get_context("fork")
+            counter = ctx.Value("q")
+            release, held = ctx.Pipe(duplex=False)
+            saved = [get() for get, _ in threads]
+            children, conns = [], []
             try:
-                yield lambda snr_db, snr_index: pool.imap(
-                    _worker_trial, [(snr_db, snr_index, t) for t in range(cfg.trials)])
+                for _, set_threads in threads:
+                    set_threads(1)
+                for _ in range(workers - 1):
+                    conn, child_end = ctx.Pipe(duplex=False)
+                    conns.append(conn)
+                    child = ctx.Process(target=_run_child, daemon=True,
+                                        args=(cfg, scenario, atoms, counter, child_end, release,
+                                              held))
+                    child.start()
+                    children.append(child)
+                    child_end.close()  # so that the pipe reaches EOF when the child dies
+                yield _claimed_trials(cfg, scenario, atoms, counter, conns)
             finally:
-                pool.terminate()
-                pool.join()
+                for child in children:
+                    child.terminate()
+                for child in children:
+                    child.join()
+                for conn in [*conns, release, held]:
+                    conn.close()
+                for (_, set_threads), count in zip(threads, saved):
+                    set_threads(count)
             return
-    yield lambda snr_db, snr_index: (run_trial(cfg, scenario, snr_db, snr_index, t, atoms)
-                                     for t in range(cfg.trials))
+    yield (_trial(cfg, scenario, atoms, k) for k in range(len(cfg.snr_db) * cfg.trials))
 
 
 def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
@@ -645,24 +747,27 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
     Each scenario's atoms come from scenario_atoms, which builds them once
     per process and config, so back-to-back sweeps that differ only in
     seed, trials or SNR share them. The scenario's trials then run on
-    min(usable CPUs, cfg.trials) forked worker processes, which inherit
-    the atoms; the usable CPUs are this process's affinity mask
-    (``taskset -c 0`` runs a sweep serially, as does a one-trial sweep). Pooling is Linux and OpenBLAS
-    only: it needs fork, /proc/self/maps and an OpenBLAS thread setter in
-    every loaded BLAS, and without them, or with ``run_trial`` rebound by a
-    tracer, the sweep runs serially (see _cell_trials). Records come back
-    and reach ``progress`` in trial order, so the aggregates, CSVs and
-    records equal a serial sweep's, wall times aside. A programming error
-    in a worker reaches the caller with its class.
+    min(usable CPUs, cfg.trials) processes: this one and forked children,
+    which inherit the atoms, each claiming the next trial whenever it is
+    free. The usable CPUs are this process's affinity mask (``taskset -c
+    0`` runs a sweep serially, as does a one-trial sweep). Forking the
+    children is Linux and OpenBLAS only: it needs fork, /proc/self/maps and
+    an OpenBLAS thread getter and setter in every loaded BLAS, and without
+    them, or with ``run_trial`` rebound by a tracer, the sweep runs serially
+    (see _cell_trials). Records reach ``progress`` in trial order, so the
+    aggregates, CSVs and records equal a serial sweep's, wall times aside;
+    a programming error, in this process or a child, stops the sweep with
+    its class when its trial's turn comes, and a child that dies stops it
+    with a RuntimeError.
     """
     result = SweepResult(config=cfg)
     for scenario in cfg.scenarios:
         _, total_slots = scenario_layout(cfg, scenario)
         atoms = scenario_atoms(cfg, scenario)
         with _cell_trials(cfg, scenario, atoms) as trials:
-            for snr_index, snr in enumerate(cfg.snr_db):
+            for snr in cfg.snr_db:
                 records = []
-                for rec in trials(snr, snr_index):
+                for rec in islice(trials, cfg.trials):
                     records.append(rec)
                     if progress is not None:
                         progress(rec)

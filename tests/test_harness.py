@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -664,7 +665,7 @@ _POOLED_CASES = {
 
 def _sweep_outputs(monkeypatch, out, workers, **fields) -> tuple:
     """rmse.csv, nmse.csv, meta.json and the records (wall time aside) of a sweep run on
-    ``workers`` processes, and the number of live pool workers each progress call saw."""
+    ``workers`` processes, and the number of live children each progress call saw."""
     monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: workers)
     cfg = ExperimentConfig(trials=5, snr_db=(10.0, 25.0), seed=11, g_theta=256, **fields)
     children = []
@@ -684,7 +685,7 @@ def test_a_pooled_sweep_equals_the_serial_one(case, monkeypatch, tmp_path):
     for workers in (2, 3):
         pooled, children = _sweep_outputs(monkeypatch, tmp_path / str(workers), workers,
                                           **_POOLED_CASES[case])
-        assert children == [workers] * 10
+        assert children == [workers - 1] * 10
         assert pooled == serial
     assert not multiprocessing.active_children()
 
@@ -700,28 +701,69 @@ def test_a_pooled_sweep_reports_progress_in_trial_order(monkeypatch):
     assert not multiprocessing.active_children()
 
 
+def _only_in(where: str, broken, working):
+    """``broken`` in the processes ``where`` names ("child" or "caller") and ``working`` in the
+    others, which first sleep 0.5 s, so that the broken side claims a trial."""
+    caller = os.getpid()
+
+    def patched(*args):
+        if (os.getpid() == caller) == (where == "caller"):
+            return broken(*args)
+        time.sleep(0.5)
+        return working(*args)
+
+    return patched
+
+
+def _typo(layout, scene, radio):
+    return scene.user_position  # Scene has user
+
+
 @needs_pool
 def test_a_worker_s_programming_error_reaches_the_caller_and_stops_the_pool(monkeypatch):
-    def typo(layout, scene, radio):
-        return scene.user_position  # Scene has user
-
     monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness_mod, "synthesize_paths", typo)
+    monkeypatch.setattr(harness_mod, "synthesize_paths",
+                        _only_in("child", _typo, harness_mod.synthesize_paths))
     cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
     with pytest.raises(AttributeError, match="user_position") as raised:
         run_sweep(cfg)
-    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a child
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_programming_error_in_the_calling_process_stops_the_pooled_sweep(monkeypatch):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "synthesize_paths",
+                        _only_in("caller", _typo, harness_mod.synthesize_paths))
+    cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
+    with pytest.raises(AttributeError, match="user_position") as raised:
+        run_sweep(cfg)
+    assert raised.value.__cause__ is None  # raised here, not sent by a child
     assert not multiprocessing.active_children()
 
 
 @needs_pool
 def test_a_value_error_that_is_no_domain_error_stops_the_pooled_sweep(monkeypatch):
     monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(passloc.estimator, "polish", _broken_polish)
+    monkeypatch.setattr(passloc.estimator, "polish",
+                        _only_in("child", _broken_polish, passloc.estimator.polish))
     cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
     with pytest.raises(ValueError, match="broadcast") as raised:
         run_sweep(cfg)
-    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"  # raised in a child
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_value_error_in_the_calling_process_stops_the_pooled_sweep(monkeypatch):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(passloc.estimator, "polish",
+                        _only_in("caller", _broken_polish, passloc.estimator.polish))
+    cfg = ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(20.0,), g_theta=64)
+    with pytest.raises(ValueError, match="broadcast") as raised:
+        run_sweep(cfg)
+    assert raised.value.__cause__ is None  # raised here, not sent by a child
     assert not multiprocessing.active_children()
 
 
@@ -736,8 +778,81 @@ def test_a_pooled_sweep_aborts_when_most_trials_fail_and_stops_the_pool(monkeypa
     live = []
     with pytest.raises(RuntimeError, match="at 20.0 dB: 5 of 5 trials failed"):
         run_sweep(cfg, progress=lambda rec: live.append(len(multiprocessing.active_children())))
-    assert live == [2] * 5
+    assert live == [1] * 5
     assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_progress_callback_that_raises_stops_the_pooled_sweep(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def progress(rec):
+        live.append(len(multiprocessing.active_children()))
+        if len(live) == 3:
+            raise Stop
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(scenarios=("mw",), trials=5, snr_db=(20.0, 25.0), g_theta=64)
+    live = []
+    with pytest.raises(Stop):
+        run_sweep(cfg, progress=progress)
+    assert live == [1] * 3
+    assert not multiprocessing.active_children()
+
+
+@needs_pool
+def test_a_pooled_sweep_restores_the_blas_threads_it_capped(monkeypatch):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    threads = harness_mod._blas_thread_setters()
+    before = [get() for get, _ in threads]
+    try:
+        for _, set_threads in threads:
+            set_threads(2)
+        cfg = ExperimentConfig(scenarios=("mw",), trials=3, snr_db=(25.0,), g_theta=64)
+        during = []
+        run_sweep(cfg, progress=lambda rec: during.append([get() for get, _ in threads]))
+        assert during == [[1] * len(threads)] * 3
+        assert [get() for get, _ in threads] == [2] * len(threads)
+    finally:
+        for (_, set_threads), count in zip(threads, before):
+            set_threads(count)
+    assert not multiprocessing.active_children()
+
+
+_CHILD_EXITS = """
+import multiprocessing, os, time
+import passloc.harness as harness
+from passloc.harness import ExperimentConfig, run_sweep
+
+caller, estimate = os.getpid(), harness.estimate
+
+def exits_in_a_child(*args):
+    if os.getpid() != caller:
+        os._exit(0)  # a clean exit code, yet its trial's record is never sent
+    time.sleep(0.5)  # so that the child claims a trial
+    return estimate(*args)
+
+harness._usable_cpus = lambda: 2
+harness.estimate = exits_in_a_child
+try:
+    run_sweep(ExperimentConfig(scenarios=("mw",), trials=4, snr_db=(25.0,), g_theta=64))
+except RuntimeError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+@needs_pool
+def test_a_child_that_exits_without_its_record_stops_the_sweep():
+    env = dict(os.environ)
+    src = str(Path(harness_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD_EXITS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "a sweep child exited before its cell was done; the trial it claimed is lost", "[]"]
 
 
 def test_a_sweep_with_run_trial_rebound_runs_its_trials_in_this_process(monkeypatch):
